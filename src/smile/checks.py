@@ -102,6 +102,14 @@ def _op_cases(rng: np.random.Generator):
         yield f"{name}_scalar", (lambda op=op, s=s, z=z:
                                  _weighted_sum(op(s, z), w34)), {"s": s, "z": z}
 
+    # a [1,d] row, an [n,1] column and a rank-3 [b,1,d] operand, each
+    # stretched by add, sub or mul
+    row, col, cube = _leaf(rng, 1, 4), _leaf(rng, 3, 1), _leaf(rng, 2, 1, 4)
+    w234 = rng.standard_normal((2, 3, 4))
+    yield "broadcast", (lambda row=row, col=col, cube=cube: _weighted_sum(
+        T.mul(T.sub(T.add(row, col), cube), col), w234)), \
+        {"row": row, "col": col, "cube": cube}
+
     x = _leaf(rng, 3, 4)
     yield "neg", (lambda x=x: _weighted_sum(T.neg(x), w34)), {"x": x}
 

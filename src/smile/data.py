@@ -142,6 +142,10 @@ class Corpus:
     seed: int | None = None
     _pixel_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if not self.images:
+            raise ContractError("corpus: no images")
+
     def __len__(self):
         return len(self.images)
 
@@ -284,8 +288,9 @@ def read_vocab_block(r: Reader) -> VocabSpec:
 
 
 def save_corpus(corpus: Corpus, path: str):
-    if not corpus.images:
-        raise ContractError("save_corpus: empty corpus")
+    if corpus.vocab.n_chars > 256:
+        raise ContractError(f"save_corpus: {corpus.vocab.n_chars} characters "
+                            "do not fit the u8 label field (at most 256)")
     h, w = corpus.images[0].pixels.shape
     parts = [MAGIC, struct.pack("<IIII", VERSION, h, w, len(corpus.images)),
              vocab_block(corpus.vocab)]
@@ -320,6 +325,8 @@ def load_corpus(path: str) -> Corpus:
     h = r.u32("height")
     w = r.u32("width")
     count = r.u32("record count")
+    if count == 0:
+        raise ContractError(f"{path}: corpus has no records")
     vocab = read_vocab_block(r)
     images = []
     for i in range(count):

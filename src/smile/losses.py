@@ -36,57 +36,42 @@ def decoder_loss(outputs: list[DecoderOutput],
             f"decoder_loss: {len(outputs)} outputs vs {len(labels)} labels")
     if not outputs:
         raise ContractError("decoder_loss: empty batch")
-    picked_cols = []
+    targets = []
     for out, label in zip(outputs, labels):
         t_rows, k = out.probs.shape
         if t_rows != len(label) + 1:
             raise ContractError(
                 f"decoder_loss: {t_rows} rows for a length-{len(label)} label")
-        eos = k - 2
-        targets = list(label) + [eos]
         for c in label:
             if not 0 <= c < k - 3:
                 raise ContractError(
                     f"decoder_loss: target {c} is not a character index")
-        flat = T.reshape(out.probs, (t_rows * k, 1))
-        picked_cols.append(T.gather_rows(flat, [t * k + c
-                                                for t, c in enumerate(targets)]))
-    stacked = picked_cols[0] if len(picked_cols) == 1 else \
-        T.concat(picked_cols, axis=0)
-    return T.mul(T.reduce_sum(T.log(stacked)), -1.0 / len(outputs))
+        targets += list(label) + [k - 2]  # EOS closes every sequence
+    probs = T.concat([out.probs for out in outputs], axis=0)
+    n, k = probs.shape
+    picked = T.gather_rows(T.reshape(probs, (n * k, 1)),
+                           np.arange(n) * k + targets)
+    return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(outputs))
 
 
-def _check_row(data: np.ndarray) -> np.ndarray:
-    row = data.reshape(-1)
-    if abs(row.sum() - 1.0) > ROW_SUM_TOL:
-        raise ContractError(
-            f"step_entropy: row sums to {row.sum()}, not 1 within {ROW_SUM_TOL}")
-    return row
+def row_entropy(probs: Tensor, variant: str = "shannon") -> Tensor:
+    """Uncertainty of every row of an [N, K] block, as an [N, 1] column."""
+    _check_variant(variant)
+    n, k = probs.shape
+    if variant == "shannon":
+        return T.mul(T.reduce_sum(T.mul(probs, T.log(probs)), axis=1), -1.0)
+    tops = np.argmax(probs.data, axis=1)
+    flat = T.reshape(probs, (n * k, 1))
+    return T.mul(T.log(T.gather_rows(flat, np.arange(n) * k + tops)), -1.0)
 
 
 def step_entropy(row: Tensor, variant: str = "shannon") -> Tensor:
     """Uncertainty of one probability row, differentiable through the row."""
-    _check_variant(variant)
-    flat_data = _check_row(row.data)
-    k = flat_data.size
-    col = T.reshape(row, (k, 1))
-    if variant == "shannon":
-        return T.mul(T.reduce_sum(T.mul(col, T.log(col))), -1.0)
-    top = int(np.argmax(flat_data))
-    return T.mul(T.reduce_sum(T.log(T.gather_rows(col, [top]))), -1.0)
-
-
-def sequence_entropy(out: DecoderOutput, variant: str = "shannon") -> Tensor:
-    """Sum of step_entropy over every emitted row, the EOS row included."""
-    _check_variant(variant)
-    probs = out.probs
-    t_rows, k = probs.shape
-    if variant == "shannon":
-        return T.mul(T.reduce_sum(T.mul(probs, T.log(probs))), -1.0)
-    tops = np.argmax(probs.data, axis=1)
-    flat = T.reshape(probs, (t_rows * k, 1))
-    picked = T.gather_rows(flat, [t * k + int(c) for t, c in enumerate(tops)])
-    return T.mul(T.reduce_sum(T.log(picked)), -1.0)
+    total = row.data.sum()
+    if abs(total - 1.0) > ROW_SUM_TOL:
+        raise ContractError(
+            f"step_entropy: row sums to {total}, not 1 within {ROW_SUM_TOL}")
+    return row_entropy(T.reshape(row, (1, row.size)), variant)
 
 
 def smile_loss(l_dec: Tensor, l_ent: Tensor, lam: float) -> Tensor:

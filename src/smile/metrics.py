@@ -16,6 +16,7 @@ import numpy as np
 from .data import Corpus
 from .errors import ContractError
 from .recognizer import Recognizer
+from .tensor import LOG_FLOOR
 
 EVAL_BATCH = 64
 
@@ -71,7 +72,7 @@ def char_accuracy(preds: list[str], labels: list[str]) -> float:
 
 
 def _entropy_rows(probs: np.ndarray) -> tuple[float, int]:
-    clamped = np.maximum(probs, 1e-12)
+    clamped = np.maximum(probs, LOG_FLOOR)
     return float(-(probs * np.log(clamped)).sum()), probs.shape[0]
 
 

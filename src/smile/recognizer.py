@@ -6,10 +6,9 @@ directions).  The decoder is a GRU with additive attention queried by its
 previous hidden state; each step sees [attention context ++ input embedding]
 and projects to class probabilities.
 
-Batches are expressed entirely in rank-2 ops: biases are tiled through a
-ones-column matmul, and per-sample attention runs over a flattened
-[batch*time, d] feature block using constant 0/1 expansion and pooling
-matrices, so one tape covers the whole batch.
+A whole batch runs through one tape: [1, d] biases broadcast over the batch
+rows, and attention adds each sample's [B, 1, a] query to its [B, T, a] keys
+and pools its [B, T, h] features with [B, T, 1] weights.
 """
 
 from __future__ import annotations
@@ -97,22 +96,12 @@ class DecoderOutput:
 
 @dataclass
 class EncodedBatch:
-    """Context-mixed strip features plus the constant batching matrices."""
+    """Context-mixed strip features and their attention keys, sample-major."""
 
-    feats: Tensor      # [B*T_enc, d] sample-major: row b*T_enc + t
-    keys: Tensor       # feats @ attn/W_enc, step-independent
+    feats: Tensor      # [B, T_enc, h]
+    keys: Tensor       # [B, T_enc, a]: feats @ attn/W_enc, step-independent
     batch: int
     t_enc: int
-    expand: Tensor     # [B*T_enc, B] 0/1: broadcast a per-sample row vector
-    pool: Tensor       # [B, B*T_enc] 0/1: sum a flat block back per sample
-    col_ones: Tensor   # [1, d] ones: widen a column to d columns
-
-
-def _expand_pool(batch: int, t_enc: int) -> tuple[np.ndarray, np.ndarray]:
-    expand = np.zeros((batch * t_enc, batch))
-    rows = np.arange(batch * t_enc)
-    expand[rows, rows // t_enc] = 1.0
-    return expand, expand.T.copy()
 
 
 class Recognizer:
@@ -138,24 +127,17 @@ class Recognizer:
 
     # -- shared pieces ------------------------------------------------------
 
-    def _bias(self, name: str, ones_col: Tensor | None) -> Tensor:
-        b = self.params[name]
-        if ones_col is None:
-            return b
-        return T.matmul(ones_col, b)
-
-    def _gru_step(self, prefix: str, x: Tensor, h: Tensor,
-                  ones_col: Tensor | None) -> Tensor:
+    def _gru_step(self, prefix: str, x: Tensor, h: Tensor) -> Tensor:
         p = self.params
         z = T.sigmoid(T.add(T.add(T.matmul(x, p[f"{prefix}/W_z"]),
                                   T.matmul(h, p[f"{prefix}/U_z"])),
-                            self._bias(f"{prefix}/b_z", ones_col)))
+                            p[f"{prefix}/b_z"]))
         r = T.sigmoid(T.add(T.add(T.matmul(x, p[f"{prefix}/W_r"]),
                                   T.matmul(h, p[f"{prefix}/U_r"])),
-                            self._bias(f"{prefix}/b_r", ones_col)))
+                            p[f"{prefix}/b_r"]))
         n = T.tanh(T.add(T.add(T.matmul(x, p[f"{prefix}/W_n"]),
                                T.matmul(T.mul(r, h), p[f"{prefix}/U_n"])),
-                         self._bias(f"{prefix}/b_n", ones_col)))
+                         p[f"{prefix}/b_n"]))
         return T.add(T.mul(T.sub(1.0, z), n), T.mul(z, h))
 
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
@@ -168,59 +150,57 @@ class Recognizer:
         if w % STRIP_W != 0:
             raise DimensionError(f"encode: width {w} not a multiple of {STRIP_W}")
         t_enc = w // STRIP_W
-        ones_col = T.ones((batch, 1)) if batch > 1 else None
+        hid_dim = self.arch.enc_hidden
         strips = []
         for t in range(t_enc):
             x = T.constant(pixels[:, :, t * STRIP_W:(t + 1) * STRIP_W]
                            .reshape(batch, GLYPH_H * STRIP_W))
             strips.append(T.tanh(T.add(T.matmul(x, self.params["proj/W"]),
-                                       self._bias("proj/b", ones_col))))
-        hid = T.zeros((batch, self.arch.enc_hidden))
+                                       self.params["proj/b"])))
+        hid = T.zeros((batch, hid_dim))
         fwd = []
         for x in strips:
-            hid = self._gru_step("enc", x, hid, ones_col)
+            hid = self._gru_step("enc", x, hid)
             fwd.append(hid)
         if self.arch.bidirectional:
-            hid = T.zeros((batch, self.arch.enc_hidden))
+            hid = T.zeros((batch, hid_dim))
             bwd = []
             for x in reversed(strips):
-                hid = self._gru_step("enc_bwd", x, hid, ones_col)
+                hid = self._gru_step("enc_bwd", x, hid)
                 bwd.append(hid)
             feats_by_t = [T.add(f, b) for f, b in zip(fwd, reversed(bwd))]
         else:
             feats_by_t = fwd
-        # time-major stack, then permute rows to sample-major b*T + t
-        flat = T.concat(feats_by_t, axis=0)
-        perm = [t * batch + b for b in range(batch) for t in range(t_enc)]
-        feats = T.gather_rows(flat, perm)
-        keys = T.matmul(feats, self.params["attn/W_enc"])
-        expand_np, pool_np = _expand_pool(batch, t_enc)
+        # [B, T*h] side by side is already sample-major
+        flat = T.concat(feats_by_t, axis=1)
+        keys = T.matmul(T.reshape(flat, (batch * t_enc, hid_dim)),
+                        self.params["attn/W_enc"])
         return EncodedBatch(
-            feats=feats, keys=keys, batch=batch, t_enc=t_enc,
-            expand=T.constant(expand_np), pool=T.constant(pool_np),
-            col_ones=T.ones((1, self.arch.enc_hidden)))
+            feats=T.reshape(flat, (batch, t_enc, hid_dim)),
+            keys=T.reshape(keys, (batch, t_enc, self.arch.attn_dim)),
+            batch=batch, t_enc=t_enc)
 
     def _attend(self, enc: EncodedBatch, h_dec: Tensor) -> tuple[Tensor, Tensor]:
-        """Additive attention: returns (context [B,d], weights [B,T_enc])."""
+        """Additive attention: returns (context [B,h], weights [B,T_enc])."""
+        batch, t_enc, attn_dim = enc.keys.shape
         q = T.matmul(h_dec, self.params["attn/W_dec"])
-        q_big = T.matmul(enc.expand, q) if enc.batch > 1 else \
-            T.matmul(T.ones((enc.t_enc, 1)), q)
-        scores = T.matmul(T.tanh(T.add(enc.keys, q_big)), self.params["attn/v"])
-        alpha = T.softmax(T.reshape(scores, (enc.batch, enc.t_enc)))
-        alpha_cols = T.matmul(T.reshape(alpha, (enc.batch * enc.t_enc, 1)),
-                              enc.col_ones)
-        context = T.matmul(enc.pool, T.mul(enc.feats, alpha_cols))
+        energy = T.tanh(T.add(enc.keys, T.reshape(q, (batch, 1, attn_dim))))
+        scores = T.matmul(T.reshape(energy, (batch * t_enc, attn_dim)),
+                          self.params["attn/v"])
+        alpha = T.softmax(T.reshape(scores, (batch, t_enc)))
+        weighted = T.mul(enc.feats, T.reshape(alpha, (batch, t_enc, 1)))
+        context = T.reshape(T.reduce_sum(weighted, axis=1),
+                            (batch, enc.feats.shape[2]))
         return context, alpha
 
-    def _decode_step(self, enc: EncodedBatch, h: Tensor, input_ids,
-                     ones_col: Tensor | None) -> tuple[Tensor, Tensor, Tensor]:
+    def _decode_step(self, enc: EncodedBatch, h: Tensor,
+                     input_ids) -> tuple[Tensor, Tensor, Tensor]:
         """One decoder step; returns (h_next, probs [B,K], attention [B,T])."""
         context, alpha = self._attend(enc, h)
         emb = T.gather_rows(self.params["embed/E"], input_ids)
-        h_next = self._gru_step("dec", T.concat([context, emb], axis=1), h,
-                                ones_col)
+        h_next = self._gru_step("dec", T.concat([context, emb], axis=1), h)
         logits = T.add(T.matmul(h_next, self.params["out/W"]),
-                       self._bias("out/b", ones_col))
+                       self.params["out/b"])
         return h_next, T.softmax(logits), alpha
 
     def _restricted_argmax(self, probs_row: np.ndarray) -> np.ndarray:
@@ -233,8 +213,7 @@ class Recognizer:
     def _split_outputs(self, step_probs: list[Tensor], batch: int,
                        lengths: list[int]) -> list[DecoderOutput]:
         """Slice per-step batch rows into per-sample differentiable views."""
-        all_probs = step_probs[0] if len(step_probs) == 1 else \
-            T.concat(step_probs, axis=0)
+        all_probs = T.concat(step_probs, axis=0)
         outs = []
         for b in range(batch):
             rows = [t * batch + b for t in range(lengths[b])]
@@ -268,7 +247,6 @@ class Recognizer:
                         f"teacher_forced: {i} is not a character index")
         lengths = [len(lab) + 1 for lab in labels]
         t_max = max(lengths)
-        ones_col = T.ones((enc.batch, 1)) if enc.batch > 1 else None
         h = T.zeros((enc.batch, self.arch.dec_hidden))
         step_probs = []
         for t in range(t_max):
@@ -277,7 +255,7 @@ class Recognizer:
             else:
                 ids = [lab[t - 1] if t - 1 < len(lab) else self.vocab.PAD
                        for lab in labels]
-            h, probs, _ = self._decode_step(enc, h, ids, ones_col)
+            h, probs, _ = self._decode_step(enc, h, ids)
             step_probs.append(probs)
         return self._split_outputs(step_probs, enc.batch, lengths)
 
@@ -285,14 +263,13 @@ class Recognizer:
         """Self-fed decode, at most l_max+1 steps, truncated at each
         sample's first EOS (the EOS row is kept)."""
         enc = self.encode(pixels)
-        ones_col = T.ones((enc.batch, 1)) if enc.batch > 1 else None
         h = T.zeros((enc.batch, self.arch.dec_hidden))
         ids = [self.vocab.GO] * enc.batch
         done = np.zeros(enc.batch, dtype=bool)
         lengths = [0] * enc.batch
         step_probs = []
         for t in range(self.arch.l_max + 1):
-            h, probs, _ = self._decode_step(enc, h, ids, ones_col)
+            h, probs, _ = self._decode_step(enc, h, ids)
             step_probs.append(probs)
             picked = self._restricted_argmax(probs.data)
             for b in range(enc.batch):

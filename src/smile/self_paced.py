@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .losses import _check_variant
+from .losses import row_entropy
 from .recognizer import DecoderOutput
 from .tensor import Tensor
 
@@ -67,26 +67,13 @@ def build_pool(outputs: list[DecoderOutput],
                variant: str = "shannon") -> PredictionPool:
     """One entry per emitted row of every output, in (sample, timestep)
     order; entropies stay attached to the live tape."""
-    _check_variant(variant)
-    entries = []
-    columns = []
-    index = 0
-    for sample, out in enumerate(outputs):
-        t_rows, k = out.probs.shape
-        if variant == "shannon":
-            col = T.mul(T.reduce_sum(T.mul(out.probs, T.log(out.probs)),
-                                     axis=1), -1.0)
-        else:
-            tops = np.argmax(out.probs.data, axis=1)
-            flat = T.reshape(out.probs, (t_rows * k, 1))
-            col = T.mul(T.log(T.gather_rows(
-                flat, [t * k + int(c) for t, c in enumerate(tops)])), -1.0)
-        columns.append(col)
-        for t in range(t_rows):
-            entries.append(PoolEntry(sample, t, out.pseudo_labels[t],
-                                     float(col.data[t, 0]), index))
-            index += 1
-    column = columns[0] if len(columns) == 1 else T.concat(columns, axis=0)
+    column = row_entropy(T.concat([out.probs for out in outputs], axis=0),
+                         variant)
+    values = column.data[:, 0].tolist()
+    spots = [(sample, t, label) for sample, out in enumerate(outputs)
+             for t, label in enumerate(out.pseudo_labels)]
+    entries = [PoolEntry(sample, t, label, values[i], i)
+               for i, (sample, t, label) in enumerate(spots)]
     return PredictionPool(entries, column)
 
 

@@ -3,12 +3,13 @@
 Every operation runs eagerly on numpy arrays and, when a Tape is active on
 the current thread, records a backward rule onto it.  The tape is rebuilt on
 every forward pass; one tape and its tensors belong to a single thread.
-Broadcasting is limited to scalar-with-tensor; anything richer is a shape
-error by design.
+add, sub and mul broadcast as numpy does, at any rank; their backward rules
+sum the gradient over every stretched axis.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -152,18 +153,24 @@ def _track(out: Tensor, inputs: tuple[Tensor, ...], backward_fn):
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise ops: equal shapes or scalar-with-tensor broadcast
+# binary elementwise ops: numpy broadcasting
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str):
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
-        return
-    raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not match "
-                         "(only scalar broadcast is supported)")
+    # trailing dims must agree or be 1; cheaper than np.broadcast_shapes
+    for m, n in zip(reversed(a.shape), reversed(b.shape)):
+        if m != n and m != 1 and n != 1:
+            raise DimensionError(
+                f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # collapse a broadcast gradient back onto a size-1 operand
-    return np.sum(grad).reshape(shape) if grad.shape != shape else grad
+    # sum a broadcast gradient over the axes its operand was stretched on
+    if grad.shape == shape:
+        return grad
+    lead = grad.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape)
+                                      if n == 1)
+    return grad.sum(axis=axes, keepdims=True).reshape(shape)
 
 
 def add(a, b) -> Tensor:
@@ -422,7 +429,7 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
     out = Tensor(a.data.reshape(shape))
 

@@ -1,11 +1,13 @@
 """Command-line behavior: flag parsing, config-file precedence, the six
 subcommands end to end on tiny corpora, and exit codes."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from smile import cli
-from smile.data import load_corpus, save_corpus
+from smile.data import MAGIC, VERSION, load_corpus, save_corpus, vocab_block
 from smile.trainer import EVAL_HEADER, load_checkpoint, save_checkpoint
 
 
@@ -164,6 +166,16 @@ def test_train_missing_corpus_path(capsys, workdir):
     assert code == 1
     err = capsys.readouterr().err
     assert "smile train: FormatError: cannot read corpus" in err
+
+
+def test_train_rejects_zero_record_corpus(capsys, workdir, vocab):
+    empty = workdir["root"] / "empty.smcp"
+    empty.write_bytes(MAGIC + struct.pack("<IIII", VERSION, 8, 24, 0)
+                      + vocab_block(vocab))
+    assert cli.main(["train", "--source", str(empty)]) == 1
+    err = capsys.readouterr().err
+    assert "smile train: ContractError:" in err
+    assert "corpus has no records" in err
 
 
 def test_eval_missing_checkpoint_path(capsys, workdir):

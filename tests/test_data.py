@@ -308,8 +308,17 @@ def test_load_rejects_unknown_version(tmp_path, vocab, templates):
 
 
 def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
-    with pytest.raises(ContractError):
-        save_corpus(Corpus(vocab, []), str(tmp_path / "e.smcp"))
+    with pytest.raises(ContractError, match="no images"):
+        Corpus(vocab, [])  # so no empty corpus reaches save or train
     img = TextImage(np.full((8, 8), 1.5), (0,), SOURCE)
     with pytest.raises(ContractError):
         save_corpus(Corpus(vocab, [img]), str(tmp_path / "r.smcp"))
+
+
+def test_save_rejects_vocab_wider_than_label_field(tmp_path):
+    big = VocabSpec("".join(chr(0x4E00 + i) for i in range(300)))
+    img = TextImage(np.zeros((8, 8)), (299,), SOURCE)
+    path = tmp_path / "big.smcp"
+    with pytest.raises(ContractError, match="u8 label field"):
+        save_corpus(Corpus(big, [img]), str(path))
+    assert not path.exists()

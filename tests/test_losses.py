@@ -8,8 +8,7 @@ import pytest
 
 import smile.tensor as T
 from smile.errors import ContractError
-from smile.losses import (ROW_SUM_TOL, decoder_loss, sequence_entropy,
-                          smile_loss, step_entropy)
+from smile.losses import ROW_SUM_TOL, decoder_loss, smile_loss, step_entropy
 from smile.recognizer import DecoderOutput
 from smile.tensor import Tape, Tensor
 
@@ -130,46 +129,19 @@ def test_step_entropy_rejects_unnormalized():
         step_entropy(T.constant([[0.5, 0.5]]), "nonsense")
 
 
-# -- sequence_entropy ---------------------------------------------------------
-
-def test_sequence_entropy_one_hot_is_zero():
-    rows = np.zeros((1, 6))
-    rows[0, 2] = 1.0
-    assert abs(sequence_entropy(output_from(rows)).item()) < 1e-10
-
-
-def test_sequence_entropy_uniform_rows():
-    rows = np.full((3, 15), 1.0 / 15)
-    want = 3 * math.log(15)
-    assert abs(sequence_entropy(output_from(rows)).item() - want) < 1e-12
-
-
-def test_sequence_entropy_matches_per_step_sum(rng):
-    rows = random_stochastic(rng, 4, 15)
-    out = output_from(rows)
-    for variant in ("shannon", "pseudo_nll"):
-        total = sequence_entropy(out, variant).item()
-        by_steps = sum(step_entropy(T.constant(rows[t:t + 1]), variant).item()
-                       for t in range(4))
-        assert abs(total - by_steps) < 1e-12
-
-
 def test_entropy_gradient_step_sharpens(rng):
-    # one descent step on the sequence entropy lowers every row's entropy
+    # one descent step on a row's entropy lowers it
     for trial in range(100):
         logits_np = rng.normal(size=(1, 8))
         if np.abs(logits_np - logits_np.max()).sum() < 1e-3:
             continue  # skip near-degenerate draws
         logits = T.parameter(logits_np.copy())
         with Tape() as tape:
-            probs = T.softmax(logits)
-            out = DecoderOutput(probs, (int(np.argmax(probs.data)),))
-            ent = sequence_entropy(out)
+            ent = step_entropy(T.softmax(logits))
             tape.backward(ent)
         before = ent.item()
         logits.data -= 1e-2 * logits.grad
-        after = sequence_entropy(
-            DecoderOutput(T.softmax(logits), (0,))).item()
+        after = step_entropy(T.softmax(logits)).item()
         assert after < before
 
 
@@ -200,9 +172,7 @@ def test_smile_loss_gradient_scales_with_lambda(rng):
     for lam in (1.0, 2.0):
         logits = T.parameter(logits_np.copy())
         with Tape() as tape:
-            probs = T.softmax(logits)
-            out = DecoderOutput(probs, (0,))
-            ent = sequence_entropy(out)
+            ent = step_entropy(T.softmax(logits))
             total = smile_loss(scalar(5.0), ent, lam)
             tape.backward(total)
         grads[lam] = logits.grad.copy()

@@ -78,10 +78,8 @@ def test_encode_shapes(rec):
     enc = rec.encode(some_pixels(3, 3))
     assert enc.batch == 3
     assert enc.t_enc == 3
-    assert enc.feats.shape == (9, 32)
-    assert enc.keys.shape == (9, 32)
-    assert enc.expand.shape == (9, 3)
-    assert enc.pool.shape == (3, 9)
+    assert enc.feats.shape == (3, 3, 32)
+    assert enc.keys.shape == (3, 3, 32)
 
 
 def test_encode_rejects_bad_dimensions(rec):

@@ -74,11 +74,33 @@ def test_scalar_broadcast_forward():
 
 def test_general_broadcast_rejected():
     a = T.constant(np.zeros((2, 3)))
-    row = T.constant(np.zeros((1, 3)))
-    with pytest.raises(DimensionError):
-        T.add(a, row)
     with pytest.raises(DimensionError):
         T.mul(a, T.constant(np.zeros((3, 2))))
+    with pytest.raises(DimensionError):
+        T.add(T.constant(np.zeros((4, 2, 3))), T.constant(np.zeros((3, 1, 3))))
+
+
+@pytest.mark.parametrize("op,ref", [(T.add, np.add), (T.sub, np.subtract),
+                                    (T.mul, np.multiply)])
+def test_row_column_rank3_broadcast(rng, op, ref):
+    # each pair stretches a different axis: row over rows, column over
+    # columns, and a rank-3 operand over the middle axis and a new batch axis
+    full = T.parameter(rng.normal(size=(3, 4)))
+    pairs = [(full, T.parameter(rng.normal(size=(1, 4)))),
+             (T.parameter(rng.normal(size=(3, 1))), full),
+             (T.parameter(rng.normal(size=(2, 1, 4))), full)]
+    for x, y in pairs:
+        out = op(x, y)
+        want = ref(x.data, y.data)
+        assert out.shape == want.shape
+        assert np.allclose(out.data, want)
+        w = rng.normal(size=want.shape)
+
+        def loss(x=x, y=y, w=w):
+            return T.reduce_sum(T.mul(op(x, y), T.constant(w)))
+
+        assert_grads_close(loss, x)
+        assert_grads_close(loss, y)
 
 
 def test_matmul_shape_rules():
