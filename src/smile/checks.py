@@ -160,6 +160,19 @@ def _op_cases(rng: np.random.Generator):
     yield "reshape", (lambda x=x: _weighted_sum(
         T.reshape(x, (2, 6)), w26)), {"x": x}
 
+    # B=2, H=2: every gate block and both recurrent products are reached
+    xw, hid, u = _leaf(rng, 2, 6), _leaf(rng, 2, 2), _leaf(rng, 2, 6)
+    w22 = rng.standard_normal((2, 2))
+    yield "gru_cell", (lambda xw=xw, hid=hid, u=u: _weighted_sum(
+        T.gru_cell(xw, hid, u), w22)), {"xw": xw, "h": hid, "U": u}
+
+    # B=2, T=3 positions, a=2 key width, h=2 feature width
+    keys, feats = _leaf(rng, 2, 3, 2), _leaf(rng, 2, 3, 2)
+    q, v = _leaf(rng, 2, 2), _leaf(rng, 2, 1)
+    yield "attend", (lambda keys=keys, feats=feats, q=q, v=v: _weighted_sum(
+        T.attend(keys, feats, q, v), w22)), \
+        {"keys": keys, "feats": feats, "q": q, "v": v}
+
     # a deep chain so composition of backward rules is covered
     u, v = _leaf(rng, 3, 3), _leaf(rng, 3, 3)
     w33 = rng.standard_normal((3, 3))

@@ -7,8 +7,12 @@ previous hidden state; each step sees [attention context ++ input embedding]
 and projects to class probabilities.
 
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
-rows, and attention adds each sample's [B, 1, a] query to its [B, T, a] keys
-and pools its [B, T, h] features with [B, T, 1] weights.
+rows.  Each GRU keeps its checkpoint parameters per gate (W_z|W_r|W_n, U_*,
+b_*); a forward pass concatenates them once into the fused [in, 3h], [h, 3h]
+and [1, 3h] layout, so a recurrent step is one input matmul, one bias add
+and one tensor.gru_cell node.  A decoder step's attention is one query
+matmul and one tensor.attend node over the [B, T, a] keys and [B, T, h]
+features.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .tensor import Tensor
 
 GLYPH_H = 8
 STRIP_W = 8
+
+GRUWeights = tuple[Tensor, Tensor, Tensor]   # fused (W, b, U), gates z | r | n
 
 
 @dataclass(frozen=True)
@@ -127,18 +133,16 @@ class Recognizer:
 
     # -- shared pieces ------------------------------------------------------
 
-    def _gru_step(self, prefix: str, x: Tensor, h: Tensor) -> Tensor:
-        p = self.params
-        z = T.sigmoid(T.add(T.add(T.matmul(x, p[f"{prefix}/W_z"]),
-                                  T.matmul(h, p[f"{prefix}/U_z"])),
-                            p[f"{prefix}/b_z"]))
-        r = T.sigmoid(T.add(T.add(T.matmul(x, p[f"{prefix}/W_r"]),
-                                  T.matmul(h, p[f"{prefix}/U_r"])),
-                            p[f"{prefix}/b_r"]))
-        n = T.tanh(T.add(T.add(T.matmul(x, p[f"{prefix}/W_n"]),
-                               T.matmul(T.mul(r, h), p[f"{prefix}/U_n"])),
-                         p[f"{prefix}/b_n"]))
-        return T.add(T.mul(T.sub(1.0, z), n), T.mul(z, h))
+    def _gru_weights(self, prefix: str) -> GRUWeights:
+        """The block's (W, b, U) in the fused z | r | n layout."""
+        return tuple(T.concat([self.params[f"{prefix}/{kind}_{gate}"]
+                               for gate in ("z", "r", "n")], axis=1)
+                     for kind in ("W", "b", "U"))
+
+    @staticmethod
+    def _gru_step(weights: GRUWeights, x: Tensor, h: Tensor) -> Tensor:
+        w, b, u = weights
+        return T.gru_cell(T.add(T.matmul(x, w), b), h, u)
 
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
         """pixels: [B, 8, W] with W a multiple of 8."""
@@ -157,16 +161,18 @@ class Recognizer:
                            .reshape(batch, GLYPH_H * STRIP_W))
             strips.append(T.tanh(T.add(T.matmul(x, self.params["proj/W"]),
                                        self.params["proj/b"])))
+        weights = self._gru_weights("enc")
         hid = T.zeros((batch, hid_dim))
         fwd = []
         for x in strips:
-            hid = self._gru_step("enc", x, hid)
+            hid = self._gru_step(weights, x, hid)
             fwd.append(hid)
         if self.arch.bidirectional:
+            weights = self._gru_weights("enc_bwd")
             hid = T.zeros((batch, hid_dim))
             bwd = []
             for x in reversed(strips):
-                hid = self._gru_step("enc_bwd", x, hid)
+                hid = self._gru_step(weights, x, hid)
                 bwd.append(hid)
             feats_by_t = [T.add(f, b) for f, b in zip(fwd, reversed(bwd))]
         else:
@@ -180,28 +186,17 @@ class Recognizer:
             keys=T.reshape(keys, (batch, t_enc, self.arch.attn_dim)),
             batch=batch, t_enc=t_enc)
 
-    def _attend(self, enc: EncodedBatch, h_dec: Tensor) -> tuple[Tensor, Tensor]:
-        """Additive attention: returns (context [B,h], weights [B,T_enc])."""
-        batch, t_enc, attn_dim = enc.keys.shape
-        q = T.matmul(h_dec, self.params["attn/W_dec"])
-        energy = T.tanh(T.add(enc.keys, T.reshape(q, (batch, 1, attn_dim))))
-        scores = T.matmul(T.reshape(energy, (batch * t_enc, attn_dim)),
-                          self.params["attn/v"])
-        alpha = T.softmax(T.reshape(scores, (batch, t_enc)))
-        weighted = T.mul(enc.feats, T.reshape(alpha, (batch, t_enc, 1)))
-        context = T.reshape(T.reduce_sum(weighted, axis=1),
-                            (batch, enc.feats.shape[2]))
-        return context, alpha
-
-    def _decode_step(self, enc: EncodedBatch, h: Tensor,
-                     input_ids) -> tuple[Tensor, Tensor, Tensor]:
-        """One decoder step; returns (h_next, probs [B,K], attention [B,T])."""
-        context, alpha = self._attend(enc, h)
-        emb = T.gather_rows(self.params["embed/E"], input_ids)
-        h_next = self._gru_step("dec", T.concat([context, emb], axis=1), h)
-        logits = T.add(T.matmul(h_next, self.params["out/W"]),
-                       self.params["out/b"])
-        return h_next, T.softmax(logits), alpha
+    def _decode_step(self, enc: EncodedBatch, weights: GRUWeights, h: Tensor,
+                     input_ids) -> tuple[Tensor, Tensor]:
+        """One decoder step with the fused decoder GRU weights; returns
+        (h_next, probs [B,K])."""
+        p = self.params
+        context = T.attend(enc.keys, enc.feats, T.matmul(h, p["attn/W_dec"]),
+                           p["attn/v"])
+        emb = T.gather_rows(p["embed/E"], input_ids)
+        h_next = self._gru_step(weights, T.concat([context, emb], axis=1), h)
+        logits = T.add(T.matmul(h_next, p["out/W"]), p["out/b"])
+        return h_next, T.softmax(logits)
 
     def _restricted_argmax(self, probs_row: np.ndarray) -> np.ndarray:
         """Row argmax over characters plus EOS; GO and PAD never win."""
@@ -214,12 +209,13 @@ class Recognizer:
                        lengths: list[int]) -> list[DecoderOutput]:
         """Slice per-step batch rows into per-sample differentiable views."""
         all_probs = T.concat(step_probs, axis=0)
+        # [T, B] labels of the whole block, one argmax for every sample
+        picked = self._restricted_argmax(all_probs.data).reshape(-1, batch)
         outs = []
         for b in range(batch):
             rows = [t * batch + b for t in range(lengths[b])]
-            probs = T.gather_rows(all_probs, rows)
-            labels = tuple(int(i) for i in self._restricted_argmax(probs.data))
-            outs.append(DecoderOutput(probs, labels))
+            labels = tuple(picked[:lengths[b], b].tolist())
+            outs.append(DecoderOutput(T.gather_rows(all_probs, rows), labels))
         return outs
 
     # -- the two decoding modes ---------------------------------------------
@@ -247,6 +243,7 @@ class Recognizer:
                         f"teacher_forced: {i} is not a character index")
         lengths = [len(lab) + 1 for lab in labels]
         t_max = max(lengths)
+        weights = self._gru_weights("dec")
         h = T.zeros((enc.batch, self.arch.dec_hidden))
         step_probs = []
         for t in range(t_max):
@@ -255,7 +252,7 @@ class Recognizer:
             else:
                 ids = [lab[t - 1] if t - 1 < len(lab) else self.vocab.PAD
                        for lab in labels]
-            h, probs, _ = self._decode_step(enc, h, ids)
+            h, probs = self._decode_step(enc, weights, h, ids)
             step_probs.append(probs)
         return self._split_outputs(step_probs, enc.batch, lengths)
 
@@ -263,13 +260,14 @@ class Recognizer:
         """Self-fed decode, at most l_max+1 steps, truncated at each
         sample's first EOS (the EOS row is kept)."""
         enc = self.encode(pixels)
+        weights = self._gru_weights("dec")
         h = T.zeros((enc.batch, self.arch.dec_hidden))
         ids = [self.vocab.GO] * enc.batch
         done = np.zeros(enc.batch, dtype=bool)
         lengths = [0] * enc.batch
         step_probs = []
         for t in range(self.arch.l_max + 1):
-            h, probs, _ = self._decode_step(enc, h, ids)
+            h, probs = self._decode_step(enc, weights, h, ids)
             step_probs.append(probs)
             picked = self._restricted_argmax(probs.data)
             for b in range(enc.batch):

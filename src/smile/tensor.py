@@ -4,7 +4,9 @@ Every operation runs eagerly on numpy arrays and, when a Tape is active on
 the current thread, records a backward rule onto it.  The tape is rebuilt on
 every forward pass; one tape and its tensors belong to a single thread.
 add, sub and mul broadcast as numpy does, at any rank; their backward rules
-sum the gradient over every stretched axis.
+sum the gradient over every stretched axis.  gru_cell and attend are fused
+recurrent primitives: a whole GRU step or attention read is one node with an
+analytic backward, in place of the 12-20 elementary nodes it would take.
 """
 
 from __future__ import annotations
@@ -243,11 +245,14 @@ def tanh(a: Tensor) -> Tensor:
     return _track(out, (a,), back)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # split by sign to stay overflow-free on large |x|
-    x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = _sigmoid(a.data)
     out = Tensor(y)
 
     def back():
@@ -438,6 +443,96 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
             a.grad += out.grad.reshape(a.shape)
 
     return _track(out, (a,), back)
+
+
+# ---------------------------------------------------------------------------
+# fused recurrent ops: one tape node for a whole GRU step or attention read
+
+def gru_cell(xw: Tensor, h: Tensor, U: Tensor) -> Tensor:
+    """One GRU step (Cho et al. 2014) with its gates in blocks z | r | n.
+
+    xw = x @ W + b is the step's input projection [B, 3H], h the previous
+    state [B, H] and U the recurrent weights [H, 3H]:
+    z, r = sigmoid(xw_zr + h @ U_zr), n = tanh(xw_n + (r * h) @ U_n) and
+    h' = (1 - z) * n + z * h.
+    """
+    if xw.data.ndim != 2 or h.data.ndim != 2 or U.data.ndim != 2:
+        raise DimensionError(
+            f"gru_cell: operands must be rank 2, got {xw.shape}, {h.shape}, "
+            f"{U.shape}")
+    batch, hid = h.shape
+    two = 2 * hid
+    if xw.shape != (batch, 3 * hid) or U.shape != (hid, 3 * hid):
+        raise DimensionError(
+            f"gru_cell: need xw [B, 3H], h [B, H], U [H, 3H]; got {xw.shape}, "
+            f"{h.shape}, {U.shape}")
+    hd, ud = h.data, U.data
+    zr = _sigmoid(xw.data[:, :two] + hd @ ud[:, :two])
+    z, r = zr[:, :hid], zr[:, hid:]
+    rh = r * hd
+    n = np.tanh(xw.data[:, two:] + rh @ ud[:, two:])
+    out = Tensor((1.0 - z) * n + z * hd)
+
+    def back():
+        g = out.grad
+        d = np.empty((batch, 3 * hid))  # gradient at the pre-activations
+        d[:, two:] = g * (1.0 - z) * (1.0 - n * n)
+        drh = d[:, two:] @ ud[:, two:].T
+        d[:, :hid] = g * (hd - n) * z * (1.0 - z)
+        d[:, hid:two] = drh * hd * r * (1.0 - r)
+        if xw.requires_grad:
+            xw.grad += d
+        if U.requires_grad:
+            U.grad[:, :two] += hd.T @ d[:, :two]
+            U.grad[:, two:] += rh.T @ d[:, two:]
+        if h.requires_grad:
+            h.grad += g * z + drh * r + d[:, :two] @ ud[:, :two].T
+
+    return _track(out, (xw, h, U), back)
+
+
+def attend(keys: Tensor, feats: Tensor, q: Tensor, v: Tensor) -> Tensor:
+    """Additive attention: the [B, h] context read from [B, T, h] features.
+
+    keys [B, T, a] are the positions' keys, q [B, a] the query and v [a, 1]
+    the scoring vector: alpha = softmax over T of tanh(keys + q) @ v, and
+    the context is the alpha-weighted sum of feats over T.
+    """
+    ranks = (keys.data.ndim, feats.data.ndim, q.data.ndim, v.data.ndim)
+    if ranks != (3, 3, 2, 2):
+        raise DimensionError(
+            f"attend: need ranks 3, 3, 2, 2; got {keys.shape}, {feats.shape}, "
+            f"{q.shape}, {v.shape}")
+    batch, t_enc, attn = keys.shape
+    if (feats.shape[:2] != (batch, t_enc) or q.shape != (batch, attn)
+            or v.shape != (attn, 1)):
+        raise DimensionError(
+            f"attend: need keys [B, T, a], feats [B, T, h], q [B, a] and "
+            f"v [a, 1]; got {keys.shape}, {feats.shape}, {q.shape}, {v.shape}")
+    energy = np.tanh(keys.data + q.data[:, None, :])
+    flat = energy.reshape(batch * t_enc, attn)
+    scores = (flat @ v.data).reshape(batch, t_enc)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = e / e.sum(axis=1, keepdims=True)
+    out = Tensor((feats.data * alpha[:, :, None]).sum(axis=1))
+
+    def back():
+        g = out.grad[:, None, :]
+        if feats.requires_grad:
+            feats.grad += alpha[:, :, None] * g
+        d_alpha = (feats.data * g).sum(axis=2)
+        d_scores = alpha * (d_alpha
+                            - (d_alpha * alpha).sum(axis=1, keepdims=True))
+        if v.requires_grad:
+            v.grad += flat.T @ d_scores.reshape(batch * t_enc, 1)
+        d_energy = (d_scores[:, :, None] * v.data[:, 0]
+                    * (1.0 - energy * energy))
+        if keys.requires_grad:
+            keys.grad += d_energy
+        if q.requires_grad:
+            q.grad += d_energy.sum(axis=1)
+
+    return _track(out, (keys, feats, q, v), back)
 
 
 # ---------------------------------------------------------------------------

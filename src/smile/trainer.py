@@ -91,6 +91,8 @@ class TrainConfig:
 
 class Adam:
     name = "adam"
+    slots = ("m", "v")      # one state tensor per slot and parameter
+    scalars = ("t",)
     default_lr = 1e-3
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
@@ -132,6 +134,8 @@ class Adam:
 
 class Adadelta:
     name = "adadelta"
+    slots = ("eg2", "edx2")
+    scalars = ()
     default_lr = 1.0
     rho, eps = 0.95, 1e-8
 
@@ -168,6 +172,26 @@ class Adadelta:
 
 def make_optimizer(cfg: TrainConfig):
     return Adam(cfg.lr) if cfg.optimizer == "adam" else Adadelta(cfg.lr)
+
+
+def _check_opt_state(opt, opt_state: dict[str, np.ndarray],
+                     params: dict[str, Tensor]):
+    """Resume needs each of opt's state tensors, shaped like its parameter,
+    and no state for a parameter the model does not have."""
+    prefix = f"opt/{opt.name}/"
+    expected = {f"{prefix}{k}": () for k in opt.scalars}
+    expected.update({f"{prefix}{slot}/{n}": p.shape
+                     for slot in opt.slots for n, p in params.items()})
+    for name, shape in expected.items():
+        if name not in opt_state:
+            raise ContractError(f"resume: checkpoint lacks {name}")
+        if opt_state[name].shape != shape:
+            raise ContractError(
+                f"resume: {name} has shape {opt_state[name].shape}, "
+                f"expected {shape}")
+    for name in opt_state:
+        if name.startswith(prefix) and name not in expected:
+            raise ContractError(f"resume: {name} matches no parameter")
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -417,10 +441,7 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
             raise ContractError("resume requires a checkpoint")
         if "opt/seed" not in start.opt_state:
             raise ContractError("checkpoint carries no optimizer state to resume")
-        if not any(n.startswith(f"opt/{cfg.optimizer}/")
-                   for n in start.opt_state):
-            raise ContractError(
-                f"checkpoint has no {cfg.optimizer} state to resume")
+        _check_opt_state(opt, start.opt_state, rec.params)
         opt.load_state(start.opt_state)
         start_step = start.step
         seed = _seed_value(start.opt_state)

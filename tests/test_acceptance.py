@@ -5,7 +5,8 @@ entropy properties, the selection oracle, the pacing schedule, source
 training, the directional adaptation gain, prediction sharpening, the
 selection-versus-no-selection ablation, bit-level reproducibility, and file
 format round trips.  The glyph12 runs train real models, so this module
-takes a few minutes; everything is seeded and deterministic.
+takes a few minutes; everything is seeded and deterministic.  A5-A8 run on
+those models and carry the `slow` marker.
 """
 
 import math
@@ -233,6 +234,7 @@ def test_a04_pacing_schedule(capfd):
 
 # -- A5 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_a05_source_training(capfd, glyph12, base_runs):
     result = evaluate(base_runs["ck3000"].restore(), glyph12["source_val"])
     ok = result.word_acc >= 0.99 and base_runs["seconds"] < 600
@@ -244,6 +246,7 @@ def test_a05_source_training(capfd, glyph12, base_runs):
 
 # -- A6 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_a06_adaptation_gain(capfd, smile_runs, uda_evals):
     base = uda_evals["baseline"].word_acc
     accs = {seed: r.word_acc for seed, r in uda_evals["adapted"].items()}
@@ -261,6 +264,7 @@ def test_a06_adaptation_gain(capfd, smile_runs, uda_evals):
 
 # -- A7 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_a07_sharpening(capfd, uda_evals):
     base_ent = uda_evals["baseline"].mean_entropy
     ents = {seed: r.mean_entropy for seed, r in uda_evals["adapted"].items()}
@@ -275,6 +279,7 @@ def test_a07_sharpening(capfd, uda_evals):
 
 # -- A8 ------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_a08_selection_ablation(capfd, glyph12, base_runs):
     # Both cells share the 500-step source checkpoint, the seed, and every
     # other knob; only (p_init, p_add) differs.  From this half-converged

@@ -4,8 +4,10 @@ invariants, and batch-independence of the batched attention kernels."""
 import numpy as np
 import pytest
 
+from smile.checks import grad_check
 from smile.data import VocabSpec
 from smile.errors import ContractError, DimensionError
+from smile.losses import decoder_loss
 from smile.recognizer import ArchSpec, Recognizer, init_params
 from smile.tensor import Tape
 
@@ -87,6 +89,59 @@ def test_encode_rejects_bad_dimensions(rec):
         rec.encode(np.zeros((2, 7, 16)))
     with pytest.raises(DimensionError):
         rec.encode(np.zeros((2, 8, 20)))
+
+
+def numpy_gru(p, prefix, x, h):
+    """Reference GRU step on the per-gate checkpoint parameters."""
+    def gate(g, hh):
+        return x @ p[f"{prefix}/W_{g}"] + hh @ p[f"{prefix}/U_{g}"] \
+            + p[f"{prefix}/b_{g}"]
+    z = 1.0 / (1.0 + np.exp(-gate("z", h)))
+    r = 1.0 / (1.0 + np.exp(-gate("r", h)))
+    n = np.tanh(gate("n", r * h))
+    return (1.0 - z) * n + z * h
+
+
+def test_bidirectional_teacher_forced_through_gru_cell():
+    birec = Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=4,
+                             bidirectional=True)
+    rng = np.random.default_rng(2)
+    for name, t in birec.params.items():
+        if "/b_" in name:  # nonzero biases so every gate term matters
+            t.data[...] = rng.normal(scale=0.1, size=t.shape)
+    px = some_pixels(2, 3, seed=3)
+    # the features sum the forward pass and the reversed backward pass
+    p = {n: t.data for n, t in birec.params.items()}
+    strips = [np.tanh(px[:, :, 8 * t:8 * t + 8].reshape(2, 64) @ p["proj/W"]
+                      + p["proj/b"]) for t in range(3)]
+
+    def run(prefix, xs):
+        h, hs = np.zeros((2, 32)), []
+        for x in xs:
+            h = numpy_gru(p, prefix, x, h)
+            hs.append(h)
+        return hs
+
+    want = np.stack([f + b for f, b in zip(
+        run("enc", strips), run("enc_bwd", strips[::-1])[::-1])], axis=1)
+    assert np.allclose(birec.encode(px).feats.data, want, rtol=0, atol=1e-12)
+
+    labels = [(0, 1), (2,)]
+
+    def make_loss():
+        return decoder_loss(birec.teacher_forced(px, labels), labels)
+
+    with Tape() as tape:
+        make_loss()
+        # 3 strips in each direction plus 3 decoder steps
+        assert sum(fn.__qualname__.startswith("gru_cell.")
+                   for _, fn in tape._nodes) == 9
+    leaves = {n: birec.params[n] for n in ("enc_bwd/U_r", "enc_bwd/W_n",
+                                           "enc/U_z", "dec/b_n")}
+    err = grad_check(make_loss, leaves, coords_per_leaf=6,
+                     rng=np.random.default_rng(5))
+    assert err < 1e-6
+    assert all(np.any(t.grad != 0) for t in leaves.values())
 
 
 # -- teacher forcing ----------------------------------------------------------

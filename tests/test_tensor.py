@@ -1,6 +1,8 @@
 """Autodiff engine: forward values against numpy, gradients against
 central finite differences, and the tape lifecycle rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,92 @@ def test_chained_grads(rng):
         return T.reduce_mean(T.mul(T.softmax(h), T.log(T.softmax(h))))
 
     assert_grads_close(loss, x)
+
+
+# -- fused recurrent ops against composite references -------------------------
+
+def columns(t, lo, hi):
+    """Columns lo:hi of a rank-2 tensor, as a matmul with a 0/1 selector."""
+    return T.matmul(t, T.constant(np.eye(t.shape[1])[:, lo:hi]))
+
+
+def gru_reference(xw, h, u):
+    hid = h.shape[1]
+    z = T.sigmoid(T.add(columns(xw, 0, hid), T.matmul(h, columns(u, 0, hid))))
+    r = T.sigmoid(T.add(columns(xw, hid, 2 * hid),
+                        T.matmul(h, columns(u, hid, 2 * hid))))
+    n = T.tanh(T.add(columns(xw, 2 * hid, 3 * hid),
+                     T.matmul(T.mul(r, h), columns(u, 2 * hid, 3 * hid))))
+    return T.add(T.mul(T.sub(1.0, z), n), T.mul(z, h))
+
+
+def attend_reference(keys, feats, q, v):
+    batch, t_enc, attn = keys.shape
+    energy = T.tanh(T.add(keys, T.reshape(q, (batch, 1, attn))))
+    scores = T.matmul(T.reshape(energy, (batch * t_enc, attn)), v)
+    alpha = T.softmax(T.reshape(scores, (batch, t_enc)))
+    pooled = T.reduce_sum(T.mul(feats, T.reshape(alpha, (batch, t_enc, 1))),
+                          axis=1)
+    return T.reshape(pooled, (batch, feats.shape[2]))
+
+
+def check_against_reference(rng, op, ref, leaves):
+    out = op(*leaves)
+    assert np.allclose(out.data, ref(*leaves).data, rtol=0, atol=1e-12)
+    w = rng.normal(size=out.shape)
+
+    def loss(fn):
+        return lambda: T.reduce_sum(T.mul(fn(*leaves), T.constant(w)))
+
+    for leaf in leaves:
+        assert np.allclose(analytic_grad(loss(op), leaf),
+                           analytic_grad(loss(ref), leaf), rtol=0, atol=1e-12)
+        assert_grads_close(loss(op), leaf)
+
+
+def test_gru_cell_matches_composite(rng):
+    leaves = [T.parameter(rng.normal(size=s)) for s in ((3, 6), (3, 2), (2, 6))]
+    check_against_reference(rng, T.gru_cell, gru_reference, leaves)
+
+
+def test_attend_matches_composite(rng):
+    leaves = [T.parameter(rng.normal(size=s))
+              for s in ((2, 3, 4), (2, 3, 5), (2, 4), (4, 1))]
+    check_against_reference(rng, T.attend, attend_reference, leaves)
+
+
+def test_gru_cell_large_preactivations_finite(rng):
+    # |pre-activation| ~ 1e3 on both signs must neither overflow nor warn
+    xw = T.parameter(1e3 * rng.choice([-1.0, 1.0], (4, 6)))
+    h = T.parameter(rng.uniform(-1.0, 1.0, (4, 2)))
+    u = T.parameter(rng.normal(size=(2, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with Tape() as tape:
+            out = T.gru_cell(xw, h, u)
+            tape.backward(T.reduce_sum(out))
+    assert np.isfinite(out.data).all()
+    assert np.abs(out.data).max() <= 1.0
+    for leaf in (xw, h, u):
+        assert np.isfinite(leaf.grad).all()
+
+
+def test_fused_ops_reject_mismatched_shapes():
+    def z(*shape):
+        return T.constant(np.zeros(shape))
+
+    for xw, h, u in (((3, 5), (3, 2), (2, 6)),     # xw not 3H wide
+                     ((3, 6), (3, 2), (3, 6)),     # U not [H, 3H]
+                     ((4, 6), (3, 2), (2, 6)),     # batch disagrees
+                     ((3, 6), (3, 2, 1), (2, 6))):  # wrong rank
+        with pytest.raises(DimensionError):
+            T.gru_cell(z(*xw), z(*h), z(*u))
+    for keys, feats, q, v in (((2, 3, 4), (2, 2, 5), (2, 4), (4, 1)),
+                              ((2, 3, 4), (2, 3, 5), (2, 3), (4, 1)),
+                              ((2, 3, 4), (2, 3, 5), (2, 4), (4, 2)),
+                              ((6, 4), (2, 3, 5), (2, 4), (4, 1))):
+        with pytest.raises(DimensionError):
+            T.attend(z(*keys), z(*feats), z(*q), z(*v))
 
 
 # -- tape lifecycle -----------------------------------------------------------

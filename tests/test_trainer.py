@@ -320,6 +320,18 @@ def test_resume_validation(small_source):
     with pytest.raises(ContractError):
         train_with_corpora(quick_cfg(steps=20), source=small_source,
                            start=bare, resume=True)
+    # optimizer state must match the parameters by name and shape
+    wrong_shape = dict(ck.opt_state, **{"opt/adam/m/out/b": np.zeros((1, 1))})
+    missing = {n: a for n, a in ck.opt_state.items()
+               if n != "opt/adam/v/out/W"}
+    stray = dict(ck.opt_state, **{"opt/adam/m/out/X": np.zeros((1, 1))})
+    for state, name in ((wrong_shape, "opt/adam/m/out/b"),
+                        (missing, "opt/adam/v/out/W"),
+                        (stray, "opt/adam/m/out/X")):
+        broken = Checkpoint(ck.vocab, ck.arch, ck.params, state, ck.step)
+        with pytest.raises(ContractError, match=name):
+            train_with_corpora(quick_cfg(steps=20, seed=8),
+                               source=small_source, start=broken, resume=True)
 
 
 def test_start_checkpoint_restarts_clock(small_source):
