@@ -10,7 +10,7 @@ from .errors import (ContractError, DimensionError, FormatError,
 from .losses import decoder_loss, smile_loss, step_entropy
 from .metrics import (EvalResult, compare_report, edit_distance, evaluate,
                       word_accuracy)
-from .recognizer import ArchSpec, DecoderOutput, Recognizer
+from .recognizer import ArchSpec, Decoded, DecoderOutput, Recognizer
 from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
                          build_pool, portion_at, select,
                          selected_entropy_loss)
@@ -21,14 +21,15 @@ from .trainer import (Checkpoint, MetricsLog, TrainConfig, load_checkpoint,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchSpec", "Checkpoint", "ContractError", "Corpus", "DecoderOutput",
-    "DimensionError", "DomainConfig", "EvalResult", "FormatError",
-    "IndexRangeError", "MetricsLog", "NumericalAbort", "PacingSchedule",
-    "PredictionPool", "Recognizer", "SelectionResult", "Tape", "Tensor",
-    "TextImage", "TrainConfig", "VocabSpec", "build_glyph12", "build_pool",
-    "compare_report", "decoder_loss", "edit_distance", "evaluate",
-    "generate_corpus", "load_checkpoint", "load_corpus", "make_templates",
-    "portion_at", "render_string", "save_checkpoint", "save_corpus",
-    "select", "selected_entropy_loss", "smile_loss", "step_entropy", "sweep",
-    "train", "train_with_corpora", "word_accuracy",
+    "ArchSpec", "Checkpoint", "ContractError", "Corpus", "Decoded",
+    "DecoderOutput", "DimensionError", "DomainConfig", "EvalResult",
+    "FormatError", "IndexRangeError", "MetricsLog", "NumericalAbort",
+    "PacingSchedule", "PredictionPool", "Recognizer", "SelectionResult",
+    "Tape", "Tensor", "TextImage", "TrainConfig", "VocabSpec",
+    "build_glyph12", "build_pool", "compare_report", "decoder_loss",
+    "edit_distance", "evaluate", "generate_corpus", "load_checkpoint",
+    "load_corpus", "make_templates", "portion_at", "render_string",
+    "save_checkpoint", "save_corpus", "select", "selected_entropy_loss",
+    "smile_loss", "step_entropy", "sweep", "train", "train_with_corpora",
+    "word_accuracy",
 ]

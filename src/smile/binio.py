@@ -1,7 +1,10 @@
-"""Little-endian binary reading with offset-carrying error messages."""
+"""Little-endian binary reading with offset-carrying error messages, and
+the atomic file write every output file goes through."""
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 from .errors import FormatError
@@ -38,3 +41,30 @@ class Reader:
         if self.off != len(self.blob):
             raise FormatError(f"{self.path}: {len(self.blob) - self.off} "
                               f"trailing bytes at offset {self.off}")
+
+
+def read_file(path: str, what: str) -> bytes:
+    """The whole file; an unreadable or unopenable path is a FormatError."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except (OSError, ValueError) as e:   # ValueError: a NUL in the path
+        raise FormatError(f"cannot read {what} {path}: {e}") from None
+
+
+def write_atomic(path: str, data: bytes | str):
+    """Replace path with data in one step: the bytes go to a temporary file
+    in the same directory, which os.replace then renames over path.  A
+    write that fails midway removes the temporary file and leaves any
+    previous file at path untouched."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

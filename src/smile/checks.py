@@ -215,10 +215,9 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
     schedule = PacingSchedule(p_init=1.0, p_add=0.0)
 
     def make_loss():
-        outs = rec.teacher_forced(src_px, src_labels)
-        l_dec = decoder_loss(outs, src_labels)
-        touts = rec.greedy(tgt_px)
-        pool = build_pool(touts, "shannon")
+        l_dec = decoder_loss(rec.teacher_forced(src_px, src_labels),
+                             src_labels)
+        pool = build_pool(rec.greedy(tgt_px), "shannon")
         sel = select(pool, schedule, 1)
         l_ent = selected_entropy_loss(pool, sel)
         return smile_loss(l_dec, l_ent, 1.0)

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import checks
+from .binio import write_atomic
 from .data import build_glyph12, load_corpus, save_corpus
 from .errors import ContractError, FormatError, NumericalAbort
 from .metrics import compare_report, evaluate
@@ -117,9 +118,9 @@ def _build_parser() -> _Parser:
 def _read_config_file(path: str, allowed: dict[str, tuple]) -> dict:
     out = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as e:
+    except (OSError, ValueError) as e:   # ValueError: not UTF-8, or a NUL
         raise ContractError(f"config: cannot read {path}: {e}") from None
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -206,13 +207,11 @@ def _run_train(args) -> int:
         save_checkpoint(ck, ck_path)
         print(f"wrote {ck_path}")
         metrics_path = os.path.join(cfg.out, "metrics.csv")
-        with open(metrics_path, "w") as f:
-            f.write(log.eval_csv())
+        write_atomic(metrics_path, log.eval_csv())
         print(f"wrote {metrics_path}")
         if log.selection_rows:
             sel_path = os.path.join(cfg.out, "selection.csv")
-            with open(sel_path, "w") as f:
-                f.write(log.selection_csv())
+            write_atomic(sel_path, log.selection_csv())
             print(f"wrote {sel_path}")
     return 0
 
@@ -245,8 +244,7 @@ def _run_compare(args) -> int:
     text, csv = compare_report(named)
     print(text)
     if resolved["out"]:
-        with open(resolved["out"], "w") as f:
-            f.write(csv)
+        write_atomic(resolved["out"], csv)
         print(f"wrote {resolved['out']}")
     return 0
 
@@ -285,8 +283,7 @@ def _run_sweep(args) -> int:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "sweep.csv")
-        with open(path, "w") as f:
-            f.write(csv)
+        write_atomic(path, csv)
         print(f"wrote {path}")
     return 0
 

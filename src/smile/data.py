@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import Reader
+from .binio import Reader, read_file, write_atomic
 from .errors import ContractError, FormatError
 
 GLYPH_H = 8
@@ -280,7 +280,7 @@ def read_vocab_block(r: Reader) -> VocabSpec:
         code = r.u32(f"vocab symbol {i}")
         try:
             chars.append(chr(code))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise FormatError(
                 f"{r.path}: invalid code point {code} at offset {r.off - 4}"
             ) from None
@@ -306,16 +306,11 @@ def save_corpus(corpus: Corpus, path: str):
         if quantized.min() < 0 or quantized.max() > 255:
             raise ContractError("save_corpus: pixel outside [0,1]")
         parts.append(quantized.astype(np.uint8).tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_corpus(path: str) -> Corpus:
-    try:
-        with open(path, "rb") as f:
-            r = Reader(f.read(), path)
-    except OSError as e:
-        raise FormatError(f"cannot read corpus {path}: {e}") from None
+    r = Reader(read_file(path, "corpus"), path)
     magic = r.take(4, "magic")
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r} at offset 0")

@@ -1,5 +1,7 @@
-"""Objectives: supervised decoder loss, per-step prediction entropy, and
+"""Objectives: supervised decoder loss, per-row prediction entropy, and
 their weighted combination for the adaptation phase.
+Both take a Decoded batch's [N, K] block whole; row_entropy is the one
+entropy formula, on the tape in adaptation and off it in evaluation.
 
 Entropy comes in two flavors: "shannon" is the full-distribution entropy of
 a predicted row; "pseudo_nll" is the negative log-probability of the row's
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .recognizer import DecoderOutput
+from .recognizer import Decoded
 from .tensor import Tensor
 
 VARIANTS = ("shannon", "pseudo_nll")
@@ -24,34 +26,32 @@ def _check_variant(variant: str):
         raise ContractError(f"entropy variant {variant!r} not in {VARIANTS}")
 
 
-def decoder_loss(outputs: list[DecoderOutput],
-                 labels: list[tuple[int, ...]]) -> Tensor:
+def decoder_loss(decoded: Decoded, labels: list[tuple[int, ...]]) -> Tensor:
     """Mean over the batch of each sample's summed -log p(target_t).
 
     Sample b's targets are its label characters followed by EOS, one per
-    emitted row, so outputs must be teacher-forced with len(label)+1 rows.
+    emitted row, so the decode must be teacher-forced with len(label)+1
+    rows per sample.
     """
-    if len(outputs) != len(labels):
-        raise ContractError(
-            f"decoder_loss: {len(outputs)} outputs vs {len(labels)} labels")
-    if not outputs:
+    if len(decoded.labels) != len(labels):
+        raise ContractError(f"decoder_loss: {len(decoded.labels)} outputs "
+                            f"vs {len(labels)} labels")
+    if not labels:
         raise ContractError("decoder_loss: empty batch")
+    n, k = decoded.probs.shape
     targets = []
-    for out, label in zip(outputs, labels):
-        t_rows, k = out.probs.shape
-        if t_rows != len(label) + 1:
-            raise ContractError(
-                f"decoder_loss: {t_rows} rows for a length-{len(label)} label")
+    for emitted, label in zip(decoded.labels, labels):
+        if len(emitted) != len(label) + 1:
+            raise ContractError(f"decoder_loss: {len(emitted)} rows for a "
+                                f"length-{len(label)} label")
         for c in label:
             if not 0 <= c < k - 3:
                 raise ContractError(
                     f"decoder_loss: target {c} is not a character index")
         targets += list(label) + [k - 2]  # EOS closes every sequence
-    probs = T.concat([out.probs for out in outputs], axis=0)
-    n, k = probs.shape
-    picked = T.gather_rows(T.reshape(probs, (n * k, 1)),
+    picked = T.gather_rows(T.reshape(decoded.probs, (n * k, 1)),
                            np.arange(n) * k + targets)
-    return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(outputs))
+    return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(labels))
 
 
 def row_entropy(probs: Tensor, variant: str = "shannon") -> Tensor:

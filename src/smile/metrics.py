@@ -2,7 +2,8 @@
 
 Word accuracy is exact string match; character accuracy is one minus edit
 distance normalized by the longer string; mean entropy averages the
-full-distribution entropy of every emitted decoding step on the set.
+Shannon entropy (losses.row_entropy, forward only) of every emitted row of
+the set's greedy decodes.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .data import Corpus
 from .errors import ContractError
-from .recognizer import Recognizer
-from .tensor import LOG_FLOOR
+from .losses import row_entropy
+from .recognizer import Recognizer, check_width
 
 EVAL_BATCH = 64
 
@@ -71,11 +72,6 @@ def char_accuracy(preds: list[str], labels: list[str]) -> float:
     return 1.0 - total_edit / total_len if total_len else 1.0
 
 
-def _entropy_rows(probs: np.ndarray) -> tuple[float, int]:
-    clamped = np.maximum(probs, LOG_FLOOR)
-    return float(-(probs * np.log(clamped)).sum()), probs.shape[0]
-
-
 def evaluate(rec: Recognizer, corpus: Corpus,
              threads: int | None = None) -> EvalResult:
     """Greedy-decode a labeled corpus and aggregate all metrics.
@@ -87,21 +83,17 @@ def evaluate(rec: Recognizer, corpus: Corpus,
         raise ContractError("evaluate: corpus vocab differs from the model's")
     if not corpus.labeled:
         raise ContractError("evaluate: corpus has unlabeled images")
+    check_width(rec.arch, corpus, "evaluate")
     pixels = corpus.pixel_array()
     chunks = [(i, pixels[i:i + EVAL_BATCH])
               for i in range(0, len(corpus), EVAL_BATCH)]
 
     def run_chunk(chunk_pixels: np.ndarray):
-        outs = rec.greedy(chunk_pixels)
-        preds = []
-        ent_sum, ent_rows = 0.0, 0
-        for out in outs:
-            chars = [i for i in out.pseudo_labels if i < rec.vocab.n_chars]
-            preds.append(rec.vocab.decode(chars))
-            s, r = _entropy_rows(out.probs.data)
-            ent_sum += s
-            ent_rows += r
-        return preds, ent_sum, ent_rows
+        decoded = rec.greedy(chunk_pixels)
+        preds = [rec.vocab.decode([i for i in labels if i < rec.vocab.n_chars])
+                 for labels in decoded.labels]
+        entropies = row_entropy(decoded.probs).data
+        return preds, float(entropies.sum()), entropies.shape[0]
 
     n_workers = worker_count() if threads is None else threads
     if n_workers > 1 and len(chunks) > 1:

@@ -12,7 +12,9 @@ b_*); a forward pass concatenates them once into the fused [in, 3h], [h, 3h]
 and [1, 3h] layout, so a recurrent step is one input matmul, one bias add
 and one tensor.gru_cell node.  A decoder step's attention is one query
 matmul and one tensor.attend node over the [B, T, a] keys and [B, T, h]
-features.
+features.  Both decodes return one Decoded: the emitted rows of every sample
+in one sample-major [N, K] block, padded rows dropped, with the per-step
+restricted-argmax labels; iterating it gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import TextImage, VocabSpec
+from .data import Corpus, TextImage, VocabSpec
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -52,52 +54,80 @@ class ArchSpec:
         return self.d_feat
 
 
-def _uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    a = 1.0 / np.sqrt(rows)
-    return T.parameter(rng.uniform(-a, a, (rows, cols)))
+def param_shapes(arch: ArchSpec) -> dict[str, tuple[int, int]]:
+    """Every parameter's shape, in the declaration order init_params draws
+    them in; allocates nothing, so it is safe on untrusted sizes."""
+    shapes = {"proj/W": (GLYPH_H * STRIP_W, arch.d_feat),
+              "proj/b": (1, arch.d_feat)}
 
+    def gru_block(prefix: str, in_dim: int, hid: int):
+        for gate in ("z", "r", "n"):
+            shapes[f"{prefix}/W_{gate}"] = (in_dim, hid)
+            shapes[f"{prefix}/U_{gate}"] = (hid, hid)
+            shapes[f"{prefix}/b_{gate}"] = (1, hid)
 
-def _zeros_param(rows: int, cols: int) -> Tensor:
-    return T.parameter(np.zeros((rows, cols)))
+    gru_block("enc", arch.d_feat, arch.enc_hidden)
+    if arch.bidirectional:
+        gru_block("enc_bwd", arch.d_feat, arch.enc_hidden)
+    shapes["attn/W_enc"] = (arch.enc_hidden, arch.attn_dim)
+    shapes["attn/W_dec"] = (arch.dec_hidden, arch.attn_dim)
+    shapes["attn/v"] = (arch.attn_dim, 1)
+    shapes["embed/E"] = (arch.K, arch.embed_dim)
+    gru_block("dec", arch.enc_hidden + arch.embed_dim, arch.dec_hidden)
+    shapes["out/W"] = (arch.dec_hidden, arch.K)
+    shapes["out/b"] = (1, arch.K)
+    return shapes
 
 
 def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
     """All weights uniform(-1/sqrt(fan_in), +), biases zero, one seeded
     stream consumed in fixed declaration order."""
     rng = np.random.default_rng(seed)
-    p: dict[str, Tensor] = {}
-    p["proj/W"] = _uniform(rng, GLYPH_H * STRIP_W, arch.d_feat)
-    p["proj/b"] = _zeros_param(1, arch.d_feat)
+    params = {}
+    for name, (rows, cols) in param_shapes(arch).items():
+        if name.rsplit("/", 1)[1].startswith("b"):
+            params[name] = T.parameter(np.zeros((rows, cols)))
+        else:
+            bound = 1.0 / np.sqrt(rows)
+            params[name] = T.parameter(rng.uniform(-bound, bound, (rows, cols)))
+    return params
 
-    def gru_block(prefix: str, in_dim: int, hid: int):
-        for gate in ("z", "r", "n"):
-            p[f"{prefix}/W_{gate}"] = _uniform(rng, in_dim, hid)
-            p[f"{prefix}/U_{gate}"] = _uniform(rng, hid, hid)
-            p[f"{prefix}/b_{gate}"] = _zeros_param(1, hid)
 
-    gru_block("enc", arch.d_feat, arch.enc_hidden)
-    if arch.bidirectional:
-        gru_block("enc_bwd", arch.d_feat, arch.enc_hidden)
-    p["attn/W_enc"] = _uniform(rng, arch.enc_hidden, arch.attn_dim)
-    p["attn/W_dec"] = _uniform(rng, arch.dec_hidden, arch.attn_dim)
-    p["attn/v"] = _uniform(rng, arch.attn_dim, 1)
-    p["embed/E"] = _uniform(rng, arch.K, arch.embed_dim)
-    gru_block("dec", arch.enc_hidden + arch.embed_dim, arch.dec_hidden)
-    p["out/W"] = _uniform(rng, arch.dec_hidden, arch.K)
-    p["out/b"] = _zeros_param(1, arch.K)
-    return p
+def check_width(arch: ArchSpec, corpus: Corpus, what: str):
+    """Refuse a corpus with room for more characters than the decoder's
+    l_max: greedy stops after l_max+1 steps, so longer words never match."""
+    width = corpus.images[0].pixels.shape[1]
+    if width // STRIP_W > arch.l_max:
+        raise ContractError(
+            f"{what}: images are {width} px wide ({width // STRIP_W} "
+            f"characters), the model decodes at most l_max={arch.l_max} "
+            f"({arch.l_max * STRIP_W} px)")
 
 
 @dataclass
 class DecoderOutput:
-    """One sample's decode: probs rows are per-step distributions over K."""
+    """One sample's view of a Decoded batch, as iterating it yields them."""
 
-    probs: Tensor                       # [T, K], rows sum to 1
+    probs: np.ndarray                   # [T, K] rows, each sums to 1
     pseudo_labels: tuple[int, ...]      # restricted argmax per row
 
     @property
     def emitted_length(self) -> int:
-        return self.probs.shape[0]
+        return len(self.pseudo_labels)
+
+
+@dataclass
+class Decoded:
+    """A batch's decode: every sample's emitted rows in one block,
+    sample-major, so sample b's rows follow sample b-1's."""
+
+    probs: Tensor                       # [N, K], N = sum of emitted lengths
+    labels: list[tuple[int, ...]]       # each sample's restricted argmax
+
+    def __iter__(self):
+        ends = np.cumsum([len(labels) for labels in self.labels])
+        for labels, end in zip(self.labels, ends):
+            yield DecoderOutput(self.probs.data[end - len(labels):end], labels)
 
 
 @dataclass
@@ -205,24 +235,22 @@ class Recognizer:
         masked[..., self.vocab.PAD] = -1.0
         return np.argmax(masked, axis=-1)
 
-    def _split_outputs(self, step_probs: list[Tensor], batch: int,
-                       lengths: list[int]) -> list[DecoderOutput]:
-        """Slice per-step batch rows into per-sample differentiable views."""
-        all_probs = T.concat(step_probs, axis=0)
-        # [T, B] labels of the whole block, one argmax for every sample
-        picked = self._restricted_argmax(all_probs.data).reshape(-1, batch)
-        outs = []
-        for b in range(batch):
-            rows = [t * batch + b for t in range(lengths[b])]
-            labels = tuple(picked[:lengths[b], b].tolist())
-            outs.append(DecoderOutput(T.gather_rows(all_probs, rows), labels))
-        return outs
+    def _split_outputs(self, step_probs: list[Tensor],
+                       step_labels: list[np.ndarray], lengths) -> Decoded:
+        """Reorder the step-major rows (and each step's [B] restricted
+        argmax) sample-major, dropping every sample's padded rows."""
+        batch = len(lengths)
+        rows = [t * batch + b for b in range(batch) for t in range(lengths[b])]
+        picked = np.stack(step_labels)
+        labels = [tuple(picked[:n, b].tolist()) for b, n in enumerate(lengths)]
+        return Decoded(T.gather_rows(T.concat(step_probs, axis=0), rows),
+                       labels)
 
     # -- the two decoding modes ---------------------------------------------
 
     def teacher_forced(self, pixels: np.ndarray,
-                       labels: list[tuple[int, ...]]) -> list[DecoderOutput]:
-        """Ground-truth-fed decode; sample b's output has len(label_b)+1 rows.
+                       labels: list[tuple[int, ...]]) -> Decoded:
+        """Ground-truth-fed decode; sample b emits len(label_b)+1 rows.
 
         Step 0 is fed GO; step t>0 is fed label_b[t-1]; the final row's
         implied target is EOS.  Samples shorter than the batch maximum are
@@ -245,7 +273,7 @@ class Recognizer:
         t_max = max(lengths)
         weights = self._gru_weights("dec")
         h = T.zeros((enc.batch, self.arch.dec_hidden))
-        step_probs = []
+        step_probs, step_labels = [], []
         for t in range(t_max):
             if t == 0:
                 ids = [self.vocab.GO] * enc.batch
@@ -254,9 +282,10 @@ class Recognizer:
                        for lab in labels]
             h, probs = self._decode_step(enc, weights, h, ids)
             step_probs.append(probs)
-        return self._split_outputs(step_probs, enc.batch, lengths)
+            step_labels.append(self._restricted_argmax(probs.data))
+        return self._split_outputs(step_probs, step_labels, lengths)
 
-    def greedy(self, pixels: np.ndarray) -> list[DecoderOutput]:
+    def greedy(self, pixels: np.ndarray) -> Decoded:
         """Self-fed decode, at most l_max+1 steps, truncated at each
         sample's first EOS (the EOS row is kept)."""
         enc = self.encode(pixels)
@@ -264,32 +293,26 @@ class Recognizer:
         h = T.zeros((enc.batch, self.arch.dec_hidden))
         ids = [self.vocab.GO] * enc.batch
         done = np.zeros(enc.batch, dtype=bool)
-        lengths = [0] * enc.batch
-        step_probs = []
+        lengths = np.zeros(enc.batch, dtype=int)
+        step_probs, step_labels = [], []
         for t in range(self.arch.l_max + 1):
             h, probs = self._decode_step(enc, weights, h, ids)
             step_probs.append(probs)
             picked = self._restricted_argmax(probs.data)
-            for b in range(enc.batch):
-                if not done[b]:
-                    lengths[b] = t + 1
-                    if picked[b] == self.vocab.EOS:
-                        done[b] = True
+            step_labels.append(picked)
+            lengths[~done] = t + 1
+            done |= picked == self.vocab.EOS
             if done.all():
                 break
             ids = [int(i) for i in picked]
-        return self._split_outputs(step_probs, enc.batch, lengths)
+        return self._split_outputs(step_probs, step_labels, lengths)
 
     def predict(self, pixels: np.ndarray) -> list[str]:
         """Greedy decode to strings: EOS stripped, indices mapped to symbols."""
         if pixels.ndim == 2:
             pixels = pixels[None]
-        outs = self.greedy(pixels)
-        texts = []
-        for out in outs:
-            chars = [i for i in out.pseudo_labels if i < self.vocab.n_chars]
-            texts.append(self.vocab.decode(chars))
-        return texts
+        return [self.vocab.decode([i for i in labels if i < self.vocab.n_chars])
+                for labels in self.greedy(pixels).labels]
 
     def predict_image(self, img: TextImage) -> str:
         return self.predict(img.pixels)[0]

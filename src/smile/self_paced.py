@@ -1,10 +1,10 @@
 """Class-balanced self-paced selection of confident character predictions.
 
-Every emitted timestep of a greedy-decoded target batch becomes one pool
-entry carrying its pseudo class and a differentiable entropy value.  At step
-t a portion P_t = min(p_init + p_add*t, 1) is taken from every class
-independently: the ceil(n_c * P_t) lowest-entropy entries of class c.  The
-training term is the mean entropy of everything chosen.
+Every emitted row of a greedy-decoded target batch (its Decoded block)
+becomes one pool entry carrying its pseudo class and a differentiable
+entropy value.  At step t a portion P_t = min(p_init + p_add*t, 1) is taken
+from every class independently: the ceil(n_c * P_t) lowest-entropy entries
+of class c.  The training term is the mean entropy of everything chosen.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .losses import row_entropy
-from .recognizer import DecoderOutput
+from .recognizer import Decoded
 from .tensor import Tensor
 
 
@@ -63,15 +63,13 @@ class PredictionPool:
         return groups
 
 
-def build_pool(outputs: list[DecoderOutput],
-               variant: str = "shannon") -> PredictionPool:
-    """One entry per emitted row of every output, in (sample, timestep)
+def build_pool(decoded: Decoded, variant: str = "shannon") -> PredictionPool:
+    """One entry per emitted row of the decode, in (sample, timestep)
     order; entropies stay attached to the live tape."""
-    column = row_entropy(T.concat([out.probs for out in outputs], axis=0),
-                         variant)
+    column = row_entropy(decoded.probs, variant)
     values = column.data[:, 0].tolist()
-    spots = [(sample, t, label) for sample, out in enumerate(outputs)
-             for t, label in enumerate(out.pseudo_labels)]
+    spots = [(sample, t, label) for sample, labels in enumerate(decoded.labels)
+             for t, label in enumerate(labels)]
     entries = [PoolEntry(sample, t, label, values[i], i)
                for i, (sample, t, label) in enumerate(spots)]
     return PredictionPool(entries, column)

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .binio import Reader
+from .binio import Reader, read_file, write_atomic
 from .data import Corpus, VocabSpec, load_corpus, read_vocab_block, vocab_block
 from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
-from .recognizer import ArchSpec, Recognizer, init_params
+from .recognizer import ArchSpec, Recognizer, check_width, param_shapes
 from .self_paced import (PacingSchedule, SelectionResult, build_pool, select,
                          selected_entropy_loss)
 from .tensor import Tape, Tensor
@@ -262,16 +262,11 @@ def save_checkpoint(ck: Checkpoint, path: str):
         for d in arr.shape:
             parts.append(struct.pack("<I", d))
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(parts))
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    try:
-        with open(path, "rb") as f:
-            r = Reader(f.read(), path)
-    except OSError as e:
-        raise FormatError(f"cannot read checkpoint {path}: {e}") from None
+    r = Reader(read_file(path, "checkpoint"), path)
     magic = r.take(4, "magic")
     if magic != CK_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
@@ -291,11 +286,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for i in range(count):
         name_len = r.u16(f"tensor {i} name length")
-        name = r.take(name_len, f"tensor {i} name").decode("utf-8")
+        try:
+            name = r.take(name_len, f"tensor {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor {i} name is not UTF-8 "
+                              f"(ends at offset {r.off})") from None
         rank = r.u8(f"{name} rank")
+        if rank > 2:
+            raise FormatError(f"{path}: tensor {name} has rank {rank} at "
+                              f"offset {r.off - 1}; the format holds ranks 0-2")
         dims = tuple(r.u32(f"{name} dim {d}") for d in range(rank))
-        n_vals = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = r.take(8 * n_vals, f"{name} values")
+        raw = r.take(8 * math.prod(dims), f"{name} values")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor {name}")
@@ -306,7 +307,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     arch = ArchSpec(K=k, l_max=l_max, d_feat=d_feat, enc_hidden=enc_hidden,
                     embed_dim=embed_dim,
                     bidirectional="enc_bwd/W_z" in params)
-    expected = {n: t.shape for n, t in init_params(arch, 0).items()}
+    expected = param_shapes(arch)
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))
@@ -382,8 +383,7 @@ def _target_side(rec: Recognizer, cfg: TrainConfig, seed: int, step: int,
     """Greedy-decode a target batch, build the pool, select.  Runs on the
     active tape when called inside one."""
     idx = _draw(seed, 2, step, len(target_px), cfg.batch_target)
-    outs = rec.greedy(target_px[idx])
-    pool = build_pool(outs, cfg.entropy_variant)
+    pool = build_pool(rec.greedy(target_px[idx]), cfg.entropy_variant)
     sel = select(pool, schedule, step + 1)
     return pool, sel
 
@@ -430,6 +430,10 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         rec = Recognizer.fresh(labeled.vocab, l_max, cfg.seed)
     if test is not None and test.vocab != labeled.vocab:
         raise ContractError("test corpus vocab differs from training vocab")
+    for name, corpus in (("target", None if cfg.mode == "base" else target),
+                         ("test", test)):
+        if corpus is not None:
+            check_width(rec.arch, corpus, f"{name} corpus")
     if cfg.mode == "smile" and target.vocab != labeled.vocab:
         raise ContractError("target corpus vocab differs from source vocab")
 
@@ -466,8 +470,8 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         pool = None
         ent_val = None
         with Tape() as tape:
-            outs = rec.teacher_forced(batch_px, batch_labels)
-            l_dec = decoder_loss(outs, batch_labels)
+            l_dec = decoder_loss(rec.teacher_forced(batch_px, batch_labels),
+                                 batch_labels)
             total = l_dec
             if cfg.mode == "smile" and cfg.lam > 0:
                 pool, sel = _target_side(rec, cfg, seed, step, target_px,

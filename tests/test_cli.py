@@ -195,6 +195,20 @@ def test_eval_reports_metrics(capsys, workdir):
     assert "n=48" in stdout
 
 
+def test_eval_rejects_corpus_wider_than_l_max(capsys, workdir, vocab,
+                                              templates):
+    from smile.data import generate_corpus
+    wide = workdir["root"] / "wide.smcp"
+    save_corpus(generate_corpus(vocab, templates, 4, (1, 4), seed=3),
+                str(wide))
+    code = cli.main(["eval", "--checkpoint", workdir["base_ck"],
+                     "--test", str(wide)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "smile eval: ContractError: evaluate: images are 32 px" in err
+    assert "l_max=3 (24 px)" in err
+
+
 def test_eval_requires_both_flags(capsys, workdir):
     assert cli.main(["eval", "--test", workdir["test"]]) == 1
     assert "--checkpoint is required" in capsys.readouterr().err

@@ -9,13 +9,15 @@ import pytest
 import smile.tensor as T
 from smile.errors import ContractError
 from smile.losses import ROW_SUM_TOL, decoder_loss, smile_loss, step_entropy
-from smile.recognizer import DecoderOutput
+from smile.recognizer import Decoded
 from smile.tensor import Tape, Tensor
 
 
-def output_from(rows) -> DecoderOutput:
-    probs = T.constant(np.asarray(rows, dtype=np.float64))
-    return DecoderOutput(probs, tuple(int(np.argmax(r)) for r in rows))
+def output_from(*samples) -> Decoded:
+    """A decoded batch holding each sample's rows, in order."""
+    probs = T.constant(np.concatenate(samples).astype(np.float64))
+    return Decoded(probs, [tuple(int(np.argmax(r)) for r in rows)
+                           for rows in samples])
 
 
 def random_stochastic(rng, t, k):
@@ -31,14 +33,14 @@ def test_decoder_loss_zero_on_certain_targets():
     rows[0, 0] = 1.0
     rows[1, 1] = 1.0
     rows[2, 3] = 1.0
-    loss = decoder_loss([output_from(rows)], [(0, 1)])
+    loss = decoder_loss(output_from(rows), [(0, 1)])
     assert abs(loss.item()) < 1e-12
 
 
 def test_decoder_loss_uniform_rows():
     k = 8
     rows = np.full((3, k), 1.0 / k)
-    loss = decoder_loss([output_from(rows)], [(0, 4)])
+    loss = decoder_loss(output_from(rows), [(0, 4)])
     assert abs(loss.item() - 3 * math.log(k)) < 1e-12
 
 
@@ -47,7 +49,7 @@ def test_decoder_loss_matches_scalar_recomputation(rng):
     rows_a = random_stochastic(rng, 3, k)
     rows_b = random_stochastic(rng, 2, k)
     labels = [(2, 0), (1,)]
-    loss = decoder_loss([output_from(rows_a), output_from(rows_b)], labels)
+    loss = decoder_loss(output_from(rows_a, rows_b), labels)
     eos = k - 2
     want = -(math.log(rows_a[0, 2]) + math.log(rows_a[1, 0])
              + math.log(rows_a[2, eos])
@@ -57,24 +59,25 @@ def test_decoder_loss_matches_scalar_recomputation(rng):
 
 def test_decoder_loss_batch_order_invariant(rng):
     k = 6
-    outs = [output_from(random_stochastic(rng, t, k)) for t in (2, 3, 4)]
+    samples = [random_stochastic(rng, t, k) for t in (2, 3, 4)]
     labels = [(0,), (1, 2), (2, 0, 1)]
-    forward = decoder_loss(outs, labels).item()
-    backward = decoder_loss(outs[::-1], labels[::-1]).item()
+    forward = decoder_loss(output_from(*samples), labels).item()
+    backward = decoder_loss(output_from(*samples[::-1]), labels[::-1]).item()
     assert abs(forward - backward) < 1e-12
 
 
 def test_decoder_loss_validation(rng):
     k = 6
-    out = output_from(random_stochastic(rng, 3, k))
+    rows = random_stochastic(rng, 3, k)
+    out = output_from(rows)
     with pytest.raises(ContractError):
-        decoder_loss([out], [(0,)])          # 3 rows vs length-1 label
+        decoder_loss(out, [(0,)])            # 3 rows vs length-1 label
     with pytest.raises(ContractError):
-        decoder_loss([out], [(0, k - 2)])    # EOS is not a character target
+        decoder_loss(out, [(0, k - 2)])      # EOS is not a character target
     with pytest.raises(ContractError):
-        decoder_loss([out, out], [(0, 1)])   # misaligned batch
+        decoder_loss(output_from(rows, rows), [(0, 1)])   # misaligned batch
     with pytest.raises(ContractError):
-        decoder_loss([], [])
+        decoder_loss(Decoded(T.constant(np.zeros((0, k))), []), [])
 
 
 def test_decoder_loss_gradient_direction(rng):
@@ -82,8 +85,7 @@ def test_decoder_loss_gradient_direction(rng):
     logits = T.parameter(rng.normal(size=(2, 5)))
     with Tape() as tape:
         probs = T.softmax(logits)
-        out = DecoderOutput(probs, (0, 0))
-        loss = decoder_loss([out], [(1,)])
+        loss = decoder_loss(Decoded(probs, [(0, 0)]), [(1,)])
         tape.backward(loss)
     # gradient w.r.t. the target logits is negative (increase helps)
     assert logits.grad[0, 1] < 0

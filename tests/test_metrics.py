@@ -11,7 +11,7 @@ from smile.data import VocabSpec
 from smile.errors import ContractError
 from smile.metrics import (EvalResult, char_accuracy, compare_report,
                            edit_distance, evaluate, word_accuracy)
-from smile.recognizer import DecoderOutput, Recognizer
+from smile.recognizer import ArchSpec, Decoded, Recognizer
 
 
 # -- word accuracy ------------------------------------------------------------
@@ -81,15 +81,14 @@ class StubModel:
 
     def __init__(self, vocab, rows):
         self.vocab = vocab
+        self.arch = ArchSpec(K=vocab.K, l_max=3)
         self.rows = np.asarray(rows, dtype=np.float64)
 
     def greedy(self, pixels):
-        outs = []
-        for _ in range(pixels.shape[0]):
-            probs = T.constant(self.rows)
-            labels = tuple(int(np.argmax(r)) for r in self.rows)
-            outs.append(DecoderOutput(probs, labels))
-        return outs
+        batch = pixels.shape[0]
+        probs = T.constant(np.tile(self.rows, (batch, 1)))
+        labels = tuple(int(np.argmax(r)) for r in self.rows)
+        return Decoded(probs, [labels] * batch)
 
 
 def test_evaluate_perfect_model(vocab, small_source):
@@ -131,6 +130,14 @@ def test_evaluate_validates_inputs(vocab, small_source, small_target):
     rec2 = Recognizer.fresh(vocab, l_max=3, seed=0)
     with pytest.raises(ContractError):
         evaluate(rec2, small_target)      # unlabeled corpus
+
+
+def test_evaluate_rejects_corpus_wider_than_l_max(vocab, templates):
+    from smile.data import generate_corpus
+    wide = generate_corpus(vocab, templates, 8, (1, 4), seed=14)  # 32 px
+    rec = Recognizer.fresh(vocab, l_max=2, seed=0)
+    with pytest.raises(ContractError, match=r"32 px.*l_max=2 \(16 px\)"):
+        evaluate(rec, wide)
 
 
 def test_evaluate_does_not_mutate_the_model(small_source):

@@ -8,7 +8,7 @@ from smile.checks import grad_check
 from smile.data import VocabSpec
 from smile.errors import ContractError, DimensionError
 from smile.losses import decoder_loss
-from smile.recognizer import ArchSpec, Recognizer, init_params
+from smile.recognizer import ArchSpec, Decoded, Recognizer, init_params
 from smile.tensor import Tape
 
 
@@ -149,10 +149,11 @@ def test_bidirectional_teacher_forced_through_gru_cell():
 def test_teacher_forced_shapes(rec):
     px = some_pixels(3, 3)
     labels = [(0,), (1, 2), (3, 0, 1)]
-    outs = rec.teacher_forced(px, labels)
-    assert [o.probs.shape for o in outs] == [(2, 7), (3, 7), (4, 7)]
-    for o in outs:
-        assert np.allclose(o.probs.data.sum(axis=1), 1.0)
+    decoded = rec.teacher_forced(px, labels)
+    assert decoded.probs.shape == (9, 7)
+    assert [o.probs.shape for o in decoded] == [(2, 7), (3, 7), (4, 7)]
+    for o in decoded:
+        assert np.allclose(o.probs.sum(axis=1), 1.0)
         assert len(o.pseudo_labels) == o.emitted_length
 
 
@@ -173,10 +174,10 @@ def test_teacher_forced_batch_matches_single(rec):
     # across samples
     px = some_pixels(3, 3, seed=1)
     labels = [(2,), (0, 1, 3), (1, 1)]
-    batch = rec.teacher_forced(px, labels)
+    batch = list(rec.teacher_forced(px, labels))
     for b, lab in enumerate(labels):
-        single = rec.teacher_forced(px[b:b + 1], [lab])[0]
-        assert np.allclose(single.probs.data, batch[b].probs.data, atol=1e-12)
+        [single] = rec.teacher_forced(px[b:b + 1], [lab])
+        assert np.allclose(single.probs, batch[b].probs, atol=1e-12)
         assert single.pseudo_labels == batch[b].pseudo_labels
 
 
@@ -186,7 +187,7 @@ def test_greedy_respects_output_alphabet(rec):
     outs = rec.greedy(some_pixels(6, 3, seed=2))
     for o in outs:
         assert 1 <= o.emitted_length <= rec.arch.l_max + 1
-        assert np.allclose(o.probs.data.sum(axis=1), 1.0)
+        assert np.allclose(o.probs.sum(axis=1), 1.0)
         for i in o.pseudo_labels:
             assert i not in (rec.vocab.GO, rec.vocab.PAD)
         # EOS only ever terminates
@@ -196,11 +197,11 @@ def test_greedy_respects_output_alphabet(rec):
 
 def test_greedy_batch_matches_single(rec):
     px = some_pixels(5, 3, seed=3)
-    batch = rec.greedy(px)
+    batch = list(rec.greedy(px))
     for b in range(5):
-        single = rec.greedy(px[b:b + 1])[0]
+        [single] = rec.greedy(px[b:b + 1])
         assert single.pseudo_labels == batch[b].pseudo_labels
-        assert np.allclose(single.probs.data, batch[b].probs.data, atol=1e-12)
+        assert np.allclose(single.probs, batch[b].probs, atol=1e-12)
 
 
 def test_greedy_deterministic(rec):
@@ -225,19 +226,59 @@ def test_single_image_predict(rec, vocab, templates):
     assert isinstance(out, str)
 
 
+# -- the decoded block --------------------------------------------------------
+
+def test_decoded_iterates_sample_rows_in_order():
+    import smile.tensor as T
+    rows = np.arange(6 * 4, dtype=np.float64).reshape(6, 4)
+    labels = [(1, 2), (0,), (3, 3, 1)]
+    outs = list(Decoded(T.constant(rows), labels))
+    assert [o.pseudo_labels for o in outs] == labels
+    assert [o.emitted_length for o in outs] == [2, 1, 3]
+    assert np.array_equal(outs[0].probs, rows[0:2])
+    assert np.array_equal(outs[1].probs, rows[2:3])
+    assert np.array_equal(outs[2].probs, rows[3:6])
+
+
+def tape_length(decode) -> int:
+    with Tape() as tape:
+        decode()
+        return len(tape._nodes)
+
+
+def test_teacher_forced_tape_does_not_grow_with_batch(rec):
+    px = some_pixels(5, 3, seed=8)
+    labels = [(0, 1)] * 5
+    one = tape_length(lambda: rec.teacher_forced(px[:1], labels[:1]))
+    five = tape_length(lambda: rec.teacher_forced(px, labels))
+    assert one == five
+
+
+def test_greedy_tape_does_not_grow_with_batch():
+    # a large character-0 bias means EOS never wins: every sample runs the
+    # full l_max+1 steps
+    fixed = Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=9)
+    fixed.params["out/b"].data[0, 0] = 50.0
+    px = some_pixels(5, 3, seed=9)
+    assert [o.emitted_length for o in fixed.greedy(px)] == [4] * 5
+    assert tape_length(lambda: fixed.greedy(px[:1])) == tape_length(
+        lambda: fixed.greedy(px))
+
+
 # -- tape interaction ---------------------------------------------------------
 
 def test_forward_outside_tape_tracks_nothing(rec):
-    outs = rec.greedy(some_pixels(2, 3, seed=6))
-    assert not outs[0].probs.requires_grad
+    decoded = rec.greedy(some_pixels(2, 3, seed=6))
+    assert not decoded.probs.requires_grad
 
 
 def test_forward_inside_tape_is_differentiable(rec):
     import smile.tensor as T
     px = some_pixels(2, 3, seed=7)
     with Tape() as tape:
-        outs = rec.teacher_forced(px, [(0, 1), (2,)])
-        loss = T.reduce_sum(outs[0].probs)
+        decoded = rec.teacher_forced(px, [(0, 1), (2,)])
+        # the first sample's three rows lead the sample-major block
+        loss = T.reduce_sum(T.gather_rows(decoded.probs, [0, 1, 2]))
         tape.backward(loss)
     assert np.any(rec.params["proj/W"].grad != 0)
     for p in rec.params.values():

@@ -9,17 +9,18 @@ import pytest
 import smile.tensor as T
 from smile.errors import ContractError
 from smile.losses import step_entropy
-from smile.recognizer import DecoderOutput
+from smile.recognizer import Decoded
 from smile.self_paced import (PacingSchedule, PoolEntry, PredictionPool,
                               build_pool, portion_at, select,
                               selected_entropy_loss)
 from smile.tensor import Tape
 
 
-def output_from(rows) -> DecoderOutput:
-    rows = np.asarray(rows, dtype=np.float64)
-    probs = T.constant(rows)
-    return DecoderOutput(probs, tuple(int(np.argmax(r)) for r in rows))
+def output_from(*samples) -> Decoded:
+    """A decoded batch holding each sample's rows, in order."""
+    probs = T.constant(np.concatenate(samples).astype(np.float64))
+    return Decoded(probs, [tuple(int(np.argmax(r)) for r in rows)
+                           for rows in samples])
 
 
 def pool_from_entropies(values, classes=None):
@@ -73,7 +74,7 @@ def test_build_pool_counts_every_emitted_row(rng):
     rows_a /= rows_a.sum(axis=1, keepdims=True)
     rows_b = rng.random((2, 6)) + 0.1
     rows_b /= rows_b.sum(axis=1, keepdims=True)
-    pool = build_pool([output_from(rows_a), output_from(rows_b)])
+    pool = build_pool(output_from(rows_a, rows_b))
     assert len(pool) == 5
     assert pool.column.shape == (5, 1)
     spots = [(e.sample, e.timestep) for e in pool.entries]
@@ -85,7 +86,7 @@ def test_build_pool_entropies_match_step_entropy(rng):
     rows = rng.random((4, 5)) + 0.1
     rows /= rows.sum(axis=1, keepdims=True)
     for variant in ("shannon", "pseudo_nll"):
-        pool = build_pool([output_from(rows)], variant)
+        pool = build_pool(output_from(rows), variant)
         for e in pool.entries:
             want = step_entropy(T.constant(rows[e.timestep:e.timestep + 1]),
                                 variant).item()
@@ -96,20 +97,20 @@ def test_build_pool_entropies_match_step_entropy(rng):
 def test_build_pool_one_hot_rows():
     rows = np.zeros((3, 9))
     rows[:, 7] = 1.0
-    pool = build_pool([output_from(rows)])
+    pool = build_pool(output_from(rows))
     groups = pool.by_class()
     assert set(groups) == {7}
     assert all(abs(e.entropy) < 1e-10 for e in pool.entries)
 
 
 def test_build_pool_grouping_matches_recount(rng):
-    outs = []
+    samples = []
     for _ in range(6):
         t = int(rng.integers(1, 5))
         rows = rng.random((t, 7)) + 0.05
         rows /= rows.sum(axis=1, keepdims=True)
-        outs.append(output_from(rows))
-    pool = build_pool(outs)
+        samples.append(rows)
+    pool = build_pool(output_from(*samples))
     groups = pool.by_class()
     flat = [e for group in groups.values() for e in group]
     assert sorted(e.index for e in flat) == list(range(len(pool)))

@@ -421,6 +421,20 @@ def test_vocab_mismatch_rejected(small_source):
         train_with_corpora(quick_cfg(), source=small_source, start=alien)
 
 
+def test_corpus_wider_than_l_max_rejected(small_source, small_target,
+                                          small_test, vocab):
+    # the small corpora are 24 px wide: three characters
+    arch = ArchSpec(K=vocab.K, l_max=2)
+    params = {n: t.data.copy() for n, t in init_params(arch, 0).items()}
+    narrow = Checkpoint(vocab, arch, params, {}, 0)
+    with pytest.raises(ContractError, match="test corpus: images are 24 px"):
+        train_with_corpora(quick_cfg(), source=small_source, test=small_test,
+                           start=narrow)
+    with pytest.raises(ContractError, match="target corpus: images are 24 px"):
+        train_with_corpora(quick_cfg(mode="smile"), source=small_source,
+                           target=small_target, start=narrow)
+
+
 def test_non_finite_start_aborts(small_source):
     ck, _ = train_with_corpora(quick_cfg(seed=16), source=small_source)
     ck.params["proj/W"] = np.full_like(ck.params["proj/W"], np.nan)
