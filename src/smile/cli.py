@@ -180,8 +180,8 @@ def _run_gen_data(args) -> int:
     _require(resolved, "gen-data", "out")
     if resolved["preset"] != "glyph12":
         raise ContractError(f"gen-data: unknown preset {resolved['preset']!r}")
-    corpora = build_glyph12(resolved["seed"])
     os.makedirs(resolved["out"], exist_ok=True)
+    corpora = build_glyph12(resolved["seed"])
     for name, corpus in corpora.items():
         path = os.path.join(resolved["out"], f"{name}.smcp")
         save_corpus(corpus, path)
@@ -320,10 +320,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _RUNNERS[args.command](args)
+    except OSError as e:   # readers raise FormatError, so this is an output
+        error = ContractError(f"cannot write output: {e}")
     except (ContractError, FormatError, NumericalAbort) as e:
-        name = type(e).__name__
-        print(f"{PROG} {command}: {name}: {e}".strip(), file=sys.stderr)
-        return e.exit_code
+        error = e
+    name = type(error).__name__
+    print(f"{PROG} {command}: {name}: {error}".strip(), file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

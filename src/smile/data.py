@@ -26,6 +26,7 @@ _DOMAIN_NAMES = {SOURCE: "source", TARGET: "target"}
 
 MAGIC = b"SMCP"
 VERSION = 1
+MAX_LABEL = 255   # a record's label length is one u8
 
 
 class VocabSpec:
@@ -298,7 +299,7 @@ def save_corpus(corpus: Corpus, path: str):
         if im.pixels.shape != (h, w):
             raise ContractError("save_corpus: images disagree on dimensions")
         label = im.label or ()
-        if len(label) > 255:
+        if len(label) > MAX_LABEL:
             raise ContractError("save_corpus: label too long for format")
         parts.append(struct.pack("<BB", im.domain_tag, len(label)))
         parts.append(bytes(label))

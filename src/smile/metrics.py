@@ -8,7 +8,6 @@ the set's greedy decodes.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,18 +19,6 @@ from .losses import row_entropy
 from .recognizer import Recognizer, check_width
 
 EVAL_BATCH = 64
-
-
-def worker_count() -> int:
-    """Worker cap from SMILE_THREADS; 1 (fully serial) unless raised."""
-    raw = os.environ.get("SMILE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ContractError(f"SMILE_THREADS={raw!r} is not an integer") from None
-    if n < 1:
-        raise ContractError(f"SMILE_THREADS={n} must be >= 1")
-    return n
 
 
 @dataclass(frozen=True)
@@ -73,11 +60,12 @@ def char_accuracy(preds: list[str], labels: list[str]) -> float:
 
 
 def evaluate(rec: Recognizer, corpus: Corpus,
-             threads: int | None = None) -> EvalResult:
+             threads: int | None = 1) -> EvalResult:
     """Greedy-decode a labeled corpus and aggregate all metrics.
 
-    Batches may fan out to SMILE_THREADS workers; results fold back in
-    batch order, so the outcome is independent of thread count.
+    Batches may fan out to `threads` workers (None or 1: serial); results
+    fold back in batch order, so the outcome is independent of thread
+    count.
     """
     if corpus.vocab != rec.vocab:
         raise ContractError("evaluate: corpus vocab differs from the model's")
@@ -95,9 +83,8 @@ def evaluate(rec: Recognizer, corpus: Corpus,
         entropies = row_entropy(decoded.probs).data
         return preds, float(entropies.sum()), entropies.shape[0]
 
-    n_workers = worker_count() if threads is None else threads
-    if n_workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if (threads or 1) > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, [c for _, c in chunks]))
     else:
         results = [run_chunk(c) for _, c in chunks]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Corpus, TextImage, VocabSpec
+from .data import MAX_LABEL, Corpus, TextImage, VocabSpec
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -44,6 +44,12 @@ class ArchSpec:
     enc_hidden: int = 32
     embed_dim: int = 16
     bidirectional: bool = False
+
+    def __post_init__(self):
+        # greedy runs l_max + 1 steps, so a corrupt size must not get through
+        if not 1 <= self.l_max <= MAX_LABEL:
+            raise ContractError(f"arch: l_max {self.l_max} outside "
+                                f"[1, {MAX_LABEL}], the corpus label range")
 
     @property
     def dec_hidden(self) -> int:

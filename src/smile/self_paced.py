@@ -1,16 +1,18 @@
 """Class-balanced self-paced selection of confident character predictions.
 
 Every emitted row of a greedy-decoded target batch (its Decoded block)
-becomes one pool entry carrying its pseudo class and a differentiable
-entropy value.  At step t a portion P_t = min(p_init + p_add*t, 1) is taken
-from every class independently: the ceil(n_c * P_t) lowest-entropy entries
-of class c.  The training term is the mean entropy of everything chosen.
+becomes one pool row: sample, timestep and pseudo class in aligned int
+arrays, the differentiable entropy in an [N, 1] column.  At step t a
+portion P_t = min(p_init + p_add*t, 1) is taken from every class
+independently: the ceil(n_c * P_t) lowest-entropy rows of class c.  The
+training term is the mean entropy of everything chosen.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +41,27 @@ def portion_at(schedule: PacingSchedule, t: int) -> float:
     return min(schedule.p_init + schedule.p_add * t, 1.0)
 
 
-@dataclass(frozen=True)
-class PoolEntry:
-    sample: int        # batch position of the originating sequence
-    timestep: int      # row within that sequence
-    pseudo_class: int  # the row's pseudo label
-    entropy: float     # plain value, for ordering
-    index: int         # row in the pool's entropy column
-
-
 @dataclass
 class PredictionPool:
-    entries: list[PoolEntry]
-    column: Tensor     # [len(entries), 1] differentiable entropies
+    sample: np.ndarray        # [N] batch position of the originating sequence
+    timestep: np.ndarray      # [N] row within that sequence
+    pseudo_class: np.ndarray  # [N] the row's pseudo label
+    column: Tensor            # [N, 1] differentiable entropies
 
     def __len__(self):
-        return len(self.entries)
-
-    def by_class(self) -> dict[int, list[PoolEntry]]:
-        groups: dict[int, list[PoolEntry]] = {}
-        for e in self.entries:
-            groups.setdefault(e.pseudo_class, []).append(e)
-        return groups
+        return len(self.sample)
 
 
 def build_pool(decoded: Decoded, variant: str = "shannon") -> PredictionPool:
-    """One entry per emitted row of the decode, in (sample, timestep)
-    order; entropies stay attached to the live tape."""
-    column = row_entropy(decoded.probs, variant)
-    values = column.data[:, 0].tolist()
-    spots = [(sample, t, label) for sample, labels in enumerate(decoded.labels)
-             for t, label in enumerate(labels)]
-    entries = [PoolEntry(sample, t, label, values[i], i)
-               for i, (sample, t, label) in enumerate(spots)]
-    return PredictionPool(entries, column)
+    """One row per emitted row of the decode, in (sample, timestep) order;
+    entropies stay attached to the live tape."""
+    lengths = np.array([len(labels) for labels in decoded.labels], dtype=int)
+    sample = np.repeat(np.arange(len(lengths)), lengths)
+    timestep = np.arange(len(sample)) - (np.cumsum(lengths) - lengths)[sample]
+    pseudo_class = np.fromiter(itertools.chain.from_iterable(decoded.labels),
+                               dtype=int, count=len(sample))
+    return PredictionPool(sample, timestep, pseudo_class,
+                          row_entropy(decoded.probs, variant))
 
 
 @dataclass
@@ -86,8 +75,8 @@ class ClassStat:
 @dataclass
 class SelectionResult:
     portion: float
-    chosen: list[PoolEntry] = field(default_factory=list)
-    stats: list[ClassStat] = field(default_factory=list)
+    chosen: np.ndarray  # pool rows by (class, entropy, sample, timestep)
+    stats: list[ClassStat]
 
     @property
     def realized_portion(self) -> float:
@@ -97,35 +86,37 @@ class SelectionResult:
 
 def select(pool: PredictionPool, schedule: PacingSchedule,
            t: int) -> SelectionResult:
-    """Take the ceil(n_c * P_t) most confident entries of every class.
+    """Take the ceil(n_c * P_t) most confident rows of every class.
 
-    Ordering within a class is ascending (entropy, sample, timestep), so
-    ties resolve the same way on every run.
+    One stable sort orders the pool by (class, entropy, sample, timestep),
+    so ties resolve the same way on every run; each class is then one
+    contiguous segment whose prefix is its quota.
     """
-    if not pool.entries:
+    if not len(pool):
         raise ContractError("select: empty pool")
     p_t = portion_at(schedule, t)
-    result = SelectionResult(portion=p_t)
-    groups = pool.by_class()
-    for cls in sorted(groups):
-        group = sorted(groups[cls],
-                       key=lambda e: (e.entropy, e.sample, e.timestep))
-        quota = math.ceil(len(group) * p_t)
-        taken = group[:quota]
-        mean = sum(e.entropy for e in taken) / quota if quota else float("nan")
-        result.chosen.extend(taken)
-        result.stats.append(ClassStat(cls, len(group), quota, mean))
-    return result
+    entropy = pool.column.data[:, 0]
+    order = np.lexsort((pool.timestep, pool.sample, entropy, pool.pseudo_class))
+    classes, starts, sizes = np.unique(pool.pseudo_class[order],
+                                       return_index=True, return_counts=True)
+    taken, stats = [], []
+    for cls, start, size in zip(classes.tolist(), starts.tolist(),
+                                sizes.tolist()):
+        quota = math.ceil(size * p_t)
+        rows = order[start:start + quota]
+        mean = sum(entropy[rows].tolist()) / quota if quota else float("nan")
+        taken.append(rows)
+        stats.append(ClassStat(cls, size, quota, mean))
+    return SelectionResult(p_t, np.concatenate(taken), stats)
 
 
 def selected_entropy_loss(pool: PredictionPool,
                           sel: SelectionResult) -> Tensor | None:
     """Mean of the chosen entropy tensors; None tells the caller to drop
     the term this step."""
-    if not sel.chosen:
+    if not len(sel.chosen):
         return None
-    mask = np.zeros((1, len(pool.entries)))
-    for e in sel.chosen:
-        mask[0, e.index] = 1.0
+    mask = np.zeros((1, len(pool)))
+    mask[0, sel.chosen] = 1.0
     picked_sum = T.matmul(T.constant(mask), pool.column)
     return T.mul(picked_sum, 1.0 / len(sel.chosen))

@@ -58,28 +58,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; the module-level functions are the real surface
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Ordered record of one forward pass, walked once in reverse by backward().
@@ -544,10 +522,6 @@ def constant(data) -> Tensor:
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
-
-
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape))
 
 
 def parameter(data) -> Tensor:

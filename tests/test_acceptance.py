@@ -24,8 +24,8 @@ from smile.errors import FormatError
 from smile.losses import step_entropy
 from smile.metrics import evaluate
 from smile.recognizer import Recognizer
-from smile.self_paced import (PacingSchedule, PoolEntry, PredictionPool,
-                              portion_at, select)
+from smile.self_paced import (PacingSchedule, PredictionPool, portion_at,
+                              select)
 from smile.tensor import Tape
 from smile.trainer import (SWEEP_GRID, TrainConfig, load_checkpoint,
                            save_checkpoint, snapshot, sweep,
@@ -160,12 +160,16 @@ def test_a02_entropy_properties(capfd):
 
 # -- A3 ------------------------------------------------------------------------
 
-def brute_force_select(entries, p_t):
+def brute_force_select(pool, p_t):
+    """Pool rows, by a pure-Python sort per class and ceiling prefix."""
+    rows = [(float(pool.column.data[i, 0]), int(pool.sample[i]),
+             int(pool.timestep[i]), int(pool.pseudo_class[i]), i)
+            for i in range(len(pool))]
     chosen = []
-    for cls in sorted({e.pseudo_class for e in entries}):
-        group = sorted((e for e in entries if e.pseudo_class == cls),
-                       key=lambda e: (e.entropy, e.sample, e.timestep))
-        chosen.extend(group[:math.ceil(len(group) * p_t)])
+    for cls in sorted({row[3] for row in rows}):
+        group = sorted((row for row in rows if row[3] == cls),
+                       key=lambda row: (row[0], row[1], row[2]))
+        chosen.extend(row[4] for row in group[:math.ceil(len(group) * p_t)])
     return chosen
 
 
@@ -175,12 +179,13 @@ def random_pool(rng):
     values = rng.random(n)
     if rng.random() < 0.4:
         values = np.round(values, 1)  # force plenty of entropy ties
-    entries = [PoolEntry(sample=int(rng.integers(0, 8)),
-                         timestep=i % 5,
-                         pseudo_class=int(rng.integers(0, n_classes)),
-                         entropy=float(values[i]), index=i)
-               for i in range(n)]
-    return PredictionPool(entries, T.constant(values.reshape(-1, 1)))
+    sample, pseudo_class = [], []
+    for _ in range(n):   # per-row draw order: sample, then class
+        sample.append(int(rng.integers(0, 8)))
+        pseudo_class.append(int(rng.integers(0, n_classes)))
+    return PredictionPool(np.array(sample), np.arange(n) % 5,
+                          np.array(pseudo_class),
+                          T.constant(values.reshape(-1, 1)))
 
 
 def test_a03_selection_oracle(capfd):
@@ -192,14 +197,13 @@ def test_a03_selection_oracle(capfd):
         p_t = float(rng.choice([0.0, 0.17, 1.0 / 3.0, 0.5, 0.75, 1.0]))
         sel = select(pool, PacingSchedule(p_t, 0.0), t=0)
         again = select(pool, PacingSchedule(p_t, 0.0), t=0)
-        sizes = {e.pseudo_class: 0 for e in pool.entries}
-        for e in pool.entries:
-            sizes[e.pseudo_class] += 1
+        classes = pool.pseudo_class.tolist()
         quotas_ok = all(s.quota == math.ceil(s.pool_size * p_t)
-                        and s.pool_size == sizes[s.pseudo_class]
+                        and s.pool_size == classes.count(s.pseudo_class)
                         for s in sel.stats)
-        if (sel.chosen != brute_force_select(pool.entries, p_t)
-                or sel.chosen != again.chosen or not quotas_ok):
+        if (sel.chosen.tolist() != brute_force_select(pool, p_t)
+                or sel.chosen.tolist() != again.chosen.tolist()
+                or not quotas_ok):
             mismatches += 1
     seconds = time.perf_counter() - t0
     ok = mismatches == 0 and seconds < 10
@@ -223,7 +227,7 @@ def test_a04_pacing_schedule(capfd):
     for t in (0, 1, 777, 10 ** 6):
         pool = random_pool(rng)
         sel = select(pool, full_cell, t)
-        if sorted(e.index for e in sel.chosen) != list(range(len(pool.entries))):
+        if sorted(sel.chosen.tolist()) != list(range(len(pool))):
             full_ok = False
     ok = exact and full_ok
     verdict(capfd, "A4", ok,

@@ -121,6 +121,16 @@ def test_gen_data_writes_five_corpora(capsys, tmp_path):
     assert "source_val.smcp (1000 images, labeled)" in stdout
 
 
+def test_gen_data_out_under_a_file_exits_one(capsys, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    code = cli.main(["gen-data", "--out", str(afile / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ContractError: cannot write output" in err
+    assert str(afile / "x") in err
+
+
 def test_gen_data_unknown_preset(capsys, tmp_path):
     code = cli.main(["gen-data", "--preset", "mnist",
                      "--out", str(tmp_path / "x")])
@@ -228,6 +238,17 @@ def test_compare_renders_table(capsys, workdir):
     csv = out_csv.read_text()
     assert csv.splitlines()[0] == "name,word_acc,char_acc,mean_entropy,n"
     assert len(csv.strip().split("\n")) == 3
+
+
+def test_compare_out_in_missing_dir_exits_one(capsys, workdir):
+    out_csv = workdir["root"] / "missing" / "x.csv"
+    code = cli.main(["compare", "--test", workdir["test"],
+                     "--out", str(out_csv), f"one={workdir['base_ck']}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ContractError: cannot write output" in err
+    assert str(out_csv) in err
+    assert not out_csv.parent.exists()
 
 
 def test_compare_rejects_malformed_pair(capsys, workdir):

@@ -127,6 +127,19 @@ def test_checkpoint_huge_arch_sizes_rejected_without_allocating(tmp_path):
             load_checkpoint(str(bad))
 
 
+def test_checkpoint_huge_l_max_fails_fast(capsys, tmp_path, files):
+    # l_max follows d_feat, hidden, embed and K; greedy would run 2^31 steps
+    path = tmp_path / "ck.smck"
+    save_checkpoint(tiny_checkpoint(VocabSpec("AB"), 2), str(path))
+    corrupt(path, 36, struct.pack("<I", 2 ** 31 - 1))
+    with pytest.raises(ContractError, match="l_max 2147483647 outside"):
+        load_checkpoint(str(path))
+    code = cli.main(["eval", "--checkpoint", str(path),
+                     "--test", str(files["corpus"])])
+    assert code == 1
+    assert "ContractError: arch: l_max" in capsys.readouterr().err
+
+
 def test_checkpoint_bad_name_and_rank_rejected(tmp_path):
     path = tmp_path / "ck.smck"
     save_checkpoint(tiny_checkpoint(VocabSpec("AB"), 2), str(path))

@@ -69,6 +69,13 @@ def test_init_params_deterministic():
     assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
 
 
+def test_arch_bounds_l_max_to_the_label_field():
+    assert ArchSpec(K=7, l_max=255).l_max == 255
+    for bad in (0, 256, 2 ** 31 - 1):
+        with pytest.raises(ContractError, match="l_max"):
+            ArchSpec(K=7, l_max=bad)
+
+
 def test_recognizer_rejects_vocab_arch_mismatch():
     with pytest.raises(ContractError):
         Recognizer(VocabSpec("AB"), ArchSpec(K=9, l_max=2), {})

@@ -10,9 +10,8 @@ import smile.tensor as T
 from smile.errors import ContractError
 from smile.losses import step_entropy
 from smile.recognizer import Decoded
-from smile.self_paced import (PacingSchedule, PoolEntry, PredictionPool,
-                              build_pool, portion_at, select,
-                              selected_entropy_loss)
+from smile.self_paced import (PacingSchedule, PredictionPool, build_pool,
+                              portion_at, select, selected_entropy_loss)
 from smile.tensor import Tape
 
 
@@ -23,18 +22,22 @@ def output_from(*samples) -> Decoded:
                            for rows in samples])
 
 
+def pool_of(sample, timestep, classes, column) -> PredictionPool:
+    return PredictionPool(np.asarray(sample, dtype=int),
+                          np.asarray(timestep, dtype=int),
+                          np.asarray(classes, dtype=int), column)
+
+
 def pool_from_entropies(values, classes=None):
-    """A pool with given entropy values; column built from a leaf so the
-    loss stays differentiable."""
+    """A pool with given entropy values, one sample per row; column built
+    from a leaf so the loss stays differentiable."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     leaf = T.parameter(values.copy())
     with Tape():
         column = T.mul(leaf, 1.0)
-    entries = [PoolEntry(sample=i, timestep=0,
-                         pseudo_class=0 if classes is None else classes[i],
-                         entropy=float(values[i, 0]), index=i)
-               for i in range(len(values))]
-    return PredictionPool(entries, column), leaf
+    n = len(values)
+    classes = [0] * n if classes is None else classes
+    return pool_of(range(n), [0] * n, classes, column), leaf
 
 
 # -- schedule -----------------------------------------------------------------
@@ -77,9 +80,10 @@ def test_build_pool_counts_every_emitted_row(rng):
     pool = build_pool(output_from(rows_a, rows_b))
     assert len(pool) == 5
     assert pool.column.shape == (5, 1)
-    spots = [(e.sample, e.timestep) for e in pool.entries]
+    spots = list(zip(pool.sample.tolist(), pool.timestep.tolist()))
     assert spots == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
-    assert [e.index for e in pool.entries] == [0, 1, 2, 3, 4]
+    assert pool.pseudo_class.tolist() == (list(np.argmax(rows_a, axis=1))
+                                          + list(np.argmax(rows_b, axis=1)))
 
 
 def test_build_pool_entropies_match_step_entropy(rng):
@@ -87,20 +91,17 @@ def test_build_pool_entropies_match_step_entropy(rng):
     rows /= rows.sum(axis=1, keepdims=True)
     for variant in ("shannon", "pseudo_nll"):
         pool = build_pool(output_from(rows), variant)
-        for e in pool.entries:
-            want = step_entropy(T.constant(rows[e.timestep:e.timestep + 1]),
-                                variant).item()
-            assert abs(e.entropy - want) < 1e-12
-            assert abs(float(pool.column.data[e.index, 0]) - want) < 1e-12
+        for i, t in enumerate(pool.timestep.tolist()):
+            want = step_entropy(T.constant(rows[t:t + 1]), variant).item()
+            assert abs(float(pool.column.data[i, 0]) - want) < 1e-12
 
 
 def test_build_pool_one_hot_rows():
     rows = np.zeros((3, 9))
     rows[:, 7] = 1.0
     pool = build_pool(output_from(rows))
-    groups = pool.by_class()
-    assert set(groups) == {7}
-    assert all(abs(e.entropy) < 1e-10 for e in pool.entries)
+    assert pool.pseudo_class.tolist() == [7, 7, 7]
+    assert np.all(np.abs(pool.column.data) < 1e-10)
 
 
 def test_build_pool_grouping_matches_recount(rng):
@@ -110,23 +111,30 @@ def test_build_pool_grouping_matches_recount(rng):
         rows = rng.random((t, 7)) + 0.05
         rows /= rows.sum(axis=1, keepdims=True)
         samples.append(rows)
-    pool = build_pool(output_from(*samples))
-    groups = pool.by_class()
-    flat = [e for group in groups.values() for e in group]
-    assert sorted(e.index for e in flat) == list(range(len(pool)))
-    for cls, group in groups.items():
-        assert all(e.pseudo_class == cls for e in group)
+    decoded = output_from(*samples)
+    pool = build_pool(decoded)
+    assert len(pool) == sum(len(rows) for rows in samples)
+    assert pool.pseudo_class.tolist() == [label for labels in decoded.labels
+                                          for label in labels]
+    for b, rows in enumerate(samples):
+        mine = [i for i in range(len(pool)) if pool.sample[i] == b]
+        assert mine == list(range(mine[0], mine[0] + len(rows)))
+        assert pool.timestep[mine].tolist() == list(range(len(rows)))
 
 
 # -- selection ----------------------------------------------------------------
 
-def brute_force_select(entries, p_t):
-    """Independent reimplementation: full sort per class, ceiling prefix."""
+def brute_force_select(pool, p_t):
+    """Independent reimplementation: full sort per class, ceiling prefix;
+    returns pool rows."""
+    entropy = pool.column.data[:, 0].tolist()
     chosen = []
-    classes = sorted({e.pseudo_class for e in entries})
+    classes = sorted(set(pool.pseudo_class.tolist()))
     for cls in classes:
-        group = sorted((e for e in entries if e.pseudo_class == cls),
-                       key=lambda e: (e.entropy, e.sample, e.timestep))
+        group = sorted((i for i in range(len(pool))
+                        if pool.pseudo_class[i] == cls),
+                       key=lambda i: (entropy[i], pool.sample[i],
+                                      pool.timestep[i]))
         k = math.ceil(len(group) * p_t)
         chosen.extend(group[:k])
     return chosen
@@ -136,7 +144,7 @@ def test_select_worked_example():
     pool, _ = pool_from_entropies([0.9, 0.1, 0.5])
     sel = select(pool, PacingSchedule(0.34, 0.0), t=0)
     assert sel.stats[0].quota == 2
-    assert sorted(e.entropy for e in sel.chosen) == [0.1, 0.5]
+    assert sel.chosen.tolist() == [1, 2]
 
 
 def test_select_full_portion_takes_everything(rng):
@@ -151,7 +159,7 @@ def test_select_full_portion_takes_everything(rng):
 def test_select_zero_portion_takes_nothing():
     pool, _ = pool_from_entropies([0.3, 0.2])
     sel = select(pool, PacingSchedule(0.0, 1e-4), t=0)
-    assert sel.chosen == []
+    assert len(sel.chosen) == 0
     assert all(s.quota == 0 for s in sel.stats)
     assert math.isnan(sel.stats[0].mean_chosen)
 
@@ -162,45 +170,39 @@ def test_select_ceiling_never_starves_classes():
                                   classes=[0, 0, 1, 1, 2])
     sel = select(pool, PacingSchedule(0.01, 0.0), t=0)
     assert {s.pseudo_class: s.quota for s in sel.stats} == {0: 1, 1: 1, 2: 1}
-    assert sorted(e.entropy for e in sel.chosen) == [0.1, 0.2, 0.4]
+    assert sel.chosen.tolist() == [1, 3, 4]
 
 
 def test_select_tie_break_is_deterministic():
-    entries = [PoolEntry(sample=s, timestep=t, pseudo_class=0, entropy=0.5,
-                         index=s * 2 + t)
-               for s in (1, 0) for t in (1, 0)]
-    column = T.constant(np.full((4, 1), 0.5))
-    sel = select(PredictionPool(entries, column), PacingSchedule(0.5, 0.0), 0)
-    assert [(e.sample, e.timestep) for e in sel.chosen] == [(0, 0), (0, 1)]
+    pool = pool_of([1, 1, 0, 0], [1, 0, 1, 0], [0] * 4,
+                   T.constant(np.full((4, 1), 0.5)))
+    sel = select(pool, PacingSchedule(0.5, 0.0), 0)
+    assert sel.chosen.tolist() == [3, 2]   # (sample 0, t 0), (sample 0, t 1)
 
 
 def test_select_matches_brute_force_oracle(rng):
     for trial in range(100):
         n_classes = int(rng.integers(1, 7))
-        entries = []
-        idx = 0
+        rows = []   # (sample, timestep, class, entropy), drawn in that order
         for cls in range(n_classes):
             for _ in range(int(rng.integers(1, 12))):
-                entries.append(PoolEntry(
-                    sample=int(rng.integers(0, 6)),
-                    timestep=int(rng.integers(0, 5)),
-                    pseudo_class=cls,
-                    entropy=float(rng.choice([0.1, 0.2, 0.3, 0.7,
-                                              rng.random()])),
-                    index=idx))
-                idx += 1
-        pool = PredictionPool(entries, T.constant(np.zeros((idx, 1))))
+                rows.append((int(rng.integers(0, 6)), int(rng.integers(0, 5)),
+                             cls, float(rng.choice([0.1, 0.2, 0.3, 0.7,
+                                                    rng.random()]))))
+        sample, timestep, classes, entropy = zip(*rows)
+        pool = pool_of(sample, timestep, classes,
+                       T.constant(np.reshape(entropy, (-1, 1))))
         schedule = PacingSchedule(float(rng.random()), float(rng.random() * 1e-3))
         t = int(rng.integers(0, 3000))
         sel = select(pool, schedule, t)
-        want = brute_force_select(entries, portion_at(schedule, t))
-        assert [e.index for e in sel.chosen] == [e.index for e in want]
+        want = brute_force_select(pool, portion_at(schedule, t))
+        assert sel.chosen.tolist() == want
         for s in sel.stats:
             assert s.quota == math.ceil(s.pool_size * sel.portion)
 
 
 def test_select_rejects_empty_pool():
-    pool = PredictionPool([], T.constant(np.zeros((0, 1))))
+    pool = pool_of([], [], [], T.constant(np.zeros((0, 1))))
     with pytest.raises(ContractError):
         select(pool, PacingSchedule(0.5, 0.0), 0)
 
@@ -213,7 +215,7 @@ def test_selection_grows_monotonically():
     schedule = PacingSchedule(0.0, 1e-3)
     prev: set[int] = set()
     for t in (100, 300, 500, 900):
-        chosen = {e.index for e in select(pool, schedule, t).chosen}
+        chosen = set(select(pool, schedule, t).chosen.tolist())
         assert prev <= chosen
         prev = chosen
 
@@ -243,10 +245,9 @@ def test_unchosen_entries_get_zero_gradient():
     values = [0.9, 0.1, 0.5, 0.7]
     leaf_values = np.asarray(values).reshape(-1, 1)
     leaf = T.parameter(leaf_values.copy())
-    entries = [PoolEntry(i, 0, 0, values[i], i) for i in range(4)]
     with Tape() as tape:
         column = T.mul(leaf, 1.0)
-        pool = PredictionPool(entries, column)
+        pool = pool_of(range(4), [0] * 4, [0] * 4, column)
         sel = select(pool, PacingSchedule(0.5, 0.0), t=0)
         loss = selected_entropy_loss(pool, sel)
         tape.backward(loss)
