@@ -2,7 +2,7 @@
 engine, synthetic two-domain glyph corpora, an attention recognizer, and
 entropy-minimization training with class-balanced self-paced selection."""
 
-from .data import (Corpus, DomainConfig, TextImage, VocabSpec, build_glyph12,
+from .data import (Corpus, DomainConfig, VocabSpec, build_glyph12,
                    generate_corpus, load_corpus, make_templates,
                    render_string, save_corpus)
 from .errors import (ContractError, DimensionError, FormatError,
@@ -25,7 +25,7 @@ __all__ = [
     "DecoderOutput", "DimensionError", "DomainConfig", "EvalResult",
     "FormatError", "IndexRangeError", "MetricsLog", "NumericalAbort",
     "PacingSchedule", "PredictionPool", "Recognizer", "SelectionResult",
-    "Tape", "Tensor", "TextImage", "TrainConfig", "VocabSpec",
+    "Tape", "Tensor", "TrainConfig", "VocabSpec",
     "build_glyph12", "build_pool", "compare_report", "decoder_loss",
     "edit_distance", "evaluate", "generate_corpus", "load_checkpoint",
     "load_corpus", "make_templates", "portion_at", "render_string",

@@ -203,13 +203,13 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
     templates = make_templates(vocab, seed)
     rng = np.random.default_rng([seed, 1])
     src_px = np.stack([
-        render_string((0,), vocab, templates, l_max).pixels,
-        render_string((1, 2), vocab, templates, l_max).pixels,
+        render_string((0,), vocab, templates, l_max),
+        render_string((1, 2), vocab, templates, l_max),
     ])
     src_labels = [(0,), (1, 2)]
     tgt_px = np.clip(np.stack([
-        render_string((3,), vocab, templates, l_max).pixels,
-        render_string((4, 0), vocab, templates, l_max).pixels,
+        render_string((3,), vocab, templates, l_max),
+        render_string((4, 0), vocab, templates, l_max),
     ]) * 0.8 + rng.uniform(0.0, 0.15, (2, 8, 16)), 0.0, 1.0)
     rec = Recognizer.fresh(vocab, l_max, seed)
     schedule = PacingSchedule(p_init=1.0, p_add=0.0)

@@ -4,15 +4,17 @@ Characters are procedurally drawn 8x8 bitmaps laid out on a fixed grid, so a
 line of up to L_max characters is an 8 x (8*L_max) grayscale image.  A
 configurable pixel-level shift (shear, dimming, background lift, inversion,
 salt-and-pepper) manufactures the target domain.  Everything is a pure
-function of integer seeds.
+function of integer seeds.  A Corpus is columnar: one [N, 8, W] pixel block,
+a label list and a [N] domain-tag array.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .binio import Reader, read_file, write_atomic
 from .errors import ContractError, FormatError
@@ -22,7 +24,7 @@ GLYPH_W = 8
 
 SOURCE = 0
 TARGET = 1
-_DOMAIN_NAMES = {SOURCE: "source", TARGET: "target"}
+DOMAINS = (SOURCE, TARGET)
 
 MAGIC = b"SMCP"
 VERSION = 1
@@ -123,59 +125,59 @@ class DomainConfig:
             raise ContractError(f"background_level {self.background_level} not in [0,1)")
 
 
-@dataclass
-class TextImage:
-    pixels: np.ndarray                 # [8, 8*L_max] grayscale in [0,1]
-    label: tuple[int, ...] | None      # character indices, None = unlabeled
-    domain_tag: int                    # SOURCE or TARGET
-
-    def __eq__(self, other):
-        return (isinstance(other, TextImage)
-                and self.domain_tag == other.domain_tag
-                and self.label == other.label
-                and np.array_equal(self.pixels, other.pixels))
-
-
-@dataclass
+@dataclass(eq=False)
 class Corpus:
+    """N text-line images held column-wise.
+
+    pixels is one float64 [N, H, W] block in [0,1]; labels[i] is record i's
+    character indices, or None when it is unlabeled (a file may mix both);
+    domain[i] is its u8 SOURCE or TARGET tag.
+    """
+
     vocab: VocabSpec
-    images: list[TextImage]
-    seed: int | None = None
-    _pixel_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    pixels: np.ndarray
+    labels: list[tuple[int, ...] | None]
+    domain: np.ndarray
 
     def __post_init__(self):
-        if not self.images:
+        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        if self.pixels.ndim != 3:
+            raise ContractError(
+                f"corpus: pixels must be [N, H, W], got shape {self.pixels.shape}")
+        n = len(self.pixels)
+        if n == 0:
             raise ContractError("corpus: no images")
+        domain = np.asarray(self.domain)
+        if len(self.labels) != n or domain.shape != (n,):
+            raise ContractError(f"corpus: {n} images but {len(self.labels)} "
+                                f"labels and domain shape {domain.shape}")
+        if not np.isin(domain, DOMAINS).all():
+            raise ContractError("corpus: a domain tag is not SOURCE or TARGET")
+        self.domain = domain.astype(np.uint8, copy=False)
 
     def __len__(self):
-        return len(self.images)
-
-    def pixel_array(self) -> np.ndarray:
-        """All images stacked as [N, 8, W]."""
-        if self._pixel_cache is None:
-            self._pixel_cache = np.stack([im.pixels for im in self.images])
-        return self._pixel_cache
-
-    def labels(self) -> list[tuple[int, ...] | None]:
-        return [im.label for im in self.images]
+        return len(self.labels)
 
     @property
     def labeled(self) -> bool:
-        return all(im.label is not None for im in self.images)
+        return None not in self.labels
 
     def without_labels(self) -> "Corpus":
-        stripped = [TextImage(im.pixels, None, im.domain_tag) for im in self.images]
-        return Corpus(self.vocab, stripped, self.seed)
+        """The same images, every label dropped; the arrays are shared."""
+        return Corpus(self.vocab, self.pixels, [None] * len(self), self.domain)
 
     def __eq__(self, other):
         return (isinstance(other, Corpus)
                 and self.vocab == other.vocab
-                and self.images == other.images)
+                and self.labels == other.labels
+                and np.array_equal(self.domain, other.domain)
+                and np.array_equal(self.pixels, other.pixels))
 
 
 def render_string(label, vocab: VocabSpec, templates: np.ndarray,
-                  l_max: int) -> TextImage:
-    """Lay the characters' bitmaps left to right, background-padded to L_max."""
+                  l_max: int) -> np.ndarray:
+    """Lay the characters' bitmaps left to right, background-padded to L_max;
+    returns the [8, 8*L_max] image."""
     label = tuple(int(i) for i in label)
     if not 1 <= len(label) <= l_max:
         raise ContractError(
@@ -186,7 +188,7 @@ def render_string(label, vocab: VocabSpec, templates: np.ndarray,
     pixels = np.zeros((GLYPH_H, GLYPH_W * l_max))
     for pos, i in enumerate(label):
         pixels[:, pos * GLYPH_W:(pos + 1) * GLYPH_W] = templates[i]
-    return TextImage(pixels, label, SOURCE)
+    return pixels
 
 
 def _quantize(pixels: np.ndarray) -> np.ndarray:
@@ -194,15 +196,15 @@ def _quantize(pixels: np.ndarray) -> np.ndarray:
     return np.round(pixels * 255.0) / 255.0
 
 
-def apply_domain_shift(img: TextImage, cfg: DomainConfig,
-                       sample_seed: int) -> TextImage:
-    """Shear, dim, lift, optionally invert, then speckle one image.
+def apply_domain_shift(pixels: np.ndarray, cfg: DomainConfig,
+                       sample_seed: int) -> np.ndarray:
+    """Shear, dim, lift, optionally invert, then speckle one [H, W] image;
+    returns a new quantized image.
 
-    The noise stream is a pure function of (cfg.seed, sample_seed); the label
-    rides along untouched.
+    The noise stream is a pure function of (cfg.seed, sample_seed).
     """
     rng = np.random.default_rng([cfg.seed, sample_seed])
-    px = img.pixels.copy()
+    px = pixels
     h, w = px.shape
     if cfg.horizontal_shear > 0:
         sheared = np.zeros_like(px)
@@ -222,8 +224,7 @@ def apply_domain_shift(img: TextImage, cfg: DomainConfig,
         hit = rng.random(px.shape) < cfg.salt_pepper_prob
         salt = rng.random(px.shape) < 0.5
         px = np.where(hit, np.where(salt, 1.0, 0.0), px)
-    px = np.clip(px, 0.0, 1.0)
-    return TextImage(_quantize(px), img.label, TARGET)
+    return _quantize(np.clip(px, 0.0, 1.0))
 
 
 def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
@@ -248,7 +249,9 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
         probs = (1.0 / ranks) / np.sum(1.0 / ranks)
     else:
         raise ContractError(f"generate_corpus: unknown char_dist {char_dist!r}")
-    images = []
+    templates = _quantize(templates)   # so every rendered line is quantized
+    pixels = np.empty((count, GLYPH_H, GLYPH_W * hi))
+    labels = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         length = int(rng.integers(lo, hi + 1))
@@ -256,12 +259,13 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
             label = tuple(int(c) for c in rng.integers(0, vocab.n_chars, length))
         else:
             label = tuple(int(c) for c in rng.choice(vocab.n_chars, length, p=probs))
-        img = render_string(label, vocab, templates, hi)
-        img.pixels = _quantize(img.pixels)
+        px = render_string(label, vocab, templates, hi)
         if domain_cfg is not None:
-            img = apply_domain_shift(img, domain_cfg, i)
-        images.append(img)
-    return Corpus(vocab, images, seed)
+            px = apply_domain_shift(px, domain_cfg, i)
+        pixels[i] = px
+        labels.append(label)
+    tag = SOURCE if domain_cfg is None else TARGET
+    return Corpus(vocab, pixels, labels, np.full(count, tag, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +296,20 @@ def save_corpus(corpus: Corpus, path: str):
     if corpus.vocab.n_chars > 256:
         raise ContractError(f"save_corpus: {corpus.vocab.n_chars} characters "
                             "do not fit the u8 label field (at most 256)")
-    h, w = corpus.images[0].pixels.shape
-    parts = [MAGIC, struct.pack("<IIII", VERSION, h, w, len(corpus.images)),
+    n, h, w = corpus.pixels.shape
+    quantized = np.round(corpus.pixels * 255.0)
+    if quantized.min() < 0 or quantized.max() > 255:
+        raise ContractError("save_corpus: pixel outside [0,1]")
+    quantized = quantized.astype(np.uint8)
+    parts = [MAGIC, struct.pack("<IIII", VERSION, h, w, n),
              vocab_block(corpus.vocab)]
-    for im in corpus.images:
-        if im.pixels.shape != (h, w):
-            raise ContractError("save_corpus: images disagree on dimensions")
-        label = im.label or ()
+    for tag, label, px in zip(corpus.domain, corpus.labels, quantized):
+        label = label or ()
         if len(label) > MAX_LABEL:
             raise ContractError("save_corpus: label too long for format")
-        parts.append(struct.pack("<BB", im.domain_tag, len(label)))
+        parts.append(struct.pack("<BB", tag, len(label)))
         parts.append(bytes(label))
-        quantized = np.round(im.pixels * 255.0)
-        if quantized.min() < 0 or quantized.max() > 255:
-            raise ContractError("save_corpus: pixel outside [0,1]")
-        parts.append(quantized.astype(np.uint8).tobytes())
+        parts.append(px.tobytes())
     write_atomic(path, b"".join(parts))
 
 
@@ -324,10 +327,10 @@ def load_corpus(path: str) -> Corpus:
     if count == 0:
         raise ContractError(f"{path}: corpus has no records")
     vocab = read_vocab_block(r)
-    images = []
+    labels, domain, starts = [], [], []
     for i in range(count):
         tag = r.u8(f"record {i} domain tag")
-        if tag not in _DOMAIN_NAMES:
+        if tag not in DOMAINS:
             raise FormatError(
                 f"{path}: bad domain tag {tag} at offset {r.off - 1}")
         label_len = r.u8(f"record {i} label length")
@@ -340,12 +343,15 @@ def load_corpus(path: str) -> Corpus:
                         f"{path}: label index {idx} out of vocab in record {i}")
         else:
             label = None
-        raw = r.take(h * w, f"record {i} pixels")
-        pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-        pixels = (pixels / 255.0).reshape(h, w)
-        images.append(TextImage(pixels, label, tag))
+        starts.append(r.off)
+        r.take(h * w, f"record {i} pixels")
+        labels.append(label)
+        domain.append(tag)
     r.expect_end()
-    return Corpus(vocab, images, None)
+    # every record's h*w bytes, gathered through a zero-copy sliding window
+    window = sliding_window_view(np.frombuffer(r.blob, dtype=np.uint8), h * w)
+    pixels = window[starts].reshape(count, h, w) / 255.0
+    return Corpus(vocab, pixels, labels, np.array(domain, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def evaluate(rec: Recognizer, corpus: Corpus,
     if not corpus.labeled:
         raise ContractError("evaluate: corpus has unlabeled images")
     check_width(rec.arch, corpus, "evaluate")
-    pixels = corpus.pixel_array()
+    pixels = corpus.pixels
     chunks = [(i, pixels[i:i + EVAL_BATCH])
               for i in range(0, len(corpus), EVAL_BATCH)]
 
@@ -95,7 +95,7 @@ def evaluate(rec: Recognizer, corpus: Corpus,
         preds.extend(chunk_preds)
         ent_sum += s
         ent_rows += r
-    labels = [corpus.vocab.decode(im.label) for im in corpus.images]
+    labels = [corpus.vocab.decode(label) for label in corpus.labels]
     return EvalResult(
         word_acc=word_accuracy(preds, labels),
         char_acc=char_accuracy(preds, labels),

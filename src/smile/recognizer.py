@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MAX_LABEL, Corpus, TextImage, VocabSpec
+from .data import MAX_LABEL, Corpus, VocabSpec
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -102,7 +102,7 @@ def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
 def check_width(arch: ArchSpec, corpus: Corpus, what: str):
     """Refuse a corpus with room for more characters than the decoder's
     l_max: greedy stops after l_max+1 steps, so longer words never match."""
-    width = corpus.images[0].pixels.shape[1]
+    width = corpus.pixels.shape[2]
     if width // STRIP_W > arch.l_max:
         raise ContractError(
             f"{what}: images are {width} px wide ({width // STRIP_W} "
@@ -315,10 +315,5 @@ class Recognizer:
 
     def predict(self, pixels: np.ndarray) -> list[str]:
         """Greedy decode to strings: EOS stripped, indices mapped to symbols."""
-        if pixels.ndim == 2:
-            pixels = pixels[None]
         return [self.vocab.decode([i for i in labels if i < self.vocab.n_chars])
                 for labels in self.greedy(pixels).labels]
-
-    def predict_image(self, img: TextImage) -> str:
-        return self.predict(img.pixels)[0]

@@ -23,7 +23,8 @@ from .data import Corpus, VocabSpec, load_corpus, read_vocab_block, vocab_block
 from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
-from .recognizer import ArchSpec, Recognizer, check_width, param_shapes
+from .recognizer import (STRIP_W, ArchSpec, Recognizer, check_width,
+                         param_shapes)
 from .self_paced import (PacingSchedule, SelectionResult, build_pool, select,
                          selected_entropy_loss)
 from .tensor import Tape, Tensor
@@ -426,7 +427,7 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
             raise ContractError("checkpoint vocab differs from corpus vocab")
         rec = start.restore()
     else:
-        l_max = labeled.images[0].pixels.shape[1] // 8
+        l_max = labeled.pixels.shape[2] // STRIP_W
         rec = Recognizer.fresh(labeled.vocab, l_max, cfg.seed)
     if test is not None and test.vocab != labeled.vocab:
         raise ContractError("test corpus vocab differs from training vocab")
@@ -454,18 +455,15 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
             f"resume step {start_step} is not below total steps {cfg.steps}")
 
     schedule = PacingSchedule(cfg.p_init, cfg.p_add)
-    labeled_px = labeled.pixel_array()
-    labeled_labels = labeled.labels()
-    target_px = target.pixel_array() if (
-        cfg.mode == "smile" and target is not None) else None
+    target_px = target.pixels if cfg.mode == "smile" else None
     log = MetricsLog()
 
     for step in range(start_step, cfg.steps):
         for p in rec.params.values():
             p.zero_grad()
-        idx = _draw(seed, 1, step, len(labeled_px), cfg.batch_source)
-        batch_px = labeled_px[idx]
-        batch_labels = [labeled_labels[i] for i in idx]
+        idx = _draw(seed, 1, step, len(labeled), cfg.batch_source)
+        batch_px = labeled.pixels[idx]
+        batch_labels = [labeled.labels[i] for i in idx]
         sel = None
         pool = None
         ent_val = None

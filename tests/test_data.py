@@ -1,14 +1,15 @@
 """Glyph rendering, domain shift, corpus generation, and the corpus file
 format, checked against hand-computed oracles."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from smile.data import (GLYPH12_CHARS, GLYPH12_LENGTHS, SOURCE, TARGET,
-                        Corpus, DomainConfig, TextImage, VocabSpec,
-                        apply_domain_shift, build_glyph12, generate_corpus,
-                        load_corpus, make_templates, render_string,
-                        save_corpus)
+                        Corpus, DomainConfig, VocabSpec, apply_domain_shift,
+                        build_glyph12, generate_corpus, load_corpus,
+                        make_templates, render_string, save_corpus)
 from smile.errors import ContractError, FormatError
 
 
@@ -72,13 +73,11 @@ def test_templates_share_base_band():
 # -- rendering ----------------------------------------------------------------
 
 def test_render_places_glyphs_left_to_right(vocab, templates):
-    img = render_string((2, 0), vocab, templates, l_max=3)
-    assert img.pixels.shape == (8, 24)
-    assert np.array_equal(img.pixels[:, 0:8], templates[2])
-    assert np.array_equal(img.pixels[:, 8:16], templates[0])
-    assert (img.pixels[:, 16:] == 0).all()
-    assert img.label == (2, 0)
-    assert img.domain_tag == SOURCE
+    px = render_string((2, 0), vocab, templates, l_max=3)
+    assert px.shape == (8, 24)
+    assert np.array_equal(px[:, 0:8], templates[2])
+    assert np.array_equal(px[:, 8:16], templates[0])
+    assert (px[:, 16:] == 0).all()
 
 
 def test_render_rejects_bad_labels(vocab, templates):
@@ -92,61 +91,56 @@ def test_render_rejects_bad_labels(vocab, templates):
 
 # -- domain shift -------------------------------------------------------------
 
-def plain_image(pixels):
-    return TextImage(np.asarray(pixels, dtype=np.float64), (0,), SOURCE)
-
-
 def test_shear_shifts_lower_rows_right():
     px = np.zeros((8, 16))
     px[:, 0] = 1.0
     cfg = DomainConfig(horizontal_shear=1, seed=0)
-    out = apply_domain_shift(plain_image(px), cfg, sample_seed=0)
+    out = apply_domain_shift(px, cfg, sample_seed=0)
     for y in range(8):
         shift = round(y * 1 / 7)
-        assert out.pixels[y, shift] == 1.0
-        assert out.pixels[y, :shift].sum() == 0.0
+        assert out[y, shift] == 1.0
+        assert out[y, :shift].sum() == 0.0
 
 
 def test_intensity_and_background_compose():
     px = np.full((8, 8), 0.5)
     cfg = DomainConfig(intensity_scale=0.6, background_level=0.2, seed=0)
-    out = apply_domain_shift(plain_image(px), cfg, sample_seed=1)
+    out = apply_domain_shift(px, cfg, sample_seed=1)
     want = 0.2 + 0.8 * (0.5 * 0.6)
     want = round(want * 255) / 255
-    assert np.allclose(out.pixels, want)
-    assert out.domain_tag == TARGET
+    assert np.allclose(out, want)
 
 
 def test_invert_flips_levels():
     px = np.zeros((8, 8))
     cfg = DomainConfig(invert=True, seed=0)
-    out = apply_domain_shift(plain_image(px), cfg, sample_seed=2)
-    assert np.allclose(out.pixels, 1.0)
+    out = apply_domain_shift(px, cfg, sample_seed=2)
+    assert np.allclose(out, 1.0)
 
 
 def test_salt_pepper_is_deterministic_and_bounded():
     px = np.full((8, 8), 0.5)
     cfg = DomainConfig(salt_pepper_prob=0.5, seed=9)
-    a = apply_domain_shift(plain_image(px), cfg, sample_seed=3)
-    b = apply_domain_shift(plain_image(px), cfg, sample_seed=3)
-    c = apply_domain_shift(plain_image(px), cfg, sample_seed=4)
-    assert np.array_equal(a.pixels, b.pixels)
-    assert not np.array_equal(a.pixels, c.pixels)
-    assert set(np.unique(a.pixels)) <= {0.0, 128.0 / 255.0, 1.0}
+    a = apply_domain_shift(px, cfg, sample_seed=3)
+    b = apply_domain_shift(px, cfg, sample_seed=3)
+    c = apply_domain_shift(px, cfg, sample_seed=4)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert set(np.unique(a)) <= {0.0, 128.0 / 255.0, 1.0}
 
 
 def test_shift_preserves_label_and_pixel_grid():
     rng = np.random.default_rng(4)
     px = rng.random((8, 16))
-    img = TextImage(px, (1, 2), SOURCE)
+    before = px.copy()
     cfg = DomainConfig(salt_pepper_prob=0.2, intensity_scale=0.7,
                        background_level=0.1, horizontal_shear=2, seed=5)
-    out = apply_domain_shift(img, cfg, sample_seed=6)
-    assert out.label == (1, 2)
-    assert np.array_equal(img.pixels, px)  # input untouched
-    scaled = out.pixels * 255.0
+    out = apply_domain_shift(px, cfg, sample_seed=6)
+    assert out.shape == px.shape
+    assert np.array_equal(px, before)  # input untouched
+    scaled = out * 255.0
     assert np.allclose(scaled, np.round(scaled))
-    assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+    assert out.min() >= 0.0 and out.max() <= 1.0
 
 
 def test_domain_config_validation():
@@ -166,12 +160,14 @@ def test_generate_corpus_basics(vocab, templates):
     c = generate_corpus(vocab, templates, 50, (1, 3), seed=21)
     assert len(c) == 50
     assert c.labeled
-    widths = {im.pixels.shape for im in c.images}
-    assert widths == {(8, 24)}
-    for im in c.images:
-        assert 1 <= len(im.label) <= 3
-        assert all(0 <= i < vocab.n_chars for i in im.label)
-        assert im.domain_tag == SOURCE
+    assert c.pixels.shape == (50, 8, 24)
+    for label in c.labels:
+        assert 1 <= len(label) <= 3
+        assert all(0 <= i < vocab.n_chars for i in label)
+    assert (c.domain == SOURCE).all()
+    # each line is its label's glyphs rendered left to right
+    assert np.array_equal(c.pixels[0],
+                          render_string(c.labels[0], vocab, templates, 3))
 
 
 def test_generate_corpus_deterministic(vocab, templates):
@@ -185,15 +181,16 @@ def test_generate_corpus_prefix_stability(vocab, templates):
     # sample i depends only on (seed, i), so prefixes agree across sizes
     short = generate_corpus(vocab, templates, 10, (1, 3), seed=24)
     long = generate_corpus(vocab, templates, 25, (1, 3), seed=24)
-    assert short.images == long.images[:10]
+    assert np.array_equal(short.pixels, long.pixels[:10])
+    assert short.labels == long.labels[:10]
 
 
 def test_generate_corpus_zipf_skews_counts(vocab, templates):
     c = generate_corpus(vocab, templates, 400, (2, 4), seed=25,
                         char_dist="zipf")
     counts = np.zeros(vocab.n_chars)
-    for im in c.images:
-        for i in im.label:
+    for label in c.labels:
+        for i in label:
             counts[i] += 1
     assert counts[0] > counts[-1] * 1.5
     with pytest.raises(ContractError):
@@ -203,24 +200,48 @@ def test_generate_corpus_zipf_skews_counts(vocab, templates):
 def test_generate_corpus_domain_shift_tags(vocab, templates):
     cfg = DomainConfig(background_level=0.1, seed=31)
     c = generate_corpus(vocab, templates, 20, (1, 3), seed=26, domain_cfg=cfg)
-    assert all(im.domain_tag == TARGET for im in c.images)
+    assert (c.domain == TARGET).all()
     assert c.labeled
+    # the shift changes pixels only: same draws, same labels as unshifted
+    clean = generate_corpus(vocab, templates, 20, (1, 3), seed=26)
+    assert c.labels == clean.labels
+    assert not np.array_equal(c.pixels, clean.pixels)
 
 
 def test_without_labels(vocab, templates):
     c = generate_corpus(vocab, templates, 12, (1, 2), seed=27)
+    labels = list(c.labels)
     bare = c.without_labels()
     assert not bare.labeled
-    assert all(im.label is None for im in bare.images)
-    assert np.array_equal(bare.pixel_array(), c.pixel_array())
-    assert c.labeled  # original untouched
+    assert bare.labels == [None] * 12
+    assert bare.pixels is c.pixels  # shared, not copied
+    assert bare.pixels.shape == (12, 8, 16)
+    assert bare.pixels.dtype == np.float64
+    assert np.array_equal(bare.domain, c.domain)
+    assert c.labeled and c.labels == labels  # original untouched
 
 
-def test_pixel_array_shape_and_cache(vocab, templates):
-    c = generate_corpus(vocab, templates, 8, (1, 2), seed=28)
-    arr = c.pixel_array()
-    assert arr.shape == (8, 8, 16)
-    assert c.pixel_array() is arr
+def corpus_parts(n=3):
+    """Valid Corpus fields: n blank 8x16 SOURCE images labeled (0,)."""
+    return np.zeros((n, 8, 16)), [(0,)] * n, np.zeros(n, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("case", [
+    "rank2", "rank4", "short_labels", "long_domain", "bad_tag"])
+def test_corpus_constructor_contract(vocab, case):
+    px, labels, domain = corpus_parts()
+    if case == "rank2":
+        px = px[0]
+    elif case == "rank4":
+        px = px[..., None]
+    elif case == "short_labels":
+        labels = labels[:2]
+    elif case == "long_domain":
+        domain = np.zeros(4, dtype=np.uint8)
+    elif case == "bad_tag":
+        domain[1] = 2
+    with pytest.raises(ContractError):
+        Corpus(vocab, px, labels, domain)
 
 
 def test_glyph12_preset():
@@ -234,11 +255,9 @@ def test_glyph12_preset():
     assert len(corpora["target_test"]) == 1000
     assert not corpora["target_train"].labeled
     assert corpora["target_labeled"].labeled
-    assert np.array_equal(corpora["target_train"].pixel_array(),
-                          corpora["target_labeled"].pixel_array())
+    assert corpora["target_train"].pixels is corpora["target_labeled"].pixels
     assert GLYPH12_LENGTHS == (1, 4)
-    for im in corpora["source_train"].images[:20]:
-        assert im.pixels.shape == (8, 32)
+    assert corpora["source_train"].pixels.shape == (5000, 8, 32)
 
 
 # -- file format --------------------------------------------------------------
@@ -255,15 +274,41 @@ def test_corpus_round_trip_bytes(tmp_path, vocab, templates):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_corpus_file_layout_is_pinned(tmp_path):
+    # two 2x3 records: a labeled SOURCE line and an unlabeled TARGET line
+    levels = np.array([[[0, 1, 2], [128, 254, 255]],
+                       [[255, 0, 17], [3, 200, 9]]], dtype=np.uint8)
+    c = Corpus(VocabSpec("AB"), levels / 255.0, [(1, 0, 1), None],
+               np.array([SOURCE, TARGET], dtype=np.uint8))
+    want = (b"SMCP"
+            + struct.pack("<IIII", 1, 2, 3, 2)          # version, h, w, N
+            + struct.pack("<III", 2, ord("A"), ord("B"))  # vocab block
+            + bytes([0, 3, 1, 0, 1]) + bytes([0, 1, 2, 128, 254, 255])
+            + bytes([1, 0]) + bytes([255, 0, 17, 3, 200, 9]))
+    path = tmp_path / "pinned.smcp"
+    save_corpus(c, str(path))
+    assert path.read_bytes() == want
+    loaded = load_corpus(str(path))
+    assert np.array_equal(loaded.pixels, c.pixels)
+    assert loaded.labels == [(1, 0, 1), None]
+    assert loaded.domain.tolist() == [SOURCE, TARGET]
+    assert loaded == c
+
+
 def test_corpus_mixed_labels_round_trip(tmp_path, vocab, templates):
     c = generate_corpus(vocab, templates, 6, (1, 2), seed=30)
-    c.images[2] = TextImage(c.images[2].pixels, None, TARGET)
+    labels = list(c.labels)
+    labels[2] = None
+    domain = c.domain.copy()
+    domain[2] = TARGET
+    c = Corpus(vocab, c.pixels, labels, domain)
     path = tmp_path / "mixed.smcp"
     save_corpus(c, str(path))
     loaded = load_corpus(str(path))
-    assert loaded.images[2].label is None
-    assert loaded.images[2].domain_tag == TARGET
-    assert loaded.images[0].label == c.images[0].label
+    assert loaded.labels[2] is None
+    assert loaded.domain[2] == TARGET
+    assert loaded.labels[0] == c.labels[0]
+    assert loaded == c
 
 
 def test_load_rejects_bad_magic(tmp_path, vocab, templates):
@@ -308,17 +353,19 @@ def test_load_rejects_unknown_version(tmp_path, vocab, templates):
 
 
 def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
+    px, labels, domain = corpus_parts(n=0)
     with pytest.raises(ContractError, match="no images"):
-        Corpus(vocab, [])  # so no empty corpus reaches save or train
-    img = TextImage(np.full((8, 8), 1.5), (0,), SOURCE)
+        Corpus(vocab, px, labels, domain)  # so none reaches save or train
+    px, labels, domain = corpus_parts(n=1)
     with pytest.raises(ContractError):
-        save_corpus(Corpus(vocab, [img]), str(tmp_path / "r.smcp"))
+        save_corpus(Corpus(vocab, px + 1.5, labels, domain),
+                    str(tmp_path / "r.smcp"))
 
 
 def test_save_rejects_vocab_wider_than_label_field(tmp_path):
     big = VocabSpec("".join(chr(0x4E00 + i) for i in range(300)))
-    img = TextImage(np.zeros((8, 8)), (299,), SOURCE)
+    px, _, domain = corpus_parts(n=1)
     path = tmp_path / "big.smcp"
     with pytest.raises(ContractError, match="u8 label field"):
-        save_corpus(Corpus(big, [img]), str(path))
+        save_corpus(Corpus(big, px, [(299,)], domain), str(path))
     assert not path.exists()

@@ -98,9 +98,11 @@ def test_evaluate_perfect_model(vocab, small_source):
     rows[0, 0] = 1.0
     rows[1, vocab.EOS] = 1.0
     stub = StubModel(vocab, rows)
-    only_a = [im for im in small_source.images if im.label == (0,)]
+    only_a = [i for i, label in enumerate(small_source.labels)
+              if label == (0,)]
     from smile.data import Corpus
-    corpus = Corpus(vocab, only_a)
+    corpus = Corpus(vocab, small_source.pixels[only_a], [(0,)] * len(only_a),
+                    small_source.domain[only_a])
     result = evaluate(stub, corpus)
     assert result.word_acc == 1.0
     assert result.char_acc == 1.0

@@ -228,9 +228,9 @@ def test_predict_decodes_strings(rec):
 
 def test_single_image_predict(rec, vocab, templates):
     from smile.data import render_string
-    img = render_string((0, 1), VocabSpec("ABCD"), templates, l_max=3)
-    out = rec.predict_image(img)
-    assert isinstance(out, str)
+    px = render_string((0, 1), VocabSpec("ABCD"), templates, l_max=3)
+    out = rec.predict(px[None])
+    assert len(out) == 1 and isinstance(out[0], str)
 
 
 # -- the decoded block --------------------------------------------------------
