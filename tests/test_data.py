@@ -215,10 +215,17 @@ def test_without_labels(vocab, templates):
     assert not bare.labeled
     assert bare.labels == [None] * 12
     assert bare.pixels is c.pixels  # shared, not copied
-    assert bare.pixels.shape == (12, 8, 16)
-    assert bare.pixels.dtype == np.float64
     assert np.array_equal(bare.domain, c.domain)
     assert c.labeled and c.labels == labels  # original untouched
+
+
+def test_pixel_array_shape_and_cache(vocab, templates):
+    c = generate_corpus(vocab, templates, 8, (1, 2), seed=28)
+    assert c.pixels.shape == (8, 8, 16)
+    assert c.pixels.dtype == np.float64
+    # the corpus holds the block it is given: a float64 array is not copied
+    again = Corpus(vocab, c.pixels, c.labels, c.domain)
+    assert again.pixels is c.pixels
 
 
 def corpus_parts(n=3):
