@@ -303,10 +303,14 @@ def save_corpus(corpus: Corpus, path: str):
     quantized = quantized.astype(np.uint8)
     parts = [MAGIC, struct.pack("<IIII", VERSION, h, w, n),
              vocab_block(corpus.vocab)]
-    for tag, label, px in zip(corpus.domain, corpus.labels, quantized):
+    for i, (tag, label, px) in enumerate(
+            zip(corpus.domain, corpus.labels, quantized)):
         label = label or ()
         if len(label) > MAX_LABEL:
             raise ContractError("save_corpus: label too long for format")
+        if label and (min(label) < 0 or max(label) >= corpus.vocab.n_chars):
+            raise ContractError(
+                f"save_corpus: record {i} label {label} out of vocab")
         parts.append(struct.pack("<BB", tag, len(label)))
         parts.append(bytes(label))
         parts.append(px.tobytes())

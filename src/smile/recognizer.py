@@ -1,20 +1,23 @@
 """Attention encoder-decoder over glyph strips.
 
-The encoder flattens each 8x8 column strip, projects it through tanh, and
-runs a GRU over the strip sequence (optionally bidirectional with summed
-directions).  The decoder is a GRU with additive attention queried by its
-previous hidden state; each step sees [attention context ++ input embedding]
-and projects to class probabilities.
+The encoder flattens the 8x8 column strips of a batch into one [B*T, 64]
+block, projects it through tanh with one matmul, and runs a GRU over the
+strip sequence (optionally bidirectional with summed directions): one input
+matmul per direction, then one recurrence loop shared by both directions,
+a row gather and a tensor.gru_cell node per strip.  The decoder is a GRU
+with additive attention queried by its previous hidden state; each step
+sees [attention context ++ input embedding] and projects to class
+probabilities.
 
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU keeps its checkpoint parameters per gate (W_z|W_r|W_n, U_*,
 b_*); a forward pass concatenates them once into the fused [in, 3h], [h, 3h]
-and [1, 3h] layout, so a recurrent step is one input matmul, one bias add
-and one tensor.gru_cell node.  A decoder step's attention is one query
-matmul and one tensor.attend node over the [B, T, a] keys and [B, T, h]
-features.  Both decodes return one Decoded: the emitted rows of every sample
-in one sample-major [N, K] block, padded rows dropped, with the per-step
-restricted-argmax labels; iterating it gives per-sample DecoderOutputs.
+and [1, 3h] layout.  A decoder step is one input matmul, one bias add and
+one gru_cell node; its attention is one query matmul and one tensor.attend
+node over the [B, T, a] keys and [B, T, h] features.  Both decodes return
+one Decoded: the emitted rows of every sample in one sample-major [N, K]
+block, padded rows dropped, with the per-step restricted-argmax labels;
+iterating it gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -142,8 +145,6 @@ class EncodedBatch:
 
     feats: Tensor      # [B, T_enc, h]
     keys: Tensor       # [B, T_enc, a]: feats @ attn/W_enc, step-independent
-    batch: int
-    t_enc: int
 
 
 class Recognizer:
@@ -175,15 +176,24 @@ class Recognizer:
                                for gate in ("z", "r", "n")], axis=1)
                      for kind in ("W", "b", "U"))
 
-    @staticmethod
-    def _gru_step(weights: GRUWeights, x: Tensor, h: Tensor) -> Tensor:
-        w, b, u = weights
-        return T.gru_cell(T.add(T.matmul(x, w), b), h, u)
+    def _recur(self, prefix: str, x: Tensor, t_enc: int,
+               reverse: bool) -> Tensor:
+        """The prefix's GRU over the sample-major strip rows x [B*T, d];
+        returns its states as one [B, T*h] block in time order."""
+        w, b, u = self._gru_weights(prefix)
+        xw = T.add(T.matmul(x, w), b)
+        hid = T.zeros((x.shape[0] // t_enc, self.arch.enc_hidden))
+        states = [None] * t_enc
+        for t in sorted(range(t_enc), reverse=reverse):
+            rows = np.arange(t, x.shape[0], t_enc)  # strip t of each sample
+            hid = T.gru_cell(T.gather_rows(xw, rows), hid, u)
+            states[t] = hid
+        return T.concat(states, axis=1)
 
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
         """pixels: [B, 8, W] with W a multiple of 8."""
-        if pixels.ndim == 2:
-            pixels = pixels[None]
+        if pixels.ndim != 3:
+            raise DimensionError(f"encode: pixels {pixels.shape} not [B, H, W]")
         batch, h, w = pixels.shape
         if h != GLYPH_H:
             raise DimensionError(f"encode: image height {h}, expected {GLYPH_H}")
@@ -191,36 +201,19 @@ class Recognizer:
             raise DimensionError(f"encode: width {w} not a multiple of {STRIP_W}")
         t_enc = w // STRIP_W
         hid_dim = self.arch.enc_hidden
-        strips = []
-        for t in range(t_enc):
-            x = T.constant(pixels[:, :, t * STRIP_W:(t + 1) * STRIP_W]
-                           .reshape(batch, GLYPH_H * STRIP_W))
-            strips.append(T.tanh(T.add(T.matmul(x, self.params["proj/W"]),
-                                       self.params["proj/b"])))
-        weights = self._gru_weights("enc")
-        hid = T.zeros((batch, hid_dim))
-        fwd = []
-        for x in strips:
-            hid = self._gru_step(weights, x, hid)
-            fwd.append(hid)
+        # row b*T + t is strip t of sample b, flattened row by row
+        strips = pixels.reshape(batch, GLYPH_H, t_enc, STRIP_W).transpose(
+            0, 2, 1, 3).reshape(batch * t_enc, GLYPH_H * STRIP_W)
+        x = T.tanh(T.add(T.matmul(T.constant(strips), self.params["proj/W"]),
+                         self.params["proj/b"]))
+        flat = self._recur("enc", x, t_enc, reverse=False)
         if self.arch.bidirectional:
-            weights = self._gru_weights("enc_bwd")
-            hid = T.zeros((batch, hid_dim))
-            bwd = []
-            for x in reversed(strips):
-                hid = self._gru_step(weights, x, hid)
-                bwd.append(hid)
-            feats_by_t = [T.add(f, b) for f, b in zip(fwd, reversed(bwd))]
-        else:
-            feats_by_t = fwd
-        # [B, T*h] side by side is already sample-major
-        flat = T.concat(feats_by_t, axis=1)
+            flat = T.add(flat, self._recur("enc_bwd", x, t_enc, reverse=True))
         keys = T.matmul(T.reshape(flat, (batch * t_enc, hid_dim)),
                         self.params["attn/W_enc"])
         return EncodedBatch(
             feats=T.reshape(flat, (batch, t_enc, hid_dim)),
-            keys=T.reshape(keys, (batch, t_enc, self.arch.attn_dim)),
-            batch=batch, t_enc=t_enc)
+            keys=T.reshape(keys, (batch, t_enc, self.arch.attn_dim)))
 
     def _decode_step(self, enc: EncodedBatch, weights: GRUWeights, h: Tensor,
                      input_ids) -> tuple[Tensor, Tensor]:
@@ -230,7 +223,9 @@ class Recognizer:
         context = T.attend(enc.keys, enc.feats, T.matmul(h, p["attn/W_dec"]),
                            p["attn/v"])
         emb = T.gather_rows(p["embed/E"], input_ids)
-        h_next = self._gru_step(weights, T.concat([context, emb], axis=1), h)
+        w, b, u = weights
+        x = T.concat([context, emb], axis=1)
+        h_next = T.gru_cell(T.add(T.matmul(x, w), b), h, u)
         logits = T.add(T.matmul(h_next, p["out/W"]), p["out/b"])
         return h_next, T.softmax(logits)
 
@@ -263,9 +258,10 @@ class Recognizer:
         padded with PAD inputs and their extra rows dropped.
         """
         enc = self.encode(pixels)
-        if len(labels) != enc.batch:
+        batch = len(pixels)
+        if len(labels) != batch:
             raise ContractError(
-                f"teacher_forced: {enc.batch} images vs {len(labels)} labels")
+                f"teacher_forced: {batch} images vs {len(labels)} labels")
         for lab in labels:
             if len(lab) == 0 or len(lab) > self.arch.l_max:
                 raise ContractError(
@@ -278,11 +274,11 @@ class Recognizer:
         lengths = [len(lab) + 1 for lab in labels]
         t_max = max(lengths)
         weights = self._gru_weights("dec")
-        h = T.zeros((enc.batch, self.arch.dec_hidden))
+        h = T.zeros((batch, self.arch.dec_hidden))
         step_probs, step_labels = [], []
         for t in range(t_max):
             if t == 0:
-                ids = [self.vocab.GO] * enc.batch
+                ids = [self.vocab.GO] * batch
             else:
                 ids = [lab[t - 1] if t - 1 < len(lab) else self.vocab.PAD
                        for lab in labels]
@@ -295,11 +291,12 @@ class Recognizer:
         """Self-fed decode, at most l_max+1 steps, truncated at each
         sample's first EOS (the EOS row is kept)."""
         enc = self.encode(pixels)
+        batch = len(pixels)
         weights = self._gru_weights("dec")
-        h = T.zeros((enc.batch, self.arch.dec_hidden))
-        ids = [self.vocab.GO] * enc.batch
-        done = np.zeros(enc.batch, dtype=bool)
-        lengths = np.zeros(enc.batch, dtype=int)
+        h = T.zeros((batch, self.arch.dec_hidden))
+        ids = [self.vocab.GO] * batch
+        done = np.zeros(batch, dtype=bool)
+        lengths = np.zeros(batch, dtype=int)
         step_probs, step_labels = [], []
         for t in range(self.arch.l_max + 1):
             h, probs = self._decode_step(enc, weights, h, ids)

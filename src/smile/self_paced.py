@@ -78,11 +78,6 @@ class SelectionResult:
     chosen: np.ndarray  # pool rows by (class, entropy, sample, timestep)
     stats: list[ClassStat]
 
-    @property
-    def realized_portion(self) -> float:
-        total = sum(s.pool_size for s in self.stats)
-        return len(self.chosen) / total if total else 0.0
-
 
 def select(pool: PredictionPool, schedule: PacingSchedule,
            t: int) -> SelectionResult:
@@ -97,16 +92,17 @@ def select(pool: PredictionPool, schedule: PacingSchedule,
     p_t = portion_at(schedule, t)
     entropy = pool.column.data[:, 0]
     order = np.lexsort((pool.timestep, pool.sample, entropy, pool.pseudo_class))
-    classes, starts, sizes = np.unique(pool.pseudo_class[order],
-                                       return_index=True, return_counts=True)
+    cls = pool.pseudo_class[order]
+    # a class segment starts wherever the sorted class changes
+    starts = (np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
     taken, stats = [], []
-    for cls, start, size in zip(classes.tolist(), starts.tolist(),
-                                sizes.tolist()):
+    for start, end in zip([0, *starts], [*starts, len(cls)]):
+        size = end - start
         quota = math.ceil(size * p_t)
         rows = order[start:start + quota]
         mean = sum(entropy[rows].tolist()) / quota if quota else float("nan")
         taken.append(rows)
-        stats.append(ClassStat(cls, size, quota, mean))
+        stats.append(ClassStat(int(cls[start]), size, quota, mean))
     return SelectionResult(p_t, np.concatenate(taken), stats)
 
 

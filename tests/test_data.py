@@ -367,6 +367,14 @@ def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
     with pytest.raises(ContractError):
         save_corpus(Corpus(vocab, px + 1.5, labels, domain),
                     str(tmp_path / "r.smcp"))
+    # a label outside the vocab, or outside the u8 field, writes nothing
+    two = VocabSpec("AB")
+    path = tmp_path / "bad_label.smcp"
+    for bad in [(5,), (300,)]:
+        with pytest.raises(ContractError, match="record 1 label"):
+            save_corpus(Corpus(two, np.zeros((2, 8, 8)), [(0,), bad],
+                               np.zeros(2, dtype=np.uint8)), str(path))
+        assert not path.exists()
 
 
 def test_save_rejects_vocab_wider_than_label_field(tmp_path):

@@ -85,8 +85,6 @@ def test_recognizer_rejects_vocab_arch_mismatch():
 
 def test_encode_shapes(rec):
     enc = rec.encode(some_pixels(3, 3))
-    assert enc.batch == 3
-    assert enc.t_enc == 3
     assert enc.feats.shape == (3, 3, 32)
     assert enc.keys.shape == (3, 3, 32)
 
@@ -96,6 +94,30 @@ def test_encode_rejects_bad_dimensions(rec):
         rec.encode(np.zeros((2, 7, 16)))
     with pytest.raises(DimensionError):
         rec.encode(np.zeros((2, 8, 20)))
+    with pytest.raises(DimensionError):
+        rec.encode(np.zeros((8, 16)))
+    with pytest.raises(DimensionError):
+        rec.encode(np.zeros((1, 2, 8, 16)))
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_encode_tape_grows_two_nodes_per_strip(bidirectional):
+    enc_rec = Recognizer.fresh(VocabSpec("ABCD"), l_max=4, seed=3,
+                               bidirectional=bidirectional)
+    directions = 2 if bidirectional else 1
+    sizes = []
+    for width in (16, 24, 32):
+        with Tape() as tape:
+            enc_rec.encode(some_pixels(2, width // 8))
+            ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
+        # one strip projection, one input projection per direction and
+        # the keys, whatever the strip count
+        assert ops.count("tanh") == 1
+        assert ops.count("matmul") == 2 + directions
+        assert ops.count("gru_cell") == directions * width // 8
+        sizes.append(len(ops))
+    # each extra strip is one gather_rows and one gru_cell per direction
+    assert [b - a for a, b in zip(sizes, sizes[1:])] == [2 * directions] * 2
 
 
 def numpy_gru(p, prefix, x, h):

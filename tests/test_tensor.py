@@ -221,14 +221,16 @@ def test_softmax_grad(rng):
 
 
 def test_gather_rows_scatter_grad():
-    # duplicate indices must accumulate, not overwrite
+    # duplicate indices must accumulate, not overwrite; distinct and empty
+    # index lists take the indexed-add path
     table = T.parameter(np.arange(6.0).reshape(3, 2))
+    for indices, want in [([1, 1, 0], [[1, 1], [2, 2], [0, 0]]),
+                          ([2, 0], [[1, 1], [0, 0], [1, 1]]),
+                          ([], [[0, 0], [0, 0], [0, 0]])]:
+        def loss():
+            return T.reduce_sum(T.gather_rows(table, indices))
 
-    def loss():
-        return T.reduce_sum(T.gather_rows(table, [1, 1, 0]))
-
-    g = analytic_grad(loss, table)
-    assert np.allclose(g, [[1, 1], [2, 2], [0, 0]])
+        assert np.array_equal(analytic_grad(loss, table), want)
 
 
 def test_concat_grads(rng):
