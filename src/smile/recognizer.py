@@ -191,14 +191,15 @@ class Recognizer:
         return T.concat(states, axis=1)
 
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
-        """pixels: [B, 8, W] with W a multiple of 8."""
+        """pixels: [B, 8, W] with W a positive multiple of 8."""
         if pixels.ndim != 3:
             raise DimensionError(f"encode: pixels {pixels.shape} not [B, H, W]")
         batch, h, w = pixels.shape
         if h != GLYPH_H:
             raise DimensionError(f"encode: image height {h}, expected {GLYPH_H}")
-        if w % STRIP_W != 0:
-            raise DimensionError(f"encode: width {w} not a multiple of {STRIP_W}")
+        if w == 0 or w % STRIP_W != 0:
+            raise DimensionError(
+                f"encode: width {w} not a positive multiple of {STRIP_W}")
         t_enc = w // STRIP_W
         hid_dim = self.arch.enc_hidden
         # row b*T + t is strip t of sample b, flattened row by row

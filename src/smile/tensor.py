@@ -377,10 +377,8 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     out = Tensor(table.data[idx])
 
     def back():
-        if table.requires_grad and np.bincount(idx, minlength=1).max() > 1:
+        if table.requires_grad:
             np.add.at(table.grad, idx, out.grad)
-        elif table.requires_grad:  # no repeated row: exact and far cheaper
-            table.grad[idx] += out.grad
 
     return _track(out, (table,), back)
 

@@ -95,6 +95,8 @@ def test_encode_rejects_bad_dimensions(rec):
     with pytest.raises(DimensionError):
         rec.encode(np.zeros((2, 8, 20)))
     with pytest.raises(DimensionError):
+        rec.encode(np.zeros((2, 8, 0)))
+    with pytest.raises(DimensionError):
         rec.encode(np.zeros((8, 16)))
     with pytest.raises(DimensionError):
         rec.encode(np.zeros((1, 2, 8, 16)))

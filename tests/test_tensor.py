@@ -222,7 +222,7 @@ def test_softmax_grad(rng):
 
 def test_gather_rows_scatter_grad():
     # duplicate indices must accumulate, not overwrite; distinct and empty
-    # index lists take the indexed-add path
+    # index lists scatter to their own rows or nowhere
     table = T.parameter(np.arange(6.0).reshape(3, 2))
     for indices, want in [([1, 1, 0], [[1, 1], [2, 2], [0, 0]]),
                           ([2, 0], [[1, 1], [0, 0], [1, 1]]),
