@@ -7,7 +7,7 @@ from .data import (Corpus, DomainConfig, VocabSpec, build_glyph12,
                    render_string, save_corpus)
 from .errors import (ContractError, DimensionError, FormatError,
                      IndexRangeError, NumericalAbort)
-from .losses import decoder_loss, smile_loss, step_entropy
+from .losses import decoder_loss, smile_loss
 from .metrics import (EvalResult, compare_report, edit_distance, evaluate,
                       word_accuracy)
 from .recognizer import ArchSpec, Decoded, DecoderOutput, Recognizer
@@ -30,6 +30,5 @@ __all__ = [
     "edit_distance", "evaluate", "generate_corpus", "load_checkpoint",
     "load_corpus", "make_templates", "portion_at", "render_string",
     "save_checkpoint", "save_corpus", "select", "selected_entropy_loss",
-    "smile_loss", "step_entropy", "sweep", "train", "train_with_corpora",
-    "word_accuracy",
+    "smile_loss", "sweep", "train", "train_with_corpora", "word_accuracy",
 ]

@@ -9,6 +9,7 @@ success, 1 for contract or format violations, 2 for numerical aborts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -77,13 +78,7 @@ _COMMAND_FLAGS = {
 
 _DEFAULTS = {
     "gen-data": {"preset": "glyph12", "seed": 7, "out": None},
-    "train": {f: None for f in
-              ("source", "target", "test", "checkpoint", "out", "lr")}
-             | {"mode": "base", "lam": 1.0, "entropy_variant": "shannon",
-                "p_init": 0.0, "p_add": 5e-5, "steps": 1000,
-                "batch_source": 32, "batch_target": 32, "seed": 0,
-                "optimizer": "adam", "clip": 5.0, "eval_every": 200,
-                "allow_cold_smile": False},
+    "train": dataclasses.asdict(TrainConfig()),
     "eval": {"checkpoint": None, "test": None},
     "compare": {"test": None, "out": None},
     "gradcheck": {"seed": 0},

@@ -144,9 +144,12 @@ class Corpus:
         if self.pixels.ndim != 3:
             raise ContractError(
                 f"corpus: pixels must be [N, H, W], got shape {self.pixels.shape}")
-        n = len(self.pixels)
+        n, h, w = self.pixels.shape
         if n == 0:
             raise ContractError("corpus: no images")
+        if h == 0 or w == 0:
+            raise ContractError(f"corpus: images are {h}x{w} pixels, "
+                                "height and width must be positive")
         domain = np.asarray(self.domain)
         if len(self.labels) != n or domain.shape != (n,):
             raise ContractError(f"corpus: {n} images but {len(self.labels)} "

@@ -18,7 +18,6 @@ from .recognizer import Decoded
 from .tensor import Tensor
 
 VARIANTS = ("shannon", "pseudo_nll")
-ROW_SUM_TOL = 1e-6
 
 
 def _check_variant(variant: str):
@@ -63,15 +62,6 @@ def row_entropy(probs: Tensor, variant: str = "shannon") -> Tensor:
     tops = np.argmax(probs.data, axis=1)
     flat = T.reshape(probs, (n * k, 1))
     return T.mul(T.log(T.gather_rows(flat, np.arange(n) * k + tops)), -1.0)
-
-
-def step_entropy(row: Tensor, variant: str = "shannon") -> Tensor:
-    """Uncertainty of one probability row, differentiable through the row."""
-    total = row.data.sum()
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise ContractError(
-            f"step_entropy: row sums to {total}, not 1 within {ROW_SUM_TOL}")
-    return row_entropy(T.reshape(row, (1, row.size)), variant)
 
 
 def smile_loss(l_dec: Tensor, l_ent: Tensor, lam: float) -> Tensor:

@@ -6,18 +6,20 @@ strip sequence (optionally bidirectional with summed directions): one input
 matmul per direction, then one recurrence loop shared by both directions,
 a row gather and a tensor.gru_cell node per strip.  The decoder is a GRU
 with additive attention queried by its previous hidden state; each step
-sees [attention context ++ input embedding] and projects to class
-probabilities.
+sees [attention context ++ input embedding].
 
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU keeps its checkpoint parameters per gate (W_z|W_r|W_n, U_*,
 b_*); a forward pass concatenates them once into the fused [in, 3h], [h, 3h]
-and [1, 3h] layout.  A decoder step is one input matmul, one bias add and
-one gru_cell node; its attention is one query matmul and one tensor.attend
-node over the [B, T, a] keys and [B, T, h] features.  Both decodes return
-one Decoded: the emitted rows of every sample in one sample-major [N, K]
-block, padded rows dropped, with the per-step restricted-argmax labels;
-iterating it gives per-sample DecoderOutputs.
+and [1, 3h] layout.  A decoder step records attention (one query matmul and
+one tensor.attend node over the [B, T, a] keys and [B, T, h] features), the
+embedding gather, the input concat, matmul and bias add, and one gru_cell
+node; its restricted argmax, which greedy feeds back, comes from untaped
+numpy logits.  After the loop one output head (matmul, bias add, softmax)
+projects every step's hidden state at once.  Both decodes return one
+Decoded: the emitted rows of every sample in one sample-major [N, K] block,
+padded rows dropped, with the per-step restricted-argmax labels; iterating
+it gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -217,9 +219,10 @@ class Recognizer:
             keys=T.reshape(keys, (batch, t_enc, self.arch.attn_dim)))
 
     def _decode_step(self, enc: EncodedBatch, weights: GRUWeights, h: Tensor,
-                     input_ids) -> tuple[Tensor, Tensor]:
+                     input_ids) -> tuple[Tensor, np.ndarray]:
         """One decoder step with the fused decoder GRU weights; returns
-        (h_next, probs [B,K])."""
+        h_next and its [B] argmax over characters plus EOS (GO and PAD never
+        win), read from untaped logits."""
         p = self.params
         context = T.attend(enc.keys, enc.feats, T.matmul(h, p["attn/W_dec"]),
                            p["attn/v"])
@@ -227,26 +230,23 @@ class Recognizer:
         w, b, u = weights
         x = T.concat([context, emb], axis=1)
         h_next = T.gru_cell(T.add(T.matmul(x, w), b), h, u)
-        logits = T.add(T.matmul(h_next, p["out/W"]), p["out/b"])
-        return h_next, T.softmax(logits)
+        logits = h_next.data @ p["out/W"].data + p["out/b"].data
+        logits[:, [self.vocab.GO, self.vocab.PAD]] = -np.inf
+        return h_next, np.argmax(logits, axis=1)
 
-    def _restricted_argmax(self, probs_row: np.ndarray) -> np.ndarray:
-        """Row argmax over characters plus EOS; GO and PAD never win."""
-        masked = probs_row.copy()
-        masked[..., self.vocab.GO] = -1.0
-        masked[..., self.vocab.PAD] = -1.0
-        return np.argmax(masked, axis=-1)
-
-    def _split_outputs(self, step_probs: list[Tensor],
+    def _split_outputs(self, states: list[Tensor],
                        step_labels: list[np.ndarray], lengths) -> Decoded:
-        """Reorder the step-major rows (and each step's [B] restricted
-        argmax) sample-major, dropping every sample's padded rows."""
+        """Project the step-major hidden states to class probabilities with
+        one output head, then reorder the rows (and each step's [B] labels)
+        sample-major, dropping every sample's padded rows."""
+        p = self.params
+        logits = T.add(T.matmul(T.concat(states, axis=0), p["out/W"]),
+                       p["out/b"])
         batch = len(lengths)
         rows = [t * batch + b for b in range(batch) for t in range(lengths[b])]
         picked = np.stack(step_labels)
         labels = [tuple(picked[:n, b].tolist()) for b, n in enumerate(lengths)]
-        return Decoded(T.gather_rows(T.concat(step_probs, axis=0), rows),
-                       labels)
+        return Decoded(T.gather_rows(T.softmax(logits), rows), labels)
 
     # -- the two decoding modes ---------------------------------------------
 
@@ -276,17 +276,17 @@ class Recognizer:
         t_max = max(lengths)
         weights = self._gru_weights("dec")
         h = T.zeros((batch, self.arch.dec_hidden))
-        step_probs, step_labels = [], []
+        states, step_labels = [], []
         for t in range(t_max):
             if t == 0:
                 ids = [self.vocab.GO] * batch
             else:
                 ids = [lab[t - 1] if t - 1 < len(lab) else self.vocab.PAD
                        for lab in labels]
-            h, probs = self._decode_step(enc, weights, h, ids)
-            step_probs.append(probs)
-            step_labels.append(self._restricted_argmax(probs.data))
-        return self._split_outputs(step_probs, step_labels, lengths)
+            h, picked = self._decode_step(enc, weights, h, ids)
+            states.append(h)
+            step_labels.append(picked)
+        return self._split_outputs(states, step_labels, lengths)
 
     def greedy(self, pixels: np.ndarray) -> Decoded:
         """Self-fed decode, at most l_max+1 steps, truncated at each
@@ -298,20 +298,14 @@ class Recognizer:
         ids = [self.vocab.GO] * batch
         done = np.zeros(batch, dtype=bool)
         lengths = np.zeros(batch, dtype=int)
-        step_probs, step_labels = [], []
+        states, step_labels = [], []
         for t in range(self.arch.l_max + 1):
-            h, probs = self._decode_step(enc, weights, h, ids)
-            step_probs.append(probs)
-            picked = self._restricted_argmax(probs.data)
+            h, picked = self._decode_step(enc, weights, h, ids)
+            states.append(h)
             step_labels.append(picked)
             lengths[~done] = t + 1
             done |= picked == self.vocab.EOS
             if done.all():
                 break
             ids = [int(i) for i in picked]
-        return self._split_outputs(step_probs, step_labels, lengths)
-
-    def predict(self, pixels: np.ndarray) -> list[str]:
-        """Greedy decode to strings: EOS stripped, indices mapped to symbols."""
-        return [self.vocab.decode([i for i in labels if i < self.vocab.n_chars])
-                for labels in self.greedy(pixels).labels]
+        return self._split_outputs(states, step_labels, lengths)

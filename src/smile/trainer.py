@@ -90,7 +90,31 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # optimizers
 
-class Adam:
+class _Optimizer:
+    """Checkpoint state of an optimizer that keeps one dict of arrays per
+    slot, keyed by parameter name, plus integer scalars; stored as
+    opt/<name>/<slot>/<param> and opt/<name>/<scalar>."""
+
+    def state_tensors(self) -> dict[str, np.ndarray]:
+        prefix = f"opt/{self.name}/"
+        out = {f"{prefix}{slot}/{n}": a
+               for slot in self.slots for n, a in getattr(self, slot).items()}
+        out.update({f"{prefix}{k}": np.array(float(getattr(self, k)))
+                    for k in self.scalars})
+        return out
+
+    def load_state(self, tensors: dict[str, np.ndarray]):
+        prefix = f"opt/{self.name}/"
+        for k in self.scalars:
+            setattr(self, k, int(tensors[prefix + k]))
+        for slot in self.slots:
+            head = f"{prefix}{slot}/"
+            getattr(self, slot).update({name[len(head):]: arr.copy()
+                                        for name, arr in tensors.items()
+                                        if name.startswith(head)})
+
+
+class Adam(_Optimizer):
     name = "adam"
     slots = ("m", "v")      # one state tensor per slot and parameter
     scalars = ("t",)
@@ -118,22 +142,8 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {f"opt/adam/m/{n}": a for n, a in self.m.items()}
-        out.update({f"opt/adam/v/{n}": a for n, a in self.v.items()})
-        out["opt/adam/t"] = np.array(float(self.t))
-        return out
 
-    def load_state(self, tensors: dict[str, np.ndarray]):
-        self.t = int(tensors["opt/adam/t"])
-        for name, arr in tensors.items():
-            if name.startswith("opt/adam/m/"):
-                self.m[name[len("opt/adam/m/"):]] = arr.copy()
-            elif name.startswith("opt/adam/v/"):
-                self.v[name[len("opt/adam/v/"):]] = arr.copy()
-
-
-class Adadelta:
+class Adadelta(_Optimizer):
     name = "adadelta"
     slots = ("eg2", "edx2")
     scalars = ()
@@ -157,18 +167,6 @@ class Adadelta:
             edx2 *= self.rho
             edx2 += (1.0 - self.rho) * dx * dx
             p.data += self.lr * dx
-
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {f"opt/adadelta/eg2/{n}": a for n, a in self.eg2.items()}
-        out.update({f"opt/adadelta/edx2/{n}": a for n, a in self.edx2.items()})
-        return out
-
-    def load_state(self, tensors: dict[str, np.ndarray]):
-        for name, arr in tensors.items():
-            if name.startswith("opt/adadelta/eg2/"):
-                self.eg2[name[len("opt/adadelta/eg2/"):]] = arr.copy()
-            elif name.startswith("opt/adadelta/edx2/"):
-                self.edx2[name[len("opt/adadelta/edx2/"):]] = arr.copy()
 
 
 def make_optimizer(cfg: TrainConfig):

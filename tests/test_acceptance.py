@@ -21,7 +21,7 @@ import smile.tensor as T
 from smile import checks
 from smile.data import (VocabSpec, build_glyph12, load_corpus, save_corpus)
 from smile.errors import FormatError
-from smile.losses import step_entropy
+from smile.losses import row_entropy
 from smile.metrics import evaluate
 from smile.recognizer import Recognizer
 from smile.self_paced import (PacingSchedule, PredictionPool, portion_at,
@@ -124,7 +124,7 @@ def test_a02_entropy_properties(capfd):
         k = sizes[i % 3]
         row = rng.random(k) + 1e-9
         row /= row.sum()
-        h = step_entropy(T.constant(row)).item()
+        h = row_entropy(T.constant(row[None])).item()
         if not (0.0 <= h <= math.log(k)):
             bounds_ok = False
             break
@@ -132,10 +132,10 @@ def test_a02_entropy_properties(capfd):
     extremes_ok = True
     for k in sizes:
         uniform = np.full(k, 1.0 / k)
-        h_u = step_entropy(T.constant(uniform)).item()
+        h_u = row_entropy(T.constant(uniform[None])).item()
         one_hot = np.zeros(k)
         one_hot[k // 2] = 1.0
-        h_o = step_entropy(T.constant(one_hot)).item()
+        h_o = row_entropy(T.constant(one_hot[None])).item()
         if abs(h_u - math.log(k)) > 1e-9 or abs(h_o) > 1e-9:
             extremes_ok = False
 
@@ -144,11 +144,11 @@ def test_a02_entropy_properties(capfd):
         k = sizes[i % 3]
         logits = T.parameter(rng.normal(size=(1, k)))
         with Tape() as tape:
-            h = step_entropy(T.softmax(logits))
+            h = row_entropy(T.softmax(logits))
             tape.backward(h)
         before = h.item()
         logits.data -= 1e-2 * logits.grad
-        after = step_entropy(T.softmax(logits)).item()
+        after = row_entropy(T.softmax(logits)).item()
         decreased += after < before
 
     ok = bounds_ok and extremes_ok and decreased == 100

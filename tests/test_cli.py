@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from smile import cli
-from smile.data import MAGIC, VERSION, load_corpus, save_corpus, vocab_block
+from smile.data import (MAGIC, SOURCE, VERSION, load_corpus, save_corpus,
+                        vocab_block)
 from smile.trainer import EVAL_HEADER, load_checkpoint, save_checkpoint
 
 
@@ -56,6 +57,31 @@ def test_resolved_config_is_printed_sorted(capsys, tmp_path):
     assert lines == ["[config] gen-data.out = None",
                      "[config] gen-data.preset = glyph12",
                      "[config] gen-data.seed = 7"]
+
+
+def test_train_defaults_are_printed_sorted(capsys):
+    assert cli.main(["train"]) == 1  # --source missing, but config printed
+    out = capsys.readouterr().out
+    lines = [l for l in out.split("\n") if l.startswith("[config]")]
+    assert lines == ["[config] train.allow_cold_smile = False",
+                     "[config] train.batch_source = 32",
+                     "[config] train.batch_target = 32",
+                     "[config] train.checkpoint = None",
+                     "[config] train.clip = 5.0",
+                     "[config] train.entropy_variant = shannon",
+                     "[config] train.eval_every = 200",
+                     "[config] train.lam = 1.0",
+                     "[config] train.lr = None",
+                     "[config] train.mode = base",
+                     "[config] train.optimizer = adam",
+                     "[config] train.out = None",
+                     "[config] train.p_add = 5e-05",
+                     "[config] train.p_init = 0.0",
+                     "[config] train.seed = 0",
+                     "[config] train.source = None",
+                     "[config] train.steps = 1000",
+                     "[config] train.target = None",
+                     "[config] train.test = None"]
 
 
 def test_lambda_flag_sets_lam(capsys):
@@ -186,6 +212,16 @@ def test_train_rejects_zero_record_corpus(capsys, workdir, vocab):
     err = capsys.readouterr().err
     assert "smile train: ContractError:" in err
     assert "corpus has no records" in err
+
+
+def test_eval_rejects_zero_width_corpus(capsys, workdir, vocab):
+    flat = workdir["root"] / "flat.smcp"
+    flat.write_bytes(MAGIC + struct.pack("<IIII", VERSION, 8, 0, 2)
+                     + vocab_block(vocab) + bytes([SOURCE, 1, 0, SOURCE, 1, 1]))
+    assert cli.main(["eval", "--checkpoint", workdir["base_ck"],
+                     "--test", str(flat)]) == 1
+    err = capsys.readouterr().err
+    assert "smile eval: ContractError: corpus: images are 8x0 pixels" in err
 
 
 def test_eval_missing_checkpoint_path(capsys, workdir):

@@ -6,10 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from smile.data import (GLYPH12_CHARS, GLYPH12_LENGTHS, SOURCE, TARGET,
-                        Corpus, DomainConfig, VocabSpec, apply_domain_shift,
-                        build_glyph12, generate_corpus, load_corpus,
-                        make_templates, render_string, save_corpus)
+from smile.data import (GLYPH12_CHARS, GLYPH12_LENGTHS, MAGIC, SOURCE,
+                        TARGET, VERSION, Corpus, DomainConfig, VocabSpec,
+                        apply_domain_shift, build_glyph12, generate_corpus,
+                        load_corpus, make_templates, render_string,
+                        save_corpus, vocab_block)
 from smile.errors import ContractError, FormatError
 
 
@@ -234,7 +235,8 @@ def corpus_parts(n=3):
 
 
 @pytest.mark.parametrize("case", [
-    "rank2", "rank4", "short_labels", "long_domain", "bad_tag"])
+    "rank2", "rank4", "short_labels", "long_domain", "bad_tag", "zero_height",
+    "zero_width"])
 def test_corpus_constructor_contract(vocab, case):
     px, labels, domain = corpus_parts()
     if case == "rank2":
@@ -247,6 +249,10 @@ def test_corpus_constructor_contract(vocab, case):
         domain = np.zeros(4, dtype=np.uint8)
     elif case == "bad_tag":
         domain[1] = 2
+    elif case == "zero_height":
+        px = px[:, :0]
+    elif case == "zero_width":
+        px = px[:, :, :0]
     with pytest.raises(ContractError):
         Corpus(vocab, px, labels, domain)
 
@@ -375,6 +381,19 @@ def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
             save_corpus(Corpus(two, np.zeros((2, 8, 8)), [(0,), bad],
                                np.zeros(2, dtype=np.uint8)), str(path))
         assert not path.exists()
+
+
+def test_zero_size_images_are_refused(tmp_path, vocab):
+    path = tmp_path / "empty_images.smcp"
+    with pytest.raises(ContractError, match="height and width"):
+        save_corpus(Corpus(vocab, np.zeros((2, 8, 0)), [(0,), (1,)],
+                           np.zeros(2, dtype=np.uint8)), str(path))
+    assert not path.exists()
+    # a hand-written file: two labeled records with no pixel bytes
+    path.write_bytes(MAGIC + struct.pack("<IIII", VERSION, 8, 0, 2)
+                     + vocab_block(vocab) + bytes([SOURCE, 1, 0, SOURCE, 1, 1]))
+    with pytest.raises(ContractError, match="8x0 pixels"):
+        load_corpus(str(path))
 
 
 def test_save_rejects_vocab_wider_than_label_field(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import smile.tensor as T
 from smile.errors import ContractError
-from smile.losses import ROW_SUM_TOL, decoder_loss, smile_loss, step_entropy
+from smile.losses import decoder_loss, row_entropy, smile_loss
 from smile.recognizer import Decoded
 from smile.tensor import Tape, Tensor
 
@@ -92,43 +92,39 @@ def test_decoder_loss_gradient_direction(rng):
     assert logits.grad[1, 3] < 0  # EOS target of the second row
 
 
-# -- step_entropy -------------------------------------------------------------
+# -- row_entropy of one decoder step's [1, K] row ------------------------------
 
 def test_step_entropy_uniform_is_log_k():
     row = T.constant(np.full((1, 15), 1.0 / 15))
-    assert abs(step_entropy(row).item() - math.log(15)) < 1e-12
+    assert abs(row_entropy(row).item() - math.log(15)) < 1e-12
 
 
 def test_step_entropy_one_hot_is_zero():
     row = np.zeros((1, 10))
     row[0, 4] = 1.0
     for variant in ("shannon", "pseudo_nll"):
-        assert abs(step_entropy(T.constant(row), variant).item()) < 1e-10
+        assert abs(row_entropy(T.constant(row), variant).item()) < 1e-10
 
 
 def test_step_entropy_half_half():
     row = T.constant([[0.5, 0.5]])
-    assert abs(step_entropy(row, "shannon").item() - math.log(2)) < 1e-12
-    assert abs(step_entropy(row, "pseudo_nll").item() - math.log(2)) < 1e-12
+    assert abs(row_entropy(row, "shannon").item() - math.log(2)) < 1e-12
+    assert abs(row_entropy(row, "pseudo_nll").item() - math.log(2)) < 1e-12
 
 
 def test_step_entropy_bounds_property(rng):
     for k in (5, 15, 30):
         for _ in range(50):
             row = random_stochastic(rng, 1, k)
-            h = step_entropy(T.constant(row)).item()
+            h = row_entropy(T.constant(row)).item()
             assert -1e-12 <= h <= math.log(k) + 1e-12
-            nll = step_entropy(T.constant(row), "pseudo_nll").item()
+            nll = row_entropy(T.constant(row), "pseudo_nll").item()
             assert nll >= -1e-12
 
 
-def test_step_entropy_rejects_unnormalized():
+def test_row_entropy_rejects_unknown_variant():
     with pytest.raises(ContractError):
-        step_entropy(T.constant([[0.5, 0.6]]))
-    # within tolerance is fine
-    step_entropy(T.constant([[0.5, 0.5 + ROW_SUM_TOL / 2]]))
-    with pytest.raises(ContractError):
-        step_entropy(T.constant([[0.5, 0.5]]), "nonsense")
+        row_entropy(T.constant([[0.5, 0.5]]), "nonsense")
 
 
 def test_entropy_gradient_step_sharpens(rng):
@@ -139,11 +135,11 @@ def test_entropy_gradient_step_sharpens(rng):
             continue  # skip near-degenerate draws
         logits = T.parameter(logits_np.copy())
         with Tape() as tape:
-            ent = step_entropy(T.softmax(logits))
+            ent = row_entropy(T.softmax(logits))
             tape.backward(ent)
         before = ent.item()
         logits.data -= 1e-2 * logits.grad
-        after = step_entropy(T.softmax(logits)).item()
+        after = row_entropy(T.softmax(logits)).item()
         assert after < before
 
 
@@ -174,7 +170,7 @@ def test_smile_loss_gradient_scales_with_lambda(rng):
     for lam in (1.0, 2.0):
         logits = T.parameter(logits_np.copy())
         with Tape() as tape:
-            ent = step_entropy(T.softmax(logits))
+            ent = row_entropy(T.softmax(logits))
             total = smile_loss(scalar(5.0), ent, lam)
             tape.backward(total)
         grads[lam] = logits.grad.copy()

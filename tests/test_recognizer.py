@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smile.checks import grad_check
-from smile.data import VocabSpec
+from smile.data import VocabSpec, build_glyph12
 from smile.errors import ContractError, DimensionError
 from smile.losses import decoder_loss
 from smile.recognizer import ArchSpec, Decoded, Recognizer, init_params
@@ -212,6 +212,21 @@ def test_teacher_forced_batch_matches_single(rec):
         assert single.pseudo_labels == batch[b].pseudo_labels
 
 
+def test_teacher_forced_step_records_seven_nodes(rec):
+    # attention query, attend, embedding gather, input concat, matmul, bias
+    # add and gru_cell; the output head runs once per decode, not per step
+    px = some_pixels(2, 3, seed=6)
+    sizes = []
+    for label in ((0,), (0, 1), (0, 1, 2)):
+        with Tape() as tape:
+            rec.teacher_forced(px, [label, label])
+            ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
+        assert ops.count("softmax") == 1
+        assert ops.count("gru_cell") == 3 + len(label) + 1
+        sizes.append(len(ops))
+    assert [b - a for a, b in zip(sizes, sizes[1:])] == [7, 7]
+
+
 # -- greedy decoding ----------------------------------------------------------
 
 def test_greedy_respects_output_alphabet(rec):
@@ -235,26 +250,23 @@ def test_greedy_batch_matches_single(rec):
         assert np.allclose(single.probs, batch[b].probs, atol=1e-12)
 
 
+def test_greedy_labels_are_restricted_argmax_of_probs():
+    # the fed-back labels come from untaped per-step logits, the returned
+    # probs from one output head after the loop; both must agree
+    glyph12 = build_glyph12(7)["target_test"]
+    g_rec = Recognizer.fresh(glyph12.vocab, l_max=4, seed=2)
+    decoded = g_rec.greedy(glyph12.pixels[:64])
+    masked = decoded.probs.data.copy()
+    masked[:, [g_rec.vocab.GO, g_rec.vocab.PAD]] = -1.0
+    flat = [i for labels in decoded.labels for i in labels]
+    assert np.argmax(masked, axis=1).tolist() == flat
+
+
 def test_greedy_deterministic(rec):
     px = some_pixels(4, 3, seed=4)
     a = rec.greedy(px)
     b = rec.greedy(px)
     assert all(x.pseudo_labels == y.pseudo_labels for x, y in zip(a, b))
-
-
-def test_predict_decodes_strings(rec):
-    texts = rec.predict(some_pixels(4, 3, seed=5))
-    assert len(texts) == 4
-    for s in texts:
-        assert set(s) <= set("ABCD")
-        assert len(s) <= rec.arch.l_max + 1
-
-
-def test_single_image_predict(rec, vocab, templates):
-    from smile.data import render_string
-    px = render_string((0, 1), VocabSpec("ABCD"), templates, l_max=3)
-    out = rec.predict(px[None])
-    assert len(out) == 1 and isinstance(out[0], str)
 
 
 # -- the decoded block --------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import smile.tensor as T
 from smile.errors import ContractError
-from smile.losses import step_entropy
+from smile.losses import row_entropy
 from smile.recognizer import Decoded
 from smile.self_paced import (PacingSchedule, PredictionPool, build_pool,
                               portion_at, select, selected_entropy_loss)
@@ -92,7 +92,7 @@ def test_build_pool_entropies_match_step_entropy(rng):
     for variant in ("shannon", "pseudo_nll"):
         pool = build_pool(output_from(rows), variant)
         for i, t in enumerate(pool.timestep.tolist()):
-            want = step_entropy(T.constant(rows[t:t + 1]), variant).item()
+            want = row_entropy(T.constant(rows[t:t + 1]), variant).item()
             assert abs(float(pool.column.data[i, 0]) - want) < 1e-12
 
 
