@@ -160,11 +160,15 @@ def _op_cases(rng: np.random.Generator):
     yield "reshape", (lambda x=x: _weighted_sum(
         T.reshape(x, (2, 6)), w26)), {"x": x}
 
-    # B=2, H=2: every gate block and both recurrent products are reached
-    xw, hid, u = _leaf(rng, 2, 6), _leaf(rng, 2, 2), _leaf(rng, 2, 6)
+    # B=1, T=2, H=2: every gate block, both recurrent products and the
+    # gradient carried between steps are reached, in either direction
+    xw, hid, u = _leaf(rng, 1, 12), _leaf(rng, 1, 2), _leaf(rng, 2, 6)
+    reverse = bool(rng.integers(2))
+    yield "gru_cell", (lambda xw=xw, hid=hid, u=u, reverse=reverse:
+                       _weighted_sum(T.gru_cell(xw, hid, u, reverse), w14)), \
+        {"xw": xw, "h": hid, "U": u}
+
     w22 = rng.standard_normal((2, 2))
-    yield "gru_cell", (lambda xw=xw, hid=hid, u=u: _weighted_sum(
-        T.gru_cell(xw, hid, u), w22)), {"xw": xw, "h": hid, "U": u}
 
     # B=2, T=3 positions, a=2 key width, h=2 feature width
     keys, feats = _leaf(rng, 2, 3, 2), _leaf(rng, 2, 3, 2)

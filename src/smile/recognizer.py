@@ -3,20 +3,20 @@
 The encoder flattens the 8x8 column strips of a batch into one [B*T, 64]
 block, projects it through tanh with one matmul, and runs a GRU over the
 strip sequence (optionally bidirectional with summed directions): one input
-matmul per direction, then one recurrence loop shared by both directions,
-a row gather and a tensor.gru_cell node per strip.  The decoder is a GRU
-with additive attention queried by its previous hidden state; each step
-sees [attention context ++ input embedding].
+matmul per direction, reshaped so row b holds sample b's strips side by
+side, then one tensor.gru_cell node over the whole sequence per direction.
+The decoder is a GRU with additive attention queried by its previous hidden
+state; each step sees [attention context ++ input embedding].
 
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU keeps its checkpoint parameters per gate (W_z|W_r|W_n, U_*,
 b_*); a forward pass concatenates them once into the fused [in, 3h], [h, 3h]
 and [1, 3h] layout.  A decoder step records attention (one query matmul and
 one tensor.attend node over the [B, T, a] keys and [B, T, h] features), the
-embedding gather, the input concat, matmul and bias add, and one gru_cell
-node; its restricted argmax, which greedy feeds back, comes from untaped
-numpy logits.  After the loop one output head (matmul, bias add, softmax)
-projects every step's hidden state at once.  Both decodes return one
+embedding gather, the input concat, matmul and bias add, and a one-step
+gru_cell node; its restricted argmax, which greedy feeds back, comes from
+untaped numpy logits.  After the loop one output head (matmul, bias add,
+softmax) projects every step's hidden state at once.  Both decodes return one
 Decoded: the emitted rows of every sample in one sample-major [N, K] block,
 padded rows dropped, with the per-step restricted-argmax labels; iterating
 it gives per-sample DecoderOutputs.
@@ -55,6 +55,10 @@ class ArchSpec:
         if not 1 <= self.l_max <= MAX_LABEL:
             raise ContractError(f"arch: l_max {self.l_max} outside "
                                 f"[1, {MAX_LABEL}], the corpus label range")
+        for name in ("d_feat", "enc_hidden", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise ContractError(
+                    f"arch: {name} {getattr(self, name)} is below 1")
 
     @property
     def dec_hidden(self) -> int:
@@ -163,12 +167,10 @@ class Recognizer:
 
     @classmethod
     def fresh(cls, vocab: VocabSpec, l_max: int, seed: int,
-              d_feat: int = 32, enc_hidden: int = 32, embed_dim: int = 16,
-              bidirectional: bool = False) -> "Recognizer":
-        arch = ArchSpec(K=vocab.K, l_max=l_max, d_feat=d_feat,
-                        enc_hidden=enc_hidden, embed_dim=embed_dim,
-                        bidirectional=bidirectional)
-        return cls(vocab, arch, init_params(arch, seed))
+              **arch) -> "Recognizer":
+        """A freshly initialized model; arch takes ArchSpec's size fields."""
+        spec = ArchSpec(K=vocab.K, l_max=l_max, **arch)
+        return cls(vocab, spec, init_params(spec, seed))
 
     # -- shared pieces ------------------------------------------------------
 
@@ -183,14 +185,11 @@ class Recognizer:
         """The prefix's GRU over the sample-major strip rows x [B*T, d];
         returns its states as one [B, T*h] block in time order."""
         w, b, u = self._gru_weights(prefix)
-        xw = T.add(T.matmul(x, w), b)
-        hid = T.zeros((x.shape[0] // t_enc, self.arch.enc_hidden))
-        states = [None] * t_enc
-        for t in sorted(range(t_enc), reverse=reverse):
-            rows = np.arange(t, x.shape[0], t_enc)  # strip t of each sample
-            hid = T.gru_cell(T.gather_rows(xw, rows), hid, u)
-            states[t] = hid
-        return T.concat(states, axis=1)
+        batch = x.shape[0] // t_enc
+        # row b holds sample b's strips' input projections side by side
+        xw = T.reshape(T.add(T.matmul(x, w), b), (batch, t_enc * w.shape[1]))
+        return T.gru_cell(xw, T.zeros((batch, self.arch.enc_hidden)), u,
+                          reverse=reverse)
 
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
         """pixels: [B, 8, W] with W a positive multiple of 8."""

@@ -5,8 +5,10 @@ the current thread, records a backward rule onto it.  The tape is rebuilt on
 every forward pass; one tape and its tensors belong to a single thread.
 add, sub and mul broadcast as numpy does, at any rank; their backward rules
 sum the gradient over every stretched axis.  gru_cell and attend are fused
-recurrent primitives: a whole GRU step or attention read is one node with an
-analytic backward, in place of the 12-20 elementary nodes it would take.
+recurrent primitives with analytic backward rules: gru_cell runs a GRU over
+a whole sequence of steps (one step for a decoder) as one node whose
+backward is BPTT, and attend is one attention read, each in place of the
+12-20 elementary nodes a step would take.
 """
 
 from __future__ import annotations
@@ -424,47 +426,63 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused recurrent ops: one tape node for a whole GRU step or attention read
+# fused recurrent ops: one tape node for a whole GRU sequence or attention read
 
-def gru_cell(xw: Tensor, h: Tensor, U: Tensor) -> Tensor:
-    """One GRU step (Cho et al. 2014) with its gates in blocks z | r | n.
+def gru_cell(xw: Tensor, h: Tensor, U: Tensor,
+             reverse: bool = False) -> Tensor:
+    """A GRU (Cho et al. 2014) over T steps, gates in blocks z | r | n.
 
-    xw = x @ W + b is the step's input projection [B, 3H], h the previous
-    state [B, H] and U the recurrent weights [H, 3H]:
-    z, r = sigmoid(xw_zr + h @ U_zr), n = tanh(xw_n + (r * h) @ U_n) and
-    h' = (1 - z) * n + z * h.
+    xw [B, T*3H] holds the steps' input projections x_t @ W + b side by
+    side, h the initial state [B, H] and U the recurrent weights [H, 3H].
+    A step computes z, r = sigmoid(xw_zr + h @ U_zr),
+    n = tanh(xw_n + (r * h) @ U_n) and h' = (1 - z) * n + z * h.  Steps run
+    first to last, or last to first with reverse; the [B, T*H] result holds
+    every step's state in time order, and backward is BPTT in this one node.
     """
     if xw.data.ndim != 2 or h.data.ndim != 2 or U.data.ndim != 2:
         raise DimensionError(
             f"gru_cell: operands must be rank 2, got {xw.shape}, {h.shape}, "
             f"{U.shape}")
     batch, hid = h.shape
-    two = 2 * hid
-    if xw.shape != (batch, 3 * hid) or U.shape != (hid, 3 * hid):
+    two, three = 2 * hid, 3 * hid
+    if (xw.shape[0] != batch or xw.shape[1] == 0 or xw.shape[1] % three
+            or U.shape != (hid, three)):
         raise DimensionError(
-            f"gru_cell: need xw [B, 3H], h [B, H], U [H, 3H]; got {xw.shape}, "
-            f"{h.shape}, {U.shape}")
-    hd, ud = h.data, U.data
-    zr = _sigmoid(xw.data[:, :two] + hd @ ud[:, :two])
-    z, r = zr[:, :hid], zr[:, hid:]
-    rh = r * hd
-    n = np.tanh(xw.data[:, two:] + rh @ ud[:, two:])
-    out = Tensor((1.0 - z) * n + z * hd)
+            f"gru_cell: need xw [B, T*3H] with T >= 1, h [B, H], U [H, 3H]; "
+            f"got {xw.shape}, {h.shape}, {U.shape}")
+    xs, ud = xw.data.reshape(batch, -1, three), U.data
+    steps = sorted(range(xs.shape[1]), reverse=reverse)
+    states = np.empty((batch, len(steps), hid))
+    saved = []  # (h, z, r, r*h, n) of each step, in run order
+    hd = h.data
+    for t in steps:
+        zr = _sigmoid(xs[:, t, :two] + hd @ ud[:, :two])
+        z, r = zr[:, :hid], zr[:, hid:]
+        rh = r * hd
+        n = np.tanh(xs[:, t, two:] + rh @ ud[:, two:])
+        saved.append((hd, z, r, rh, n))
+        hd = np.add((1.0 - z) * n, z * hd, out=states[:, t])
+    out = Tensor(states.reshape(batch, -1))
 
     def back():
-        g = out.grad
-        d = np.empty((batch, 3 * hid))  # gradient at the pre-activations
-        d[:, two:] = g * (1.0 - z) * (1.0 - n * n)
-        drh = d[:, two:] @ ud[:, two:].T
-        d[:, :hid] = g * (hd - n) * z * (1.0 - z)
-        d[:, hid:two] = drh * hd * r * (1.0 - r)
-        if xw.requires_grad:
-            xw.grad += d
-        if U.requires_grad:
-            U.grad[:, :two] += hd.T @ d[:, :two]
-            U.grad[:, two:] += rh.T @ d[:, two:]
+        gs = out.grad.reshape(states.shape)
+        dh = None  # gradient reaching the state the later step read
+        for t, (hd, z, r, rh, n) in zip(reversed(steps), reversed(saved)):
+            g = gs[:, t] if dh is None else gs[:, t] + dh
+            d = np.empty((batch, three))  # gradient at the pre-activations
+            d[:, two:] = g * (1.0 - z) * (1.0 - n * n)
+            drh = d[:, two:] @ ud[:, two:].T
+            d[:, :hid] = g * (hd - n) * z * (1.0 - z)
+            d[:, hid:two] = drh * hd * r * (1.0 - r)
+            if xw.requires_grad:
+                xw.grad.reshape(xs.shape)[:, t] += d
+            if U.requires_grad:
+                U.grad[:, :two] += hd.T @ d[:, :two]
+                U.grad[:, two:] += rh.T @ d[:, two:]
+            if t != steps[0] or h.requires_grad:
+                dh = g * z + drh * r + d[:, :two] @ ud[:, :two].T
         if h.requires_grad:
-            h.grad += g * z + drh * r + d[:, :two] @ ud[:, :two].T
+            h.grad += dh
 
     return _track(out, (xw, h, U), back)
 

@@ -231,7 +231,16 @@ def _seed_tensor(seed: int) -> np.ndarray:
 
 
 def _seed_value(opt_state: dict[str, np.ndarray]) -> int:
-    lo, hi = opt_state["opt/seed"]
+    """The run seed a checkpoint carries as two u32 halves (low, high)."""
+    halves = opt_state["opt/seed"]
+    if halves.shape != (2,):
+        raise ContractError(
+            f"resume: opt/seed has shape {halves.shape}, expected (2,)")
+    if not np.all((halves >= 0) & (halves < 2.0 ** 32)
+                  & (halves == np.floor(halves))):
+        raise ContractError(f"resume: opt/seed {halves.tolist()} is not two "
+                            f"integers in [0, 2^32)")
+    lo, hi = halves
     return int(lo) | (int(hi) << 32)
 
 
@@ -445,9 +454,9 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         if "opt/seed" not in start.opt_state:
             raise ContractError("checkpoint carries no optimizer state to resume")
         _check_opt_state(opt, start.opt_state, rec.params)
+        seed = _seed_value(start.opt_state)
         opt.load_state(start.opt_state)
         start_step = start.step
-        seed = _seed_value(start.opt_state)
     if start_step >= cfg.steps:
         raise ContractError(
             f"resume step {start_step} is not below total steps {cfg.steps}")

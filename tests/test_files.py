@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import smile
 from smile import cli
 from smile.data import VocabSpec, generate_corpus, load_corpus, save_corpus
 from smile.errors import ContractError, FormatError
-from smile.recognizer import ArchSpec, init_params
+from smile.recognizer import ArchSpec, init_params, param_shapes
 from smile.trainer import Checkpoint, load_checkpoint, save_checkpoint
 
 NAMED = (ContractError, FormatError)
@@ -138,6 +139,28 @@ def test_checkpoint_huge_l_max_fails_fast(capsys, tmp_path, files):
                      "--test", str(files["corpus"])])
     assert code == 1
     assert "ContractError: arch: l_max" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["d_feat", "enc_hidden", "embed_dim"])
+def test_checkpoint_zero_arch_size_refused(capsys, tmp_path, files, name):
+    # ArchSpec refuses a zero size, so write the file from a stand-in arch
+    # whose zero-size tensors match their declared shapes
+    sizes = {"d_feat": 2, "enc_hidden": 2, "embed_dim": 2, name: 0}
+    vocab = VocabSpec("ABCD")
+    arch = SimpleNamespace(K=vocab.K, l_max=2, bidirectional=False,
+                           dec_hidden=2 * sizes["enc_hidden"],
+                           attn_dim=sizes["d_feat"], **sizes)
+    params = {n: np.full(shape, 0.1)
+              for n, shape in param_shapes(arch).items()}
+    path = tmp_path / "zero.smck"
+    save_checkpoint(Checkpoint(vocab, arch, params, {"opt/seed": np.zeros(2)},
+                               3), str(path))
+    with pytest.raises(ContractError, match=f"{name} 0 is below 1"):
+        load_checkpoint(str(path))
+    code = cli.main(["eval", "--checkpoint", str(path),
+                     "--test", str(files["corpus"])])
+    assert code == 1
+    assert f"ContractError: arch: {name} 0" in capsys.readouterr().err
 
 
 def test_checkpoint_bad_name_and_rank_rejected(tmp_path):

@@ -76,6 +76,14 @@ def test_arch_bounds_l_max_to_the_label_field():
             ArchSpec(K=7, l_max=bad)
 
 
+def test_arch_refuses_sizes_below_one():
+    for name in ("d_feat", "enc_hidden", "embed_dim"):
+        with pytest.raises(ContractError, match=f"{name} 0 is below 1"):
+            ArchSpec(K=7, l_max=4, **{name: 0})
+    with pytest.raises(ContractError, match="d_feat"):
+        Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=0, d_feat=0)
+
+
 def test_recognizer_rejects_vocab_arch_mismatch():
     with pytest.raises(ContractError):
         Recognizer(VocabSpec("AB"), ArchSpec(K=9, l_max=2), {})
@@ -103,7 +111,7 @@ def test_encode_rejects_bad_dimensions(rec):
 
 
 @pytest.mark.parametrize("bidirectional", [False, True])
-def test_encode_tape_grows_two_nodes_per_strip(bidirectional):
+def test_encode_tape_is_the_same_for_any_strip_count(bidirectional):
     enc_rec = Recognizer.fresh(VocabSpec("ABCD"), l_max=4, seed=3,
                                bidirectional=bidirectional)
     directions = 2 if bidirectional else 1
@@ -112,14 +120,14 @@ def test_encode_tape_grows_two_nodes_per_strip(bidirectional):
         with Tape() as tape:
             enc_rec.encode(some_pixels(2, width // 8))
             ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
-        # one strip projection, one input projection per direction and
-        # the keys, whatever the strip count
+        # one strip projection, one input projection and one whole-sequence
+        # gru_cell per direction, and the keys, whatever the strip count
         assert ops.count("tanh") == 1
         assert ops.count("matmul") == 2 + directions
-        assert ops.count("gru_cell") == directions * width // 8
+        assert ops.count("gru_cell") == directions
+        assert ops.count("gather_rows") == 0
         sizes.append(len(ops))
-    # each extra strip is one gather_rows and one gru_cell per direction
-    assert [b - a for a, b in zip(sizes, sizes[1:])] == [2 * directions] * 2
+    assert sizes == [22 if bidirectional else 14] * 3
 
 
 def numpy_gru(p, prefix, x, h):
@@ -164,9 +172,9 @@ def test_bidirectional_teacher_forced_through_gru_cell():
 
     with Tape() as tape:
         make_loss()
-        # 3 strips in each direction plus 3 decoder steps
+        # one per encoder direction plus 3 decoder steps
         assert sum(fn.__qualname__.startswith("gru_cell.")
-                   for _, fn in tape._nodes) == 9
+                   for _, fn in tape._nodes) == 5
     leaves = {n: birec.params[n] for n in ("enc_bwd/U_r", "enc_bwd/W_n",
                                            "enc/U_z", "dec/b_n")}
     err = grad_check(make_loss, leaves, coords_per_leaf=6,
@@ -222,7 +230,7 @@ def test_teacher_forced_step_records_seven_nodes(rec):
             rec.teacher_forced(px, [label, label])
             ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
         assert ops.count("softmax") == 1
-        assert ops.count("gru_cell") == 3 + len(label) + 1
+        assert ops.count("gru_cell") == 1 + len(label) + 1
         sizes.append(len(ops))
     assert [b - a for a, b in zip(sizes, sizes[1:])] == [7, 7]
 

@@ -273,6 +273,16 @@ def gru_reference(xw, h, u):
     return T.add(T.mul(T.sub(1.0, z), n), T.mul(z, h))
 
 
+def gru_sequence_reference(xw, h, u, reverse=False):
+    """gru_reference step by step over the T = width / 3H input blocks."""
+    three = u.shape[1]
+    states = [None] * (xw.shape[1] // three)
+    for t in sorted(range(len(states)), reverse=reverse):
+        h = gru_reference(columns(xw, t * three, (t + 1) * three), h, u)
+        states[t] = h
+    return T.concat(states, axis=1)
+
+
 def attend_reference(keys, feats, q, v):
     batch, t_enc, attn = keys.shape
     energy = T.tanh(T.add(keys, T.reshape(q, (batch, 1, attn))))
@@ -300,6 +310,14 @@ def check_against_reference(rng, op, ref, leaves):
 def test_gru_cell_matches_composite(rng):
     leaves = [T.parameter(rng.normal(size=s)) for s in ((3, 6), (3, 2), (2, 6))]
     check_against_reference(rng, T.gru_cell, gru_reference, leaves)
+    # T = 3 steps, first to last and last to first
+    leaves = [T.parameter(rng.normal(size=s))
+              for s in ((3, 18), (3, 2), (2, 6))]
+    for reverse in (False, True):
+        check_against_reference(
+            rng, lambda *a, r=reverse: T.gru_cell(*a, reverse=r),
+            lambda *a, r=reverse: gru_sequence_reference(*a, reverse=r),
+            leaves)
 
 
 def test_attend_matches_composite(rng):
@@ -309,8 +327,9 @@ def test_attend_matches_composite(rng):
 
 
 def test_gru_cell_large_preactivations_finite(rng):
-    # |pre-activation| ~ 1e3 on both signs must neither overflow nor warn
-    xw = T.parameter(1e3 * rng.choice([-1.0, 1.0], (4, 6)))
+    # |pre-activation| ~ 1e3 on both signs must neither overflow nor warn,
+    # over T = 3 steps so saturated gates carry gradient between steps
+    xw = T.parameter(1e3 * rng.choice([-1.0, 1.0], (4, 18)))
     h = T.parameter(rng.uniform(-1.0, 1.0, (4, 2)))
     u = T.parameter(rng.normal(size=(2, 6)))
     with warnings.catch_warnings():
@@ -329,6 +348,8 @@ def test_fused_ops_reject_mismatched_shapes():
         return T.constant(np.zeros(shape))
 
     for xw, h, u in (((3, 5), (3, 2), (2, 6)),     # xw not 3H wide
+                     ((3, 8), (3, 2), (2, 6)),     # xw not a multiple of 3H
+                     ((3, 0), (3, 2), (2, 6)),     # no steps
                      ((3, 6), (3, 2), (3, 6)),     # U not [H, 3H]
                      ((4, 6), (3, 2), (2, 6)),     # batch disagrees
                      ((3, 6), (3, 2, 1), (2, 6))):  # wrong rank

@@ -332,6 +332,14 @@ def test_resume_validation(small_source):
         with pytest.raises(ContractError, match=name):
             train_with_corpora(quick_cfg(steps=20, seed=8),
                                source=small_source, start=broken, resume=True)
+    # the run seed must be two u32 halves
+    for seed in (np.zeros(3), np.array(5.0), np.array([-1.0, 0.0]),
+                 np.array([np.nan, 0.0])):
+        broken = Checkpoint(ck.vocab, ck.arch, ck.params,
+                            dict(ck.opt_state, **{"opt/seed": seed}), ck.step)
+        with pytest.raises(ContractError, match="opt/seed"):
+            train_with_corpora(quick_cfg(steps=20, seed=8),
+                               source=small_source, start=broken, resume=True)
 
 
 def test_start_checkpoint_restarts_clock(small_source):
