@@ -1,15 +1,19 @@
 """Evaluation metrics and run comparison tables.
 
-Word accuracy is exact string match; character accuracy is one minus edit
-distance normalized by the longer string; mean entropy averages the
-Shannon entropy (losses.row_entropy, forward only) of every emitted row of
-the set's greedy decodes.
+Scores compare label sequences (strings or tuples of character indices):
+word accuracy is exact sequence match; character accuracy is one minus the
+summed edit distance over the summed longer lengths; mean entropy averages
+the Shannon entropy (losses.row_entropy, forward only) of every emitted row
+of the set's greedy decodes.  evaluate decodes the set in batches of
+EVAL_BATCH images and scores the index tuples directly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,7 +22,7 @@ from .errors import ContractError
 from .losses import row_entropy
 from .recognizer import Recognizer, check_width
 
-EVAL_BATCH = 64
+EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,8 @@ class EvalResult:
     n: int
 
 
-def word_accuracy(preds: list[str], labels: list[str]) -> float:
+def word_accuracy(preds: Sequence[Sequence], labels: Sequence[Sequence]
+                  ) -> float:
     if len(preds) != len(labels):
         raise ContractError(
             f"word_accuracy: {len(preds)} predictions vs {len(labels)} labels")
@@ -38,25 +43,61 @@ def word_accuracy(preds: list[str], labels: list[str]) -> float:
     return sum(p == l for p, l in zip(preds, labels)) / len(preds)
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Levenshtein distance, two-row dynamic program."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1,
-                           cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+def _padded(seqs: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Strings (as code points) or int sequences as one zero-padded [n, L]
+    int array, plus their lengths."""
+    lens = np.array([len(s) for s in seqs], dtype=np.intp)
+    if seqs and isinstance(seqs[0], str):
+        flat = np.frombuffer("".join(seqs).encode("utf-32-le"), np.uint32)
+    else:
+        flat = np.fromiter(chain.from_iterable(seqs), np.int64, int(lens.sum()))
+    grid = np.zeros((len(seqs), int(lens.max(initial=0))), dtype=np.int64)
+    grid[np.arange(grid.shape[1]) < lens[:, None]] = flat
+    return grid, lens
 
 
-def char_accuracy(preds: list[str], labels: list[str]) -> float:
-    total_edit = sum(edit_distance(p, l) for p, l in zip(preds, labels))
-    total_len = sum(max(len(p), len(l)) for p, l in zip(preds, labels))
-    return 1.0 - total_edit / total_len if total_len else 1.0
+def _distances(a_seqs: Sequence[Sequence], b_seqs: Sequence[Sequence]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Levenshtein distance of each (a, b) pair, and each pair's longer
+    length: the Wagner-Fischer dynamic program run for all pairs at once
+    over padded int arrays, one row update per character of the longer side,
+    each pair read at [len_a, len_b]."""
+    a, len_a = _padded(a_seqs)
+    b, len_b = _padded(b_seqs)
+    if a.shape[1] < b.shape[1]:
+        a, len_a, b, len_b = b, len_b, a, len_a
+    pairs = np.arange(len(a))
+    j = np.arange(b.shape[1] + 1)
+    row = np.broadcast_to(j, (len(a), len(j)))  # row 0: an empty a
+    dist = len_b.copy()
+    t = np.empty(row.shape, dtype=np.int64)
+    for i in range(1, a.shape[1] + 1):
+        # substitution or deletion, then the insertion chain along the row:
+        # d[j] = min over k <= j of t[k] + (j - k)
+        t[:, 0] = i
+        np.minimum(row[:, :-1] + (a[:, i - 1:i] != b), row[:, 1:] + 1,
+                   out=t[:, 1:])
+        row = np.minimum.accumulate(t - j, axis=1) + j
+        dist = np.where(len_a == i, row[pairs, len_b], dist)
+    return dist, np.maximum(len_a, len_b)
+
+
+def edit_distance(a: Sequence, b: Sequence) -> int:
+    """Levenshtein distance of two strings or int sequences; the batched
+    dynamic program of char_accuracy run on one pair."""
+    return int(_distances([a], [b])[0][0])
+
+
+def char_accuracy(preds: Sequence[Sequence], labels: Sequence[Sequence]
+                  ) -> float:
+    if len(preds) != len(labels):
+        raise ContractError(
+            f"char_accuracy: {len(preds)} predictions vs {len(labels)} labels")
+    if not preds:
+        raise ContractError("char_accuracy: empty lists")
+    dist, longer = _distances(preds, labels)
+    total_len = int(longer.sum())
+    return 1.0 - int(dist.sum()) / total_len if total_len else 1.0
 
 
 def evaluate(rec: Recognizer, corpus: Corpus,
@@ -73,32 +114,32 @@ def evaluate(rec: Recognizer, corpus: Corpus,
         raise ContractError("evaluate: corpus has unlabeled images")
     check_width(rec.arch, corpus, "evaluate")
     pixels = corpus.pixels
-    chunks = [(i, pixels[i:i + EVAL_BATCH])
+    chunks = [pixels[i:i + EVAL_BATCH]
               for i in range(0, len(corpus), EVAL_BATCH)]
+    n_chars = rec.vocab.n_chars
 
     def run_chunk(chunk_pixels: np.ndarray):
         decoded = rec.greedy(chunk_pixels)
-        preds = [rec.vocab.decode([i for i in labels if i < rec.vocab.n_chars])
+        preds = [tuple(i for i in labels if i < n_chars)
                  for labels in decoded.labels]
         entropies = row_entropy(decoded.probs).data
         return preds, float(entropies.sum()), entropies.shape[0]
 
     if (threads or 1) > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, [c for _, c in chunks]))
+            results = list(pool.map(run_chunk, chunks))
     else:
-        results = [run_chunk(c) for _, c in chunks]
+        results = [run_chunk(c) for c in chunks]
 
-    preds: list[str] = []
+    preds: list[tuple[int, ...]] = []
     ent_sum, ent_rows = 0.0, 0
     for chunk_preds, s, r in results:
         preds.extend(chunk_preds)
         ent_sum += s
         ent_rows += r
-    labels = [corpus.vocab.decode(label) for label in corpus.labels]
     return EvalResult(
-        word_acc=word_accuracy(preds, labels),
-        char_acc=char_accuracy(preds, labels),
+        word_acc=word_accuracy(preds, corpus.labels),
+        char_acc=char_accuracy(preds, corpus.labels),
         mean_entropy=ent_sum / ent_rows if ent_rows else 0.0,
         n=len(corpus))
 

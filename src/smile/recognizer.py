@@ -242,9 +242,12 @@ class Recognizer:
         logits = T.add(T.matmul(T.concat(states, axis=0), p["out/W"]),
                        p["out/b"])
         batch = len(lengths)
-        rows = [t * batch + b for b in range(batch) for t in range(lengths[b])]
-        picked = np.stack(step_labels)
-        labels = [tuple(picked[:n, b].tolist()) for b, n in enumerate(lengths)]
+        lengths = np.asarray(lengths)
+        steps = np.arange(len(states))
+        rows = (steps * batch + np.arange(batch)[:, None])[
+            steps < lengths[:, None]]
+        picked = np.stack(step_labels).T.tolist()
+        labels = [tuple(seq[:n]) for seq, n in zip(picked, lengths.tolist())]
         return Decoded(T.gather_rows(T.softmax(logits), rows), labels)
 
     # -- the two decoding modes ---------------------------------------------
@@ -294,7 +297,7 @@ class Recognizer:
         batch = len(pixels)
         weights = self._gru_weights("dec")
         h = T.zeros((batch, self.arch.dec_hidden))
-        ids = [self.vocab.GO] * batch
+        ids = np.full(batch, self.vocab.GO)
         done = np.zeros(batch, dtype=bool)
         lengths = np.zeros(batch, dtype=int)
         states, step_labels = [], []
@@ -306,5 +309,5 @@ class Recognizer:
             done |= picked == self.vocab.EOS
             if done.all():
                 break
-            ids = [int(i) for i in picked]
+            ids = picked
         return self._split_outputs(states, step_labels, lengths)

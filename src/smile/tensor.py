@@ -226,9 +226,12 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to stay overflow-free on large |x|
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # 1 / (1 + exp(-x)) in one buffer; capping -x at EXP_CEIL keeps exp finite
+    y = np.maximum(x, -EXP_CEIL)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -461,7 +464,7 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor,
         rh = r * hd
         n = np.tanh(xs[:, t, two:] + rh @ ud[:, two:])
         saved.append((hd, z, r, rh, n))
-        hd = np.add((1.0 - z) * n, z * hd, out=states[:, t])
+        hd = np.add(n, z * (hd - n), out=states[:, t])
     out = Tensor(states.reshape(batch, -1))
 
     def back():

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import smile.tensor as T
-from smile.data import VocabSpec
+from smile.data import Corpus, VocabSpec, generate_corpus
 from smile.errors import ContractError
-from smile.metrics import (EvalResult, char_accuracy, compare_report,
-                           edit_distance, evaluate, word_accuracy)
+from smile.losses import row_entropy
+from smile.metrics import (EVAL_BATCH, EvalResult, char_accuracy,
+                           compare_report, edit_distance, evaluate,
+                           word_accuracy)
 from smile.recognizer import ArchSpec, Decoded, Recognizer
 
 
@@ -65,6 +67,44 @@ def test_edit_distance_is_a_metric(rng):
         assert dab <= max(len(a), len(b))
 
 
+def random_pairs(rng, draw):
+    # lengths 0-8 on both sides, so empty sides come up often
+    return [(draw(int(rng.integers(0, 9))), draw(int(rng.integers(0, 9))))
+            for _ in range(150)]
+
+
+@pytest.mark.parametrize("kind", ["str", "int"])
+def test_edit_distance_matches_oracle(rng, kind):
+    if kind == "str":
+        def draw(n):
+            return "".join(rng.choice(list("ABC"), n))
+    else:
+        def draw(n):
+            return tuple(int(i) for i in rng.integers(0, 4, n))
+    pairs = random_pairs(rng, draw) + [(draw(0), draw(0)), (draw(5), draw(0))]
+    for a, b in pairs:
+        assert edit_distance(a, b) == edit_distance_oracle(a, b)
+        assert edit_distance(b, a) == edit_distance_oracle(b, a)
+
+
+def test_char_accuracy_is_one_dp_over_all_pairs(rng):
+    # one call over a mixed-length list equals the per-pair distances
+    pairs = random_pairs(rng, lambda n: "".join(rng.choice(list("ABCD"), n)))
+    preds, labels = [a for a, _ in pairs], [b for _, b in pairs]
+    edits = sum(edit_distance(a, b) for a, b in pairs)
+    longer = sum(max(len(a), len(b)) for a, b in pairs)
+    assert char_accuracy(preds, labels) == 1.0 - edits / longer
+    assert char_accuracy(labels, preds) == 1.0 - edits / longer
+
+
+def test_char_accuracy_strings_equal_index_tuples(rng, vocab):
+    words = ["".join(rng.choice(list(vocab.characters), int(rng.integers(0, 6))))
+             for _ in range(60)]
+    preds, labels = words[:30], words[30:]
+    assert char_accuracy(preds, labels) == char_accuracy(
+        [vocab.encode(w) for w in preds], [vocab.encode(w) for w in labels])
+
+
 # -- character accuracy -------------------------------------------------------
 
 def test_char_accuracy_formula():
@@ -72,6 +112,13 @@ def test_char_accuracy_formula():
     assert char_accuracy(["AB", "CCC"], ["AC", "CCC"]) == 1.0 - 1.0 / 5.0
     assert char_accuracy(["AB"], ["AB"]) == 1.0
     assert char_accuracy(["ABCD"], ["AB"]) == 0.5  # over-generation penalized
+
+
+def test_char_accuracy_refuses_mismatched_or_empty_lists():
+    with pytest.raises(ContractError, match="2 predictions vs 1 labels"):
+        char_accuracy(["AB", "C"], ["AB"])
+    with pytest.raises(ContractError, match="empty"):
+        char_accuracy([], [])
 
 
 # -- evaluate -----------------------------------------------------------------
@@ -100,7 +147,6 @@ def test_evaluate_perfect_model(vocab, small_source):
     stub = StubModel(vocab, rows)
     only_a = [i for i, label in enumerate(small_source.labels)
               if label == (0,)]
-    from smile.data import Corpus
     corpus = Corpus(vocab, small_source.pixels[only_a], [(0,)] * len(only_a),
                     small_source.domain[only_a])
     result = evaluate(stub, corpus)
@@ -125,6 +171,31 @@ def test_evaluate_thread_count_does_not_change_results(small_source):
     assert serial == threaded
 
 
+def test_evaluate_batches_match_a_chunked_reference(vocab, templates):
+    # 300 images: not a multiple of EVAL_BATCH, and a short last batch;
+    # the reference decodes chunks of 64 and scores decoded strings
+    corpus = generate_corpus(vocab, templates, 300, (1, 3), seed=21)
+    assert len(corpus) % EVAL_BATCH
+    rec = Recognizer.fresh(vocab, l_max=3, seed=4)
+    preds, ent_sum, ent_rows = [], 0.0, 0
+    for i in range(0, len(corpus), 64):
+        decoded = rec.greedy(corpus.pixels[i:i + 64])
+        preds += [vocab.decode([k for k in labels if k < vocab.n_chars])
+                  for labels in decoded.labels]
+        entropies = row_entropy(decoded.probs).data
+        ent_sum += float(entropies.sum())
+        ent_rows += entropies.shape[0]
+    words = [vocab.decode(label) for label in corpus.labels]
+    edits = sum(edit_distance_oracle(p, w) for p, w in zip(preds, words))
+    longer = sum(max(len(p), len(w)) for p, w in zip(preds, words))
+    result = evaluate(rec, corpus)
+    assert result.word_acc == sum(
+        p == w for p, w in zip(preds, words)) / len(words)
+    assert result.char_acc == 1.0 - edits / longer
+    assert abs(result.mean_entropy - ent_sum / ent_rows) <= 1e-12
+    assert result.n == 300
+
+
 def test_evaluate_validates_inputs(vocab, small_source, small_target):
     rec = Recognizer.fresh(VocabSpec("XY"), l_max=3, seed=0)
     with pytest.raises(ContractError):
@@ -135,7 +206,6 @@ def test_evaluate_validates_inputs(vocab, small_source, small_target):
 
 
 def test_evaluate_rejects_corpus_wider_than_l_max(vocab, templates):
-    from smile.data import generate_corpus
     wide = generate_corpus(vocab, templates, 8, (1, 4), seed=14)  # 32 px
     rec = Recognizer.fresh(vocab, l_max=2, seed=0)
     with pytest.raises(ContractError, match=r"32 px.*l_max=2 \(16 px\)"):

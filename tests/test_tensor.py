@@ -124,6 +124,22 @@ def test_exp_ceiling():
     assert np.isfinite(out.data).all()
 
 
+def test_sigmoid_extremes_stay_finite():
+    # under= is left out: exp(-800) underflows to 0, harmlessly
+    x = np.array([[-1e308, -800.0, 800.0, 1e308]])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        y = T._sigmoid(x)
+    assert np.isfinite(y).all()
+    assert ((0.0 <= y) & (y <= 1.0)).all()
+    assert y[0, 2] == y[0, 3] == 1.0
+
+
+def test_sigmoid_matches_logistic_formula():
+    x = np.linspace(-30.0, 30.0, 600).reshape(3, -1)
+    ref = 1.0 / (1.0 + np.exp(-x))
+    assert np.allclose(T._sigmoid(x), ref, rtol=1e-15, atol=0.0)
+
+
 def test_softmax_rows_sum_to_one(rng):
     x = rng.normal(size=(5, 7)) * 10
     out = T.softmax(T.constant(x))
