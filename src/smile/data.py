@@ -130,8 +130,9 @@ class Corpus:
     """N text-line images held column-wise.
 
     pixels is one float64 [N, H, W] block in [0,1]; labels[i] is record i's
-    character indices, or None when it is unlabeled (a file may mix both);
-    domain[i] is its u8 SOURCE or TARGET tag.
+    character indices, stored as a tuple whatever sequence was given (so it
+    compares equal to a greedy decode's tuple), or None when it is unlabeled
+    (a file may mix both); domain[i] is its u8 SOURCE or TARGET tag.
     """
 
     vocab: VocabSpec
@@ -157,6 +158,8 @@ class Corpus:
         if not np.isin(domain, DOMAINS).all():
             raise ContractError("corpus: a domain tag is not SOURCE or TARGET")
         self.domain = domain.astype(np.uint8, copy=False)
+        self.labels = [None if label is None else tuple(label)
+                       for label in self.labels]
 
     def __len__(self):
         return len(self.labels)

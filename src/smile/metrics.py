@@ -44,13 +44,13 @@ def word_accuracy(preds: Sequence[Sequence], labels: Sequence[Sequence]
 
 
 def _padded(seqs: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Strings (as code points) or int sequences as one zero-padded [n, L]
-    int array, plus their lengths."""
+    """Int sequences (strings as code points) as one zero-padded [n, L] int
+    array, plus their lengths."""
     lens = np.array([len(s) for s in seqs], dtype=np.intp)
-    if seqs and isinstance(seqs[0], str):
-        flat = np.frombuffer("".join(seqs).encode("utf-32-le"), np.uint32)
-    else:
-        flat = np.fromiter(chain.from_iterable(seqs), np.int64, int(lens.sum()))
+    flat = np.fromiter(
+        chain.from_iterable(map(ord, s) if isinstance(s, str) else s
+                            for s in seqs),
+        np.int64, int(lens.sum()))
     grid = np.zeros((len(seqs), int(lens.max(initial=0))), dtype=np.int64)
     grid[np.arange(grid.shape[1]) < lens[:, None]] = flat
     return grid, lens

@@ -164,36 +164,58 @@ def test_evaluate_uniform_model_entropy(vocab, small_source):
     assert abs(result.mean_entropy - math.log(k)) < 1e-9
 
 
-def test_evaluate_thread_count_does_not_change_results(small_source):
-    rec = Recognizer.fresh(small_source.vocab, l_max=3, seed=2)
-    serial = evaluate(rec, small_source, threads=1)
-    threaded = evaluate(rec, small_source, threads=4)
+@pytest.fixture(scope="module")
+def corpus_300(vocab, templates):
+    # more than one EVAL_BATCH, and not a multiple of it: a short last batch
+    corpus = generate_corpus(vocab, templates, 300, (1, 3), seed=21)
+    assert len(corpus) > EVAL_BATCH and len(corpus) % EVAL_BATCH
+    return corpus
+
+
+def test_evaluate_thread_count_does_not_change_results(corpus_300):
+    # several batches, so threads=4 takes the thread-pool path
+    rec = Recognizer.fresh(corpus_300.vocab, l_max=3, seed=2)
+    serial = evaluate(rec, corpus_300, threads=1)
+    threaded = evaluate(rec, corpus_300, threads=4)
     assert serial == threaded
 
 
-def test_evaluate_batches_match_a_chunked_reference(vocab, templates):
-    # 300 images: not a multiple of EVAL_BATCH, and a short last batch;
+def test_evaluate_batches_match_a_chunked_reference(vocab, corpus_300):
     # the reference decodes chunks of 64 and scores decoded strings
-    corpus = generate_corpus(vocab, templates, 300, (1, 3), seed=21)
-    assert len(corpus) % EVAL_BATCH
     rec = Recognizer.fresh(vocab, l_max=3, seed=4)
     preds, ent_sum, ent_rows = [], 0.0, 0
-    for i in range(0, len(corpus), 64):
-        decoded = rec.greedy(corpus.pixels[i:i + 64])
+    for i in range(0, len(corpus_300), 64):
+        decoded = rec.greedy(corpus_300.pixels[i:i + 64])
         preds += [vocab.decode([k for k in labels if k < vocab.n_chars])
                   for labels in decoded.labels]
         entropies = row_entropy(decoded.probs).data
         ent_sum += float(entropies.sum())
         ent_rows += entropies.shape[0]
-    words = [vocab.decode(label) for label in corpus.labels]
+    words = [vocab.decode(label) for label in corpus_300.labels]
     edits = sum(edit_distance_oracle(p, w) for p, w in zip(preds, words))
     longer = sum(max(len(p), len(w)) for p, w in zip(preds, words))
-    result = evaluate(rec, corpus)
+    result = evaluate(rec, corpus_300)
     assert result.word_acc == sum(
         p == w for p, w in zip(preds, words)) / len(words)
     assert result.char_acc == 1.0 - edits / longer
     assert abs(result.mean_entropy - ent_sum / ent_rows) <= 1e-12
     assert result.n == 300
+
+
+def test_evaluate_scores_list_labels_like_tuples(vocab, corpus_300):
+    # the corpus stores any label sequence as a tuple, so a decode's tuple
+    # matches it exactly; the stub answers "A" + EOS for every image
+    rows = np.zeros((2, vocab.K))
+    rows[0, 0] = 1.0
+    rows[1, vocab.EOS] = 1.0
+    rec = StubModel(vocab, rows)
+    as_lists = Corpus(corpus_300.vocab, corpus_300.pixels,
+                      [list(label) for label in corpus_300.labels],
+                      corpus_300.domain)
+    assert as_lists.labels == corpus_300.labels
+    result = evaluate(rec, as_lists)
+    assert result == evaluate(rec, corpus_300)
+    assert result.word_acc > 0.0
 
 
 def test_evaluate_validates_inputs(vocab, small_source, small_target):
