@@ -15,10 +15,10 @@ import numpy as np
 
 from . import tensor as T
 from .data import VocabSpec, make_templates, render_string
-from .losses import decoder_loss, smile_loss
+from .losses import smile_loss
 from .recognizer import Recognizer
-from .self_paced import PacingSchedule, build_pool, select, selected_entropy_loss
 from .tensor import Tape, Tensor
+from .trainer import TrainConfig, step_losses
 
 TOLERANCE = 1e-4
 FD_STEP = 1e-5
@@ -198,9 +198,9 @@ def check_ops(instances: int = 100, seed: int = 0) -> list[CheckResult]:
 def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
     """End-to-end check of the combined loss on a 2-sample batch.
 
-    The target side uses greedy decoding with a full-portion selection, so
-    the gradient flows through pooling and the selection mask as it does in
-    adaptation training.
+    The losses come from trainer.step_losses with a full-portion selection,
+    so the gradient flows through the untaped greedy decode's replay, the
+    pool and the chosen rows exactly as in adaptation training.
     """
     vocab = VocabSpec("ABCDE")
     l_max = 2
@@ -216,15 +216,12 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
         render_string((4, 0), vocab, templates, l_max),
     ]) * 0.8 + rng.uniform(0.0, 0.15, (2, 8, 16)), 0.0, 1.0)
     rec = Recognizer.fresh(vocab, l_max, seed)
-    schedule = PacingSchedule(p_init=1.0, p_add=0.0)
+    cfg = TrainConfig(mode="smile", lam=1.0, p_init=1.0, p_add=0.0)
 
     def make_loss():
-        l_dec = decoder_loss(rec.teacher_forced(src_px, src_labels),
-                             src_labels)
-        pool = build_pool(rec.greedy(tgt_px), "shannon")
-        sel = select(pool, schedule, 1)
-        l_ent = selected_entropy_loss(pool, sel)
-        return smile_loss(l_dec, l_ent, 1.0)
+        l_dec, l_ent, _, _ = step_losses(rec, cfg, 0, src_px, src_labels,
+                                         tgt_px)
+        return smile_loss(l_dec, l_ent, cfg.lam)
 
     err = grad_check(make_loss, rec.params, coords_per_tensor,
                      np.random.default_rng([seed, 2]))

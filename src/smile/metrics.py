@@ -116,11 +116,13 @@ def evaluate(rec: Recognizer, corpus: Corpus,
     pixels = corpus.pixels
     chunks = [pixels[i:i + EVAL_BATCH]
               for i in range(0, len(corpus), EVAL_BATCH)]
-    n_chars = rec.vocab.n_chars
+    eos = rec.vocab.EOS
 
     def run_chunk(chunk_pixels: np.ndarray):
         decoded = rec.greedy(chunk_pixels)
-        preds = [tuple(i for i in labels if i < n_chars)
+        # greedy stops at a sample's first EOS, so only its last pick can be
+        # EOS (GO and PAD never win the restricted argmax)
+        preds = [labels[:-1] if labels[-1] == eos else labels
                  for labels in decoded.labels]
         entropies = row_entropy(decoded.probs).data
         return preds, float(entropies.sum()), entropies.shape[0]

@@ -20,10 +20,15 @@ softmax) projects every step's hidden state at once.  Both decodes return one
 Decoded: the emitted rows of every sample in one sample-major [N, K] block,
 padded rows dropped, with the per-step restricted-argmax labels; iterating
 it gives per-sample DecoderOutputs.
+
+Training replays greedy decodes: _forced is teacher_forced with greedy
+pseudo-label prefixes appended to the batch, so one taped decode per image
+width rebuilds the chosen target rows next to the labeled ones.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +143,15 @@ class Decoded:
 
     probs: Tensor                       # [N, K], N = sum of emitted lengths
     labels: list[tuple[int, ...]]       # each sample's restricted argmax
+
+    def head(self, n: int) -> "Decoded":
+        """The first n samples' decode: this block when that is all of it,
+        else one gather of their rows."""
+        if n == len(self.labels):
+            return self
+        rows = sum(len(labels) for labels in self.labels[:n])
+        return Decoded(T.gather_rows(self.probs, np.arange(rows)),
+                       self.labels[:n])
 
     def __iter__(self):
         ends = np.cumsum([len(labels) for labels in self.labels])
@@ -260,11 +274,18 @@ class Recognizer:
         implied target is EOS.  Samples shorter than the batch maximum are
         padded with PAD inputs and their extra rows dropped.
         """
-        enc = self.encode(pixels)
-        batch = len(pixels)
-        if len(labels) != batch:
+        return self._forced(pixels, labels)
+
+    def _forced(self, pixels: np.ndarray, labels: list[tuple[int, ...]],
+                replay=()) -> Decoded:
+        """teacher_forced with replay's (pixels, prefixes) parts appended to
+        the batch.  A prefix is a greedy decode's own picks, fed back to
+        rebuild its states; it skips the label checks and may be empty (a
+        replayed row at t = 0 needs only the GO-fed row).  Each run of parts
+        of one image width decodes as one batch; rows follow part order."""
+        if len(labels) != len(pixels):
             raise ContractError(
-                f"teacher_forced: {batch} images vs {len(labels)} labels")
+                f"teacher_forced: {len(pixels)} images vs {len(labels)} labels")
         for lab in labels:
             if len(lab) == 0 or len(lab) > self.arch.l_max:
                 raise ContractError(
@@ -274,6 +295,23 @@ class Recognizer:
                 if not 0 <= i < self.vocab.n_chars:
                     raise ContractError(
                         f"teacher_forced: {i} is not a character index")
+        blocks = []
+        for _, run in itertools.groupby([(pixels, labels), *replay],
+                                        key=lambda part: part[0].shape[-1]):
+            run = list(run)
+            px = (run[0][0] if len(run) == 1
+                  else np.concatenate([part_px for part_px, _ in run]))
+            blocks.append(self._decode_forced(
+                px, [lab for _, part_labels in run for lab in part_labels]))
+        if len(blocks) == 1:
+            return blocks[0]
+        return Decoded(T.concat([block.probs for block in blocks]),
+                       [lab for block in blocks for lab in block.labels])
+
+    def _decode_forced(self, pixels: np.ndarray,
+                       labels: list[tuple[int, ...]]) -> Decoded:
+        enc = self.encode(pixels)
+        batch = len(pixels)
         lengths = [len(lab) + 1 for lab in labels]
         t_max = max(lengths)
         weights = self._gru_weights("dec")

@@ -1,11 +1,17 @@
 """Class-balanced self-paced selection of confident character predictions.
 
 Every emitted row of a greedy-decoded target batch (its Decoded block)
-becomes one pool row: sample, timestep and pseudo class in aligned int
-arrays, the differentiable entropy in an [N, 1] column.  At step t a
-portion P_t = min(p_init + p_add*t, 1) is taken from every class
-independently: the ceil(n_c * P_t) lowest-entropy rows of class c.  The
-training term is the mean entropy of everything chosen.
+becomes one pool row: sample, timestep, pseudo class and entropy in aligned
+numpy arrays.  The decode runs off the tape, so the pool is plain data.  At
+step t a portion P_t = min(p_init + p_add*t, 1) is taken from every class
+independently: the ceil(n_c * P_t) lowest-entropy rows of class c.
+
+The training term is the mean entropy of the chosen rows, rebuilt on the
+tape by replay.  Greedy feeds back its own picks, so a teacher-forced
+decode fed a sample's pseudo labels up to its last chosen timestep rebuilds
+the same states; unchosen rows after that are never decoded again.
+replay_plan gives those prefixes and where each chosen row lands in the
+replayed block, and selected_entropy_loss reads just those rows.
 """
 
 from __future__ import annotations
@@ -46,22 +52,21 @@ class PredictionPool:
     sample: np.ndarray        # [N] batch position of the originating sequence
     timestep: np.ndarray      # [N] row within that sequence
     pseudo_class: np.ndarray  # [N] the row's pseudo label
-    column: Tensor            # [N, 1] differentiable entropies
+    entropy: np.ndarray       # [N] the row's entropy
 
     def __len__(self):
         return len(self.sample)
 
 
 def build_pool(decoded: Decoded, variant: str = "shannon") -> PredictionPool:
-    """One row per emitted row of the decode, in (sample, timestep) order;
-    entropies stay attached to the live tape."""
+    """One row per emitted row of the decode, in (sample, timestep) order."""
     lengths = np.array([len(labels) for labels in decoded.labels], dtype=int)
     sample = np.repeat(np.arange(len(lengths)), lengths)
     timestep = np.arange(len(sample)) - (np.cumsum(lengths) - lengths)[sample]
     pseudo_class = np.fromiter(itertools.chain.from_iterable(decoded.labels),
                                dtype=int, count=len(sample))
     return PredictionPool(sample, timestep, pseudo_class,
-                          row_entropy(decoded.probs, variant))
+                          row_entropy(decoded.probs, variant).data[:, 0])
 
 
 @dataclass
@@ -90,7 +95,7 @@ def select(pool: PredictionPool, schedule: PacingSchedule,
     if not len(pool):
         raise ContractError("select: empty pool")
     p_t = portion_at(schedule, t)
-    entropy = pool.column.data[:, 0]
+    entropy = pool.entropy
     order = np.lexsort((pool.timestep, pool.sample, entropy, pool.pseudo_class))
     cls = pool.pseudo_class[order]
     # a class segment starts wherever the sorted class changes
@@ -106,13 +111,34 @@ def select(pool: PredictionPool, schedule: PacingSchedule,
     return SelectionResult(p_t, np.concatenate(taken), stats)
 
 
-def selected_entropy_loss(pool: PredictionPool,
-                          sel: SelectionResult) -> Tensor | None:
-    """Mean of the chosen entropy tensors; None tells the caller to drop
-    the term this step."""
-    if not len(sel.chosen):
+def replay_plan(pool: PredictionPool, sel: SelectionResult
+                ) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
+    """What a replay of the chosen rows decodes: the samples with a chosen
+    row, ascending; each one's pseudo-label prefix up to its last chosen
+    timestep (empty when that is t = 0); and every chosen row's index in
+    the sample-major block a forced decode of those prefixes emits, in pool
+    order.  sel must have chosen at least one row."""
+    chosen = np.sort(sel.chosen)
+    sample = pool.sample[chosen]
+    step = pool.timestep[chosen]
+    # in pool order a sample's chosen rows are one run ending at its last
+    new_run = sample[1:] != sample[:-1]
+    last = np.flatnonzero(np.append(new_run, True))
+    ends = chosen[last]                 # pool row of each last chosen row
+    lengths = step[last] + 1            # rows each replayed sample emits
+    run = np.append(0, np.cumsum(new_run))
+    rows = (np.cumsum(lengths) - lengths)[run] + step
+    classes = pool.pseudo_class.tolist()
+    prefixes = [tuple(classes[end - n + 1:end])
+                for end, n in zip(ends.tolist(), lengths.tolist())]
+    return sample[last], prefixes, rows
+
+
+def selected_entropy_loss(probs: Tensor, rows: np.ndarray,
+                          variant: str = "shannon") -> Tensor | None:
+    """Mean entropy of the given rows of a replayed [N, K] block; None
+    (nothing chosen) tells the caller to drop the term this step."""
+    if not len(rows):
         return None
-    mask = np.zeros((1, len(pool)))
-    mask[0, sel.chosen] = 1.0
-    picked_sum = T.matmul(T.constant(mask), pool.column)
-    return T.mul(picked_sum, 1.0 / len(sel.chosen))
+    entropy = row_entropy(T.gather_rows(probs, rows), variant)
+    return T.mul(T.reduce_sum(entropy), 1.0 / len(rows))

@@ -1,20 +1,23 @@
 """Dense float64 tensors with a dynamic reverse-mode differentiation tape.
 
 Every operation runs eagerly on numpy arrays and, when a Tape is active on
-the current thread, records a backward rule onto it.  The tape is rebuilt on
-every forward pass; one tape and its tensors belong to a single thread.
-add, sub and mul broadcast as numpy does, at any rank; their backward rules
-sum the gradient over every stretched axis.  gru_cell and attend are fused
-recurrent primitives with analytic backward rules: gru_cell runs a GRU over
-a whole sequence of steps (one step for a decoder) as one node whose
-backward is BPTT, and attend is one attention read, each in place of the
-12-20 elementary nodes a step would take.
+the current thread, records a backward rule onto it (untaped() suspends it
+for a block).  The tape is rebuilt on every forward pass; one tape and its
+tensors belong to a single thread.  add, sub and mul broadcast as numpy
+does, at any rank; their backward rules sum the gradient over every
+stretched axis.  gru_cell and attend are fused recurrent primitives with
+analytic backward rules: gru_cell runs a GRU over a whole sequence of steps
+(one step for a decoder) as one node whose backward is BPTT, and attend is
+one attention read, each in place of the 12-20 elementary nodes a step
+would take.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -104,6 +107,17 @@ class Tape:
         loss.grad[...] = 1.0
         for _, fn in reversed(self._nodes):
             fn()
+
+
+@contextmanager
+def untaped():
+    """Run the enclosed ops forward-only, even inside an active tape."""
+    prev = _active_tape()
+    _state.tape = None
+    try:
+        yield
+    finally:
+        _state.tape = prev
 
 
 def backward(loss: Tensor):
@@ -402,7 +416,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
         raise DimensionError(
             f"concat: parts disagree on axis {other}: {sorted(widths)}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    offsets = list(itertools.accumulate((p.shape[axis] for p in parts),
+                                        initial=0))
 
     def back():
         g = out.grad

@@ -5,6 +5,13 @@ source batches; "smile" adds the paced mean entropy of confident target
 predictions on top of that; "finetune" is the decoder loss on a labeled
 target corpus starting from a loaded checkpoint.
 
+step_losses builds every step's losses, and gate A1 checks it.  In smile
+mode it greedy-decodes the target batch off the tape, pools and selects;
+then one taped teacher-forced decode runs the labeled batch with the chosen
+rows' pseudo-label prefixes appended (self_paced.replay_plan), and the
+entropy term reads only the chosen rows.  With lam = 0 nothing is replayed,
+so the update equals base mode's and the selection is only logged.
+
 Batch composition is stateless: the indices for step s come from fresh
 generators keyed [seed, stream, s], so a resumed run draws exactly the
 batches the uninterrupted run would have drawn.
@@ -25,9 +32,10 @@ from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
 from .recognizer import (STRIP_W, ArchSpec, Recognizer, check_width,
                          param_shapes)
-from .self_paced import (PacingSchedule, SelectionResult, build_pool, select,
+from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
+                         build_pool, replay_plan, select,
                          selected_entropy_loss)
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, untaped
 
 MODES = ("base", "smile", "finetune")
 OPTIMIZERS = ("adam", "adadelta")
@@ -386,14 +394,32 @@ def _draw(seed: int, stream: int, step: int, n: int, batch: int) -> np.ndarray:
     return rng.integers(0, n, batch)
 
 
-def _target_side(rec: Recognizer, cfg: TrainConfig, seed: int, step: int,
-                 target_px: np.ndarray, schedule: PacingSchedule):
-    """Greedy-decode a target batch, build the pool, select.  Runs on the
-    active tape when called inside one."""
-    idx = _draw(seed, 2, step, len(target_px), cfg.batch_target)
-    pool = build_pool(rec.greedy(target_px[idx]), cfg.entropy_variant)
-    sel = select(pool, schedule, step + 1)
-    return pool, sel
+def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
+                batch_px: np.ndarray, batch_labels: list[tuple[int, ...]],
+                target_px: np.ndarray | None = None
+                ) -> tuple[Tensor, Tensor | None, PredictionPool | None,
+                           SelectionResult | None]:
+    """(l_dec, l_ent, pool, sel) of 0-based step `step`: the decoder loss
+    of the labeled batch and, given a target batch, its pool, its selection
+    at t = step + 1 and the mean entropy of the chosen rows.  l_ent is None
+    when lam is 0 or nothing was chosen; it, pool and sel are None with no
+    target batch."""
+    pool = sel = None
+    replay, rows = [], np.zeros(0, dtype=int)
+    if target_px is not None:
+        with untaped():
+            pool = build_pool(rec.greedy(target_px), cfg.entropy_variant)
+        sel = select(pool, PacingSchedule(cfg.p_init, cfg.p_add), step + 1)
+        if cfg.lam > 0 and len(sel.chosen):
+            samples, prefixes, rows = replay_plan(pool, sel)
+            replay = [(target_px[samples], prefixes)]
+    decoded = rec._forced(batch_px, batch_labels, replay)
+    source = decoded.head(len(batch_labels))
+    l_dec = decoder_loss(source, batch_labels)
+    # the replayed samples' rows follow the labeled batch's
+    l_ent = selected_entropy_loss(decoded.probs, source.probs.shape[0] + rows,
+                                  cfg.entropy_variant)
+    return l_dec, l_ent, pool, sel
 
 
 def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
@@ -461,7 +487,6 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         raise ContractError(
             f"resume step {start_step} is not below total steps {cfg.steps}")
 
-    schedule = PacingSchedule(cfg.p_init, cfg.p_add)
     target_px = target.pixels if cfg.mode == "smile" else None
     log = MetricsLog()
 
@@ -469,22 +494,20 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         for p in rec.params.values():
             p.zero_grad()
         idx = _draw(seed, 1, step, len(labeled), cfg.batch_source)
-        batch_px = labeled.pixels[idx]
         batch_labels = [labeled.labels[i] for i in idx]
-        sel = None
-        pool = None
+        target_batch = None
+        if target_px is not None:
+            target_batch = target_px[_draw(seed, 2, step, len(target_px),
+                                           cfg.batch_target)]
         ent_val = None
         with Tape() as tape:
-            l_dec = decoder_loss(rec.teacher_forced(batch_px, batch_labels),
-                                 batch_labels)
+            l_dec, l_ent, pool, sel = step_losses(
+                rec, cfg, step, labeled.pixels[idx], batch_labels,
+                target_batch)
             total = l_dec
-            if cfg.mode == "smile" and cfg.lam > 0:
-                pool, sel = _target_side(rec, cfg, seed, step, target_px,
-                                         schedule)
-                l_ent = selected_entropy_loss(pool, sel)
-                if l_ent is not None:
-                    ent_val = l_ent.item()
-                    total = smile_loss(l_dec, l_ent, cfg.lam)
+            if l_ent is not None:
+                ent_val = l_ent.item()
+                total = smile_loss(l_dec, l_ent, cfg.lam)
             dec_val = l_dec.item()
             total_val = total.item()
             if not math.isfinite(total_val):
@@ -492,9 +515,6 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
                     f"step {step + 1}: non-finite loss {total_val} "
                     f"(decoder {dec_val}, entropy {ent_val})")
             tape.backward(total)
-        if cfg.mode == "smile" and cfg.lam == 0:
-            # informational only; off the tape so the update equals base mode
-            pool, sel = _target_side(rec, cfg, seed, step, target_px, schedule)
         clip_gradients(rec.params, cfg.clip)
         opt.step(rec.params)
         if sel is not None:

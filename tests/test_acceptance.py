@@ -162,7 +162,7 @@ def test_a02_entropy_properties(capfd):
 
 def brute_force_select(pool, p_t):
     """Pool rows, by a pure-Python sort per class and ceiling prefix."""
-    rows = [(float(pool.column.data[i, 0]), int(pool.sample[i]),
+    rows = [(float(pool.entropy[i]), int(pool.sample[i]),
              int(pool.timestep[i]), int(pool.pseudo_class[i]), i)
             for i in range(len(pool))]
     chosen = []
@@ -184,8 +184,7 @@ def random_pool(rng):
         sample.append(int(rng.integers(0, 8)))
         pseudo_class.append(int(rng.integers(0, n_classes)))
     return PredictionPool(np.array(sample), np.arange(n) % 5,
-                          np.array(pseudo_class),
-                          T.constant(values.reshape(-1, 1)))
+                          np.array(pseudo_class), values)
 
 
 def test_a03_selection_oracle(capfd):

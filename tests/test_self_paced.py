@@ -1,5 +1,5 @@
 """Pacing schedule, pool construction, class-balanced selection against a
-brute-force oracle, and the selected-mean loss."""
+brute-force oracle, the replay plan, and the selected-mean loss."""
 
 import math
 
@@ -11,7 +11,8 @@ from smile.errors import ContractError
 from smile.losses import row_entropy
 from smile.recognizer import Decoded
 from smile.self_paced import (PacingSchedule, PredictionPool, build_pool,
-                              portion_at, select, selected_entropy_loss)
+                              portion_at, replay_plan, select,
+                              selected_entropy_loss)
 from smile.tensor import Tape
 
 
@@ -22,22 +23,27 @@ def output_from(*samples) -> Decoded:
                            for rows in samples])
 
 
-def pool_of(sample, timestep, classes, column) -> PredictionPool:
+def pool_of(sample, timestep, classes, entropy) -> PredictionPool:
     return PredictionPool(np.asarray(sample, dtype=int),
                           np.asarray(timestep, dtype=int),
-                          np.asarray(classes, dtype=int), column)
+                          np.asarray(classes, dtype=int),
+                          np.asarray(entropy, dtype=np.float64))
 
 
 def pool_from_entropies(values, classes=None):
-    """A pool with given entropy values, one sample per row; column built
-    from a leaf so the loss stays differentiable."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    leaf = T.parameter(values.copy())
-    with Tape():
-        column = T.mul(leaf, 1.0)
+    """A pool with given entropy values, one sample per row."""
     n = len(values)
     classes = [0] * n if classes is None else classes
-    return pool_of(range(n), [0] * n, classes, column), leaf
+    return pool_of(range(n), [0] * n, classes, values)
+
+
+def rows_with_nll(values, k=4) -> np.ndarray:
+    """[N, k] rows whose pseudo_nll entropy (-log of the top probability,
+    in column 0) is each value; needs values below log(k)."""
+    top = np.exp(-np.asarray(values, dtype=np.float64))
+    rows = np.repeat(((1.0 - top) / (k - 1))[:, None], k, axis=1)
+    rows[:, 0] = top
+    return rows
 
 
 # -- schedule -----------------------------------------------------------------
@@ -79,7 +85,7 @@ def test_build_pool_counts_every_emitted_row(rng):
     rows_b /= rows_b.sum(axis=1, keepdims=True)
     pool = build_pool(output_from(rows_a, rows_b))
     assert len(pool) == 5
-    assert pool.column.shape == (5, 1)
+    assert pool.entropy.shape == (5,)
     spots = list(zip(pool.sample.tolist(), pool.timestep.tolist()))
     assert spots == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
     assert pool.pseudo_class.tolist() == (list(np.argmax(rows_a, axis=1))
@@ -93,7 +99,7 @@ def test_build_pool_entropies_match_step_entropy(rng):
         pool = build_pool(output_from(rows), variant)
         for i, t in enumerate(pool.timestep.tolist()):
             want = row_entropy(T.constant(rows[t:t + 1]), variant).item()
-            assert abs(float(pool.column.data[i, 0]) - want) < 1e-12
+            assert abs(float(pool.entropy[i]) - want) < 1e-12
 
 
 def test_build_pool_one_hot_rows():
@@ -101,7 +107,7 @@ def test_build_pool_one_hot_rows():
     rows[:, 7] = 1.0
     pool = build_pool(output_from(rows))
     assert pool.pseudo_class.tolist() == [7, 7, 7]
-    assert np.all(np.abs(pool.column.data) < 1e-10)
+    assert np.all(np.abs(pool.entropy) < 1e-10)
 
 
 def test_build_pool_grouping_matches_recount(rng):
@@ -127,7 +133,7 @@ def test_build_pool_grouping_matches_recount(rng):
 def brute_force_select(pool, p_t):
     """Independent reimplementation: full sort per class, ceiling prefix;
     returns pool rows."""
-    entropy = pool.column.data[:, 0].tolist()
+    entropy = pool.entropy.tolist()
     chosen = []
     classes = sorted(set(pool.pseudo_class.tolist()))
     for cls in classes:
@@ -141,7 +147,7 @@ def brute_force_select(pool, p_t):
 
 
 def test_select_worked_example():
-    pool, _ = pool_from_entropies([0.9, 0.1, 0.5])
+    pool = pool_from_entropies([0.9, 0.1, 0.5])
     sel = select(pool, PacingSchedule(0.34, 0.0), t=0)
     assert sel.stats[0].quota == 2
     assert sel.chosen.tolist() == [1, 2]
@@ -150,13 +156,13 @@ def test_select_worked_example():
 def test_select_full_portion_takes_everything(rng):
     vals = rng.random(17)
     classes = list(rng.integers(0, 4, 17))
-    pool, _ = pool_from_entropies(vals, classes)
+    pool = pool_from_entropies(vals, classes)
     sel = select(pool, PacingSchedule(1.0, 0.0), t=0)
     assert len(sel.chosen) == 17
 
 
 def test_select_zero_portion_takes_nothing():
-    pool, _ = pool_from_entropies([0.3, 0.2])
+    pool = pool_from_entropies([0.3, 0.2])
     sel = select(pool, PacingSchedule(0.0, 1e-4), t=0)
     assert len(sel.chosen) == 0
     assert all(s.quota == 0 for s in sel.stats)
@@ -165,7 +171,7 @@ def test_select_zero_portion_takes_nothing():
 
 def test_select_ceiling_never_starves_classes():
     # tiny portion still takes one entry from every represented class
-    pool, _ = pool_from_entropies([0.5, 0.4, 0.3, 0.2, 0.1],
+    pool = pool_from_entropies([0.5, 0.4, 0.3, 0.2, 0.1],
                                   classes=[0, 0, 1, 1, 2])
     sel = select(pool, PacingSchedule(0.01, 0.0), t=0)
     assert {s.pseudo_class: s.quota for s in sel.stats} == {0: 1, 1: 1, 2: 1}
@@ -173,8 +179,7 @@ def test_select_ceiling_never_starves_classes():
 
 
 def test_select_tie_break_is_deterministic():
-    pool = pool_of([1, 1, 0, 0], [1, 0, 1, 0], [0] * 4,
-                   T.constant(np.full((4, 1), 0.5)))
+    pool = pool_of([1, 1, 0, 0], [1, 0, 1, 0], [0] * 4, np.full(4, 0.5))
     sel = select(pool, PacingSchedule(0.5, 0.0), 0)
     assert sel.chosen.tolist() == [3, 2]   # (sample 0, t 0), (sample 0, t 1)
 
@@ -189,8 +194,7 @@ def test_select_matches_brute_force_oracle(rng):
                              cls, float(rng.choice([0.1, 0.2, 0.3, 0.7,
                                                     rng.random()]))))
         sample, timestep, classes, entropy = zip(*rows)
-        pool = pool_of(sample, timestep, classes,
-                       T.constant(np.reshape(entropy, (-1, 1))))
+        pool = pool_of(sample, timestep, classes, entropy)
         schedule = PacingSchedule(float(rng.random()), float(rng.random() * 1e-3))
         t = int(rng.integers(0, 3000))
         sel = select(pool, schedule, t)
@@ -201,7 +205,7 @@ def test_select_matches_brute_force_oracle(rng):
 
 
 def test_select_rejects_empty_pool():
-    pool = pool_of([], [], [], T.constant(np.zeros((0, 1))))
+    pool = pool_of([], [], [], [])
     with pytest.raises(ContractError):
         select(pool, PacingSchedule(0.5, 0.0), 0)
 
@@ -210,7 +214,7 @@ def test_selection_grows_monotonically():
     rng = np.random.default_rng(3)
     vals = rng.random(30)
     classes = list(rng.integers(0, 3, 30))
-    pool, _ = pool_from_entropies(vals, classes)
+    pool = pool_from_entropies(vals, classes)
     schedule = PacingSchedule(0.0, 1e-3)
     prev: set[int] = set()
     for t in (100, 300, 500, 900):
@@ -219,36 +223,89 @@ def test_selection_grows_monotonically():
         prev = chosen
 
 
+# -- replay plan --------------------------------------------------------------
+
+def test_replay_plan_worked_example():
+    # sample 0: 3 rows, sample 1: 2 rows, sample 2: 4 rows, pool order
+    pool = pool_of([0, 0, 0, 1, 1, 2, 2, 2, 2], [0, 1, 2, 0, 1, 0, 1, 2, 3],
+                   [5, 6, 9, 7, 9, 4, 3, 2, 9],
+                   [0.9, 0.8, 0.1, 0.7, 0.6, 0.5, 0.05, 0.4, 0.3])
+    sel = select(pool, PacingSchedule(0.4, 0.0), t=0)
+    # one row per class here: 5,6,7,4,3,2 are singletons, 9 takes 2 of 3
+    assert sorted(sel.chosen.tolist()) == [0, 1, 2, 3, 5, 6, 7, 8]
+    samples, prefixes, rows = replay_plan(pool, sel)
+    assert samples.tolist() == [0, 1, 2]
+    # each prefix stops before the sample's last chosen row
+    assert prefixes == [(5, 6), (), (4, 3, 2)]
+    # blocks of 3, 1 and 4 rows: sample 1 starts at 3, sample 2 at 4
+    assert rows.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+
+
+def test_replay_plan_skips_unchosen_samples_and_tails():
+    pool = pool_of([0, 0, 0, 1, 1, 2, 2], [0, 1, 2, 0, 1, 0, 1],
+                   [0, 1, 3, 0, 3, 1, 3],
+                   [0.9, 0.1, 0.2, 0.3, 0.9, 0.5, 0.9])
+    sel = select(pool, PacingSchedule(0.01, 0.0), t=0)
+    assert sorted(sel.chosen.tolist()) == [1, 2, 3]   # one per class
+    samples, prefixes, rows = replay_plan(pool, sel)
+    # sample 2's rows were not chosen; sample 1 replays only its t = 0 row
+    assert samples.tolist() == [0, 1]
+    assert prefixes == [(0, 1), ()]
+    assert rows.tolist() == [1, 2, 3]
+
+
+def test_unchosen_prefix_rows_get_zero_gradient():
+    # only sample 0's t = 2 row is chosen: its replay feeds the t = 0 and
+    # t = 1 picks, whose rows are decoded again but carry no entropy loss
+    pool = pool_of([0, 0, 0], [0, 1, 2], [0, 0, 0], [0.9, 0.8, 0.1])
+    sel = select(pool, PacingSchedule(0.2, 0.0), t=0)
+    _, prefixes, rows = replay_plan(pool, sel)
+    assert prefixes == [(0, 0)] and rows.tolist() == [2]
+    leaf = T.parameter(rows_with_nll([0.9, 0.8, 0.1]))
+    with Tape() as tape:
+        loss = selected_entropy_loss(leaf, rows, "pseudo_nll")
+        tape.backward(loss)
+    assert np.all(leaf.grad[:2] == 0.0)
+    assert leaf.grad[2, 0] == pytest.approx(-1.0 / np.exp(-0.1))
+
+
 # -- selected mean loss -------------------------------------------------------
 
 def test_selected_entropy_loss_is_mean_of_chosen():
-    pool, _ = pool_from_entropies([0.2, 0.4, 0.9])
+    values = [0.2, 0.4, 0.9]
+    pool = pool_from_entropies(values)
     sel = select(pool, PacingSchedule(0.5, 0.0), t=0)
-    loss = selected_entropy_loss(pool, sel)
+    loss = selected_entropy_loss(T.constant(rows_with_nll(values)),
+                                 sel.chosen, "pseudo_nll")
     assert abs(loss.item() - 0.3) < 1e-12
 
 
 def test_selected_entropy_loss_single_entry():
-    pool, _ = pool_from_entropies([0.4])
+    pool = pool_from_entropies([0.4])
     sel = select(pool, PacingSchedule(1.0, 0.0), t=0)
-    assert abs(selected_entropy_loss(pool, sel).item() - 0.4) < 1e-12
+    loss = selected_entropy_loss(T.constant(rows_with_nll([0.4])),
+                                 sel.chosen, "pseudo_nll")
+    assert abs(loss.item() - 0.4) < 1e-12
 
 
 def test_selected_entropy_loss_empty_selection_signals_skip():
-    pool, _ = pool_from_entropies([0.4, 0.1])
+    pool = pool_from_entropies([0.4, 0.1])
     sel = select(pool, PacingSchedule(0.0, 1e-4), t=0)
-    assert selected_entropy_loss(pool, sel) is None
+    assert selected_entropy_loss(T.constant(rows_with_nll([0.4, 0.1])),
+                                 sel.chosen) is None
 
 
 def test_unchosen_entries_get_zero_gradient():
     values = [0.9, 0.1, 0.5, 0.7]
-    leaf_values = np.asarray(values).reshape(-1, 1)
-    leaf = T.parameter(leaf_values.copy())
+    pool = pool_from_entropies(values)
+    sel = select(pool, PacingSchedule(0.5, 0.0), t=0)
+    leaf = T.parameter(rows_with_nll(values))
     with Tape() as tape:
-        column = T.mul(leaf, 1.0)
-        pool = pool_of(range(4), [0] * 4, [0] * 4, column)
-        sel = select(pool, PacingSchedule(0.5, 0.0), t=0)
-        loss = selected_entropy_loss(pool, sel)
+        loss = selected_entropy_loss(leaf, sel.chosen, "pseudo_nll")
         tape.backward(loss)
-    # quota = ceil(4*0.5) = 2 -> entries with entropies 0.1 and 0.5
-    assert np.allclose(leaf.grad.reshape(-1), [0.0, 0.5, 0.5, 0.0])
+    # quota = ceil(4*0.5) = 2 -> entries with entropies 0.1 and 0.5; the
+    # mean of -log p_top gives each chosen top probability -1 / (2 p_top)
+    want = np.zeros_like(leaf.data)
+    for i in (1, 2):
+        want[i, 0] = -0.5 / np.exp(-values[i])
+    assert np.allclose(leaf.grad, want, rtol=1e-12, atol=0.0)

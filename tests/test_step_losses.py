@@ -1,0 +1,160 @@
+"""A training step's losses: the replay of the chosen pseudo-label prefixes
+inside the labeled batch against a taped-greedy reference built here from
+public ops, the empty-prefix and two-width cases, and the step's tape size."""
+
+import numpy as np
+import pytest
+
+import smile.tensor as T
+from smile.errors import ContractError
+from smile.losses import decoder_loss, row_entropy, smile_loss
+from smile.self_paced import PacingSchedule, build_pool, select
+from smile.tensor import Tape
+from smile.trainer import TrainConfig, step_losses, train_with_corpora
+
+STEP = 40   # selection at t = 41: P = p_init + 41 * p_add
+
+
+@pytest.fixture(scope="module")
+def base(small_source):
+    cfg = TrainConfig(mode="base", steps=60, batch_source=16, seed=3,
+                      eval_every=10 ** 9)
+    ck, _ = train_with_corpora(cfg, source=small_source)
+    return ck
+
+
+def batches(source, target, n_source=8, n_target=16, seed=0):
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(source), n_source)
+    tgt = rng.integers(0, len(target), n_target)
+    return (source.pixels[idx], [source.labels[i] for i in idx],
+            target.pixels[tgt])
+
+
+def smile_cfg(variant="shannon", p_init=0.0, p_add=1e-3):
+    return TrainConfig(mode="smile", entropy_variant=variant, p_init=p_init,
+                       p_add=p_add)
+
+
+def reference(rec, cfg, src_px, src_labels, tgt_px):
+    """The whole greedy decode on the tape, every pool row's entropy, and
+    the chosen ones summed by a 0/1 mask."""
+    with Tape() as tape:
+        l_dec = decoder_loss(rec.teacher_forced(src_px, src_labels),
+                             src_labels)
+        decoded = rec.greedy(tgt_px)
+        column = row_entropy(decoded.probs, cfg.entropy_variant)
+        pool = build_pool(decoded, cfg.entropy_variant)
+        sel = select(pool, PacingSchedule(cfg.p_init, cfg.p_add), STEP + 1)
+        mask = np.zeros((1, len(pool)))
+        mask[0, sel.chosen] = 1.0
+        l_ent = T.mul(T.matmul(T.constant(mask), column),
+                      1.0 / len(sel.chosen))
+        tape.backward(smile_loss(l_dec, l_ent, cfg.lam))
+    return l_dec.item(), l_ent.item(), sel
+
+
+def replayed(rec, cfg, src_px, src_labels, tgt_px):
+    with Tape() as tape:
+        l_dec, l_ent, _, sel = step_losses(rec, cfg, STEP, src_px,
+                                           src_labels, tgt_px)
+        tape.backward(smile_loss(l_dec, l_ent, cfg.lam))
+    return l_dec.item(), l_ent.item(), sel
+
+
+def grads(rec):
+    out = {n: p.grad.copy() for n, p in rec.params.items()}
+    for p in rec.params.values():
+        p.zero_grad()
+    return out
+
+
+def assert_matches_reference(rec, cfg, src_px, src_labels, tgt_px):
+    want_dec, want_ent, want_sel = reference(rec, cfg, src_px, src_labels,
+                                             tgt_px)
+    want = grads(rec)
+    got_dec, got_ent, got_sel = replayed(rec, cfg, src_px, src_labels,
+                                         tgt_px)
+    got = grads(rec)
+    assert got_sel.chosen.tolist() == want_sel.chosen.tolist()
+    assert abs(got_dec - want_dec) < 1e-12
+    assert abs(got_ent - want_ent) < 1e-12
+    for name in want:
+        assert np.abs(got[name] - want[name]).max() < 1e-12, name
+    return got_sel
+
+
+@pytest.mark.parametrize("variant", ["shannon", "pseudo_nll"])
+@pytest.mark.parametrize("p_init", [0.0, 1.0])
+def test_replay_matches_taped_greedy_reference(base, small_source,
+                                               small_target, variant,
+                                               p_init):
+    rec = base.restore()
+    cfg = smile_cfg(variant, p_init)
+    sel = assert_matches_reference(rec, cfg,
+                                   *batches(small_source, small_target))
+    pool_rows = sum(s.pool_size for s in sel.stats)
+    if p_init == 1.0:
+        assert len(sel.chosen) == pool_rows
+    else:
+        assert 0 < len(sel.chosen) < pool_rows
+
+
+def test_empty_prefixes_replay_an_eos_first_decode(base, small_source,
+                                                   small_target):
+    rec = base.restore()
+    rec.params["out/b"].data[0, rec.vocab.EOS] = 50.0
+    src_px, src_labels, tgt_px = batches(small_source, small_target)
+    assert all(labels == (rec.vocab.EOS,)
+               for labels in rec.greedy(tgt_px).labels)
+    # every chosen row is at t = 0, so every replayed prefix is empty
+    assert_matches_reference(rec, smile_cfg(p_init=0.5), src_px, src_labels,
+                             tgt_px)
+    with pytest.raises(ContractError):
+        rec.teacher_forced(tgt_px[:1], [()])
+
+
+def test_narrower_target_replays_in_its_own_decode(base, small_source,
+                                                   small_target):
+    rec = base.restore()
+    src_px, src_labels, tgt_px = batches(small_source, small_target)
+    narrow = tgt_px[:, :, :16]
+    assert narrow.shape[2] < src_px.shape[2]
+    assert_matches_reference(rec, smile_cfg(p_init=0.3), src_px, src_labels,
+                             narrow)
+    with Tape() as tape:
+        step_losses(rec, smile_cfg(p_init=0.3), STEP, src_px, src_labels,
+                    narrow)
+        ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
+    assert ops.count("tanh") == 2   # one encode per image width
+
+
+def test_lambda_zero_replays_nothing(base, small_source, small_target):
+    rec = base.restore()
+    src_px, src_labels, tgt_px = batches(small_source, small_target)
+    cfg = TrainConfig(mode="smile", lam=0.0, p_init=1.0)
+    with Tape() as tape:
+        l_dec, l_ent, pool, sel = step_losses(rec, cfg, 0, src_px,
+                                              src_labels, tgt_px)
+        smile_nodes = len(tape)
+    with Tape() as tape:
+        decoder_loss(rec.teacher_forced(src_px, src_labels), src_labels)
+        base_nodes = len(tape)
+    assert l_ent is None and len(sel.chosen) == len(pool)
+    assert smile_nodes == base_nodes
+
+
+def test_smile_step_tape_size(base, small_source, small_target):
+    rec = base.restore()
+    src_px, src_labels, tgt_px = batches(small_source, small_target,
+                                         n_source=32, n_target=64, seed=4)
+    cfg = smile_cfg(p_add=5e-5)
+    with Tape() as tape:
+        l_dec, l_ent, pool, sel = step_losses(rec, cfg, 0, src_px,
+                                              src_labels, tgt_px)
+        smile_loss(l_dec, l_ent, cfg.lam)
+        ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
+    assert 0 < len(sel.chosen) < len(pool) // 4
+    # one taped encode and decode; greedy, pool and selection stay off it
+    assert ops.count("tanh") == 1
+    assert len(ops) == 65
