@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .data import VocabSpec, make_templates, render_string
 from .losses import smile_loss
-from .recognizer import Recognizer
+from .recognizer import Recognizer, split_gates
 from .tensor import Tape, Tensor
 from .trainer import TrainConfig, step_losses
 
@@ -40,14 +40,14 @@ def _rel(a: float, b: float) -> float:
 
 
 def grad_check(make_loss, leaves: dict[str, Tensor],
-               coords_per_leaf: int | None = None,
+               coords_per_leaf: dict[str, int] | None = None,
                rng: np.random.Generator | None = None,
                h: float = FD_STEP) -> float:
     """Max relative error between taped and central-difference gradients.
 
     make_loss rebuilds the forward pass from the leaves' current data, so
-    perturb-and-reevaluate sees the change; with coords_per_leaf set, that
-    many coordinates per leaf are sampled instead of sweeping all.
+    perturb-and-reevaluate sees the change; with coords_per_leaf set, each
+    leaf gets that many sampled coordinates (by name) instead of a sweep.
     """
     for leaf in leaves.values():
         leaf.zero_grad()  # leaf grads accumulate across backward calls
@@ -59,10 +59,8 @@ def grad_check(make_loss, leaves: dict[str, Tensor],
     for name, leaf in leaves.items():
         flat = leaf.data.reshape(-1)
         n = flat.size
-        if coords_per_leaf is None or coords_per_leaf >= n:
-            coords = range(n)
-        else:
-            coords = sorted(rng.choice(n, coords_per_leaf, replace=False))
+        k = n if coords_per_leaf is None else min(coords_per_leaf[name], n)
+        coords = sorted(rng.choice(n, k, replace=False)) if k < n else range(n)
         ana_flat = analytic[name].reshape(-1)
         for c in coords:
             orig = flat[c]
@@ -223,7 +221,10 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
                                          tgt_px)
         return smile_loss(l_dec, l_ent, cfg.lam)
 
-    err = grad_check(make_loss, rec.params, coords_per_tensor,
+    # a fused GRU tensor gets its three stored per-gate tensors' share
+    coords = {n: coords_per_tensor * len(split_gates({n: p.data}))
+              for n, p in rec.params.items()}
+    err = grad_check(make_loss, rec.params, coords,
                      np.random.default_rng([seed, 2]))
     return CheckResult("model/combined_loss", err, TOLERANCE)
 

@@ -9,21 +9,17 @@ The decoder is a GRU with additive attention queried by its previous hidden
 state; each step sees [attention context ++ input embedding].
 
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
-rows.  Each GRU keeps its checkpoint parameters per gate (W_z|W_r|W_n, U_*,
-b_*); a forward pass concatenates them once into the fused [in, 3h], [h, 3h]
-and [1, 3h] layout.  A decoder step records attention (one query matmul and
-one tensor.attend node over the [B, T, a] keys and [B, T, h] features), the
-embedding gather, the input concat, matmul and bias add, and a one-step
-gru_cell node; its restricted argmax, which greedy feeds back, comes from
-untaped numpy logits.  After the loop one output head (matmul, bias add,
-softmax) projects every step's hidden state at once.  Both decodes return one
-Decoded: the emitted rows of every sample in one sample-major [N, K] block,
-padded rows dropped, with the per-step restricted-argmax labels; iterating
-it gives per-sample DecoderOutputs.
-
-Training replays greedy decodes: _forced is teacher_forced with greedy
-pseudo-label prefixes appended to the batch, so one taped decode per image
-width rebuilds the chosen target rows next to the labeled ones.
+rows.  Each GRU holds its gates fused side by side, z | r | n: W [in, 3h],
+U [h, 3h] and b [1, 3h].  Checkpoints store them per gate (W_z, U_r, ...);
+fuse_gates and split_gates convert at that boundary.  A decoder step records
+attention (one query matmul and one tensor.attend node over the [B, T, a]
+keys and [B, T, h] features), the embedding gather, the input concat, matmul
+and bias add, and a one-step gru_cell node; its restricted argmax, which
+greedy feeds back, comes from untaped numpy logits.  After the loop one
+output head (matmul, bias add, softmax) projects every step's hidden state
+at once.  Both decodes return one Decoded: the emitted rows of every sample
+in one sample-major [N, K] block, padded rows dropped, with the per-step
+restricted-argmax labels; iterating it gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -41,7 +37,8 @@ from .tensor import Tensor
 GLYPH_H = 8
 STRIP_W = 8
 
-GRUWeights = tuple[Tensor, Tensor, Tensor]   # fused (W, b, U), gates z | r | n
+GATES = ("z", "r", "n")
+GRU_BLOCKS = ("enc", "enc_bwd", "dec")
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,13 @@ class ArchSpec:
 
 
 def param_shapes(arch: ArchSpec) -> dict[str, tuple[int, int]]:
-    """Every parameter's shape, in the declaration order init_params draws
-    them in; allocates nothing, so it is safe on untrusted sizes."""
+    """Every checkpoint tensor's shape (GRU gates apart), in the order
+    init_params draws them; allocates nothing, so safe on untrusted sizes."""
     shapes = {"proj/W": (GLYPH_H * STRIP_W, arch.d_feat),
               "proj/b": (1, arch.d_feat)}
 
     def gru_block(prefix: str, in_dim: int, hid: int):
-        for gate in ("z", "r", "n"):
+        for gate in GATES:
             shapes[f"{prefix}/W_{gate}"] = (in_dim, hid)
             shapes[f"{prefix}/U_{gate}"] = (hid, hid)
             shapes[f"{prefix}/b_{gate}"] = (1, hid)
@@ -99,18 +96,45 @@ def param_shapes(arch: ArchSpec) -> dict[str, tuple[int, int]]:
     return shapes
 
 
+def fuse_gates(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Join each checked, complete per-gate triple <name>_z|_r|_n into one
+    <name>, columns z | r | n; other names (any prefix) pass through."""
+    fused = {}
+    for name, arr in arrays.items():
+        head, _, gate = name.rpartition("_")
+        if gate not in GATES:
+            fused[name] = arr
+        elif gate == "z":
+            fused[head] = np.concatenate(
+                [arrays[f"{head}_{g}"] for g in GATES], axis=1)
+    return fused
+
+
+def split_gates(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Inverse of fuse_gates: each fused GRU tensor back into its three
+    per-gate column blocks (views); other names pass through."""
+    split = {}
+    for name, arr in arrays.items():
+        if name[-2:] in ("/W", "/U", "/b") and name[:-2].endswith(GRU_BLOCKS):
+            split.update(zip([f"{name}_{g}" for g in GATES],
+                             np.split(arr, len(GATES), axis=1)))
+        else:
+            split[name] = arr
+    return split
+
+
 def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
     """All weights uniform(-1/sqrt(fan_in), +), biases zero, one seeded
-    stream consumed in fixed declaration order."""
+    stream consumed per gate in fixed declaration order; GRU gates fused."""
     rng = np.random.default_rng(seed)
-    params = {}
+    arrays = {}
     for name, (rows, cols) in param_shapes(arch).items():
         if name.rsplit("/", 1)[1].startswith("b"):
-            params[name] = T.parameter(np.zeros((rows, cols)))
+            arrays[name] = np.zeros((rows, cols))
         else:
             bound = 1.0 / np.sqrt(rows)
-            params[name] = T.parameter(rng.uniform(-bound, bound, (rows, cols)))
-    return params
+            arrays[name] = rng.uniform(-bound, bound, (rows, cols))
+    return {n: T.parameter(a) for n, a in fuse_gates(arrays).items()}
 
 
 def check_width(arch: ArchSpec, corpus: Corpus, what: str):
@@ -188,20 +212,15 @@ class Recognizer:
 
     # -- shared pieces ------------------------------------------------------
 
-    def _gru_weights(self, prefix: str) -> GRUWeights:
-        """The block's (W, b, U) in the fused z | r | n layout."""
-        return tuple(T.concat([self.params[f"{prefix}/{kind}_{gate}"]
-                               for gate in ("z", "r", "n")], axis=1)
-                     for kind in ("W", "b", "U"))
-
     def _recur(self, prefix: str, x: Tensor, t_enc: int,
                reverse: bool) -> Tensor:
         """The prefix's GRU over the sample-major strip rows x [B*T, d];
         returns its states as one [B, T*h] block in time order."""
-        w, b, u = self._gru_weights(prefix)
-        batch = x.shape[0] // t_enc
+        p = self.params
+        u, batch = p[f"{prefix}/U"], x.shape[0] // t_enc
         # row b holds sample b's strips' input projections side by side
-        xw = T.reshape(T.add(T.matmul(x, w), b), (batch, t_enc * w.shape[1]))
+        xw = T.reshape(T.add(T.matmul(x, p[f"{prefix}/W"]), p[f"{prefix}/b"]),
+                       (batch, t_enc * u.shape[1]))
         return T.gru_cell(xw, T.zeros((batch, self.arch.enc_hidden)), u,
                           reverse=reverse)
 
@@ -231,18 +250,17 @@ class Recognizer:
             feats=T.reshape(flat, (batch, t_enc, hid_dim)),
             keys=T.reshape(keys, (batch, t_enc, self.arch.attn_dim)))
 
-    def _decode_step(self, enc: EncodedBatch, weights: GRUWeights, h: Tensor,
+    def _decode_step(self, enc: EncodedBatch, h: Tensor,
                      input_ids) -> tuple[Tensor, np.ndarray]:
-        """One decoder step with the fused decoder GRU weights; returns
-        h_next and its [B] argmax over characters plus EOS (GO and PAD never
-        win), read from untaped logits."""
+        """One decoder step: h_next and its [B] argmax over characters plus
+        EOS (GO and PAD never win), read from untaped logits."""
         p = self.params
         context = T.attend(enc.keys, enc.feats, T.matmul(h, p["attn/W_dec"]),
                            p["attn/v"])
         emb = T.gather_rows(p["embed/E"], input_ids)
-        w, b, u = weights
         x = T.concat([context, emb], axis=1)
-        h_next = T.gru_cell(T.add(T.matmul(x, w), b), h, u)
+        h_next = T.gru_cell(T.add(T.matmul(x, p["dec/W"]), p["dec/b"]), h,
+                            p["dec/U"])
         logits = h_next.data @ p["out/W"].data + p["out/b"].data
         logits[:, [self.vocab.GO, self.vocab.PAD]] = -np.inf
         return h_next, np.argmax(logits, axis=1)
@@ -267,22 +285,18 @@ class Recognizer:
     # -- the two decoding modes ---------------------------------------------
 
     def teacher_forced(self, pixels: np.ndarray,
-                       labels: list[tuple[int, ...]]) -> Decoded:
+                       labels: list[tuple[int, ...]], replay=()) -> Decoded:
         """Ground-truth-fed decode; sample b emits len(label_b)+1 rows.
 
         Step 0 is fed GO; step t>0 is fed label_b[t-1]; the final row's
         implied target is EOS.  Samples shorter than the batch maximum are
         padded with PAD inputs and their extra rows dropped.
-        """
-        return self._forced(pixels, labels)
 
-    def _forced(self, pixels: np.ndarray, labels: list[tuple[int, ...]],
-                replay=()) -> Decoded:
-        """teacher_forced with replay's (pixels, prefixes) parts appended to
-        the batch.  A prefix is a greedy decode's own picks, fed back to
-        rebuild its states; it skips the label checks and may be empty (a
-        replayed row at t = 0 needs only the GO-fed row).  Each run of parts
-        of one image width decodes as one batch; rows follow part order."""
+        replay's (pixels, prefixes) parts join the batch unchecked: a prefix
+        is a greedy decode's own picks (empty for a row at t = 0), fed back
+        to rebuild its states.  Each run of parts of one image width decodes
+        as one batch; rows follow part order.
+        """
         if len(labels) != len(pixels):
             raise ContractError(
                 f"teacher_forced: {len(pixels)} images vs {len(labels)} labels")
@@ -314,7 +328,6 @@ class Recognizer:
         batch = len(pixels)
         lengths = [len(lab) + 1 for lab in labels]
         t_max = max(lengths)
-        weights = self._gru_weights("dec")
         h = T.zeros((batch, self.arch.dec_hidden))
         states, step_labels = [], []
         for t in range(t_max):
@@ -323,7 +336,7 @@ class Recognizer:
             else:
                 ids = [lab[t - 1] if t - 1 < len(lab) else self.vocab.PAD
                        for lab in labels]
-            h, picked = self._decode_step(enc, weights, h, ids)
+            h, picked = self._decode_step(enc, h, ids)
             states.append(h)
             step_labels.append(picked)
         return self._split_outputs(states, step_labels, lengths)
@@ -333,14 +346,13 @@ class Recognizer:
         sample's first EOS (the EOS row is kept)."""
         enc = self.encode(pixels)
         batch = len(pixels)
-        weights = self._gru_weights("dec")
         h = T.zeros((batch, self.arch.dec_hidden))
         ids = np.full(batch, self.vocab.GO)
         done = np.zeros(batch, dtype=bool)
         lengths = np.zeros(batch, dtype=int)
         states, step_labels = [], []
         for t in range(self.arch.l_max + 1):
-            h, picked = self._decode_step(enc, weights, h, ids)
+            h, picked = self._decode_step(enc, h, ids)
             states.append(h)
             step_labels.append(picked)
             lengths[~done] = t + 1

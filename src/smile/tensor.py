@@ -47,10 +47,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item: tensor of shape {self.shape} is not scalar")
@@ -118,14 +114,6 @@ def untaped():
         yield
     finally:
         _state.tape = prev
-
-
-def backward(loss: Tensor):
-    """Run loss.backward on the innermost active tape."""
-    tape = _active_tape()
-    if tape is None:
-        raise ContractError("backward: no tape is active on this thread")
-    tape.backward(loss)
 
 
 def _lift(x) -> Tensor:

@@ -31,7 +31,7 @@ from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
 from .recognizer import (STRIP_W, ArchSpec, Recognizer, check_width,
-                         param_shapes)
+                         fuse_gates, param_shapes, split_gates)
 from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
                          build_pool, replay_plan, select,
                          selected_entropy_loss)
@@ -101,12 +101,12 @@ class TrainConfig:
 class _Optimizer:
     """Checkpoint state of an optimizer that keeps one dict of arrays per
     slot, keyed by parameter name, plus integer scalars; stored as
-    opt/<name>/<slot>/<param> and opt/<name>/<scalar>."""
+    opt/<name>/<slot>/<param> and opt/<name>/<scalar>, GRU slots per gate."""
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         prefix = f"opt/{self.name}/"
-        out = {f"{prefix}{slot}/{n}": a
-               for slot in self.slots for n, a in getattr(self, slot).items()}
+        out = split_gates({f"{prefix}{slot}/{n}": a for slot in self.slots
+                           for n, a in getattr(self, slot).items()})
         out.update({f"{prefix}{k}": np.array(float(getattr(self, k)))
                     for k in self.scalars})
         return out
@@ -117,9 +117,9 @@ class _Optimizer:
             setattr(self, k, int(tensors[prefix + k]))
         for slot in self.slots:
             head = f"{prefix}{slot}/"
-            getattr(self, slot).update({name[len(head):]: arr.copy()
-                                        for name, arr in tensors.items()
-                                        if name.startswith(head)})
+            getattr(self, slot).update(fuse_gates(
+                {name[len(head):]: arr.copy() for name, arr in tensors.items()
+                 if name.startswith(head)}))
 
 
 class Adam(_Optimizer):
@@ -181,14 +181,13 @@ def make_optimizer(cfg: TrainConfig):
     return Adam(cfg.lr) if cfg.optimizer == "adam" else Adadelta(cfg.lr)
 
 
-def _check_opt_state(opt, opt_state: dict[str, np.ndarray],
-                     params: dict[str, Tensor]):
-    """Resume needs each of opt's state tensors, shaped like its parameter,
-    and no state for a parameter the model does not have."""
+def _check_opt_state(opt, opt_state: dict[str, np.ndarray], arch: ArchSpec):
+    """Resume needs each of opt's state tensors as stored (per gate), shaped
+    like its parameter, and no state for a parameter the model lacks."""
     prefix = f"opt/{opt.name}/"
     expected = {f"{prefix}{k}": () for k in opt.scalars}
-    expected.update({f"{prefix}{slot}/{n}": p.shape
-                     for slot in opt.slots for n, p in params.items()})
+    expected.update({f"{prefix}{slot}/{n}": shape for slot in opt.slots
+                     for n, shape in param_shapes(arch).items()})
     for name, shape in expected.items():
         if name not in opt_state:
             raise ContractError(f"resume: checkpoint lacks {name}")
@@ -222,6 +221,8 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 
 @dataclass
 class Checkpoint:
+    """params hold GRU gates fused; opt_state stays per gate, as stored."""
+
     vocab: VocabSpec
     arch: ArchSpec
     params: dict[str, np.ndarray]
@@ -265,12 +266,10 @@ def save_checkpoint(ck: Checkpoint, path: str):
              struct.pack("<IIIII", ck.arch.d_feat, ck.arch.enc_hidden,
                          ck.arch.embed_dim, ck.arch.K, ck.arch.l_max),
              struct.pack("<Q", ck.step)]
-    names = sorted(ck.params) + sorted(ck.opt_state)
-    parts.append(struct.pack("<I", len(names)))
-    for name in names:
-        arr = ck.params.get(name)
-        if arr is None:
-            arr = ck.opt_state[name]
+    tensors = (sorted(split_gates(ck.params).items())
+               + sorted(ck.opt_state.items()))
+    parts.append(struct.pack("<I", len(tensors)))
+    for name, arr in tensors:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
@@ -333,7 +332,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if params[n].shape != shape:
             raise FormatError(f"{path}: tensor {n} has shape "
                               f"{params[n].shape}, expected {shape}")
-    return Checkpoint(vocab, arch, params, opt_state, step)
+    return Checkpoint(vocab, arch, fuse_gates(params), opt_state, step)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,7 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
         if cfg.lam > 0 and len(sel.chosen):
             samples, prefixes, rows = replay_plan(pool, sel)
             replay = [(target_px[samples], prefixes)]
-    decoded = rec._forced(batch_px, batch_labels, replay)
+    decoded = rec.teacher_forced(batch_px, batch_labels, replay)
     source = decoded.head(len(batch_labels))
     l_dec = decoder_loss(source, batch_labels)
     # the replayed samples' rows follow the labeled batch's
@@ -479,7 +478,7 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
             raise ContractError("resume requires a checkpoint")
         if "opt/seed" not in start.opt_state:
             raise ContractError("checkpoint carries no optimizer state to resume")
-        _check_opt_state(opt, start.opt_state, rec.params)
+        _check_opt_state(opt, start.opt_state, rec.arch)
         seed = _seed_value(start.opt_state)
         opt.load_state(start.opt_state)
         start_step = start.step

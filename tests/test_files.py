@@ -17,7 +17,8 @@ from smile import cli
 from smile.data import VocabSpec, generate_corpus, load_corpus, save_corpus
 from smile.errors import ContractError, FormatError
 from smile.recognizer import ArchSpec, init_params, param_shapes
-from smile.trainer import Checkpoint, load_checkpoint, save_checkpoint
+from smile.trainer import (Adam, Checkpoint, TrainConfig, load_checkpoint,
+                           save_checkpoint, snapshot, train_with_corpora)
 
 NAMED = (ContractError, FormatError)
 MUTANTS = 300
@@ -175,6 +176,28 @@ def test_checkpoint_bad_name_and_rank_rejected(tmp_path):
     corrupt(path, first + 2 + name_len, bytes([65]))
     with pytest.raises(FormatError, match="rank 65"):
         load_checkpoint(str(path))
+
+
+def test_malformed_gate_slot_loads_and_resume_names_it(capsys, tmp_path,
+                                                       files):
+    # optimizer slots stay per gate until resume has checked them, so a
+    # gate slot that cannot be fused still evaluates and is refused by name
+    rec = load_checkpoint(str(files["ck"])).restore()
+    for p in rec.params.values():
+        p.grad[...] = 1.0
+    opt = Adam()
+    opt.step(rec.params)
+    ck = snapshot(rec, opt, 3, seed=0)
+    ck.opt_state["opt/adam/m/enc/W_r"] = np.zeros(5)
+    path = tmp_path / "bad-slot.smck"
+    save_checkpoint(ck, str(path))
+    assert cli.main(["eval", "--checkpoint", str(path),
+                     "--test", str(files["corpus"])]) == 0
+    capsys.readouterr()
+    with pytest.raises(ContractError, match=r"opt/adam/m/enc/W_r has shape"):
+        train_with_corpora(TrainConfig(steps=5),
+                           source=load_corpus(str(files["corpus"])),
+                           start=load_checkpoint(str(path)), resume=True)
 
 
 def test_vocab_code_point_overflow_rejected(tmp_path, files):

@@ -8,7 +8,8 @@ from smile.checks import grad_check
 from smile.data import VocabSpec, build_glyph12
 from smile.errors import ContractError, DimensionError
 from smile.losses import decoder_loss
-from smile.recognizer import ArchSpec, Decoded, Recognizer, init_params
+from smile.recognizer import (ArchSpec, Decoded, Recognizer, fuse_gates,
+                              init_params, param_shapes, split_gates)
 from smile.tensor import Tape
 
 
@@ -33,31 +34,80 @@ def test_arch_conventions():
     assert arch.embed_dim == 16
 
 
+def per_gate_draws(arch, seed):
+    """The parameters drawn per gate from one stream in param_shapes order,
+    as init_params draws them before fusing."""
+    rng = np.random.default_rng(seed)
+    return {name: np.zeros(shape) if name.rsplit("/", 1)[1].startswith("b")
+            else rng.uniform(-1 / np.sqrt(shape[0]), 1 / np.sqrt(shape[0]),
+                             shape)
+            for name, shape in param_shapes(arch).items()}
+
+
+def check_fused_columns(p, arch, seed):
+    draws = per_gate_draws(arch, seed)
+    gru = [n for n in p if n.split("/")[0] in ("enc", "enc_bwd", "dec")]
+    for name in gru:
+        assert np.array_equal(p[name].data, np.hstack(
+            [draws[f"{name}_{g}"] for g in "zrn"])), name
+    for name in set(p) - set(gru):
+        assert np.array_equal(p[name].data, draws[name]), name
+    assert len(draws) == len(p) + 2 * len(gru)
+
+
 def test_init_params_layout():
     arch = ArchSpec(K=7, l_max=4)
     p = init_params(arch, seed=0)
     assert p["proj/W"].shape == (64, 32)
-    assert p["enc/W_z"].shape == (32, 32)
-    assert p["enc/U_n"].shape == (32, 32)
+    assert p["enc/W"].shape == (32, 3 * 32)
+    assert p["enc/U"].shape == (32, 3 * 32)
+    assert p["enc/b"].shape == (1, 3 * 32)
     assert p["attn/W_enc"].shape == (32, 32)
     assert p["attn/W_dec"].shape == (64, 32)
     assert p["attn/v"].shape == (32, 1)
     assert p["embed/E"].shape == (7, 16)
-    assert p["dec/W_z"].shape == (32 + 16, 64)
+    assert p["dec/W"].shape == (32 + 16, 3 * 64)
+    assert p["dec/U"].shape == (64, 3 * 64)
     assert p["out/W"].shape == (64, 7)
-    assert "enc_bwd/W_z" not in p
+    assert "enc_bwd/W" not in p
+    assert len(p) == 14
     for name, t in p.items():
-        if name.endswith(("/b", "/b_z", "/b_r", "/b_n")):
+        if name.endswith("/b"):
             assert (t.data == 0).all(), name
         else:
             bound = 1.0 / np.sqrt(t.shape[0])
             assert np.abs(t.data).max() <= bound, name
+    check_fused_columns(p, arch, seed=0)
 
 
 def test_init_params_bidirectional_adds_backward_pass():
     arch = ArchSpec(K=7, l_max=4, bidirectional=True)
     p = init_params(arch, seed=0)
-    assert p["enc_bwd/W_z"].shape == (32, 32)
+    assert p["enc_bwd/W"].shape == (32, 3 * 32)
+    assert p["enc_bwd/U"].shape == (32, 3 * 32)
+    assert len(p) == 17
+    check_fused_columns(p, arch, seed=0)
+
+
+def test_fuse_and_split_gates_round_trip():
+    arch = ArchSpec(K=5, l_max=2, d_feat=3, enc_hidden=2, embed_dim=2,
+                    bidirectional=True)
+    rng = np.random.default_rng(1)
+    stored = {n: rng.normal(size=shape)
+              for n, shape in param_shapes(arch).items()}
+    # an optimizer slot's prefixed names convert the same way
+    stored.update({f"opt/adam/m/{n}": a + 1.0 for n, a in stored.items()})
+    stored["opt/seed"] = np.zeros(2)
+    fused = fuse_gates(stored)
+    assert fused["dec/W"].shape == (2 + 2, 3 * 4)
+    assert np.array_equal(fused["opt/adam/m/enc_bwd/U"][:, 2:4],
+                          stored["opt/adam/m/enc_bwd/U_r"])
+    assert not any(n.endswith(("_z", "_r", "_n")) for n in fused)
+    # 3 blocks x (W, U, b) x (params, slot): each triple becomes one tensor
+    assert len(fused) == len(stored) - 2 * 3 * 3 * 2
+    back = split_gates(fused)
+    assert back.keys() == stored.keys()
+    assert all(np.array_equal(back[n], stored[n]) for n in stored)
 
 
 def test_init_params_deterministic():
@@ -127,14 +177,16 @@ def test_encode_tape_is_the_same_for_any_strip_count(bidirectional):
         assert ops.count("gru_cell") == directions
         assert ops.count("gather_rows") == 0
         sizes.append(len(ops))
-    assert sizes == [22 if bidirectional else 14] * 3
+    assert sizes == [16 if bidirectional else 11] * 3
 
 
 def numpy_gru(p, prefix, x, h):
-    """Reference GRU step on the per-gate checkpoint parameters."""
+    """Reference GRU step on the fused parameters' z | r | n column slices."""
     def gate(g, hh):
-        return x @ p[f"{prefix}/W_{g}"] + hh @ p[f"{prefix}/U_{g}"] \
-            + p[f"{prefix}/b_{g}"]
+        cols = slice("zrn".index(g) * h.shape[1],
+                     ("zrn".index(g) + 1) * h.shape[1])
+        return x @ p[f"{prefix}/W"][:, cols] + hh @ p[f"{prefix}/U"][:, cols] \
+            + p[f"{prefix}/b"][:, cols]
     z = 1.0 / (1.0 + np.exp(-gate("z", h)))
     r = 1.0 / (1.0 + np.exp(-gate("r", h)))
     n = np.tanh(gate("n", r * h))
@@ -145,9 +197,10 @@ def test_bidirectional_teacher_forced_through_gru_cell():
     birec = Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=4,
                              bidirectional=True)
     rng = np.random.default_rng(2)
-    for name, t in birec.params.items():
-        if "/b_" in name:  # nonzero biases so every gate term matters
-            t.data[...] = rng.normal(scale=0.1, size=t.shape)
+    for name in ("enc/b", "enc_bwd/b", "dec/b"):
+        # nonzero GRU biases so every gate term matters
+        t = birec.params[name]
+        t.data[...] = rng.normal(scale=0.1, size=t.shape)
     px = some_pixels(2, 3, seed=3)
     # the features sum the forward pass and the reversed backward pass
     p = {n: t.data for n, t in birec.params.items()}
@@ -175,9 +228,9 @@ def test_bidirectional_teacher_forced_through_gru_cell():
         # one per encoder direction plus 3 decoder steps
         assert sum(fn.__qualname__.startswith("gru_cell.")
                    for _, fn in tape._nodes) == 5
-    leaves = {n: birec.params[n] for n in ("enc_bwd/U_r", "enc_bwd/W_n",
-                                           "enc/U_z", "dec/b_n")}
-    err = grad_check(make_loss, leaves, coords_per_leaf=6,
+    leaves = {n: birec.params[n] for n in ("enc_bwd/U", "enc_bwd/W",
+                                           "enc/U", "dec/b")}
+    err = grad_check(make_loss, leaves, dict.fromkeys(leaves, 18),
                      rng=np.random.default_rng(5))
     assert err < 1e-6
     assert all(np.any(t.grad != 0) for t in leaves.values())

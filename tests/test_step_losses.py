@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import smile.tensor as T
+from smile import checks
 from smile.errors import ContractError
 from smile.losses import decoder_loss, row_entropy, smile_loss
 from smile.self_paced import PacingSchedule, build_pool, select
@@ -157,4 +158,19 @@ def test_smile_step_tape_size(base, small_source, small_target):
     assert 0 < len(sel.chosen) < len(pool) // 4
     # one taped encode and decode; greedy, pool and selection stay off it
     assert ops.count("tanh") == 1
-    assert len(ops) == 65
+    assert len(ops) == 59
+
+
+def test_check_model_samples_each_stored_tensor(monkeypatch):
+    # A1 perturbs 8 coordinates of each of the 26 stored (per-gate) tensors:
+    # a fused GRU tensor takes three tensors' share; each coordinate costs
+    # two loss evaluations after the taped one
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step_losses(*args)
+
+    monkeypatch.setattr(checks, "step_losses", counted)
+    assert checks.check_model().ok
+    assert len(calls) == 1 + 2 * 8 * 26

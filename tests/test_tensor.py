@@ -395,7 +395,7 @@ def test_backward_requires_scalar_tracked_node():
         with pytest.raises(ContractError):
             tape.backward(y)          # not scalar
     with pytest.raises(ContractError):
-        T.backward(T.constant([[1.0]]))  # nothing recorded it
+        Tape().backward(T.constant([[1.0]]))  # nothing recorded it
 
 
 def test_leaf_grads_accumulate_across_backward():

@@ -1,6 +1,7 @@
 """Training loop: optimizer numerics against hand-rolled oracles, gradient
 clipping, checkpoint format, reproducibility, and the mode contracts."""
 
+import hashlib
 import math
 import struct
 
@@ -9,7 +10,7 @@ import pytest
 
 from smile.data import VocabSpec, generate_corpus, make_templates
 from smile.errors import ContractError, FormatError, NumericalAbort
-from smile.recognizer import ArchSpec, init_params
+from smile.recognizer import ArchSpec, init_params, split_gates
 from smile.tensor import Tensor
 from smile.trainer import (SWEEP_GRID, Adadelta, Adam, Checkpoint,
                            MetricsLog, TrainConfig, clip_gradients,
@@ -166,6 +167,15 @@ def test_checkpoint_round_trip_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # the file stores every GRU gate apart (enc/W_z, ...) whatever the
+    # in-memory layout; these are the bytes of the per-gate format
+    path = tmp_path / "ck.smck"
+    save_checkpoint(small_checkpoint(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9401c910d2b02939ea3b2ee74cce8d72ecdee265a1857c407d0b92c17e3c3b99")
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "ck.smck"
     save_checkpoint(small_checkpoint(), str(path))
@@ -199,6 +209,17 @@ def test_checkpoint_rejects_missing_parameter(tmp_path):
     path = tmp_path / "ck.smck"
     save_checkpoint(ck, str(path))
     with pytest.raises(FormatError, match="parameter set mismatch"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_names_a_missing_gate_tensor(tmp_path):
+    ck = small_checkpoint()
+    stored = split_gates(ck.params)
+    del stored["dec/U_r"]
+    path = tmp_path / "ck.smck"
+    save_checkpoint(Checkpoint(ck.vocab, ck.arch, stored, ck.opt_state,
+                               ck.step), str(path))
+    with pytest.raises(FormatError, match=r"missing \['dec/U_r'\]"):
         load_checkpoint(str(path))
 
 
