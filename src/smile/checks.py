@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import VocabSpec, make_templates, render_string
+from .data import VocabSpec, check_seed, make_templates, render_string
 from .losses import smile_loss
 from .recognizer import Recognizer, split_gates
 from .tensor import Tape, Tensor
@@ -87,8 +87,8 @@ def _op_cases(rng: np.random.Generator):
     """Yield (name, make_loss, leaves) round-robin across all ops."""
     w34 = rng.standard_normal((3, 4))
 
-    a, b = _leaf(rng, 3, 4), _leaf(rng, 4, 2)
-    w = rng.standard_normal((3, 2))
+    a, b = _leaf(rng, 2, 2, 3), _leaf(rng, 3, 2)   # a rank-3 left operand
+    w = rng.standard_normal((2, 2, 2))
     yield "matmul", (lambda: _weighted_sum(T.matmul(a, b), w)), {"a": a, "b": b}
 
     for name, op in (("add", T.add), ("sub", T.sub), ("mul", T.mul)):
@@ -160,10 +160,11 @@ def _op_cases(rng: np.random.Generator):
 
     # B=1, T=2, H=2: every gate block, both recurrent products and the
     # gradient carried between steps are reached, in either direction
-    xw, hid, u = _leaf(rng, 1, 12), _leaf(rng, 1, 2), _leaf(rng, 2, 6)
+    xw, hid, u = _leaf(rng, 1, 2, 6), _leaf(rng, 1, 2), _leaf(rng, 2, 6)
     reverse = bool(rng.integers(2))
+    w122 = w14.reshape(1, 2, 2)
     yield "gru_cell", (lambda xw=xw, hid=hid, u=u, reverse=reverse:
-                       _weighted_sum(T.gru_cell(xw, hid, u, reverse), w14)), \
+                       _weighted_sum(T.gru_cell(xw, hid, u, reverse), w122)), \
         {"xw": xw, "h": hid, "U": u}
 
     w22 = rng.standard_normal((2, 2))
@@ -184,6 +185,7 @@ def _op_cases(rng: np.random.Generator):
 
 def check_ops(instances: int = 100, seed: int = 0) -> list[CheckResult]:
     """Sweep every op with `instances` random cases; one result per op."""
+    check_seed(seed, "gradcheck: seed")
     worst: dict[str, float] = {}
     for i in range(instances):
         rng = np.random.default_rng([seed, i])

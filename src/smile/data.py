@@ -31,6 +31,11 @@ VERSION = 1
 MAX_LABEL = 255   # a record's label length is one u8
 
 
+def check_seed(seed: int, what: str):
+    if not 0 <= seed < 2 ** 64:   # a checkpoint stores it as two u32 halves
+        raise ContractError(f"{what} {seed} not in [0, 2^64)")
+
+
 class VocabSpec:
     """Character set plus the three control tokens appended after it.
 
@@ -381,6 +386,7 @@ def build_glyph12(seed: int) -> dict[str, Corpus]:
     the same 5000 images with labels kept, for supervised-target runs;
     and the sealed shifted labeled target_test (1000).
     """
+    check_seed(seed, "glyph12: seed")
     vocab = VocabSpec(GLYPH12_CHARS)
     templates = make_templates(vocab, seed)
     shift = DomainConfig(seed=seed + 40, **GLYPH12_SHIFT)

@@ -1,7 +1,7 @@
 """Objectives: supervised decoder loss, per-row prediction entropy, and
 their weighted combination for the adaptation phase.
-Both take a Decoded batch's [N, K] block whole; row_entropy is the one
-entropy formula, on the tape in adaptation and off it in evaluation.
+decoder_loss reads a Decoded batch's emitted rows by index; row_entropy,
+the one entropy formula, takes any [N, K] block, on the tape or off it.
 
 Entropy comes in two flavors: "shannon" is the full-distribution entropy of
 a predicted row; "pseudo_nll" is the negative log-probability of the row's
@@ -49,7 +49,7 @@ def decoder_loss(decoded: Decoded, labels: list[tuple[int, ...]]) -> Tensor:
                     f"decoder_loss: target {c} is not a character index")
         targets += list(label) + [k - 2]  # EOS closes every sequence
     picked = T.gather_rows(T.reshape(decoded.probs, (n * k, 1)),
-                           np.arange(n) * k + targets)
+                           decoded.rows * k + targets)
     return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(labels))
 
 

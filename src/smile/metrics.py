@@ -17,6 +17,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import tensor as T
 from .data import Corpus
 from .errors import ContractError
 from .losses import row_entropy
@@ -124,8 +125,8 @@ def evaluate(rec: Recognizer, corpus: Corpus,
         # EOS (GO and PAD never win the restricted argmax)
         preds = [labels[:-1] if labels[-1] == eos else labels
                  for labels in decoded.labels]
-        entropies = row_entropy(decoded.probs).data
-        return preds, float(entropies.sum()), entropies.shape[0]
+        entropies = row_entropy(T.constant(decoded.probs.data[decoded.rows]))
+        return preds, float(entropies.data.sum()), len(decoded.rows)
 
     if (threads or 1) > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,12 +1,11 @@
 """Attention encoder-decoder over glyph strips.
 
-The encoder flattens the 8x8 column strips of a batch into one [B*T, 64]
-block, projects it through tanh with one matmul, and runs a GRU over the
-strip sequence (optionally bidirectional with summed directions): one input
-matmul per direction, reshaped so row b holds sample b's strips side by
-side, then one tensor.gru_cell node over the whole sequence per direction.
-The decoder is a GRU with additive attention queried by its previous hidden
-state; each step sees [attention context ++ input embedding].
+The encoder projects a batch's 8x8 column strips, one [B, T, 64] block,
+through tanh with one matmul, and runs a GRU over the strip sequence
+(optionally bidirectional with summed directions): one [B, T, 3h] input
+matmul and one tensor.gru_cell node per direction.  The decoder is a GRU
+with additive attention queried by its previous hidden state; each step
+sees [attention context ++ input embedding].
 
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU holds its gates fused side by side, z | r | n: W [in, 3h],
@@ -17,9 +16,9 @@ keys and [B, T, h] features), the embedding gather, the input concat, matmul
 and bias add, and a one-step gru_cell node; its restricted argmax, which
 greedy feeds back, comes from untaped numpy logits.  After the loop one
 output head (matmul, bias add, softmax) projects every step's hidden state
-at once.  Both decodes return one Decoded: the emitted rows of every sample
-in one sample-major [N, K] block, padded rows dropped, with the per-step
-restricted-argmax labels; iterating it gives per-sample DecoderOutputs.
+at once.  Both decodes return one Decoded: that softmax block, padded
+steps included, the sample-major positions of the emitted rows in it, and
+the restricted-argmax labels; iterating it gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -162,25 +161,22 @@ class DecoderOutput:
 
 @dataclass
 class Decoded:
-    """A batch's decode: every sample's emitted rows in one block,
-    sample-major, so sample b's rows follow sample b-1's."""
+    """A batch's decode: the output head's rows in decode order, padded
+    steps included, and where each sample's emitted rows sit in them."""
 
-    probs: Tensor                       # [N, K], N = sum of emitted lengths
+    probs: Tensor                       # [S, K] softmax rows, each sums to 1
+    rows: np.ndarray                    # [N] emitted rows of probs, sample-major
     labels: list[tuple[int, ...]]       # each sample's restricted argmax
 
     def head(self, n: int) -> "Decoded":
-        """The first n samples' decode: this block when that is all of it,
-        else one gather of their rows."""
-        if n == len(self.labels):
-            return self
-        rows = sum(len(labels) for labels in self.labels[:n])
-        return Decoded(T.gather_rows(self.probs, np.arange(rows)),
-                       self.labels[:n])
+        """The first n samples' decode, reading the same block."""
+        emitted = sum(len(labels) for labels in self.labels[:n])
+        return Decoded(self.probs, self.rows[:emitted], self.labels[:n])
 
     def __iter__(self):
-        ends = np.cumsum([len(labels) for labels in self.labels])
-        for labels, end in zip(self.labels, ends):
-            yield DecoderOutput(self.probs.data[end - len(labels):end], labels)
+        ends = np.cumsum([len(labels) for labels in self.labels])[:-1]
+        for labels, rows in zip(self.labels, np.split(self.rows, ends)):
+            yield DecoderOutput(self.probs.data[rows], labels)
 
 
 @dataclass
@@ -212,17 +208,13 @@ class Recognizer:
 
     # -- shared pieces ------------------------------------------------------
 
-    def _recur(self, prefix: str, x: Tensor, t_enc: int,
-               reverse: bool) -> Tensor:
-        """The prefix's GRU over the sample-major strip rows x [B*T, d];
-        returns its states as one [B, T*h] block in time order."""
+    def _recur(self, prefix: str, x: Tensor, reverse: bool) -> Tensor:
+        """The prefix's GRU over the strip features x [B, T, d]; returns its
+        states [B, T, h] in time order."""
         p = self.params
-        u, batch = p[f"{prefix}/U"], x.shape[0] // t_enc
-        # row b holds sample b's strips' input projections side by side
-        xw = T.reshape(T.add(T.matmul(x, p[f"{prefix}/W"]), p[f"{prefix}/b"]),
-                       (batch, t_enc * u.shape[1]))
-        return T.gru_cell(xw, T.zeros((batch, self.arch.enc_hidden)), u,
-                          reverse=reverse)
+        xw = T.add(T.matmul(x, p[f"{prefix}/W"]), p[f"{prefix}/b"])
+        return T.gru_cell(xw, T.zeros((x.shape[0], self.arch.enc_hidden)),
+                          p[f"{prefix}/U"], reverse=reverse)
 
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
         """pixels: [B, 8, W] with W a positive multiple of 8."""
@@ -235,20 +227,15 @@ class Recognizer:
             raise DimensionError(
                 f"encode: width {w} not a positive multiple of {STRIP_W}")
         t_enc = w // STRIP_W
-        hid_dim = self.arch.enc_hidden
-        # row b*T + t is strip t of sample b, flattened row by row
+        # strips[b, t] is strip t of sample b, flattened row by row
         strips = pixels.reshape(batch, GLYPH_H, t_enc, STRIP_W).transpose(
-            0, 2, 1, 3).reshape(batch * t_enc, GLYPH_H * STRIP_W)
+            0, 2, 1, 3).reshape(batch, t_enc, GLYPH_H * STRIP_W)
         x = T.tanh(T.add(T.matmul(T.constant(strips), self.params["proj/W"]),
                          self.params["proj/b"]))
-        flat = self._recur("enc", x, t_enc, reverse=False)
+        feats = self._recur("enc", x, reverse=False)
         if self.arch.bidirectional:
-            flat = T.add(flat, self._recur("enc_bwd", x, t_enc, reverse=True))
-        keys = T.matmul(T.reshape(flat, (batch * t_enc, hid_dim)),
-                        self.params["attn/W_enc"])
-        return EncodedBatch(
-            feats=T.reshape(flat, (batch, t_enc, hid_dim)),
-            keys=T.reshape(keys, (batch, t_enc, self.arch.attn_dim)))
+            feats = T.add(feats, self._recur("enc_bwd", x, reverse=True))
+        return EncodedBatch(feats, T.matmul(feats, self.params["attn/W_enc"]))
 
     def _decode_step(self, enc: EncodedBatch, h: Tensor,
                      input_ids) -> tuple[Tensor, np.ndarray]:
@@ -268,8 +255,8 @@ class Recognizer:
     def _split_outputs(self, states: list[Tensor],
                        step_labels: list[np.ndarray], lengths) -> Decoded:
         """Project the step-major hidden states to class probabilities with
-        one output head, then reorder the rows (and each step's [B] labels)
-        sample-major, dropping every sample's padded rows."""
+        one output head; index each sample's emitted rows (and each step's
+        [B] labels) sample-major, leaving out every sample's padded rows."""
         p = self.params
         logits = T.add(T.matmul(T.concat(states, axis=0), p["out/W"]),
                        p["out/b"])
@@ -280,7 +267,7 @@ class Recognizer:
             steps < lengths[:, None]]
         picked = np.stack(step_labels).T.tolist()
         labels = [tuple(seq[:n]) for seq, n in zip(picked, lengths.tolist())]
-        return Decoded(T.gather_rows(T.softmax(logits), rows), labels)
+        return Decoded(T.softmax(logits), rows, labels)
 
     # -- the two decoding modes ---------------------------------------------
 
@@ -319,7 +306,10 @@ class Recognizer:
                 px, [lab for _, part_labels in run for lab in part_labels]))
         if len(blocks) == 1:
             return blocks[0]
+        offsets = np.cumsum([0] + [block.probs.shape[0] for block in blocks])
         return Decoded(T.concat([block.probs for block in blocks]),
+                       np.concatenate([block.rows + offset for block, offset
+                                       in zip(blocks, offsets)]),
                        [lab for block in blocks for lab in block.labels])
 
     def _decode_forced(self, pixels: np.ndarray,

@@ -37,8 +37,8 @@ class PacingSchedule:
     def __post_init__(self):
         if not 0.0 <= self.p_init <= 1.0:
             raise ContractError(f"pacing: p_init {self.p_init} not in [0,1]")
-        if self.p_add < 0.0:
-            raise ContractError(f"pacing: p_add {self.p_add} < 0")
+        if not 0.0 <= self.p_add < math.inf:
+            raise ContractError(f"pacing: p_add {self.p_add} not in [0, inf)")
 
 
 def portion_at(schedule: PacingSchedule, t: int) -> float:
@@ -65,8 +65,8 @@ def build_pool(decoded: Decoded, variant: str = "shannon") -> PredictionPool:
     timestep = np.arange(len(sample)) - (np.cumsum(lengths) - lengths)[sample]
     pseudo_class = np.fromiter(itertools.chain.from_iterable(decoded.labels),
                                dtype=int, count=len(sample))
-    return PredictionPool(sample, timestep, pseudo_class,
-                          row_entropy(decoded.probs, variant).data[:, 0])
+    return PredictionPool(sample, timestep, pseudo_class, row_entropy(
+        T.constant(decoded.probs.data[decoded.rows]), variant).data[:, 0])
 
 
 @dataclass
@@ -136,8 +136,8 @@ def replay_plan(pool: PredictionPool, sel: SelectionResult
 
 def selected_entropy_loss(probs: Tensor, rows: np.ndarray,
                           variant: str = "shannon") -> Tensor | None:
-    """Mean entropy of the given rows of a replayed [N, K] block; None
-    (nothing chosen) tells the caller to drop the term this step."""
+    """Mean entropy of the given rows of a replayed decode's [S, K] block;
+    None (nothing chosen) tells the caller to drop the term this step."""
     if not len(rows):
         return None
     entropy = row_entropy(T.gather_rows(probs, rows), variant)

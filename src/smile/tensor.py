@@ -5,11 +5,11 @@ the current thread, records a backward rule onto it (untaped() suspends it
 for a block).  The tape is rebuilt on every forward pass; one tape and its
 tensors belong to a single thread.  add, sub and mul broadcast as numpy
 does, at any rank; their backward rules sum the gradient over every
-stretched axis.  gru_cell and attend are fused recurrent primitives with
-analytic backward rules: gru_cell runs a GRU over a whole sequence of steps
-(one step for a decoder) as one node whose backward is BPTT, and attend is
-one attention read, each in place of the 12-20 elementary nodes a step
-would take.
+stretched axis; matmul takes a [B, n] or [B, T, n] left operand.  gru_cell
+and attend are fused recurrent primitives with analytic backward rules:
+gru_cell runs a GRU over a whole [B, T, 3H] sequence (or one [B, 3H]
+decoder step) as one node whose backward is BPTT, and attend is one
+attention read, each in place of the 12-20 elementary nodes a step takes.
 """
 
 from __future__ import annotations
@@ -286,21 +286,23 @@ def log(a: Tensor) -> Tensor:
 # structural ops
 
 def matmul(a, b) -> Tensor:
+    """[.., n] @ [n, m] as one GEMM over the left operand's [-1, n] rows."""
     a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
         raise DimensionError(
-            f"matmul: operands must be rank 2, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+            f"matmul: need ranks 2 or 3 and 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise DimensionError(
             f"matmul: inner dimensions disagree for {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
+    flat = a.data.reshape(-1, b.shape[0])
+    out = Tensor((flat @ b.data).reshape(*a.shape[:-1], b.shape[1]))
 
     def back():
-        g = out.grad
+        g = out.grad.reshape(-1, b.shape[1])
         if a.requires_grad:
-            a.grad += g @ b.data.T
+            a.grad += (g @ b.data.T).reshape(a.shape)
         if b.requires_grad:
-            b.grad += a.data.T @ g
+            b.grad += flat.T @ g
 
     return _track(out, (a, b), back)
 
@@ -438,24 +440,22 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor,
              reverse: bool = False) -> Tensor:
     """A GRU (Cho et al. 2014) over T steps, gates in blocks z | r | n.
 
-    xw [B, T*3H] holds the steps' input projections x_t @ W + b side by
-    side, h the initial state [B, H] and U the recurrent weights [H, 3H].
-    A step computes z, r = sigmoid(xw_zr + h @ U_zr),
+    xw [B, T, 3H] holds the steps' input projections x_t @ W + b, or is
+    [B, 3H] for one step; h is the initial state [B, H] and U the recurrent
+    weights [H, 3H].  A step computes z, r = sigmoid(xw_zr + h @ U_zr),
     n = tanh(xw_n + (r * h) @ U_n) and h' = (1 - z) * n + z * h.  Steps run
-    first to last, or last to first with reverse; the [B, T*H] result holds
-    every step's state in time order, and backward is BPTT in this one node.
+    first to last, or last to first with reverse; the [B, T, H] result
+    ([B, H] for one step) holds every step's state in time order, and
+    backward is BPTT in this one node.
     """
-    if xw.data.ndim != 2 or h.data.ndim != 2 or U.data.ndim != 2:
+    if (h.data.ndim != 2 or xw.data.ndim not in (2, 3) or 0 in xw.shape
+            or xw.shape[0] != h.shape[0] or xw.shape[-1] != 3 * h.shape[1]
+            or U.shape != (h.shape[1], 3 * h.shape[1])):
         raise DimensionError(
-            f"gru_cell: operands must be rank 2, got {xw.shape}, {h.shape}, "
-            f"{U.shape}")
+            f"gru_cell: need xw [B, T, 3H] with T >= 1 or [B, 3H], h [B, H] "
+            f"and U [H, 3H]; got {xw.shape}, {h.shape}, {U.shape}")
     batch, hid = h.shape
     two, three = 2 * hid, 3 * hid
-    if (xw.shape[0] != batch or xw.shape[1] == 0 or xw.shape[1] % three
-            or U.shape != (hid, three)):
-        raise DimensionError(
-            f"gru_cell: need xw [B, T*3H] with T >= 1, h [B, H], U [H, 3H]; "
-            f"got {xw.shape}, {h.shape}, {U.shape}")
     xs, ud = xw.data.reshape(batch, -1, three), U.data
     steps = sorted(range(xs.shape[1]), reverse=reverse)
     states = np.empty((batch, len(steps), hid))
@@ -468,7 +468,7 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor,
         n = np.tanh(xs[:, t, two:] + rh @ ud[:, two:])
         saved.append((hd, z, r, rh, n))
         hd = np.add(n, z * (hd - n), out=states[:, t])
-    out = Tensor(states.reshape(batch, -1))
+    out = Tensor(states.reshape(*xw.shape[:-1], hid))
 
     def back():
         gs = out.grad.reshape(states.shape)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .binio import Reader, read_file, write_atomic
-from .data import Corpus, VocabSpec, load_corpus, read_vocab_block, vocab_block
+from .data import (Corpus, VocabSpec, check_seed, load_corpus,
+                   read_vocab_block, vocab_block)
 from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
@@ -73,8 +74,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ContractError(f"mode {self.mode!r} not in {MODES}")
-        if self.lam < 0:
-            raise ContractError(f"lambda {self.lam} < 0")
+        if not 0 <= self.lam < math.inf:
+            raise ContractError(f"lambda {self.lam} not in [0, inf)")
         if self.entropy_variant not in VARIANTS:
             raise ContractError(
                 f"entropy variant {self.entropy_variant!r} not in {VARIANTS}")
@@ -83,14 +84,13 @@ class TrainConfig:
             raise ContractError(f"steps {self.steps} < 1")
         if self.batch_source < 1 or self.batch_target < 1:
             raise ContractError("batch sizes must be >= 1")
-        if self.seed < 0:
-            raise ContractError(f"seed {self.seed} < 0")
+        check_seed(self.seed, "seed")
         if self.optimizer not in OPTIMIZERS:
             raise ContractError(f"optimizer {self.optimizer!r} not in {OPTIMIZERS}")
-        if self.lr is not None and self.lr <= 0:
-            raise ContractError(f"lr {self.lr} <= 0")
-        if self.clip <= 0:
-            raise ContractError(f"clip {self.clip} <= 0")
+        if self.lr is not None and not 0 < self.lr < math.inf:
+            raise ContractError(f"lr {self.lr} not in (0, inf)")
+        if not 0 < self.clip < math.inf:
+            raise ContractError(f"clip {self.clip} not in (0, inf)")
         if self.eval_every < 1:
             raise ContractError(f"eval_every {self.eval_every} < 1")
 
@@ -415,9 +415,10 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
     decoded = rec.teacher_forced(batch_px, batch_labels, replay)
     source = decoded.head(len(batch_labels))
     l_dec = decoder_loss(source, batch_labels)
-    # the replayed samples' rows follow the labeled batch's
-    l_ent = selected_entropy_loss(decoded.probs, source.probs.shape[0] + rows,
-                                  cfg.entropy_variant)
+    # the replayed samples' emitted rows follow the labeled batch's
+    l_ent = selected_entropy_loss(
+        decoded.probs, decoded.rows[len(source.rows) + rows],
+        cfg.entropy_variant)
     return l_dec, l_ent, pool, sel
 
 

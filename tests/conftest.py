@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import smile.tensor as T
 from smile.data import DomainConfig, VocabSpec, generate_corpus, make_templates
+from smile.recognizer import Decoded
 
 SMALL_SHIFT = dict(salt_pepper_prob=0.1, intensity_scale=0.8,
                    background_level=0.05, horizontal_shear=1)
@@ -42,3 +44,13 @@ def small_test(vocab, templates):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+def decoded_from(*samples, labels=None) -> Decoded:
+    """A sample-major decoded batch of each sample's [T_b, K] rows, labeled
+    by their argmax unless labels are given."""
+    probs = np.concatenate(samples).astype(np.float64)
+    if labels is None:
+        labels = [tuple(int(i) for i in np.argmax(rows, axis=1))
+                  for rows in samples]
+    return Decoded(T.constant(probs), np.arange(len(probs)), labels)

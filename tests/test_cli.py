@@ -128,6 +128,34 @@ def test_train_rejects_invalid_mode(capsys):
     assert "ContractError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--lambda", "nan", "lambda"), ("--lambda", "inf", "lambda"),
+    ("--lr", "nan", "lr"), ("--clip", "nan", "clip"),
+    ("--clip", "inf", "clip"), ("--p-init", "nan", "p_init"),
+    ("--p-add", "nan", "p_add"), ("--p-add", "inf", "p_add"),
+    ("--seed", "-1", "seed"), ("--seed", str(2 ** 64), "seed")])
+def test_train_refuses_bad_settings_before_loading(capsys, tmp_path, flag,
+                                                   value, name):
+    # the corpus paths do not exist: the setting must fail first
+    missing = str(tmp_path / "nowhere.smcp")
+    code = cli.main(["train", "--mode", "smile", "--source", missing,
+                     "--target", missing, flag, value])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "smile train: ContractError: " in err
+    assert f"{name} {value} not in" in err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "gradcheck"])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_u64_exits_one(capsys, tmp_path, command, seed):
+    out = ["--out", str(tmp_path / "corpora")] if command == "gen-data" else []
+    assert cli.main([command, "--seed", seed, *out]) == 1
+    err = capsys.readouterr().err
+    assert f"smile {command}: ContractError: " in err
+    assert f"seed {seed} not in [0, 2^64)" in err
+
+
 # -- gen-data -----------------------------------------------------------------
 
 def test_gen_data_writes_five_corpora(capsys, tmp_path):

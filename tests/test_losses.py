@@ -12,12 +12,7 @@ from smile.losses import decoder_loss, row_entropy, smile_loss
 from smile.recognizer import Decoded
 from smile.tensor import Tape, Tensor
 
-
-def output_from(*samples) -> Decoded:
-    """A decoded batch holding each sample's rows, in order."""
-    probs = T.constant(np.concatenate(samples).astype(np.float64))
-    return Decoded(probs, [tuple(int(np.argmax(r)) for r in rows)
-                           for rows in samples])
+from conftest import decoded_from
 
 
 def random_stochastic(rng, t, k):
@@ -33,14 +28,14 @@ def test_decoder_loss_zero_on_certain_targets():
     rows[0, 0] = 1.0
     rows[1, 1] = 1.0
     rows[2, 3] = 1.0
-    loss = decoder_loss(output_from(rows), [(0, 1)])
+    loss = decoder_loss(decoded_from(rows), [(0, 1)])
     assert abs(loss.item()) < 1e-12
 
 
 def test_decoder_loss_uniform_rows():
     k = 8
     rows = np.full((3, k), 1.0 / k)
-    loss = decoder_loss(output_from(rows), [(0, 4)])
+    loss = decoder_loss(decoded_from(rows), [(0, 4)])
     assert abs(loss.item() - 3 * math.log(k)) < 1e-12
 
 
@@ -49,7 +44,7 @@ def test_decoder_loss_matches_scalar_recomputation(rng):
     rows_a = random_stochastic(rng, 3, k)
     rows_b = random_stochastic(rng, 2, k)
     labels = [(2, 0), (1,)]
-    loss = decoder_loss(output_from(rows_a, rows_b), labels)
+    loss = decoder_loss(decoded_from(rows_a, rows_b), labels)
     eos = k - 2
     want = -(math.log(rows_a[0, 2]) + math.log(rows_a[1, 0])
              + math.log(rows_a[2, eos])
@@ -61,35 +56,38 @@ def test_decoder_loss_batch_order_invariant(rng):
     k = 6
     samples = [random_stochastic(rng, t, k) for t in (2, 3, 4)]
     labels = [(0,), (1, 2), (2, 0, 1)]
-    forward = decoder_loss(output_from(*samples), labels).item()
-    backward = decoder_loss(output_from(*samples[::-1]), labels[::-1]).item()
+    forward = decoder_loss(decoded_from(*samples), labels).item()
+    backward = decoder_loss(decoded_from(*samples[::-1]), labels[::-1]).item()
     assert abs(forward - backward) < 1e-12
 
 
 def test_decoder_loss_validation(rng):
     k = 6
     rows = random_stochastic(rng, 3, k)
-    out = output_from(rows)
+    out = decoded_from(rows)
     with pytest.raises(ContractError):
         decoder_loss(out, [(0,)])            # 3 rows vs length-1 label
     with pytest.raises(ContractError):
         decoder_loss(out, [(0, k - 2)])      # EOS is not a character target
     with pytest.raises(ContractError):
-        decoder_loss(output_from(rows, rows), [(0, 1)])   # misaligned batch
+        decoder_loss(decoded_from(rows, rows), [(0, 1)])   # misaligned batch
     with pytest.raises(ContractError):
-        decoder_loss(Decoded(T.constant(np.zeros((0, k))), []), [])
+        decoder_loss(decoded_from(np.zeros((0, k)), labels=[]), [])
 
 
 def test_decoder_loss_gradient_direction(rng):
-    # pushing probability onto the target must lower the loss
-    logits = T.parameter(rng.normal(size=(2, 5)))
+    # pushing probability onto the target must lower the loss; the sample's
+    # two rows sit at 0 and 2 of the block, row 1 is a padded step
+    logits = T.parameter(rng.normal(size=(3, 5)))
     with Tape() as tape:
         probs = T.softmax(logits)
-        loss = decoder_loss(Decoded(probs, [(0, 0)]), [(1,)])
+        loss = decoder_loss(Decoded(probs, np.array([0, 2]), [(0, 0)]),
+                            [(1,)])
         tape.backward(loss)
     # gradient w.r.t. the target logits is negative (increase helps)
     assert logits.grad[0, 1] < 0
-    assert logits.grad[1, 3] < 0  # EOS target of the second row
+    assert logits.grad[2, 3] < 0  # EOS target of the second row
+    assert not logits.grad[1].any()
 
 
 # -- row_entropy of one decoder step's [1, K] row ------------------------------

@@ -13,7 +13,9 @@ from smile.losses import row_entropy
 from smile.metrics import (EVAL_BATCH, EvalResult, char_accuracy,
                            compare_report, edit_distance, evaluate,
                            word_accuracy)
-from smile.recognizer import ArchSpec, Decoded, Recognizer
+from smile.recognizer import ArchSpec, Recognizer
+
+from conftest import decoded_from
 
 
 # -- word accuracy ------------------------------------------------------------
@@ -132,10 +134,7 @@ class StubModel:
         self.rows = np.asarray(rows, dtype=np.float64)
 
     def greedy(self, pixels):
-        batch = pixels.shape[0]
-        probs = T.constant(np.tile(self.rows, (batch, 1)))
-        labels = tuple(int(np.argmax(r)) for r in self.rows)
-        return Decoded(probs, [labels] * batch)
+        return decoded_from(*[self.rows] * pixels.shape[0])
 
 
 def test_evaluate_perfect_model(vocab, small_source):
@@ -188,7 +187,8 @@ def test_evaluate_batches_match_a_chunked_reference(vocab, corpus_300):
         decoded = rec.greedy(corpus_300.pixels[i:i + 64])
         preds += [vocab.decode([k for k in labels if k < vocab.n_chars])
                   for labels in decoded.labels]
-        entropies = row_entropy(decoded.probs).data
+        entropies = row_entropy(
+            T.constant(decoded.probs.data[decoded.rows])).data
         ent_sum += float(entropies.sum())
         ent_rows += entropies.shape[0]
     words = [vocab.decode(label) for label in corpus_300.labels]

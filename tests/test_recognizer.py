@@ -8,9 +8,11 @@ from smile.checks import grad_check
 from smile.data import VocabSpec, build_glyph12
 from smile.errors import ContractError, DimensionError
 from smile.losses import decoder_loss
-from smile.recognizer import (ArchSpec, Decoded, Recognizer, fuse_gates,
-                              init_params, param_shapes, split_gates)
+from smile.recognizer import (ArchSpec, Recognizer, fuse_gates, init_params,
+                              param_shapes, split_gates)
 from smile.tensor import Tape
+
+from conftest import decoded_from
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,8 @@ def test_encode_shapes(rec):
     enc = rec.encode(some_pixels(3, 3))
     assert enc.feats.shape == (3, 3, 32)
     assert enc.keys.shape == (3, 3, 32)
+    one = rec.encode(some_pixels(2, 1))
+    assert one.feats.shape == (2, 1, 32) and one.keys.shape == (2, 1, 32)
 
 
 def test_encode_rejects_bad_dimensions(rec):
@@ -171,13 +175,14 @@ def test_encode_tape_is_the_same_for_any_strip_count(bidirectional):
             enc_rec.encode(some_pixels(2, width // 8))
             ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
         # one strip projection, one input projection and one whole-sequence
-        # gru_cell per direction, and the keys, whatever the strip count
+        # gru_cell per direction, and the keys, whatever the strip count;
+        # every op takes the [B, T, .] blocks as they are
         assert ops.count("tanh") == 1
         assert ops.count("matmul") == 2 + directions
         assert ops.count("gru_cell") == directions
-        assert ops.count("gather_rows") == 0
+        assert ops.count("gather_rows") == ops.count("reshape") == 0
         sizes.append(len(ops))
-    assert sizes == [16 if bidirectional else 11] * 3
+    assert sizes == [11 if bidirectional else 7] * 3
 
 
 def numpy_gru(p, prefix, x, h):
@@ -242,7 +247,9 @@ def test_teacher_forced_shapes(rec):
     px = some_pixels(3, 3)
     labels = [(0,), (1, 2), (3, 0, 1)]
     decoded = rec.teacher_forced(px, labels)
-    assert decoded.probs.shape == (9, 7)
+    # 4 steps of 3 samples, padded rows included; 9 of them emitted
+    assert decoded.probs.shape == (12, 7)
+    assert decoded.rows.tolist() == [0, 3, 1, 4, 7, 2, 5, 8, 11]
     assert [o.probs.shape for o in decoded] == [(2, 7), (3, 7), (4, 7)]
     for o in decoded:
         assert np.allclose(o.probs.sum(axis=1), 1.0)
@@ -271,6 +278,30 @@ def test_teacher_forced_batch_matches_single(rec):
         [single] = rec.teacher_forced(px[b:b + 1], [lab])
         assert np.allclose(single.probs, batch[b].probs, atol=1e-12)
         assert single.pseudo_labels == batch[b].pseudo_labels
+
+
+def test_two_width_decode_equals_separate_decodes(rec):
+    # replayed parts of another image width decode as a second block; the
+    # joined Decoded must read exactly like the two decodes apart
+    px, labels = some_pixels(2, 3, seed=10), [(0, 1), (2,)]
+    narrow, prefixes = some_pixels(3, 2, seed=11), [(1,), (3, 0), (2,)]
+    joined = rec.teacher_forced(px, labels, [(narrow, prefixes)])
+    wide = rec.teacher_forced(px, labels)
+    apart = [*wide, *rec.teacher_forced(narrow, prefixes)]
+    assert joined.labels == [o.pseudo_labels for o in apart]
+    for got, want in zip(joined, apart):
+        assert np.array_equal(got.probs, want.probs)
+    head = joined.head(len(labels))
+    assert head.probs is joined.probs
+    assert head.labels == wide.labels
+    assert all(np.array_equal(got.probs, want.probs)
+               for got, want in zip(head, wide))
+    assert (decoder_loss(head, labels).item()
+            == decoder_loss(wide, labels).item())
+    want = (2 * decoder_loss(wide, labels).item() + 3 * decoder_loss(
+        rec.teacher_forced(narrow, prefixes), prefixes).item()) / 5
+    assert decoder_loss(joined, labels + prefixes).item() == pytest.approx(
+        want, rel=1e-14)
 
 
 def test_teacher_forced_step_records_seven_nodes(rec):
@@ -317,7 +348,7 @@ def test_greedy_labels_are_restricted_argmax_of_probs():
     glyph12 = build_glyph12(7)["target_test"]
     g_rec = Recognizer.fresh(glyph12.vocab, l_max=4, seed=2)
     decoded = g_rec.greedy(glyph12.pixels[:64])
-    masked = decoded.probs.data.copy()
+    masked = decoded.probs.data[decoded.rows]
     masked[:, [g_rec.vocab.GO, g_rec.vocab.PAD]] = -1.0
     flat = [i for labels in decoded.labels for i in labels]
     assert np.argmax(masked, axis=1).tolist() == flat
@@ -333,10 +364,9 @@ def test_greedy_deterministic(rec):
 # -- the decoded block --------------------------------------------------------
 
 def test_decoded_iterates_sample_rows_in_order():
-    import smile.tensor as T
     rows = np.arange(6 * 4, dtype=np.float64).reshape(6, 4)
     labels = [(1, 2), (0,), (3, 3, 1)]
-    outs = list(Decoded(T.constant(rows), labels))
+    outs = list(decoded_from(rows[0:2], rows[2:3], rows[3:6], labels=labels))
     assert [o.pseudo_labels for o in outs] == labels
     assert [o.emitted_length for o in outs] == [2, 1, 3]
     assert np.array_equal(outs[0].probs, rows[0:2])
@@ -381,8 +411,8 @@ def test_forward_inside_tape_is_differentiable(rec):
     px = some_pixels(2, 3, seed=7)
     with Tape() as tape:
         decoded = rec.teacher_forced(px, [(0, 1), (2,)])
-        # the first sample's three rows lead the sample-major block
-        loss = T.reduce_sum(T.gather_rows(decoded.probs, [0, 1, 2]))
+        # the first sample's three rows, read through the row index
+        loss = T.reduce_sum(T.gather_rows(decoded.probs, decoded.rows[:3]))
         tape.backward(loss)
     assert np.any(rec.params["proj/W"].grad != 0)
     for p in rec.params.values():

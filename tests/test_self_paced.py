@@ -9,18 +9,12 @@ import pytest
 import smile.tensor as T
 from smile.errors import ContractError
 from smile.losses import row_entropy
-from smile.recognizer import Decoded
 from smile.self_paced import (PacingSchedule, PredictionPool, build_pool,
                               portion_at, replay_plan, select,
                               selected_entropy_loss)
 from smile.tensor import Tape
 
-
-def output_from(*samples) -> Decoded:
-    """A decoded batch holding each sample's rows, in order."""
-    probs = T.constant(np.concatenate(samples).astype(np.float64))
-    return Decoded(probs, [tuple(int(np.argmax(r)) for r in rows)
-                           for rows in samples])
+from conftest import decoded_from
 
 
 def pool_of(sample, timestep, classes, entropy) -> PredictionPool:
@@ -83,7 +77,7 @@ def test_build_pool_counts_every_emitted_row(rng):
     rows_a /= rows_a.sum(axis=1, keepdims=True)
     rows_b = rng.random((2, 6)) + 0.1
     rows_b /= rows_b.sum(axis=1, keepdims=True)
-    pool = build_pool(output_from(rows_a, rows_b))
+    pool = build_pool(decoded_from(rows_a, rows_b))
     assert len(pool) == 5
     assert pool.entropy.shape == (5,)
     spots = list(zip(pool.sample.tolist(), pool.timestep.tolist()))
@@ -96,7 +90,7 @@ def test_build_pool_entropies_match_step_entropy(rng):
     rows = rng.random((4, 5)) + 0.1
     rows /= rows.sum(axis=1, keepdims=True)
     for variant in ("shannon", "pseudo_nll"):
-        pool = build_pool(output_from(rows), variant)
+        pool = build_pool(decoded_from(rows), variant)
         for i, t in enumerate(pool.timestep.tolist()):
             want = row_entropy(T.constant(rows[t:t + 1]), variant).item()
             assert abs(float(pool.entropy[i]) - want) < 1e-12
@@ -105,7 +99,7 @@ def test_build_pool_entropies_match_step_entropy(rng):
 def test_build_pool_one_hot_rows():
     rows = np.zeros((3, 9))
     rows[:, 7] = 1.0
-    pool = build_pool(output_from(rows))
+    pool = build_pool(decoded_from(rows))
     assert pool.pseudo_class.tolist() == [7, 7, 7]
     assert np.all(np.abs(pool.entropy) < 1e-10)
 
@@ -117,7 +111,7 @@ def test_build_pool_grouping_matches_recount(rng):
         rows = rng.random((t, 7)) + 0.05
         rows /= rows.sum(axis=1, keepdims=True)
         samples.append(rows)
-    decoded = output_from(*samples)
+    decoded = decoded_from(*samples)
     pool = build_pool(decoded)
     assert len(pool) == sum(len(rows) for rows in samples)
     assert pool.pseudo_class.tolist() == [label for labels in decoded.labels

@@ -106,10 +106,17 @@ def test_row_column_rank3_broadcast(rng, op, ref):
 
 
 def test_matmul_shape_rules():
-    with pytest.raises(DimensionError):
-        T.matmul(T.constant(np.zeros((2, 3))), T.constant(np.zeros((2, 3))))
-    with pytest.raises(DimensionError):
-        T.matmul(T.constant(np.zeros(3)), T.constant(np.zeros((3, 2))))
+    def z(*shape):
+        return T.constant(np.zeros(shape))
+
+    assert T.matmul(z(4, 2, 3), z(3, 5)).shape == (4, 2, 5)
+    for a, b in (((2, 3), (2, 3)),            # inner dimensions disagree
+                 ((4, 2, 3), (2, 5)),
+                 ((3,), (3, 2)),              # left rank 1
+                 ((1, 4, 2, 3), (3, 2)),      # left rank 4
+                 ((2, 3), (2, 3, 2))):        # right rank 3
+        with pytest.raises(DimensionError):
+            T.matmul(z(*a), z(*b))
 
 
 def test_log_floor():
@@ -272,6 +279,28 @@ def test_chained_grads(rng):
     assert_grads_close(loss, x)
 
 
+def test_matmul_rank3_is_the_flat_product(rng):
+    # [B, T, n] @ [n, m] must equal the [B*T, n] product bit for bit, in the
+    # output and in both gradients
+    a3 = T.parameter(rng.normal(size=(2, 3, 4)))
+    a2 = T.parameter(a3.data.reshape(6, 4))
+    b = T.parameter(rng.normal(size=(4, 5)))
+    w = rng.normal(size=(6, 5))
+    outs, b_grads = [], []
+    for a in (a3, a2):
+        b.zero_grad()
+        with Tape() as tape:
+            out = T.matmul(a, b)
+            tape.backward(T.reduce_sum(
+                T.mul(out, T.constant(w.reshape(out.shape)))))
+        outs.append(out.data)
+        b_grads.append(b.grad.copy())
+    assert outs[0].shape == (2, 3, 5)
+    assert np.array_equal(outs[0].reshape(6, 5), outs[1])
+    assert np.array_equal(a3.grad.reshape(6, 4), a2.grad)
+    assert np.array_equal(b_grads[0], b_grads[1])
+
+
 # -- fused recurrent ops against composite references -------------------------
 
 def columns(t, lo, hi):
@@ -290,13 +319,14 @@ def gru_reference(xw, h, u):
 
 
 def gru_sequence_reference(xw, h, u, reverse=False):
-    """gru_reference step by step over the T = width / 3H input blocks."""
-    three = u.shape[1]
-    states = [None] * (xw.shape[1] // three)
-    for t in sorted(range(len(states)), reverse=reverse):
-        h = gru_reference(columns(xw, t * three, (t + 1) * three), h, u)
+    """gru_reference step by step over the T steps of xw [B, T, 3H]."""
+    batch, steps, three = xw.shape
+    flat = T.reshape(xw, (batch, steps * three))
+    states = [None] * steps
+    for t in sorted(range(steps), reverse=reverse):
+        h = gru_reference(columns(flat, t * three, (t + 1) * three), h, u)
         states[t] = h
-    return T.concat(states, axis=1)
+    return T.reshape(T.concat(states, axis=1), (batch, steps, h.shape[1]))
 
 
 def attend_reference(keys, feats, q, v):
@@ -328,12 +358,34 @@ def test_gru_cell_matches_composite(rng):
     check_against_reference(rng, T.gru_cell, gru_reference, leaves)
     # T = 3 steps, first to last and last to first
     leaves = [T.parameter(rng.normal(size=s))
-              for s in ((3, 18), (3, 2), (2, 6))]
+              for s in ((3, 3, 6), (3, 2), (2, 6))]
     for reverse in (False, True):
         check_against_reference(
             rng, lambda *a, r=reverse: T.gru_cell(*a, reverse=r),
             lambda *a, r=reverse: gru_sequence_reference(*a, reverse=r),
             leaves)
+
+
+def test_gru_cell_one_step_equals_a_length_one_sequence(rng):
+    # a decoder step's [B, 3H] input is the T = 1 case of [B, T, 3H]
+    xw, h, u = (T.parameter(rng.normal(size=s))
+                for s in ((3, 6), (3, 2), (2, 6)))
+    seq = T.parameter(xw.data.reshape(3, 1, 6))
+    w = rng.normal(size=(3, 2))
+    grads = []
+    for x in (xw, seq):
+        h.zero_grad()
+        u.zero_grad()
+        with Tape() as tape:
+            out = T.gru_cell(x, h, u)
+            tape.backward(T.reduce_sum(
+                T.mul(out, T.constant(w.reshape(out.shape)))))
+        grads.append((out.data.reshape(3, 2), x.grad.reshape(3, 6),
+                      h.grad.copy(), u.grad.copy()))
+    assert T.gru_cell(xw, h, u).shape == (3, 2)
+    assert T.gru_cell(seq, h, u).shape == (3, 1, 2)
+    for one, sequence in zip(*grads):
+        assert np.array_equal(one, sequence)
 
 
 def test_attend_matches_composite(rng):
@@ -345,7 +397,7 @@ def test_attend_matches_composite(rng):
 def test_gru_cell_large_preactivations_finite(rng):
     # |pre-activation| ~ 1e3 on both signs must neither overflow nor warn,
     # over T = 3 steps so saturated gates carry gradient between steps
-    xw = T.parameter(1e3 * rng.choice([-1.0, 1.0], (4, 18)))
+    xw = T.parameter(1e3 * rng.choice([-1.0, 1.0], (4, 3, 6)))
     h = T.parameter(rng.uniform(-1.0, 1.0, (4, 2)))
     u = T.parameter(rng.normal(size=(2, 6)))
     with warnings.catch_warnings():
@@ -364,11 +416,13 @@ def test_fused_ops_reject_mismatched_shapes():
         return T.constant(np.zeros(shape))
 
     for xw, h, u in (((3, 5), (3, 2), (2, 6)),     # xw not 3H wide
-                     ((3, 8), (3, 2), (2, 6)),     # xw not a multiple of 3H
-                     ((3, 0), (3, 2), (2, 6)),     # no steps
-                     ((3, 6), (3, 2), (3, 6)),     # U not [H, 3H]
-                     ((4, 6), (3, 2), (2, 6)),     # batch disagrees
-                     ((3, 6), (3, 2, 1), (2, 6))):  # wrong rank
+                     ((3, 2, 5), (3, 2), (2, 6)),
+                     ((3, 12), (3, 2), (2, 6)),    # steps side by side
+                     ((3, 0, 6), (3, 2), (2, 6)),  # no steps
+                     ((3, 2, 6), (3, 2), (3, 6)),  # U not [H, 3H]
+                     ((4, 2, 6), (3, 2), (2, 6)),  # batch disagrees
+                     ((3, 1, 2, 6), (3, 2), (2, 6)),   # xw rank 4
+                     ((3, 2, 6), (3, 2, 1), (2, 6))):  # h rank 3
         with pytest.raises(DimensionError):
             T.gru_cell(z(*xw), z(*h), z(*u))
     for keys, feats, q, v in (((2, 3, 4), (2, 2, 5), (2, 4), (4, 1)),

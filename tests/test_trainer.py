@@ -32,10 +32,23 @@ def test_config_validation():
                 dict(entropy_variant="gini"), dict(p_init=2.0),
                 dict(p_add=-1e-9), dict(steps=0), dict(batch_source=0),
                 dict(batch_target=0), dict(seed=-1), dict(optimizer="sgd"),
-                dict(lr=0.0), dict(clip=0.0), dict(eval_every=0)):
+                dict(lr=0.0), dict(clip=0.0), dict(eval_every=0),
+                dict(seed=2 ** 64)):
         with pytest.raises(ContractError):
             TrainConfig(**bad)
     TrainConfig()  # defaults are valid
+    TrainConfig(seed=2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("field, name", [("lam", "lambda"), ("lr", "lr"),
+                                         ("clip", "clip"),
+                                         ("p_init", "p_init"),
+                                         ("p_add", "p_add")])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_refuses_non_finite_floats(field, name, value):
+    # NaN fails every comparison, so each bound is written to refuse it
+    with pytest.raises(ContractError, match=f"{name} {value}"):
+        TrainConfig(**{field: value})
 
 
 def test_sweep_grid():
@@ -244,7 +257,7 @@ def test_checkpoint_restores_bidirectional_flag(tmp_path):
 
 def test_seed_encoding_round_trip(tmp_path):
     from smile.trainer import _seed_tensor, _seed_value
-    for seed in (0, 1, 2 ** 31 - 1, 2 ** 40 + 12345):
+    for seed in (0, 1, 2 ** 31 - 1, 2 ** 40 + 12345, 2 ** 64 - 1):
         assert _seed_value({"opt/seed": _seed_tensor(seed)}) == seed
 
 
@@ -313,6 +326,24 @@ def test_resume_equals_uninterrupted(small_source, small_test):
                for n in full_ck.params)
     assert all(np.array_equal(full_ck.opt_state[n], resumed_ck.opt_state[n])
                for n in full_ck.opt_state)
+
+
+def test_largest_seed_resumes_from_its_checkpoint_file(tmp_path,
+                                                       small_source):
+    # 2^64 - 1 fills both u32 halves of opt/seed
+    top = 2 ** 64 - 1
+    half, _ = train_with_corpora(quick_cfg(steps=4, seed=top),
+                                 source=small_source)
+    path = tmp_path / "top.smck"
+    save_checkpoint(half, str(path))
+    full, _ = train_with_corpora(quick_cfg(steps=8, seed=top),
+                                 source=small_source)
+    resumed, _ = train_with_corpora(quick_cfg(steps=8), source=small_source,
+                                    start=load_checkpoint(str(path)),
+                                    resume=True)
+    assert all(np.array_equal(full.params[n], resumed.params[n])
+               for n in full.params)
+    assert resumed.opt_state["opt/seed"].tolist() == [2.0 ** 32 - 1] * 2
 
 
 def test_resume_ignores_config_seed(small_source):
