@@ -18,6 +18,7 @@ from .binio import write_atomic
 from .data import build_glyph12, load_corpus, save_corpus
 from .errors import ContractError, FormatError, NumericalAbort
 from .metrics import compare_report, evaluate
+from .self_paced import PacingSchedule
 from .trainer import (SWEEP_GRID, TrainConfig, load_checkpoint,
                       save_checkpoint, sweep, train, train_with_corpora)
 
@@ -175,8 +176,8 @@ def _run_gen_data(args) -> int:
     _require(resolved, "gen-data", "out")
     if resolved["preset"] != "glyph12":
         raise ContractError(f"gen-data: unknown preset {resolved['preset']!r}")
-    os.makedirs(resolved["out"], exist_ok=True)
     corpora = build_glyph12(resolved["seed"])
+    os.makedirs(resolved["out"], exist_ok=True)
     for name, corpus in corpora.items():
         path = os.path.join(resolved["out"], f"{name}.smcp")
         save_corpus(corpus, path)
@@ -253,9 +254,11 @@ def _parse_cells(raw_cells: list[str]) -> list[tuple[float, float]]:
         if not comma:
             raise ContractError(f"sweep: expected p_init,p_add, got {raw!r}")
         try:
-            cells.append((float(first), float(second)))
+            cell = float(first), float(second)
         except ValueError:
             raise ContractError(f"sweep: bad cell {raw!r}") from None
+        PacingSchedule(*cell)  # refuse a bad cell before anything loads
+        cells.append(cell)
     return cells
 
 

@@ -1,11 +1,11 @@
 """Objectives: supervised decoder loss, per-row prediction entropy, and
 their weighted combination for the adaptation phase.
-decoder_loss reads a Decoded batch's emitted rows by index; row_entropy,
+decoder_loss picks each emitted row's target by (row, column); row_entropy,
 the one entropy formula, takes any [N, K] block, on the tape or off it.
 
 Entropy comes in two flavors: "shannon" is the full-distribution entropy of
 a predicted row; "pseudo_nll" is the negative log-probability of the row's
-argmax.  Both are zero exactly at one-hot rows.
+argmax, picked the same way.  Both are zero exactly at one-hot rows.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def decoder_loss(decoded: Decoded, labels: list[tuple[int, ...]]) -> Tensor:
                             f"vs {len(labels)} labels")
     if not labels:
         raise ContractError("decoder_loss: empty batch")
-    n, k = decoded.probs.shape
+    k = decoded.probs.shape[1]
     targets = []
     for emitted, label in zip(decoded.labels, labels):
         if len(emitted) != len(label) + 1:
@@ -48,20 +48,17 @@ def decoder_loss(decoded: Decoded, labels: list[tuple[int, ...]]) -> Tensor:
                 raise ContractError(
                     f"decoder_loss: target {c} is not a character index")
         targets += list(label) + [k - 2]  # EOS closes every sequence
-    picked = T.gather_rows(T.reshape(decoded.probs, (n * k, 1)),
-                           decoded.rows * k + targets)
+    picked = T.gather_rows(decoded.probs, decoded.rows, targets)
     return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(labels))
 
 
 def row_entropy(probs: Tensor, variant: str = "shannon") -> Tensor:
     """Uncertainty of every row of an [N, K] block, as an [N, 1] column."""
     _check_variant(variant)
-    n, k = probs.shape
     if variant == "shannon":
         return T.mul(T.reduce_sum(T.mul(probs, T.log(probs)), axis=1), -1.0)
     tops = np.argmax(probs.data, axis=1)
-    flat = T.reshape(probs, (n * k, 1))
-    return T.mul(T.log(T.gather_rows(flat, np.arange(n) * k + tops)), -1.0)
+    return T.mul(T.log(T.gather_rows(probs, np.arange(len(tops)), tops)), -1.0)
 
 
 def smile_loss(l_dec: Tensor, l_ent: Tensor, lam: float) -> Tensor:

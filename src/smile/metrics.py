@@ -125,7 +125,7 @@ def evaluate(rec: Recognizer, corpus: Corpus,
         # EOS (GO and PAD never win the restricted argmax)
         preds = [labels[:-1] if labels[-1] == eos else labels
                  for labels in decoded.labels]
-        entropies = row_entropy(T.constant(decoded.probs.data[decoded.rows]))
+        entropies = row_entropy(T.gather_rows(decoded.probs, decoded.rows))
         return preds, float(entropies.data.sum()), len(decoded.rows)
 
     if (threads or 1) > 1 and len(chunks) > 1:

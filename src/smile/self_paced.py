@@ -65,8 +65,8 @@ def build_pool(decoded: Decoded, variant: str = "shannon") -> PredictionPool:
     timestep = np.arange(len(sample)) - (np.cumsum(lengths) - lengths)[sample]
     pseudo_class = np.fromiter(itertools.chain.from_iterable(decoded.labels),
                                dtype=int, count=len(sample))
-    return PredictionPool(sample, timestep, pseudo_class, row_entropy(
-        T.constant(decoded.probs.data[decoded.rows]), variant).data[:, 0])
+    entropy = row_entropy(T.gather_rows(decoded.probs, decoded.rows), variant)
+    return PredictionPool(sample, timestep, pseudo_class, entropy.data[:, 0])
 
 
 @dataclass

@@ -370,24 +370,27 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _track(out, (a,), back)
 
 
-def gather_rows(table: Tensor, indices) -> Tensor:
-    """Select rows of a rank-2 table; duplicate rows accumulate gradient."""
+def gather_rows(table: Tensor, rows, cols=None) -> Tensor:
+    """Select rows of a rank-2 table, or with cols the entries (rows[i],
+    cols[i]) as an [N, 1] column; duplicates accumulate gradient."""
     if table.data.ndim != 2:
         raise DimensionError(f"gather_rows: table must be rank 2, got {table.shape}")
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ContractError("gather_rows: indices must be a flat sequence")
-    n_rows = table.shape[0]
-    bad = (idx < 0) | (idx >= n_rows)
-    if bad.any():
-        offender = int(idx[bad][0])
-        raise IndexRangeError(
-            f"gather_rows: index {offender} out of range [0, {n_rows})")
-    out = Tensor(table.data[idx])
+    idx = tuple(np.asarray(i, dtype=np.intp)
+                for i in ((rows,) if cols is None else (rows, cols)))
+    for i, size, what in zip(idx, table.shape, ("row", "column")):
+        if i.ndim != 1 or len(i) != len(idx[0]):
+            raise ContractError("gather_rows: rows and cols must be flat "
+                                f"and of one length, got {[j.shape for j in idx]}")
+        bad = (i < 0) | (i >= size)
+        if bad.any():
+            raise IndexRangeError(
+                f"gather_rows: {what} {int(i[bad][0])} out of range [0, {size})")
+    picked = table.data[idx]
+    out = Tensor(picked if cols is None else picked[:, None])
 
     def back():
         if table.requires_grad:
-            np.add.at(table.grad, idx, out.grad)
+            np.add.at(table.grad, idx, out.grad.reshape(picked.shape))
 
     return _track(out, (table,), back)
 

@@ -544,9 +544,11 @@ def sweep(cells, cfg: TrainConfig, source: Corpus, target: Corpus,
     seed; returns each cell's final test evaluation."""
     if not cells:
         raise ContractError("sweep: empty grid")
+    # every cell's settings are checked before the first one trains
+    cell_cfgs = [replace(cfg, mode="smile", p_init=p_init, p_add=p_add)
+                 for p_init, p_add in cells]
     rows = []
-    for p_init, p_add in cells:
-        cell_cfg = replace(cfg, mode="smile", p_init=p_init, p_add=p_add)
+    for (p_init, p_add), cell_cfg in zip(cells, cell_cfgs):
         ck, _ = train_with_corpora(cell_cfg, source, target, test, start=start)
         rows.append(((p_init, p_add), evaluate(ck.restore(), test)))
     return rows

@@ -154,6 +154,8 @@ def test_seed_outside_u64_exits_one(capsys, tmp_path, command, seed):
     err = capsys.readouterr().err
     assert f"smile {command}: ContractError: " in err
     assert f"seed {seed} not in [0, 2^64)" in err
+    if command == "gen-data":
+        assert not (tmp_path / "corpora").exists()
 
 
 # -- gen-data -----------------------------------------------------------------
@@ -347,6 +349,14 @@ def test_sweep_rejects_bad_cells(capsys, workdir):
     assert "expected p_init,p_add" in capsys.readouterr().err
     assert cli.main(args + ["a,b"]) == 1
     assert "bad cell" in capsys.readouterr().err
+    # every cell is checked before any corpus loads or any cell trains
+    missing = str(workdir["root"] / "nowhere.smcp")
+    args = ["sweep", "--source", missing, "--target", missing,
+            "--test", missing]
+    for cells in (["0,nan"], ["0,1e-4", "0,nan"]):
+        assert cli.main(args + cells) == 1
+        err = capsys.readouterr().err
+        assert "ContractError: pacing: p_add nan not in [0, inf)" in err
 
 
 def test_sweep_requires_corpora(capsys, workdir):

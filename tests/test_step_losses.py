@@ -146,11 +146,14 @@ def test_lambda_zero_replays_nothing(base, small_source, small_target):
     assert smile_nodes == base_nodes
 
 
-def test_smile_step_tape_size(base, small_source, small_target):
+@pytest.mark.parametrize("variant, nodes", [("shannon", 52),
+                                            ("pseudo_nll", 51)])
+def test_smile_step_tape_size(base, small_source, small_target, variant,
+                              nodes):
     rec = base.restore()
     src_px, src_labels, tgt_px = batches(small_source, small_target,
                                          n_source=32, n_target=64, seed=4)
-    cfg = smile_cfg(p_add=5e-5)
+    cfg = smile_cfg(variant, p_add=5e-5)
     with Tape() as tape:
         l_dec, l_ent, pool, sel = step_losses(rec, cfg, 0, src_px,
                                               src_labels, tgt_px)
@@ -158,11 +161,12 @@ def test_smile_step_tape_size(base, small_source, small_target):
         ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
     assert 0 < len(sel.chosen) < len(pool) // 4
     # one taped encode and decode; greedy, pool and selection stay off it,
-    # and both losses read the decode's softmax block through its row index
-    # (the one reshape is decoder_loss's flat view of it)
+    # and both losses pick from the decode's softmax block by (row, column)
+    # with no reshape; pseudo_nll's entropy is one pick where shannon's is
+    # a product and a row sum
     assert ops.count("tanh") == 1
-    assert ops.count("reshape") == 1
-    assert len(ops) == 53
+    assert ops.count("reshape") == 0
+    assert len(ops) == nodes
 
 
 def test_check_model_samples_each_stored_tensor(monkeypatch):

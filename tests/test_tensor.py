@@ -175,6 +175,19 @@ def test_gather_rows_forward():
         T.gather_rows(table, [4])
     with pytest.raises(IndexRangeError):
         T.gather_rows(table, [-1])
+    # with cols: entry (rows[i], cols[i]) of each pair, as an [N, 1] column
+    out = T.gather_rows(table, [2, 0, 3], [1, 0, 2])
+    assert out.shape == (3, 1)
+    assert np.array_equal(out.data, [[7], [0], [11]])
+    assert T.gather_rows(table, [], []).shape == (0, 1)
+    with pytest.raises(IndexRangeError, match="column 3"):
+        T.gather_rows(table, [0], [3])
+    with pytest.raises(IndexRangeError, match="column -1"):
+        T.gather_rows(table, [0], [-1])
+    with pytest.raises(IndexRangeError, match="row 4"):
+        T.gather_rows(table, [4], [0])
+    with pytest.raises(ContractError):
+        T.gather_rows(table, [0, 1], [0])
 
 
 def test_concat_forward(rng):
@@ -254,6 +267,17 @@ def test_gather_rows_scatter_grad():
             return T.reduce_sum(T.gather_rows(table, indices))
 
         assert np.array_equal(analytic_grad(loss, table), want)
+    # picked entries scatter to their own (row, col); the repeated pair
+    # (1, 0) accumulates both of its weights
+    w = T.constant([[0.5], [-1.5], [2.0], [0.25]])
+
+    def picked():
+        return T.reduce_sum(T.mul(
+            T.gather_rows(table, [1, 1, 0, 2], [0, 0, 1, 1]), w))
+
+    assert_grads_close(picked, table)
+    assert np.array_equal(analytic_grad(picked, table),
+                          [[0, 2.0], [-1.0, 0], [0, 0.25]])
 
 
 def test_concat_grads(rng):

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from smile import trainer
 from smile.data import VocabSpec, generate_corpus, make_templates
 from smile.errors import ContractError, FormatError, NumericalAbort
 from smile.recognizer import ArchSpec, init_params, split_gates
@@ -534,3 +535,14 @@ def test_sweep_runs_each_cell(small_source, small_target, small_test):
         assert result.n == len(small_test)
     with pytest.raises(ContractError):
         sweep([], cfg, small_source, small_target, small_test, base)
+
+
+def test_sweep_checks_every_cell_before_training(monkeypatch, small_source,
+                                                 small_target, small_test):
+    def never(*args, **kwargs):
+        raise AssertionError("a cell trained before the grid was checked")
+
+    monkeypatch.setattr(trainer, "train_with_corpora", never)
+    with pytest.raises(ContractError, match="p_add nan"):
+        sweep([(0.0, 1e-4), (0.0, math.nan)], quick_cfg(mode="smile"),
+              small_source, small_target, small_test, None)
