@@ -141,7 +141,9 @@ def _op_cases(rng: np.random.Generator):
     idx = [int(i) for i in rng.integers(0, 6, 5)]
     idx[1] = idx[0]  # force a duplicate so scatter accumulation is exercised
     w53 = rng.standard_normal((5, 3))
-    yield "gather_rows", (lambda table=table, idx=idx: _weighted_sum(
+    if idx[0] % 2:  # about half the instances view the table as rank 3
+        table, w53 = T.parameter(table.data.reshape(6, 1, 3)), w53[:, None]
+    yield "gather_rows", (lambda table=table, idx=idx, w53=w53: _weighted_sum(
         T.gather_rows(table, idx), w53)), {"table": table}
 
     p1, p2 = _leaf(rng, 2, 3), _leaf(rng, 4, 3)

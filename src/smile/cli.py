@@ -170,12 +170,31 @@ def _require(resolved: dict, command: str, *keys: str):
             raise ContractError(f"{command}: {flag} is required")
 
 
+def _check_out(path: str, directory: bool):
+    """Refuse an --out that cannot be written before any work runs, and
+    create nothing.  A directory --out is made as needed, so its nearest
+    existing ancestor must be a directory; a file --out must not be one,
+    and its own directory must exist."""
+    probe = os.path.abspath(path)
+    if directory:
+        while not os.path.lexists(probe):
+            probe = os.path.dirname(probe)
+    elif os.path.isdir(probe):
+        raise ContractError(f"cannot write output: {path} is a directory")
+    else:
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ContractError(
+            f"cannot write output: {path}: {probe} is not a directory")
+
+
 def _run_gen_data(args) -> int:
     resolved = _resolve("gen-data", args)
     _print_config("gen-data", resolved)
     _require(resolved, "gen-data", "out")
     if resolved["preset"] != "glyph12":
         raise ContractError(f"gen-data: unknown preset {resolved['preset']!r}")
+    _check_out(resolved["out"], directory=True)
     corpora = build_glyph12(resolved["seed"])
     os.makedirs(resolved["out"], exist_ok=True)
     for name, corpus in corpora.items():
@@ -192,6 +211,8 @@ def _run_train(args) -> int:
     cfg = TrainConfig(**resolved)
     _require(resolved, "train",
              "target" if cfg.mode == "finetune" else "source")
+    if cfg.out:
+        _check_out(cfg.out, directory=True)
     ck, log = train(cfg)
     if log.eval_rows:
         last = log.eval_rows[-1]
@@ -228,6 +249,8 @@ def _run_compare(args) -> int:
     resolved = _resolve("compare", args)
     _print_config("compare", resolved, {"pairs": " ".join(args.pairs)})
     _require(resolved, "compare", "test")
+    if resolved["out"]:
+        _check_out(resolved["out"], directory=False)
     corpus = load_corpus(resolved["test"])
     named = []
     for pair in args.pairs:
@@ -270,6 +293,8 @@ def _run_sweep(args) -> int:
     _require(resolved, "sweep", "source", "target", "test")
     out_dir = resolved.pop("out")
     cfg = TrainConfig(mode="smile", **resolved)
+    if out_dir:
+        _check_out(out_dir, directory=True)
     source = load_corpus(cfg.source)
     target = load_corpus(cfg.target)
     test = load_corpus(cfg.test)

@@ -14,11 +14,14 @@ fuse_gates and split_gates convert at that boundary.  A decoder step records
 attention (one query matmul and one tensor.attend node over the [B, T, a]
 keys and [B, T, h] features), the embedding gather, the input concat, matmul
 and bias add, and a one-step gru_cell node; its restricted argmax, which
-greedy feeds back, comes from untaped numpy logits.  After the loop one
-output head (matmul, bias add, softmax) projects every step's hidden state
-at once.  Both decodes return one Decoded: that softmax block, padded
-steps included, the sample-major positions of the emitted rows in it, and
-the restricted-argmax labels; iterating it gives per-sample DecoderOutputs.
+greedy feeds back, comes from untaped numpy logits.  Greedy drops a
+sample once it emits EOS: the next step gathers only the live rows of the
+state and the encoding.  After the loop one output head (matmul, bias add,
+softmax) projects every step's hidden state at once.  Both decodes return
+one Decoded: that softmax block, the sample-major positions of the emitted
+rows in it, and the restricted-argmax labels; teacher forcing's block keeps
+the padded steps of its shorter labels, greedy's holds the emitted rows
+only.  Iterating a Decoded gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -161,8 +164,11 @@ class DecoderOutput:
 
 @dataclass
 class Decoded:
-    """A batch's decode: the output head's rows in decode order, padded
-    steps included, and where each sample's emitted rows sit in them."""
+    """A batch's decode: the output head's rows in decode order (step by
+    step), and where each sample's emitted rows sit in them.  Teacher
+    forcing keeps every step of every sample, padded ones included; greedy
+    keeps only the rows of the samples still live at each step, so all of
+    its rows are emitted."""
 
     probs: Tensor                       # [S, K] softmax rows, each sums to 1
     rows: np.ndarray                    # [N] emitted rows of probs, sample-major
@@ -253,20 +259,24 @@ class Recognizer:
         return h_next, np.argmax(logits, axis=1)
 
     def _split_outputs(self, states: list[Tensor],
-                       step_labels: list[np.ndarray], lengths) -> Decoded:
+                       step_labels: list[np.ndarray], live: list[np.ndarray],
+                       lengths: np.ndarray) -> Decoded:
         """Project the step-major hidden states to class probabilities with
-        one output head; index each sample's emitted rows (and each step's
-        [B] labels) sample-major, leaving out every sample's padded rows."""
+        one output head.  states[t] and step_labels[t] hold step t's rows of
+        the samples live[t] names, in that order; sample b emits its first
+        lengths[b] rows.  Index those rows (and their labels) sample-major,
+        leaving out any padded row."""
         p = self.params
         logits = T.add(T.matmul(T.concat(states, axis=0), p["out/W"]),
                        p["out/b"])
-        batch = len(lengths)
-        lengths = np.asarray(lengths)
-        steps = np.arange(len(states))
-        rows = (steps * batch + np.arange(batch)[:, None])[
-            steps < lengths[:, None]]
-        picked = np.stack(step_labels).T.tolist()
-        labels = [tuple(seq[:n]) for seq, n in zip(picked, lengths.tolist())]
+        sample = np.concatenate(live)
+        step = np.repeat(np.arange(len(live)), [len(s) for s in live])
+        # the block is step-major, so a stable sort by sample keeps time order
+        rows = np.argsort(sample, kind="stable")
+        rows = rows[step[rows] < lengths[sample[rows]]]
+        picked = np.concatenate(step_labels)[rows].tolist()
+        ends = np.cumsum(lengths).tolist()
+        labels = [tuple(picked[lo:hi]) for lo, hi in zip([0, *ends], ends)]
         return Decoded(T.softmax(logits), rows, labels)
 
     # -- the two decoding modes ---------------------------------------------
@@ -316,8 +326,8 @@ class Recognizer:
                        labels: list[tuple[int, ...]]) -> Decoded:
         enc = self.encode(pixels)
         batch = len(pixels)
-        lengths = [len(lab) + 1 for lab in labels]
-        t_max = max(lengths)
+        lengths = np.array([len(lab) + 1 for lab in labels])
+        t_max = int(lengths.max())
         h = T.zeros((batch, self.arch.dec_hidden))
         states, step_labels = [], []
         for t in range(t_max):
@@ -329,25 +339,33 @@ class Recognizer:
             h, picked = self._decode_step(enc, h, ids)
             states.append(h)
             step_labels.append(picked)
-        return self._split_outputs(states, step_labels, lengths)
+        return self._split_outputs(states, step_labels,
+                                   [np.arange(batch)] * t_max, lengths)
 
     def greedy(self, pixels: np.ndarray) -> Decoded:
         """Self-fed decode, at most l_max+1 steps, truncated at each
-        sample's first EOS (the EOS row is kept)."""
+        sample's first EOS (the EOS row is kept).  A sample that has
+        emitted EOS leaves the batch: later steps gather the live rows of
+        the state and the encoding, so every row decoded is emitted."""
         enc = self.encode(pixels)
         batch = len(pixels)
         h = T.zeros((batch, self.arch.dec_hidden))
         ids = np.full(batch, self.vocab.GO)
-        done = np.zeros(batch, dtype=bool)
-        lengths = np.zeros(batch, dtype=int)
-        states, step_labels = [], []
+        live = np.arange(batch)
+        states, step_labels, step_live = [], [], []
         for t in range(self.arch.l_max + 1):
-            h, picked = self._decode_step(enc, h, ids)
+            if t > 0:
+                keep = np.flatnonzero(ids != self.vocab.EOS)
+                if len(keep) == 0:
+                    break
+                if len(keep) < len(live):
+                    live, ids = live[keep], ids[keep]
+                    h = T.gather_rows(h, keep)
+                    enc = EncodedBatch(T.gather_rows(enc.feats, keep),
+                                       T.gather_rows(enc.keys, keep))
+            h, ids = self._decode_step(enc, h, ids)
             states.append(h)
-            step_labels.append(picked)
-            lengths[~done] = t + 1
-            done |= picked == self.vocab.EOS
-            if done.all():
-                break
-            ids = picked
-        return self._split_outputs(states, step_labels, lengths)
+            step_labels.append(ids)
+            step_live.append(live)
+        lengths = np.bincount(np.concatenate(step_live), minlength=batch)
+        return self._split_outputs(states, step_labels, step_live, lengths)

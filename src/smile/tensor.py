@@ -5,11 +5,12 @@ the current thread, records a backward rule onto it (untaped() suspends it
 for a block).  The tape is rebuilt on every forward pass; one tape and its
 tensors belong to a single thread.  add, sub and mul broadcast as numpy
 does, at any rank; their backward rules sum the gradient over every
-stretched axis; matmul takes a [B, n] or [B, T, n] left operand.  gru_cell
-and attend are fused recurrent primitives with analytic backward rules:
-gru_cell runs a GRU over a whole [B, T, 3H] sequence (or one [B, 3H]
-decoder step) as one node whose backward is BPTT, and attend is one
-attention read, each in place of the 12-20 elementary nodes a step takes.
+stretched axis; matmul takes a [B, n] or [B, T, n] left operand, and
+gather_rows picks rows of a rank-2 or rank-3 table.  gru_cell and attend
+are fused recurrent primitives with analytic backward rules: gru_cell runs
+a GRU over a whole [B, T, 3H] sequence (or one [B, 3H] decoder step) as
+one node whose backward is BPTT, and attend is one attention read, each in
+place of the 12-20 elementary nodes a step takes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item: tensor of shape {self.shape} is not scalar")
-        return float(self.data.reshape(-1)[0])
+        return self.data.item()
 
     def zero_grad(self):
         if self.grad is not None:
@@ -141,7 +142,9 @@ def _track(out: Tensor, inputs: tuple[Tensor, ...], backward_fn):
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str):
     # trailing dims must agree or be 1; cheaper than np.broadcast_shapes
-    for m, n in zip(reversed(a.shape), reversed(b.shape)):
+    if a.data.shape == b.data.shape:
+        return
+    for m, n in zip(reversed(a.data.shape), reversed(b.data.shape)):
         if m != n and m != 1 and n != 1:
             raise DimensionError(
                 f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
@@ -371,10 +374,12 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def gather_rows(table: Tensor, rows, cols=None) -> Tensor:
-    """Select rows of a rank-2 table, or with cols the entries (rows[i],
-    cols[i]) as an [N, 1] column; duplicates accumulate gradient."""
-    if table.data.ndim != 2:
-        raise DimensionError(f"gather_rows: table must be rank 2, got {table.shape}")
+    """Select rows of a rank-2 table, or leading-axis slices [rows, T, n] of
+    a rank-3 one; with cols, the entries (rows[i], cols[i]) of a rank-2
+    table as an [N, 1] column.  Duplicates accumulate gradient."""
+    if table.data.ndim != 2 and (cols is not None or table.data.ndim != 3):
+        raise DimensionError("gather_rows: need a rank-2 table, or rank 3 "
+                             f"without cols; got {table.shape}")
     idx = tuple(np.asarray(i, dtype=np.intp)
                 for i in ((rows,) if cols is None else (rows, cols)))
     for i, size, what in zip(idx, table.shape, ("row", "column")):
@@ -409,7 +414,7 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
         raise DimensionError(
             f"concat: parts disagree on axis {other}: {sorted(widths)}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    offsets = list(itertools.accumulate((p.shape[axis] for p in parts),
+    offsets = list(itertools.accumulate([p.data.shape[axis] for p in parts],
                                         initial=0))
 
     def back():

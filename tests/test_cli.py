@@ -317,6 +317,34 @@ def test_compare_out_in_missing_dir_exits_one(capsys, workdir):
     assert not out_csv.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep", "compare"])
+def test_out_under_a_file_is_refused_before_loading(capsys, tmp_path,
+                                                    command):
+    # the corpus paths are missing too: a FormatError would mean the
+    # command loaded (and, for train and sweep, would have trained) first
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    out, missing = afile / "x", str(tmp_path / "nowhere.smcp")
+    args = {"train": ["--source", missing, "--steps", "30"],
+            "sweep": ["--source", missing, "--target", missing,
+                      "--test", missing, "1.0,0.0"],
+            "compare": ["--test", missing, f"one={missing}"]}[command]
+    assert cli.main([command, "--out", str(out), *args]) == 1
+    err = capsys.readouterr().err
+    assert f"smile {command}: ContractError: cannot write output: {out}" in err
+    assert f"{afile} is not a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_compare_out_naming_a_directory_exits_one(capsys, workdir):
+    code = cli.main(["compare", "--test", workdir["test"],
+                     "--out", str(workdir["root"]),
+                     f"one={workdir['base_ck']}"])
+    assert code == 1
+    assert (f"ContractError: cannot write output: {workdir['root']} is a "
+            "directory") in capsys.readouterr().err
+
+
 def test_compare_rejects_malformed_pair(capsys, workdir):
     code = cli.main(["compare", "--test", workdir["test"], "justaname"])
     assert code == 1

@@ -8,6 +8,7 @@ from smile.checks import grad_check
 from smile.data import VocabSpec, build_glyph12
 from smile.errors import ContractError, DimensionError
 from smile.losses import decoder_loss
+from smile import tensor as T
 from smile.recognizer import (ArchSpec, Recognizer, fuse_gates, init_params,
                               param_shapes, split_gates)
 from smile.tensor import Tape
@@ -342,16 +343,67 @@ def test_greedy_batch_matches_single(rec):
         assert np.allclose(single.probs, batch[b].probs, atol=1e-12)
 
 
-def test_greedy_labels_are_restricted_argmax_of_probs():
+@pytest.fixture(scope="module")
+def glyph():
+    """A fresh l_max=4 model and 64 glyph12 target images whose greedy
+    decodes end after 2, 3, 4 or 5 steps."""
+    target = build_glyph12(7)["target_test"]
+    return Recognizer.fresh(target.vocab, l_max=4, seed=4), target.pixels[:64]
+
+
+def test_greedy_labels_are_restricted_argmax_of_probs(glyph):
     # the fed-back labels come from untaped per-step logits, the returned
     # probs from one output head after the loop; both must agree
-    glyph12 = build_glyph12(7)["target_test"]
-    g_rec = Recognizer.fresh(glyph12.vocab, l_max=4, seed=2)
-    decoded = g_rec.greedy(glyph12.pixels[:64])
+    g_rec, px = glyph
+    decoded = g_rec.greedy(px)
     masked = decoded.probs.data[decoded.rows]
     masked[:, [g_rec.vocab.GO, g_rec.vocab.PAD]] = -1.0
     flat = [i for labels in decoded.labels for i in labels]
     assert np.argmax(masked, axis=1).tolist() == flat
+
+
+def test_greedy_block_holds_only_emitted_rows(glyph):
+    # a sample leaves the batch once it emits EOS, so the block has no
+    # padded step, and each sample still decodes as it would alone
+    g_rec, px = glyph
+    decoded = g_rec.greedy(px)
+    lengths = [len(labels) for labels in decoded.labels]
+    assert len(set(lengths)) >= 3   # the batch shrinks more than once
+    assert decoded.probs.shape[0] == len(decoded.rows) == sum(lengths)
+    assert sorted(decoded.rows.tolist()) == list(range(sum(lengths)))
+    for b, out in enumerate(decoded):
+        [single] = g_rec.greedy(px[b:b + 1])
+        assert single.pseudo_labels == out.pseudo_labels
+        assert np.allclose(single.probs, out.probs, rtol=0, atol=1e-12)
+
+
+def test_taped_greedy_differentiates_through_the_shrinking_batch(glyph):
+    # one sample of each emitted length: the last row is decoded after the
+    # batch shrank, from gathered state and encoder rows
+    g_rec, px = glyph
+    lengths = [len(labels) for labels in g_rec.greedy(px).labels]
+    px = px[[lengths.index(n) for n in sorted(set(lengths))]]
+    w = np.random.default_rng(0).standard_normal((1, g_rec.vocab.K))
+
+    def make_loss():
+        probs = g_rec.greedy(px).probs
+        return T.reduce_sum(T.mul(
+            T.gather_rows(probs, [probs.shape[0] - 1]), T.constant(w)))
+
+    with Tape() as tape:
+        make_loss()
+        gathered = [out.shape for out, fn in tape._nodes
+                    if fn.__qualname__.startswith("gather_rows.")
+                    and out.data.ndim == 3]
+    # feats and keys at each of the len(set(lengths)) - 1 shrinks
+    assert len(gathered) == 2 * (len(set(lengths)) - 1)
+    leaves = {"proj/W": g_rec.params["proj/W"]}
+    err = grad_check(make_loss, leaves, {"proj/W": 12},
+                     rng=np.random.default_rng(1))
+    assert err < 1e-6
+    assert np.any(leaves["proj/W"].grad != 0)
+    for p in g_rec.params.values():
+        p.zero_grad()
 
 
 def test_greedy_deterministic(rec):
@@ -407,7 +459,6 @@ def test_forward_outside_tape_tracks_nothing(rec):
 
 
 def test_forward_inside_tape_is_differentiable(rec):
-    import smile.tensor as T
     px = some_pixels(2, 3, seed=7)
     with Tape() as tape:
         decoded = rec.teacher_forced(px, [(0, 1), (2,)])
