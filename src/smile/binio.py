@@ -25,6 +25,16 @@ class Reader:
         self.off += n
         return chunk
 
+    def header(self, magic: bytes, version: int):
+        """Read and check the 4-byte magic and the u32 format version."""
+        got = self.take(4, "magic")
+        if got != magic:
+            raise FormatError(f"{self.path}: bad magic {got!r} at offset 0")
+        got = self.u32("version")
+        if got != version:
+            raise FormatError(
+                f"{self.path}: unsupported version {got} at offset 4")
+
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
 

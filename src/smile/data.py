@@ -156,6 +156,11 @@ class Corpus:
         if h == 0 or w == 0:
             raise ContractError(f"corpus: images are {h}x{w} pixels, "
                                 "height and width must be positive")
+        # min and max are nan if any pixel is, which fails both tests
+        lo, hi = self.pixels.min(), self.pixels.max()
+        if not (lo >= 0.0 and hi <= 1.0):
+            raise ContractError("corpus: pixels must be finite and in "
+                                f"[0, 1], got values in [{lo}, {hi}]")
         domain = np.asarray(self.domain)
         if len(self.labels) != n or domain.shape != (n,):
             raise ContractError(f"corpus: {n} images but {len(self.labels)} "
@@ -308,10 +313,7 @@ def save_corpus(corpus: Corpus, path: str):
         raise ContractError(f"save_corpus: {corpus.vocab.n_chars} characters "
                             "do not fit the u8 label field (at most 256)")
     n, h, w = corpus.pixels.shape
-    quantized = np.round(corpus.pixels * 255.0)
-    if quantized.min() < 0 or quantized.max() > 255:
-        raise ContractError("save_corpus: pixel outside [0,1]")
-    quantized = quantized.astype(np.uint8)
+    quantized = np.round(corpus.pixels * 255.0).astype(np.uint8)
     parts = [MAGIC, struct.pack("<IIII", VERSION, h, w, n),
              vocab_block(corpus.vocab)]
     for i, (tag, label, px) in enumerate(
@@ -330,12 +332,7 @@ def save_corpus(corpus: Corpus, path: str):
 
 def load_corpus(path: str) -> Corpus:
     r = Reader(read_file(path, "corpus"), path)
-    magic = r.take(4, "magic")
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    version = r.u32("version")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at offset 4")
+    r.header(MAGIC, VERSION)
     h = r.u32("height")
     w = r.u32("width")
     count = r.u32("record count")

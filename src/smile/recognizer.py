@@ -13,15 +13,16 @@ U [h, 3h] and b [1, 3h].  Checkpoints store them per gate (W_z, U_r, ...);
 fuse_gates and split_gates convert at that boundary.  A decoder step records
 attention (one query matmul and one tensor.attend node over the [B, T, a]
 keys and [B, T, h] features), the embedding gather, the input concat, matmul
-and bias add, and a one-step gru_cell node; its restricted argmax, which
-greedy feeds back, comes from untaped numpy logits.  Greedy drops a
-sample once it emits EOS: the next step gathers only the live rows of the
-state and the encoding.  After the loop one output head (matmul, bias add,
-softmax) projects every step's hidden state at once.  Both decodes return
-one Decoded: that softmax block, the sample-major positions of the emitted
-rows in it, and the restricted-argmax labels; teacher forcing's block keeps
-the padded steps of its shorter labels, greedy's holds the emitted rows
-only.  Iterating a Decoded gives per-sample DecoderOutputs.
+and bias add, and a one-step gru_cell node.  A decode is a token sequence
+per sample: row t is fed token t-1 (GO at t = 0) and labelled with token
+t.  Teacher forcing is given its tokens; greedy feeds back each step's
+restricted argmax over untaped logits and drops a sample once it emits EOS,
+gathering the live rows of the state and the encoding.  One output head
+(matmul, bias add, softmax) then projects every hidden state at once into
+a Decoded block, indexed by the sample-major emitted rows and labelled by
+the tokens; teacher forcing's block keeps the padded steps of its shorter
+sequences, greedy's holds only emitted rows.  Iterating a Decoded gives
+per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class DecoderOutput:
     """One sample's view of a Decoded batch, as iterating it yields them."""
 
     probs: np.ndarray                   # [T, K] rows, each sums to 1
-    pseudo_labels: tuple[int, ...]      # restricted argmax per row
+    pseudo_labels: tuple[int, ...]      # the tokens, one per row
 
     @property
     def emitted_length(self) -> int:
@@ -165,14 +166,14 @@ class DecoderOutput:
 @dataclass
 class Decoded:
     """A batch's decode: the output head's rows in decode order (step by
-    step), and where each sample's emitted rows sit in them.  Teacher
-    forcing keeps every step of every sample, padded ones included; greedy
-    keeps only the rows of the samples still live at each step, so all of
-    its rows are emitted."""
+    step), where each sample's emitted rows sit in them, and the tokens
+    that label them.  Teacher forcing keeps every step of every sample,
+    padded ones included; greedy keeps only the rows of the samples still
+    live at each step, so all of its rows are emitted."""
 
     probs: Tensor                       # [S, K] softmax rows, each sums to 1
     rows: np.ndarray                    # [N] emitted rows of probs, sample-major
-    labels: list[tuple[int, ...]]       # each sample's restricted argmax
+    labels: list[tuple[int, ...]]       # each sample's tokens, one per row
 
     def head(self, n: int) -> "Decoded":
         """The first n samples' decode, reading the same block."""
@@ -243,20 +244,15 @@ class Recognizer:
             feats = T.add(feats, self._recur("enc_bwd", x, reverse=True))
         return EncodedBatch(feats, T.matmul(feats, self.params["attn/W_enc"]))
 
-    def _decode_step(self, enc: EncodedBatch, h: Tensor,
-                     input_ids) -> tuple[Tensor, np.ndarray]:
-        """One decoder step: h_next and its [B] argmax over characters plus
-        EOS (GO and PAD never win), read from untaped logits."""
+    def _decode_step(self, enc: EncodedBatch, h: Tensor, input_ids) -> Tensor:
+        """One decoder step fed input_ids [B]: the next hidden state."""
         p = self.params
         context = T.attend(enc.keys, enc.feats, T.matmul(h, p["attn/W_dec"]),
                            p["attn/v"])
         emb = T.gather_rows(p["embed/E"], input_ids)
         x = T.concat([context, emb], axis=1)
-        h_next = T.gru_cell(T.add(T.matmul(x, p["dec/W"]), p["dec/b"]), h,
-                            p["dec/U"])
-        logits = h_next.data @ p["out/W"].data + p["out/b"].data
-        logits[:, [self.vocab.GO, self.vocab.PAD]] = -np.inf
-        return h_next, np.argmax(logits, axis=1)
+        return T.gru_cell(T.add(T.matmul(x, p["dec/W"]), p["dec/b"]), h,
+                          p["dec/U"])
 
     def _split_outputs(self, states: list[Tensor],
                        step_labels: list[np.ndarray], live: list[np.ndarray],
@@ -283,16 +279,15 @@ class Recognizer:
 
     def teacher_forced(self, pixels: np.ndarray,
                        labels: list[tuple[int, ...]], replay=()) -> Decoded:
-        """Ground-truth-fed decode; sample b emits len(label_b)+1 rows.
-
-        Step 0 is fed GO; step t>0 is fed label_b[t-1]; the final row's
-        implied target is EOS.  Samples shorter than the batch maximum are
+        """Token-fed decode of label + (EOS,) per sample: step 0 is fed GO
+        and step t > 0 token t-1, so sample b emits len(label_b)+1 rows, row
+        t labelled with token t.  Samples shorter than the batch maximum are
         padded with PAD inputs and their extra rows dropped.
 
-        replay's (pixels, prefixes) parts join the batch unchecked: a prefix
-        is a greedy decode's own picks (empty for a row at t = 0), fed back
-        to rebuild its states.  Each run of parts of one image width decodes
-        as one batch; rows follow part order.
+        replay's (pixels, sequences) parts join the batch unchecked: each
+        sequence is a greedy decode's whole output, fed back to rebuild its
+        rows.  Each run of parts of one image width decodes as one batch;
+        rows follow part order.
         """
         if len(labels) != len(pixels):
             raise ContractError(
@@ -306,14 +301,15 @@ class Recognizer:
                 if not 0 <= i < self.vocab.n_chars:
                     raise ContractError(
                         f"teacher_forced: {i} is not a character index")
+        tokens = [(*lab, self.vocab.EOS) for lab in labels]
         blocks = []
-        for _, run in itertools.groupby([(pixels, labels), *replay],
+        for _, run in itertools.groupby([(pixels, tokens), *replay],
                                         key=lambda part: part[0].shape[-1]):
             run = list(run)
             px = (run[0][0] if len(run) == 1
                   else np.concatenate([part_px for part_px, _ in run]))
             blocks.append(self._decode_forced(
-                px, [lab for _, part_labels in run for lab in part_labels]))
+                px, [seq for _, part_seqs in run for seq in part_seqs]))
         if len(blocks) == 1:
             return blocks[0]
         offsets = np.cumsum([0] + [block.probs.shape[0] for block in blocks])
@@ -323,30 +319,31 @@ class Recognizer:
                        [lab for block in blocks for lab in block.labels])
 
     def _decode_forced(self, pixels: np.ndarray,
-                       labels: list[tuple[int, ...]]) -> Decoded:
+                       tokens: list[tuple[int, ...]]) -> Decoded:
         enc = self.encode(pixels)
         batch = len(pixels)
-        lengths = np.array([len(lab) + 1 for lab in labels])
+        lengths = np.array([len(seq) for seq in tokens])
         t_max = int(lengths.max())
+        # grid[t, b] is sample b's token t, PAD past its end
+        grid = np.full((batch, t_max), self.vocab.PAD)
+        grid[np.arange(t_max) < lengths[:, None]] = np.fromiter(
+            itertools.chain.from_iterable(tokens), dtype=int)
+        grid = grid.T
         h = T.zeros((batch, self.arch.dec_hidden))
-        states, step_labels = [], []
+        states = []
         for t in range(t_max):
-            if t == 0:
-                ids = [self.vocab.GO] * batch
-            else:
-                ids = [lab[t - 1] if t - 1 < len(lab) else self.vocab.PAD
-                       for lab in labels]
-            h, picked = self._decode_step(enc, h, ids)
+            h = self._decode_step(
+                enc, h, grid[t - 1] if t else np.full(batch, self.vocab.GO))
             states.append(h)
-            step_labels.append(picked)
-        return self._split_outputs(states, step_labels,
-                                   [np.arange(batch)] * t_max, lengths)
+        return self._split_outputs(states, grid, [np.arange(batch)] * t_max,
+                                   lengths)
 
     def greedy(self, pixels: np.ndarray) -> Decoded:
         """Self-fed decode, at most l_max+1 steps, truncated at each
-        sample's first EOS (the EOS row is kept).  A sample that has
-        emitted EOS leaves the batch: later steps gather the live rows of
-        the state and the encoding, so every row decoded is emitted."""
+        sample's first EOS (the EOS row is kept); each step is fed the last
+        one's restricted argmax (GO and PAD never win).  A sample leaves the
+        batch once it emits EOS: later steps gather only the live rows."""
+        p = self.params
         enc = self.encode(pixels)
         batch = len(pixels)
         h = T.zeros((batch, self.arch.dec_hidden))
@@ -363,7 +360,10 @@ class Recognizer:
                     h = T.gather_rows(h, keep)
                     enc = EncodedBatch(T.gather_rows(enc.feats, keep),
                                        T.gather_rows(enc.keys, keep))
-            h, ids = self._decode_step(enc, h, ids)
+            h = self._decode_step(enc, h, ids)
+            logits = h.data @ p["out/W"].data + p["out/b"].data
+            logits[:, [self.vocab.GO, self.vocab.PAD]] = -np.inf
+            ids = np.argmax(logits, axis=1)
             states.append(h)
             step_labels.append(ids)
             step_live.append(live)

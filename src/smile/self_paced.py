@@ -8,10 +8,10 @@ independently: the ceil(n_c * P_t) lowest-entropy rows of class c.
 
 The training term is the mean entropy of the chosen rows, rebuilt on the
 tape by replay.  Greedy feeds back its own picks, so a teacher-forced
-decode fed a sample's pseudo labels up to its last chosen timestep rebuilds
-the same states; unchosen rows after that are never decoded again.
-replay_plan gives those prefixes and where each chosen row lands in the
-replayed block, and selected_entropy_loss reads just those rows.
+decode of a sample's whole pseudo-label sequence rebuilds every one of its
+rows.  replay_plan gives the samples with a chosen row, their sequences and
+where each chosen row lands in the replayed block, and
+selected_entropy_loss reads just those rows.
 """
 
 from __future__ import annotations
@@ -114,24 +114,20 @@ def select(pool: PredictionPool, schedule: PacingSchedule,
 def replay_plan(pool: PredictionPool, sel: SelectionResult
                 ) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
     """What a replay of the chosen rows decodes: the samples with a chosen
-    row, ascending; each one's pseudo-label prefix up to its last chosen
-    timestep (empty when that is t = 0); and every chosen row's index in
-    the sample-major block a forced decode of those prefixes emits, in pool
-    order.  sel must have chosen at least one row."""
+    row, ascending; each one's whole pseudo-label sequence; and every chosen
+    row's rank among those samples' pool rows, in pool order.  A forced
+    decode of those sequences emits those pool rows one for one,
+    sample-major, so a chosen row's rank is its index in that decode."""
     chosen = np.sort(sel.chosen)
-    sample = pool.sample[chosen]
-    step = pool.timestep[chosen]
-    # in pool order a sample's chosen rows are one run ending at its last
-    new_run = sample[1:] != sample[:-1]
-    last = np.flatnonzero(np.append(new_run, True))
-    ends = chosen[last]                 # pool row of each last chosen row
-    lengths = step[last] + 1            # rows each replayed sample emits
-    run = np.append(0, np.cumsum(new_run))
-    rows = (np.cumsum(lengths) - lengths)[run] + step
-    classes = pool.pseudo_class.tolist()
-    prefixes = [tuple(classes[end - n + 1:end])
-                for end, n in zip(ends.tolist(), lengths.tolist())]
-    return sample[last], prefixes, rows
+    counts = np.bincount(pool.sample)   # each sample's pool rows
+    picked = np.zeros(len(counts), dtype=bool)
+    picked[pool.sample[chosen]] = True
+    samples = np.flatnonzero(picked)
+    replayed = picked[pool.sample]
+    ends = np.cumsum(counts[samples]).tolist()
+    classes = pool.pseudo_class[replayed].tolist()
+    sequences = [tuple(classes[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    return samples, sequences, np.cumsum(replayed)[chosen] - 1
 
 
 def selected_entropy_loss(probs: Tensor, rows: np.ndarray,

@@ -7,10 +7,11 @@ target corpus starting from a loaded checkpoint.
 
 step_losses builds every step's losses, and gate A1 checks it.  In smile
 mode it greedy-decodes the target batch off the tape, pools and selects;
-then one taped teacher-forced decode runs the labeled batch with the chosen
-rows' pseudo-label prefixes appended (self_paced.replay_plan), and the
-entropy term reads only the chosen rows.  With lam = 0 nothing is replayed,
-so the update equals base mode's and the selection is only logged.
+then one taped teacher-forced decode runs the labeled batch and, after it,
+each target sample with a chosen row fed its whole pseudo-label sequence
+(self_paced.replay_plan); the entropy term reads only the chosen rows.
+With lam = 0 nothing is replayed, so the update equals base mode's and the
+selection is only logged.
 
 Batch composition is stateless: the indices for step s come from fresh
 generators keyed [seed, stream, s], so a resumed run draws exactly the
@@ -282,12 +283,7 @@ def save_checkpoint(ck: Checkpoint, path: str):
 
 def load_checkpoint(path: str) -> Checkpoint:
     r = Reader(read_file(path, "checkpoint"), path)
-    magic = r.take(4, "magic")
-    if magic != CK_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at offset 0")
-    version = r.u32("version")
-    if version != CK_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at offset 4")
+    r.header(CK_MAGIC, CK_VERSION)
     vocab = read_vocab_block(r)
     d_feat = r.u32("d_feat")
     enc_hidden = r.u32("hidden size")
@@ -315,6 +311,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
         if name in tensors:
             raise FormatError(f"{path}: duplicate tensor {name}")
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name} holds a non-finite "
+                              f"value (values end at offset {r.off})")
         tensors[name] = arr
     r.expect_end()
     params = {n: a for n, a in tensors.items() if not n.startswith("opt/")}
@@ -400,9 +399,10 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
                            SelectionResult | None]:
     """(l_dec, l_ent, pool, sel) of 0-based step `step`: the decoder loss
     of the labeled batch and, given a target batch, its pool, its selection
-    at t = step + 1 and the mean entropy of the chosen rows.  l_ent is None
-    when lam is 0 or nothing was chosen; it, pool and sel are None with no
-    target batch."""
+    at t = step + 1 and the mean entropy of the chosen rows, whose samples
+    are teacher-forced whole, with their greedy sequences, after the labeled
+    batch in one decode.  l_ent is None when lam is 0 or nothing was chosen;
+    it, pool and sel are None with no target batch."""
     pool = sel = None
     replay, rows = [], np.zeros(0, dtype=int)
     if target_px is not None:
@@ -410,8 +410,8 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
             pool = build_pool(rec.greedy(target_px), cfg.entropy_variant)
         sel = select(pool, PacingSchedule(cfg.p_init, cfg.p_add), step + 1)
         if cfg.lam > 0 and len(sel.chosen):
-            samples, prefixes, rows = replay_plan(pool, sel)
-            replay = [(target_px[samples], prefixes)]
+            samples, sequences, rows = replay_plan(pool, sel)
+            replay = [(target_px[samples], sequences)]
     decoded = rec.teacher_forced(batch_px, batch_labels, replay)
     source = decoded.head(len(batch_labels))
     l_dec = decoder_loss(source, batch_labels)

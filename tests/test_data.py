@@ -257,6 +257,15 @@ def test_corpus_constructor_contract(vocab, case):
         Corpus(vocab, px, labels, domain)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0, -1.0])
+def test_corpus_refuses_pixels_outside_unit_range(vocab, value):
+    # a NaN pixel would pass a save-time min/max test and cast to u8
+    px, labels, domain = corpus_parts()
+    px[1, 3, 5] = value
+    with pytest.raises(ContractError, match="pixels must be finite and in"):
+        Corpus(vocab, px, labels, domain)
+
+
 def test_glyph12_preset():
     corpora = build_glyph12(seed=7)
     assert set(corpora) == {"source_train", "source_val", "target_train",

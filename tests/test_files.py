@@ -178,6 +178,20 @@ def test_checkpoint_bad_name_and_rank_rejected(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_non_finite_tensor_rejected(tmp_path):
+    # a NaN parameter would evaluate to nan entropy and decode garbage;
+    # a fused GRU tensor is named by its stored gate
+    path = tmp_path / "ck.smck"
+    for name, value, stored in (("out/b", np.nan, "out/b"),
+                                ("dec/U", -np.inf, "dec/U_n")):
+        ck = tiny_checkpoint(VocabSpec("AB"), 2)
+        ck.params[name][0, -1] = value
+        save_checkpoint(ck, str(path))
+        with pytest.raises(FormatError,
+                           match=f"tensor {stored} holds a non-finite"):
+            load_checkpoint(str(path))
+
+
 def test_malformed_gate_slot_loads_and_resume_names_it(capsys, tmp_path,
                                                        files):
     # optimizer slots stay per gate until resume has checked them, so a

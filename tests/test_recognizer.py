@@ -257,6 +257,14 @@ def test_teacher_forced_shapes(rec):
         assert len(o.pseudo_labels) == o.emitted_length
 
 
+def test_teacher_forced_labels_are_its_tokens(rec):
+    # teacher forcing takes no argmax: row t is labelled with the token it
+    # was given, the label's characters and then EOS
+    labels = [(0,), (1, 2), (3, 0, 1)]
+    decoded = rec.teacher_forced(some_pixels(3, 3, seed=5), labels)
+    assert decoded.labels == [(*lab, rec.vocab.EOS) for lab in labels]
+
+
 def test_teacher_forced_validation(rec):
     px = some_pixels(2, 3)
     with pytest.raises(ContractError):
@@ -284,9 +292,11 @@ def test_teacher_forced_batch_matches_single(rec):
 def test_two_width_decode_equals_separate_decodes(rec):
     # replayed parts of another image width decode as a second block; the
     # joined Decoded must read exactly like the two decodes apart
+    # a replayed part is given whole token sequences, EOS included
     px, labels = some_pixels(2, 3, seed=10), [(0, 1), (2,)]
     narrow, prefixes = some_pixels(3, 2, seed=11), [(1,), (3, 0), (2,)]
-    joined = rec.teacher_forced(px, labels, [(narrow, prefixes)])
+    joined = rec.teacher_forced(
+        px, labels, [(narrow, [p + (rec.vocab.EOS,) for p in prefixes])])
     wide = rec.teacher_forced(px, labels)
     apart = [*wide, *rec.teacher_forced(narrow, prefixes)]
     assert joined.labels == [o.pseudo_labels for o in apart]

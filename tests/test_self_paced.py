@@ -227,12 +227,13 @@ def test_replay_plan_worked_example():
     sel = select(pool, PacingSchedule(0.4, 0.0), t=0)
     # one row per class here: 5,6,7,4,3,2 are singletons, 9 takes 2 of 3
     assert sorted(sel.chosen.tolist()) == [0, 1, 2, 3, 5, 6, 7, 8]
-    samples, prefixes, rows = replay_plan(pool, sel)
+    samples, sequences, rows = replay_plan(pool, sel)
     assert samples.tolist() == [0, 1, 2]
-    # each prefix stops before the sample's last chosen row
-    assert prefixes == [(5, 6), (), (4, 3, 2)]
-    # blocks of 3, 1 and 4 rows: sample 1 starts at 3, sample 2 at 4
-    assert rows.tolist() == [0, 1, 2, 3, 4, 5, 6, 7]
+    # every replayed sample decodes its whole pseudo-label sequence
+    assert sequences == [(5, 6, 9), (7, 9), (4, 3, 2, 9)]
+    # blocks of 3, 2 and 4 rows, as in the pool: unchosen row 4 is decoded
+    # but not read
+    assert rows.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
 
 
 def test_replay_plan_skips_unchosen_samples_and_tails():
@@ -241,26 +242,27 @@ def test_replay_plan_skips_unchosen_samples_and_tails():
                    [0.9, 0.1, 0.2, 0.3, 0.9, 0.5, 0.9])
     sel = select(pool, PacingSchedule(0.01, 0.0), t=0)
     assert sorted(sel.chosen.tolist()) == [1, 2, 3]   # one per class
-    samples, prefixes, rows = replay_plan(pool, sel)
-    # sample 2's rows were not chosen; sample 1 replays only its t = 0 row
+    samples, sequences, rows = replay_plan(pool, sel)
+    # sample 2's rows were not chosen, so it is not replayed; sample 1's
+    # unchosen t = 1 tail is decoded with it but not read
     assert samples.tolist() == [0, 1]
-    assert prefixes == [(0, 1), ()]
+    assert sequences == [(0, 1, 3), (0, 3)]
     assert rows.tolist() == [1, 2, 3]
 
 
 def test_unchosen_prefix_rows_get_zero_gradient():
-    # only sample 0's t = 2 row is chosen: its replay feeds the t = 0 and
-    # t = 1 picks, whose rows are decoded again but carry no entropy loss
-    pool = pool_of([0, 0, 0], [0, 1, 2], [0, 0, 0], [0.9, 0.8, 0.1])
+    # only sample 0's t = 1 row is chosen: its replay decodes the whole
+    # sequence, and the t = 0 and t = 2 rows carry no entropy loss
+    pool = pool_of([0, 0, 0], [0, 1, 2], [0, 0, 0], [0.9, 0.1, 0.8])
     sel = select(pool, PacingSchedule(0.2, 0.0), t=0)
-    _, prefixes, rows = replay_plan(pool, sel)
-    assert prefixes == [(0, 0)] and rows.tolist() == [2]
-    leaf = T.parameter(rows_with_nll([0.9, 0.8, 0.1]))
+    _, sequences, rows = replay_plan(pool, sel)
+    assert sequences == [(0, 0, 0)] and rows.tolist() == [1]
+    leaf = T.parameter(rows_with_nll([0.9, 0.1, 0.8]))
     with Tape() as tape:
         loss = selected_entropy_loss(leaf, rows, "pseudo_nll")
         tape.backward(loss)
-    assert np.all(leaf.grad[:2] == 0.0)
-    assert leaf.grad[2, 0] == pytest.approx(-1.0 / np.exp(-0.1))
+    assert np.all(leaf.grad[[0, 2]] == 0.0)
+    assert leaf.grad[1, 0] == pytest.approx(-1.0 / np.exp(-0.1))
 
 
 # -- selected mean loss -------------------------------------------------------

@@ -1,6 +1,7 @@
-"""A training step's losses: the replay of the chosen pseudo-label prefixes
-inside the labeled batch against a taped-greedy reference built here from
-public ops, the empty-prefix and two-width cases, and the step's tape size."""
+"""A training step's losses: the replay of the chosen samples' pseudo-label
+sequences inside the labeled batch against a taped-greedy reference built
+here from public ops, the EOS-only and two-width cases, and the step's tape
+size."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import smile.tensor as T
 from smile import checks
 from smile.errors import ContractError
 from smile.losses import decoder_loss, row_entropy, smile_loss
-from smile.self_paced import PacingSchedule, build_pool, select
+from smile.self_paced import PacingSchedule, build_pool, replay_plan, select
 from smile.tensor import Tape
 from smile.trainer import TrainConfig, step_losses, train_with_corpora
 
@@ -102,6 +103,36 @@ def test_replay_matches_taped_greedy_reference(base, small_source,
         assert 0 < len(sel.chosen) < pool_rows
 
 
+def test_replay_rebuilds_each_chosen_sample_whole(base, small_source,
+                                                  small_target):
+    # a replayed sample decodes its whole greedy sequence, chosen rows or
+    # not: every row equals greedy's, and its tokens are greedy's labels
+    rec = base.restore()
+    src_px, src_labels, tgt_px = batches(small_source, small_target)
+    greedy = rec.greedy(tgt_px)
+    pool = build_pool(greedy)
+    sel = select(pool, PacingSchedule(0.0, 1e-3), STEP + 1)
+    samples, sequences, rows = replay_plan(pool, sel)
+    # some replayed sample has an unchosen row after its last chosen one
+    chosen = np.sort(sel.chosen)
+    last = dict(zip(pool.sample[chosen].tolist(),
+                    pool.timestep[chosen].tolist()))
+    assert any(t + 1 < len(greedy.labels[s]) for s, t in last.items())
+    decoded = rec.teacher_forced(src_px, src_labels,
+                                 [(tgt_px[samples], sequences)])
+    assert decoded.labels[len(src_labels):] == [greedy.labels[b]
+                                                for b in samples.tolist()]
+    # the replayed rows, sample-major, against the same samples' pool rows
+    replay = decoded.probs.data[
+        decoded.rows[len(decoded.head(len(src_labels)).rows):]]
+    want = greedy.probs.data[greedy.rows[np.isin(pool.sample, samples)]]
+    assert replay.shape == want.shape
+    assert np.abs(replay - want).max() < 1e-12
+    # and each chosen row is read from its own pool row's place
+    assert np.abs(replay[rows] - greedy.probs.data[
+        greedy.rows[chosen]]).max() < 1e-12
+
+
 def test_empty_prefixes_replay_an_eos_first_decode(base, small_source,
                                                    small_target):
     rec = base.restore()
@@ -109,7 +140,7 @@ def test_empty_prefixes_replay_an_eos_first_decode(base, small_source,
     src_px, src_labels, tgt_px = batches(small_source, small_target)
     assert all(labels == (rec.vocab.EOS,)
                for labels in rec.greedy(tgt_px).labels)
-    # every chosen row is at t = 0, so every replayed prefix is empty
+    # every replayed sequence is the lone EOS, unlike any label
     assert_matches_reference(rec, smile_cfg(p_init=0.5), src_px, src_labels,
                              tgt_px)
     with pytest.raises(ContractError):
