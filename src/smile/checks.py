@@ -84,7 +84,8 @@ def _leaf(rng, *shape, lo=-1.5, hi=1.5) -> Tensor:
 
 
 def _op_cases(rng: np.random.Generator):
-    """Yield (name, make_loss, leaves) round-robin across all ops."""
+    """Yield (name, make_loss, leaves[, coordinates to sample per leaf])
+    round-robin across all ops."""
     w34 = rng.standard_normal((3, 4))
 
     a, b = _leaf(rng, 2, 2, 3), _leaf(rng, 3, 2)   # a rank-3 left operand
@@ -169,14 +170,23 @@ def _op_cases(rng: np.random.Generator):
                        _weighted_sum(T.gru_cell(xw, hid, u, reverse), w122)), \
         {"xw": xw, "h": hid, "U": u}
 
-    w22 = rng.standard_normal((2, 2))
-
-    # B=2, T=3 positions, a=2 key width, h=2 feature width
-    keys, feats = _leaf(rng, 2, 3, 2), _leaf(rng, 2, 3, 2)
-    q, v = _leaf(rng, 2, 2), _leaf(rng, 2, 1)
-    yield "attend", (lambda keys=keys, feats=feats, q=q, v=v: _weighted_sum(
-        T.attend(keys, feats, q, v), w22)), \
-        {"keys": keys, "feats": feats, "q": q, "v": v}
+    # B=2, T=2 steps over S=2 positions, a=f=H=2, K=3 tokens of width 1,
+    # one fed twice; about half the instances leave h untracked, as the
+    # decoder's zero start state is.  A leaf samples 2 coordinates if it
+    # has more than 8, else 1: over 100 instances every coordinate is
+    # reached w.p. > 0.999 (the largest miss bound is W's 18 * (8/9)^100)
+    ids = rng.integers(0, 3, (2, 2))
+    ids[1, 1] = ids[0, 0]
+    args = [_leaf(rng, *s) for s in ((2, 2, 2), (2, 2, 2), (3, 1), (2, 2),
+                                     (2, 2), (2, 1), (3, 6), (1, 6), (2, 6))]
+    leaves = dict(zip(("keys", "feats", "E", "h", "W_q", "v", "W", "b", "U"),
+                      args))
+    if rng.integers(2):
+        args[3] = T.constant(leaves.pop("h").data)
+    w42 = rng.standard_normal((4, 2))
+    yield "attn_gru", (lambda args=args, ids=ids, w42=w42: _weighted_sum(
+        T.attn_gru(*args[:3], ids, *args[3:]), w42)), \
+        leaves, {n: 1 + (t.data.size > 8) for n, t in leaves.items()}
 
     # a deep chain so composition of backward rules is covered
     u, v = _leaf(rng, 3, 3), _leaf(rng, 3, 3)
@@ -191,8 +201,8 @@ def check_ops(instances: int = 100, seed: int = 0) -> list[CheckResult]:
     worst: dict[str, float] = {}
     for i in range(instances):
         rng = np.random.default_rng([seed, i])
-        for name, make_loss, leaves in _op_cases(rng):
-            err = grad_check(make_loss, leaves)
+        for name, make_loss, leaves, *coords in _op_cases(rng):
+            err = grad_check(make_loss, leaves, *coords, rng=rng)
             worst[name] = max(worst.get(name, 0.0), err)
     return [CheckResult(f"op/{n}", e, TOLERANCE) for n, e in worst.items()]
 

@@ -38,16 +38,16 @@ def decoder_loss(decoded: Decoded, labels: list[tuple[int, ...]]) -> Tensor:
     if not labels:
         raise ContractError("decoder_loss: empty batch")
     k = decoded.probs.shape[1]
-    targets = []
     for emitted, label in zip(decoded.labels, labels):
         if len(emitted) != len(label) + 1:
             raise ContractError(f"decoder_loss: {len(emitted)} rows for a "
                                 f"length-{len(label)} label")
-        for c in label:
-            if not 0 <= c < k - 3:
-                raise ContractError(
-                    f"decoder_loss: target {c} is not a character index")
-        targets += list(label) + [k - 2]  # EOS closes every sequence
+    # EOS closes every sequence: the one target per sample past the alphabet
+    targets = np.array([c for label in labels for c in (*label, k - 2)])
+    bad = np.count_nonzero((targets < 0) | (targets >= k - 3)) - len(labels)
+    if bad:
+        raise ContractError(
+            f"decoder_loss: {bad} label targets are not character indices")
     picked = T.gather_rows(decoded.probs, decoded.rows, targets)
     return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(labels))
 

@@ -10,19 +10,19 @@ sees [attention context ++ input embedding].
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU holds its gates fused side by side, z | r | n: W [in, 3h],
 U [h, 3h] and b [1, 3h].  Checkpoints store them per gate (W_z, U_r, ...);
-fuse_gates and split_gates convert at that boundary.  A decoder step records
-attention (one query matmul and one tensor.attend node over the [B, T, a]
-keys and [B, T, h] features), the embedding gather, the input concat, matmul
-and bias add, and a one-step gru_cell node.  A decode is a token sequence
-per sample: row t is fed token t-1 (GO at t = 0) and labelled with token
-t.  Teacher forcing is given its tokens; greedy feeds back each step's
-restricted argmax over untaped logits and drops a sample once it emits EOS,
-gathering the live rows of the state and the encoding.  One output head
-(matmul, bias add, softmax) then projects every hidden state at once into
-a Decoded block, indexed by the sample-major emitted rows and labelled by
-the tokens; teacher forcing's block keeps the padded steps of its shorter
-sequences, greedy's holds only emitted rows.  Iterating a Decoded gives
-per-sample DecoderOutputs.
+fuse_gates and split_gates convert at that boundary.  The decoder runs as
+tensor.attn_gru nodes over the [B, T, a] keys and [B, T, h] features.  A
+decode is a token sequence per sample: row t is fed token t-1 (GO at t = 0)
+and labelled with token t.  Teacher forcing is given its tokens and runs
+every step in one attn_gru node; greedy runs one node per step, feeds back
+its restricted argmax over untaped logits and drops a sample once it emits
+EOS, gathering the live rows of the state and the encoding.  One output
+head (matmul, bias add, softmax) then projects every hidden state at once
+into a Decoded block, indexed by the sample-major emitted rows and
+labelled by the tokens; teacher forcing's block is sample-major and keeps
+the padded steps of its shorter sequences, greedy's is step-major and
+holds only emitted rows.  Iterating a Decoded gives per-sample
+DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -165,11 +165,11 @@ class DecoderOutput:
 
 @dataclass
 class Decoded:
-    """A batch's decode: the output head's rows in decode order (step by
-    step), where each sample's emitted rows sit in them, and the tokens
-    that label them.  Teacher forcing keeps every step of every sample,
-    padded ones included; greedy keeps only the rows of the samples still
-    live at each step, so all of its rows are emitted."""
+    """A batch's decode: the output head's rows, where each sample's
+    emitted rows sit in them, and the tokens that label them.  Teacher
+    forcing keeps every step of every sample, sample by sample, padded ones
+    included; greedy keeps, step by step, only the rows of the samples still
+    live, so all of its rows are emitted."""
 
     probs: Tensor                       # [S, K] softmax rows, each sums to 1
     rows: np.ndarray                    # [N] emitted rows of probs, sample-major
@@ -244,34 +244,22 @@ class Recognizer:
             feats = T.add(feats, self._recur("enc_bwd", x, reverse=True))
         return EncodedBatch(feats, T.matmul(feats, self.params["attn/W_enc"]))
 
-    def _decode_step(self, enc: EncodedBatch, h: Tensor, input_ids) -> Tensor:
-        """One decoder step fed input_ids [B]: the next hidden state."""
-        p = self.params
-        context = T.attend(enc.keys, enc.feats, T.matmul(h, p["attn/W_dec"]),
-                           p["attn/v"])
-        emb = T.gather_rows(p["embed/E"], input_ids)
-        x = T.concat([context, emb], axis=1)
-        return T.gru_cell(T.add(T.matmul(x, p["dec/W"]), p["dec/b"]), h,
-                          p["dec/U"])
-
     def _split_outputs(self, states: list[Tensor],
-                       step_labels: list[np.ndarray], live: list[np.ndarray],
-                       lengths: np.ndarray) -> Decoded:
+                       step_labels: list[np.ndarray],
+                       live: list[np.ndarray]) -> Decoded:
         """Project the step-major hidden states to class probabilities with
         one output head.  states[t] and step_labels[t] hold step t's rows of
-        the samples live[t] names, in that order; sample b emits its first
-        lengths[b] rows.  Index those rows (and their labels) sample-major,
-        leaving out any padded row."""
+        the samples live[t] names, in that order, every one emitted; live[0]
+        names the whole batch.  Index the rows (and their labels)
+        sample-major."""
         p = self.params
         logits = T.add(T.matmul(T.concat(states, axis=0), p["out/W"]),
                        p["out/b"])
         sample = np.concatenate(live)
-        step = np.repeat(np.arange(len(live)), [len(s) for s in live])
         # the block is step-major, so a stable sort by sample keeps time order
         rows = np.argsort(sample, kind="stable")
-        rows = rows[step[rows] < lengths[sample[rows]]]
         picked = np.concatenate(step_labels)[rows].tolist()
-        ends = np.cumsum(lengths).tolist()
+        ends = np.cumsum(np.bincount(sample)).tolist()
         labels = [tuple(picked[lo:hi]) for lo, hi in zip([0, *ends], ends)]
         return Decoded(T.softmax(logits), rows, labels)
 
@@ -320,23 +308,22 @@ class Recognizer:
 
     def _decode_forced(self, pixels: np.ndarray,
                        tokens: list[tuple[int, ...]]) -> Decoded:
+        p = self.params
         enc = self.encode(pixels)
         batch = len(pixels)
         lengths = np.array([len(seq) for seq in tokens])
-        t_max = int(lengths.max())
-        # grid[t, b] is sample b's token t, PAD past its end
-        grid = np.full((batch, t_max), self.vocab.PAD)
-        grid[np.arange(t_max) < lengths[:, None]] = np.fromiter(
-            itertools.chain.from_iterable(tokens), dtype=int)
-        grid = grid.T
-        h = T.zeros((batch, self.arch.dec_hidden))
-        states = []
-        for t in range(t_max):
-            h = self._decode_step(
-                enc, h, grid[t - 1] if t else np.full(batch, self.vocab.GO))
-            states.append(h)
-        return self._split_outputs(states, grid, [np.arange(batch)] * t_max,
-                                   lengths)
+        emitted = np.arange(lengths.max()) < lengths[:, None]
+        # fed[b, t] is the token sample b reads at step t: GO, then its own
+        # tokens, PAD past its end
+        fed = np.full(emitted.shape, self.vocab.PAD)
+        fed[emitted] = np.fromiter(itertools.chain.from_iterable(
+            (self.vocab.GO, *seq[:-1]) for seq in tokens), dtype=int)
+        h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], fed,
+                       T.zeros((batch, self.arch.dec_hidden)), p["attn/W_dec"],
+                       p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"])
+        logits = T.add(T.matmul(h, p["out/W"]), p["out/b"])
+        return Decoded(T.softmax(logits), np.flatnonzero(emitted),
+                       list(tokens))
 
     def greedy(self, pixels: np.ndarray) -> Decoded:
         """Self-fed decode, at most l_max+1 steps, truncated at each
@@ -360,12 +347,13 @@ class Recognizer:
                     h = T.gather_rows(h, keep)
                     enc = EncodedBatch(T.gather_rows(enc.feats, keep),
                                        T.gather_rows(enc.keys, keep))
-            h = self._decode_step(enc, h, ids)
+            h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], ids, h,
+                           p["attn/W_dec"], p["attn/v"], p["dec/W"],
+                           p["dec/b"], p["dec/U"])
             logits = h.data @ p["out/W"].data + p["out/b"].data
             logits[:, [self.vocab.GO, self.vocab.PAD]] = -np.inf
             ids = np.argmax(logits, axis=1)
             states.append(h)
             step_labels.append(ids)
             step_live.append(live)
-        lengths = np.bincount(np.concatenate(step_live), minlength=batch)
-        return self._split_outputs(states, step_labels, step_live, lengths)
+        return self._split_outputs(states, step_labels, step_live)

@@ -6,11 +6,12 @@ for a block).  The tape is rebuilt on every forward pass; one tape and its
 tensors belong to a single thread.  add, sub and mul broadcast as numpy
 does, at any rank; their backward rules sum the gradient over every
 stretched axis; matmul takes a [B, n] or [B, T, n] left operand, and
-gather_rows picks rows of a rank-2 or rank-3 table.  gru_cell and attend
-are fused recurrent primitives with analytic backward rules: gru_cell runs
-a GRU over a whole [B, T, 3H] sequence (or one [B, 3H] decoder step) as
-one node whose backward is BPTT, and attend is one attention read, each in
-place of the 12-20 elementary nodes a step takes.
+gather_rows picks rows of a rank-2 or rank-3 table.  gru_cell and attn_gru
+are fused recurrent primitives with analytic backward rules, sharing one
+GRU step: gru_cell runs a GRU over a whole [B, T, 3H] sequence, and
+attn_gru runs T attention-fed decoder steps from token ids, each as one
+node whose backward is BPTT, in place of the 12-20 elementary nodes a step
+takes.
 """
 
 from __future__ import annotations
@@ -442,107 +443,165 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# fused recurrent ops: one tape node for a whole GRU sequence or attention read
+# fused recurrent ops: one tape node for a whole GRU or attention decoder run
+
+def _gru_step(xw: np.ndarray, h: np.ndarray, u: np.ndarray, out: np.ndarray):
+    """One GRU step of xw [B, 3H] from h [B, H] into out; returns the
+    record _gru_step_back reads."""
+    hid = h.shape[1]
+    zr = _sigmoid(xw[:, :2 * hid] + h @ u[:, :2 * hid])
+    z, r = zr[:, :hid], zr[:, hid:]
+    rh = r * h
+    n = np.tanh(xw[:, 2 * hid:] + rh @ u[:, 2 * hid:])
+    np.add(n, z * (h - n), out=out)
+    return h, z, r, rh, n
+
+
+def _gru_step_back(g: np.ndarray, saved, U: Tensor, carry: bool):
+    """Backward of a _gru_step from the gradient g at its output: adds U's
+    share and returns the gradients at the pre-activations [B, 3H] and,
+    with carry, at the state it read."""
+    h, z, r, rh, n = saved
+    hid, ud = h.shape[1], U.data
+    two = 2 * hid
+    d = np.empty((h.shape[0], 3 * hid))
+    d[:, two:] = g * (1.0 - z) * (1.0 - n * n)
+    drh = d[:, two:] @ ud[:, two:].T
+    d[:, :hid] = g * (h - n) * z * (1.0 - z)
+    d[:, hid:two] = drh * h * r * (1.0 - r)
+    if U.requires_grad:
+        U.grad[:, :two] += h.T @ d[:, :two]
+        U.grad[:, two:] += rh.T @ d[:, two:]
+    return d, (g * z + drh * r + d[:, :two] @ ud[:, :two].T) if carry else None
+
 
 def gru_cell(xw: Tensor, h: Tensor, U: Tensor,
              reverse: bool = False) -> Tensor:
     """A GRU (Cho et al. 2014) over T steps, gates in blocks z | r | n.
 
-    xw [B, T, 3H] holds the steps' input projections x_t @ W + b, or is
-    [B, 3H] for one step; h is the initial state [B, H] and U the recurrent
-    weights [H, 3H].  A step computes z, r = sigmoid(xw_zr + h @ U_zr),
-    n = tanh(xw_n + (r * h) @ U_n) and h' = (1 - z) * n + z * h.  Steps run
-    first to last, or last to first with reverse; the [B, T, H] result
-    ([B, H] for one step) holds every step's state in time order, and
-    backward is BPTT in this one node.
+    xw [B, T, 3H] holds the steps' input projections x_t @ W + b, h is the
+    initial state [B, H] and U the recurrent weights [H, 3H].  A step
+    computes z, r = sigmoid(xw_zr + h @ U_zr), n = tanh(xw_n + (r * h) @
+    U_n) and h' = (1 - z) * n + z * h.  Steps run first to last, or last to
+    first with reverse; the [B, T, H] result holds every step's state in
+    time order, and backward is BPTT in this one node.
     """
-    if (h.data.ndim != 2 or xw.data.ndim not in (2, 3) or 0 in xw.shape
-            or xw.shape[0] != h.shape[0] or xw.shape[-1] != 3 * h.shape[1]
+    if (h.data.ndim != 2 or xw.data.ndim != 3 or 0 in xw.shape
+            or xw.shape[0] != h.shape[0] or xw.shape[2] != 3 * h.shape[1]
             or U.shape != (h.shape[1], 3 * h.shape[1])):
         raise DimensionError(
-            f"gru_cell: need xw [B, T, 3H] with T >= 1 or [B, 3H], h [B, H] "
-            f"and U [H, 3H]; got {xw.shape}, {h.shape}, {U.shape}")
-    batch, hid = h.shape
-    two, three = 2 * hid, 3 * hid
-    xs, ud = xw.data.reshape(batch, -1, three), U.data
-    steps = sorted(range(xs.shape[1]), reverse=reverse)
-    states = np.empty((batch, len(steps), hid))
-    saved = []  # (h, z, r, r*h, n) of each step, in run order
-    hd = h.data
+            f"gru_cell: need xw [B, T, 3H] with T >= 1, h [B, H] and "
+            f"U [H, 3H]; got {xw.shape}, {h.shape}, {U.shape}")
+    steps = sorted(range(xw.shape[1]), reverse=reverse)
+    states = np.empty((*xw.shape[:2], h.shape[1]))
+    saved, hd = [], h.data  # each step's _gru_step record, in run order
     for t in steps:
-        zr = _sigmoid(xs[:, t, :two] + hd @ ud[:, :two])
-        z, r = zr[:, :hid], zr[:, hid:]
-        rh = r * hd
-        n = np.tanh(xs[:, t, two:] + rh @ ud[:, two:])
-        saved.append((hd, z, r, rh, n))
-        hd = np.add(n, z * (hd - n), out=states[:, t])
-    out = Tensor(states.reshape(*xw.shape[:-1], hid))
+        saved.append(_gru_step(xw.data[:, t], hd, U.data, states[:, t]))
+        hd = states[:, t]
+    out = Tensor(states)
 
     def back():
-        gs = out.grad.reshape(states.shape)
-        dh = None  # gradient reaching the state the later step read
-        for t, (hd, z, r, rh, n) in zip(reversed(steps), reversed(saved)):
-            g = gs[:, t] if dh is None else gs[:, t] + dh
-            d = np.empty((batch, three))  # gradient at the pre-activations
-            d[:, two:] = g * (1.0 - z) * (1.0 - n * n)
-            drh = d[:, two:] @ ud[:, two:].T
-            d[:, :hid] = g * (hd - n) * z * (1.0 - z)
-            d[:, hid:two] = drh * hd * r * (1.0 - r)
+        dh = 0.0  # gradient reaching the state the later step read
+        for t, step in zip(reversed(steps), reversed(saved)):
+            d, dh = _gru_step_back(out.grad[:, t] + dh, step, U,
+                                   t != steps[0] or h.requires_grad)
             if xw.requires_grad:
-                xw.grad.reshape(xs.shape)[:, t] += d
-            if U.requires_grad:
-                U.grad[:, :two] += hd.T @ d[:, :two]
-                U.grad[:, two:] += rh.T @ d[:, two:]
-            if t != steps[0] or h.requires_grad:
-                dh = g * z + drh * r + d[:, :two] @ ud[:, :two].T
+                xw.grad[:, t] += d
         if h.requires_grad:
             h.grad += dh
 
     return _track(out, (xw, h, U), back)
 
 
-def attend(keys: Tensor, feats: Tensor, q: Tensor, v: Tensor) -> Tensor:
-    """Additive attention: the [B, h] context read from [B, T, h] features.
+def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
+             W_q: Tensor, v: Tensor, W: Tensor, b: Tensor,
+             U: Tensor) -> Tensor:
+    """T steps of a GRU decoder fed additive attention (Bahdanau et al.
+    2015) as one node, whose backward is BPTT through the attention reads.
 
-    keys [B, T, a] are the positions' keys, q [B, a] the query and v [a, 1]
-    the scoring vector: alpha = softmax over T of tanh(keys + q) @ v, and
-    the context is the alpha-weighted sum of feats over T.
+    Step t reads c = sum over s of alpha_s * feats_s from S positions' keys
+    [B, S, a] and feats [B, S, f], alpha = softmax over s of tanh(keys +
+    h @ W_q) @ v, and runs a gru_cell step (U [H, 3H]) on [c ++ E[ids_t]]
+    @ W + b from the last state h ([B, H] at first).  ids [B, T] are the
+    fed tokens ([B] for one step); the states come sample-major, [B*T, H].
     """
-    ranks = (keys.data.ndim, feats.data.ndim, q.data.ndim, v.data.ndim)
-    if ranks != (3, 3, 2, 2):
+    ids = np.asarray(ids, dtype=np.intp)
+    shapes = [x.shape for x in (keys, feats, E, h, W_q, v, W, b, U)]
+    ok = [len(s) for s in shapes[:4]] == [3, 3, 2, 2] and ids.ndim in (1, 2)
+    if ok:
+        (batch, src, attn), (_, _, f), (k, e), (_, hid) = shapes[:4]
+        want = [(batch, src, f), (batch, hid), (hid, attn), (attn, 1),
+                (f + e, 3 * hid), (1, 3 * hid), (hid, 3 * hid)]
+        ok = (0 not in (*ids.shape, src) and ids.shape[0] == batch
+              and [shapes[1], *shapes[3:]] == want)
+    if not ok:
         raise DimensionError(
-            f"attend: need ranks 3, 3, 2, 2; got {keys.shape}, {feats.shape}, "
-            f"{q.shape}, {v.shape}")
-    batch, t_enc, attn = keys.shape
-    if (feats.shape[:2] != (batch, t_enc) or q.shape != (batch, attn)
-            or v.shape != (attn, 1)):
-        raise DimensionError(
-            f"attend: need keys [B, T, a], feats [B, T, h], q [B, a] and "
-            f"v [a, 1]; got {keys.shape}, {feats.shape}, {q.shape}, {v.shape}")
-    energy = np.tanh(keys.data + q.data[:, None, :])
-    flat = energy.reshape(batch * t_enc, attn)
-    scores = (flat @ v.data).reshape(batch, t_enc)
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    alpha = e / e.sum(axis=1, keepdims=True)
-    out = Tensor((feats.data * alpha[:, :, None]).sum(axis=1))
+            "attn_gru: need keys [B, S, a], feats [B, S, f], E [K, e], h "
+            "[B, H], W_q [H, a], v [a, 1], W [f + e, 3H], b [1, 3H], U "
+            f"[H, 3H] and ids [B, T] or [B], none empty; got {shapes}, "
+            f"{ids.shape}")
+    bad = ids[(ids < 0) | (ids >= k)]
+    if bad.size:
+        raise IndexRangeError(
+            f"attn_gru: token {bad[0]} out of range [0, {k})")
+    grid = ids.reshape(batch, -1)
+    steps, wc, we, wq = grid.shape[1], W.data[:f], W.data[f:], W_q.data
+    fed = (E.data @ we + b.data)[grid]  # each token's E @ W[f:] + b
+    states = np.empty((batch, steps, hid))
+    saved, hd = [], h.data  # each step's energy, alpha, context, GRU record
+    for t in range(steps):
+        energy = np.tanh(keys.data + (hd @ wq)[:, None, :])
+        scores = (energy.reshape(-1, attn) @ v.data).reshape(batch, src)
+        alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        ctx = (alpha[:, None] @ feats.data)[:, 0]
+        saved.append((energy, alpha, ctx, _gru_step(
+            ctx @ wc + fed[:, t], hd, U.data, states[:, t])))
+        hd = states[:, t]
+    out = Tensor(states.reshape(-1, hid))
 
     def back():
-        g = out.grad[:, None, :]
-        if feats.requires_grad:
-            feats.grad += alpha[:, :, None] * g
-        d_alpha = (feats.data * g).sum(axis=2)
-        d_scores = alpha * (d_alpha
-                            - (d_alpha * alpha).sum(axis=1, keepdims=True))
-        if v.requires_grad:
-            v.grad += flat.T @ d_scores.reshape(batch * t_enc, 1)
-        d_energy = (d_scores[:, :, None] * v.data[:, 0]
-                    * (1.0 - energy * energy))
-        if keys.requires_grad:
-            keys.grad += d_energy
-        if q.requires_grad:
-            q.grad += d_energy.sum(axis=1)
+        gs = out.grad.reshape(states.shape)
+        d = np.empty((batch, steps, 3 * hid))  # at the GRU pre-activations
+        dq = np.empty((batch, steps, attn))    # at the attention queries
+        d_ctx = np.empty((batch, steps, f))
+        dh = 0.0  # gradient reaching the state the later step read
+        for t in reversed(range(steps)):
+            energy, alpha, _, step = saved[t]
+            carry = t > 0 or h.requires_grad
+            d[:, t], dh = _gru_step_back(gs[:, t] + dh, step, U, carry)
+            d_ctx[:, t] = d[:, t] @ wc.T
+            d_alpha = (feats.data @ d_ctx[:, t, :, None])[:, :, 0]
+            d_scores = alpha * (d_alpha
+                                - (d_alpha * alpha).sum(axis=1, keepdims=True))
+            if v.requires_grad:
+                v.grad += energy.reshape(-1, attn).T @ d_scores.reshape(-1, 1)
+            d_energy = (d_scores[:, :, None] * v.data[:, 0]
+                        * (1.0 - energy * energy))
+            if keys.requires_grad:
+                keys.grad += d_energy
+            dq[:, t] = d_energy.sum(axis=1)
+            if carry:
+                dh += dq[:, t] @ wq.T
+        if h.requires_grad:
+            h.grad += dh
+        if feats.requires_grad:  # alpha [B, S, T] @ d_ctx [B, T, f]
+            feats.grad += np.stack([step[1] for step in saved], axis=2) @ d_ctx
+        if W_q.requires_grad:
+            prev = np.concatenate([h.data[:, None], states[:, :-1]], axis=1)
+            W_q.grad += prev.reshape(-1, hid).T @ dq.reshape(-1, attn)
+        d = d.reshape(-1, 3 * hid)
+        d_fed = np.eye(k)[grid.reshape(-1)].T @ d  # scattered by a one-hot
+        if W.requires_grad:
+            ctx = np.stack([step[2] for step in saved], axis=1).reshape(-1, f)
+            W.grad[:f] += ctx.T @ d
+            W.grad[f:] += E.data.T @ d_fed
+        if b.requires_grad:
+            b.grad += d_fed.sum(axis=0, keepdims=True)
+        if E.requires_grad:
+            E.grad += d_fed @ we.T
 
-    return _track(out, (keys, feats, q, v), back)
+    return _track(out, (keys, feats, E, h, W_q, v, W, b, U), back)
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,11 @@ def test_bidirectional_teacher_forced_through_gru_cell():
 
     with Tape() as tape:
         make_loss()
-        # one per encoder direction plus 3 decoder steps
-        assert sum(fn.__qualname__.startswith("gru_cell.")
-                   for _, fn in tape._nodes) == 5
+        # one gru_cell per encoder direction and one attn_gru for the
+        # decoder's 3 steps
+        ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
+        assert ops.count("gru_cell") == 2
+        assert ops.count("attn_gru") == 1
     leaves = {n: birec.params[n] for n in ("enc_bwd/U", "enc_bwd/W",
                                            "enc/U", "dec/b")}
     err = grad_check(make_loss, leaves, dict.fromkeys(leaves, 18),
@@ -248,9 +250,10 @@ def test_teacher_forced_shapes(rec):
     px = some_pixels(3, 3)
     labels = [(0,), (1, 2), (3, 0, 1)]
     decoded = rec.teacher_forced(px, labels)
-    # 4 steps of 3 samples, padded rows included; 9 of them emitted
+    # 3 samples of 4 steps, sample-major, padded rows included; 9 of them
+    # emitted
     assert decoded.probs.shape == (12, 7)
-    assert decoded.rows.tolist() == [0, 3, 1, 4, 7, 2, 5, 8, 11]
+    assert decoded.rows.tolist() == [0, 1, 4, 5, 6, 8, 9, 10, 11]
     assert [o.probs.shape for o in decoded] == [(2, 7), (3, 7), (4, 7)]
     for o in decoded:
         assert np.allclose(o.probs.sum(axis=1), 1.0)
@@ -315,19 +318,19 @@ def test_two_width_decode_equals_separate_decodes(rec):
         want, rel=1e-14)
 
 
-def test_teacher_forced_step_records_seven_nodes(rec):
-    # attention query, attend, embedding gather, input concat, matmul, bias
-    # add and gru_cell; the output head runs once per decode, not per step
+def test_teacher_forced_records_one_decoder_node(rec):
+    # every decoder step runs in one attn_gru node and the output head runs
+    # once per decode, so the tape does not grow with the label length
     px = some_pixels(2, 3, seed=6)
     sizes = []
     for label in ((0,), (0, 1), (0, 1, 2)):
         with Tape() as tape:
             rec.teacher_forced(px, [label, label])
             ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
-        assert ops.count("softmax") == 1
-        assert ops.count("gru_cell") == 1 + len(label) + 1
+        assert ops.count("softmax") == ops.count("attn_gru") == 1
+        assert ops.count("gru_cell") == 1
         sizes.append(len(ops))
-    assert [b - a for a, b in zip(sizes, sizes[1:])] == [7, 7]
+    assert sizes == [11] * 3
 
 
 # -- greedy decoding ----------------------------------------------------------

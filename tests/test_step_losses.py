@@ -177,8 +177,8 @@ def test_lambda_zero_replays_nothing(base, small_source, small_target):
     assert smile_nodes == base_nodes
 
 
-@pytest.mark.parametrize("variant, nodes", [("shannon", 52),
-                                            ("pseudo_nll", 51)])
+@pytest.mark.parametrize("variant, nodes", [("shannon", 24),
+                                            ("pseudo_nll", 23)])
 def test_smile_step_tape_size(base, small_source, small_target, variant,
                               nodes):
     rec = base.restore()

@@ -388,6 +388,26 @@ def attend_reference(keys, feats, q, v):
     return T.reshape(pooled, (batch, feats.shape[2]))
 
 
+# keys, feats, E, h, W_q, v, W, b and U
+ATTN_GRU_SHAPES = ((2, 3, 3), (2, 3, 2), (4, 2), (2, 2), (2, 3), (3, 1),
+                   (4, 6), (1, 6), (2, 6))
+
+
+def attn_gru_reference(ids):
+    """attend_reference, a gather of E, the input projection and
+    gru_reference, step by step; the states sample-major."""
+    def ref(keys, feats, E, h, W_q, v, W, b, U):
+        states = []
+        for t in range(ids.shape[1]):
+            ctx = attend_reference(keys, feats, T.matmul(h, W_q), v)
+            x = T.concat([ctx, T.gather_rows(E, ids[:, t])], axis=1)
+            h = gru_reference(T.add(T.matmul(x, W), b), h, U)
+            states.append(h)
+        batch, hid = h.shape
+        return T.reshape(T.concat(states, axis=1), (batch * len(states), hid))
+    return ref
+
+
 def check_against_reference(rng, op, ref, leaves):
     out = op(*leaves)
     assert np.allclose(out.data, ref(*leaves).data, rtol=0, atol=1e-12)
@@ -403,44 +423,47 @@ def check_against_reference(rng, op, ref, leaves):
 
 
 def test_gru_cell_matches_composite(rng):
-    leaves = [T.parameter(rng.normal(size=s)) for s in ((3, 6), (3, 2), (2, 6))]
-    check_against_reference(rng, T.gru_cell, gru_reference, leaves)
-    # T = 3 steps, first to last and last to first
-    leaves = [T.parameter(rng.normal(size=s))
-              for s in ((3, 3, 6), (3, 2), (2, 6))]
-    for reverse in (False, True):
-        check_against_reference(
-            rng, lambda *a, r=reverse: T.gru_cell(*a, reverse=r),
-            lambda *a, r=reverse: gru_sequence_reference(*a, reverse=r),
-            leaves)
+    # T = 1 and T = 3 steps, first to last and last to first
+    for steps in (1, 3):
+        leaves = [T.parameter(rng.normal(size=s))
+                  for s in ((3, steps, 6), (3, 2), (2, 6))]
+        for reverse in (False, True):
+            check_against_reference(
+                rng, lambda *a, r=reverse: T.gru_cell(*a, reverse=r),
+                lambda *a, r=reverse: gru_sequence_reference(*a, reverse=r),
+                leaves)
 
 
-def test_gru_cell_one_step_equals_a_length_one_sequence(rng):
-    # a decoder step's [B, 3H] input is the T = 1 case of [B, T, 3H]
-    xw, h, u = (T.parameter(rng.normal(size=s))
-                for s in ((3, 6), (3, 2), (2, 6)))
-    seq = T.parameter(xw.data.reshape(3, 1, 6))
-    w = rng.normal(size=(3, 2))
-    grads = []
-    for x in (xw, seq):
-        h.zero_grad()
-        u.zero_grad()
+def attn_gru_of(ids):
+    def op(keys, feats, E, h, W_q, v, W, b, U):
+        return T.attn_gru(keys, feats, E, ids, h, W_q, v, W, b, U)
+    return op
+
+
+def test_attn_gru_matches_composite(rng):
+    # T = 3 steps with token 1 fed twice, so its scatter sums
+    ids = np.array([[1, 0, 3], [2, 1, 1]])
+    leaves = [T.parameter(rng.normal(size=s)) for s in ATTN_GRU_SHAPES]
+    check_against_reference(rng, attn_gru_of(ids), attn_gru_reference(ids),
+                            leaves)
+
+
+def test_attn_gru_one_step_equals_a_length_one_sequence(rng):
+    # a greedy step's [B] ids are the T = 1 case of [B, T]
+    leaves = [T.parameter(rng.normal(size=s)) for s in ATTN_GRU_SHAPES]
+    ids = np.array([3, 1])
+    w = rng.normal(size=(2, 2))
+    runs = []
+    for fed in (ids, ids[:, None]):
+        for leaf in leaves:
+            leaf.zero_grad()
         with Tape() as tape:
-            out = T.gru_cell(x, h, u)
-            tape.backward(T.reduce_sum(
-                T.mul(out, T.constant(w.reshape(out.shape)))))
-        grads.append((out.data.reshape(3, 2), x.grad.reshape(3, 6),
-                      h.grad.copy(), u.grad.copy()))
-    assert T.gru_cell(xw, h, u).shape == (3, 2)
-    assert T.gru_cell(seq, h, u).shape == (3, 1, 2)
-    for one, sequence in zip(*grads):
+            out = attn_gru_of(fed)(*leaves)
+            tape.backward(T.reduce_sum(T.mul(out, T.constant(w))))
+        runs.append([out.data] + [leaf.grad.copy() for leaf in leaves])
+    assert runs[0][0].shape == (2, 2)
+    for one, sequence in zip(*runs):
         assert np.array_equal(one, sequence)
-
-
-def test_attend_matches_composite(rng):
-    leaves = [T.parameter(rng.normal(size=s))
-              for s in ((2, 3, 4), (2, 3, 5), (2, 4), (4, 1))]
-    check_against_reference(rng, T.attend, attend_reference, leaves)
 
 
 def test_gru_cell_large_preactivations_finite(rng):
@@ -464,9 +487,8 @@ def test_fused_ops_reject_mismatched_shapes():
     def z(*shape):
         return T.constant(np.zeros(shape))
 
-    for xw, h, u in (((3, 5), (3, 2), (2, 6)),     # xw not 3H wide
-                     ((3, 2, 5), (3, 2), (2, 6)),
-                     ((3, 12), (3, 2), (2, 6)),    # steps side by side
+    for xw, h, u in (((3, 2, 5), (3, 2), (2, 6)),  # xw not 3H wide
+                     ((3, 6), (3, 2), (2, 6)),     # one step, unstacked
                      ((3, 0, 6), (3, 2), (2, 6)),  # no steps
                      ((3, 2, 6), (3, 2), (3, 6)),  # U not [H, 3H]
                      ((4, 2, 6), (3, 2), (2, 6)),  # batch disagrees
@@ -474,12 +496,20 @@ def test_fused_ops_reject_mismatched_shapes():
                      ((3, 2, 6), (3, 2, 1), (2, 6))):  # h rank 3
         with pytest.raises(DimensionError):
             T.gru_cell(z(*xw), z(*h), z(*u))
-    for keys, feats, q, v in (((2, 3, 4), (2, 2, 5), (2, 4), (4, 1)),
-                              ((2, 3, 4), (2, 3, 5), (2, 3), (4, 1)),
-                              ((2, 3, 4), (2, 3, 5), (2, 4), (4, 2)),
-                              ((6, 4), (2, 3, 5), (2, 4), (4, 1))):
+    ids = np.array([[1, 0], [2, 1]])
+    for i, shape in enumerate(ATTN_GRU_SHAPES):
+        for bad in ((*shape[:-1], shape[-1] + 1), shape[:-1]):
+            args = [z(*s) for s in ATTN_GRU_SHAPES]
+            args[i] = z(*bad)  # one operand a column too wide, or a rank short
+            with pytest.raises(DimensionError):
+                attn_gru_of(ids)(*args)
+    args = [z(*s) for s in ATTN_GRU_SHAPES]
+    for bad_ids in (np.zeros((3, 2)), np.zeros((2, 0)), np.zeros((2, 1, 1))):
         with pytest.raises(DimensionError):
-            T.attend(z(*keys), z(*feats), z(*q), z(*v))
+            attn_gru_of(bad_ids)(*args)
+    for token in (-1, 4):
+        with pytest.raises(IndexRangeError, match=f"token {token} "):
+            attn_gru_of(np.array([[0, token], [1, 2]]))(*args)
 
 
 # -- tape lifecycle -----------------------------------------------------------
