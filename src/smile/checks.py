@@ -142,8 +142,6 @@ def _op_cases(rng: np.random.Generator):
     idx = [int(i) for i in rng.integers(0, 6, 5)]
     idx[1] = idx[0]  # force a duplicate so scatter accumulation is exercised
     w53 = rng.standard_normal((5, 3))
-    if idx[0] % 2:  # about half the instances view the table as rank 3
-        table, w53 = T.parameter(table.data.reshape(6, 1, 3)), w53[:, None]
     yield "gather_rows", (lambda table=table, idx=idx, w53=w53: _weighted_sum(
         T.gather_rows(table, idx), w53)), {"table": table}
 
@@ -211,7 +209,7 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
     """End-to-end check of the combined loss on a 2-sample batch.
 
     The losses come from trainer.step_losses with a full-portion selection,
-    so the gradient flows through the untaped greedy decode's replay, the
+    so the gradient flows through the forward-only greedy decode's replay, the
     pool and the chosen rows exactly as in adaptation training.
     """
     vocab = VocabSpec("ABCDE")

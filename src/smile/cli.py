@@ -60,20 +60,15 @@ def _parse_bool(raw: str) -> bool:
 # config-file-only keys, never flags
 _CONFIG_EXTRA = {"allow-cold-smile": ("allow_cold_smile", _parse_bool)}
 
-_TRAIN_FLAGS = ("--mode", "--lambda", "--entropy-variant", "--p-init",
-                "--p-add", "--steps", "--batch-source", "--batch-target",
-                "--seed", "--optimizer", "--lr", "--clip", "--source",
-                "--target", "--test", "--checkpoint", "--out", "--eval-every")
+_TRAIN_FLAGS = tuple(flag for flag in _OPTIONS if flag != "--preset")
 
 _COMMAND_FLAGS = {
     "gen-data": ("--preset", "--seed", "--out"),
     "train": _TRAIN_FLAGS,
     "eval": ("--checkpoint", "--test"),
     "compare": ("--test", "--out"),
-    "sweep": ("--lambda", "--entropy-variant", "--steps", "--batch-source",
-              "--batch-target", "--seed", "--optimizer", "--lr", "--clip",
-              "--source", "--target", "--test", "--checkpoint", "--out",
-              "--eval-every"),
+    "sweep": tuple(flag for flag in _TRAIN_FLAGS
+                   if flag not in ("--mode", "--p-init", "--p-add")),
     "gradcheck": ("--seed",),
 }
 

@@ -13,16 +13,16 @@ U [h, 3h] and b [1, 3h].  Checkpoints store them per gate (W_z, U_r, ...);
 fuse_gates and split_gates convert at that boundary.  The decoder runs as
 tensor.attn_gru nodes over the [B, T, a] keys and [B, T, h] features.  A
 decode is a token sequence per sample: row t is fed token t-1 (GO at t = 0)
-and labelled with token t.  Teacher forcing is given its tokens and runs
-every step in one attn_gru node; greedy runs one node per step, feeds back
-its restricted argmax over untaped logits and drops a sample once it emits
-EOS, gathering the live rows of the state and the encoding.  One output
-head (matmul, bias add, softmax) then projects every hidden state at once
-into a Decoded block, indexed by the sample-major emitted rows and
-labelled by the tokens; teacher forcing's block is sample-major and keeps
-the padded steps of its shorter sequences, greedy's is step-major and
-holds only emitted rows.  Iterating a Decoded gives per-sample
-DecoderOutputs.
+and labelled with token t.  Teacher forcing is given its tokens, runs
+every step in one attn_gru node and projects every hidden state with one
+taped output head (matmul, bias add, softmax).  Greedy is forward-only: it
+runs one node per step, feeds back the restricted argmax of that step's
+logits and drops a sample once it emits EOS, indexing the live rows of the
+state and the encoding; the softmax of the same logits is its block.  Each
+decode returns a sample-major Decoded block, indexed by its emitted rows
+and labelled by the tokens: teacher forcing's keeps the padded steps of
+its shorter sequences, greedy's holds only emitted rows.  Iterating a
+Decoded gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -165,11 +165,10 @@ class DecoderOutput:
 
 @dataclass
 class Decoded:
-    """A batch's decode: the output head's rows, where each sample's
-    emitted rows sit in them, and the tokens that label them.  Teacher
-    forcing keeps every step of every sample, sample by sample, padded ones
-    included; greedy keeps, step by step, only the rows of the samples still
-    live, so all of its rows are emitted."""
+    """A batch's decode: the output head's rows, sample by sample, where
+    each sample's emitted rows sit in them, and the tokens that label them.
+    Teacher forcing keeps every step of every sample, padded ones included;
+    greedy keeps only emitted rows, so its rows are arange(S)."""
 
     probs: Tensor                       # [S, K] softmax rows, each sums to 1
     rows: np.ndarray                    # [N] emitted rows of probs, sample-major
@@ -244,25 +243,6 @@ class Recognizer:
             feats = T.add(feats, self._recur("enc_bwd", x, reverse=True))
         return EncodedBatch(feats, T.matmul(feats, self.params["attn/W_enc"]))
 
-    def _split_outputs(self, states: list[Tensor],
-                       step_labels: list[np.ndarray],
-                       live: list[np.ndarray]) -> Decoded:
-        """Project the step-major hidden states to class probabilities with
-        one output head.  states[t] and step_labels[t] hold step t's rows of
-        the samples live[t] names, in that order, every one emitted; live[0]
-        names the whole batch.  Index the rows (and their labels)
-        sample-major."""
-        p = self.params
-        logits = T.add(T.matmul(T.concat(states, axis=0), p["out/W"]),
-                       p["out/b"])
-        sample = np.concatenate(live)
-        # the block is step-major, so a stable sort by sample keeps time order
-        rows = np.argsort(sample, kind="stable")
-        picked = np.concatenate(step_labels)[rows].tolist()
-        ends = np.cumsum(np.bincount(sample)).tolist()
-        labels = [tuple(picked[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-        return Decoded(T.softmax(logits), rows, labels)
-
     # -- the two decoding modes ---------------------------------------------
 
     def teacher_forced(self, pixels: np.ndarray,
@@ -326,34 +306,47 @@ class Recognizer:
                        list(tokens))
 
     def greedy(self, pixels: np.ndarray) -> Decoded:
-        """Self-fed decode, at most l_max+1 steps, truncated at each
-        sample's first EOS (the EOS row is kept); each step is fed the last
-        one's restricted argmax (GO and PAD never win).  A sample leaves the
-        batch once it emits EOS: later steps gather only the live rows."""
+        """Self-fed, forward-only decode, at most l_max+1 steps, truncated at
+        each sample's first EOS (the EOS row is kept); each step is fed the
+        last one's restricted argmax (GO and PAD never win) over its logits.
+        A sample leaves the batch once it emits EOS: later steps run only
+        the live rows.  Records nothing, even inside a tape."""
         p = self.params
-        enc = self.encode(pixels)
+        W, b = p["out/W"].data, p["out/b"].data
+        allowed = np.ones(self.vocab.K, dtype=bool)
+        allowed[[self.vocab.GO, self.vocab.PAD]] = False
         batch = len(pixels)
-        h = T.zeros((batch, self.arch.dec_hidden))
         ids = np.full(batch, self.vocab.GO)
         live = np.arange(batch)
-        states, step_labels, step_live = [], [], []
-        for t in range(self.arch.l_max + 1):
-            if t > 0:
-                keep = np.flatnonzero(ids != self.vocab.EOS)
-                if len(keep) == 0:
-                    break
-                if len(keep) < len(live):
-                    live, ids = live[keep], ids[keep]
-                    h = T.gather_rows(h, keep)
-                    enc = EncodedBatch(T.gather_rows(enc.feats, keep),
-                                       T.gather_rows(enc.keys, keep))
-            h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], ids, h,
-                           p["attn/W_dec"], p["attn/v"], p["dec/W"],
-                           p["dec/b"], p["dec/U"])
-            logits = h.data @ p["out/W"].data + p["out/b"].data
-            logits[:, [self.vocab.GO, self.vocab.PAD]] = -np.inf
-            ids = np.argmax(logits, axis=1)
-            states.append(h)
-            step_labels.append(ids)
-            step_live.append(live)
-        return self._split_outputs(states, step_labels, step_live)
+        step_logits, step_ids, step_live = [], [], []
+        with T.untaped():
+            enc = self.encode(pixels)
+            h = T.zeros((batch, self.arch.dec_hidden))
+            for t in range(self.arch.l_max + 1):
+                if t > 0:
+                    keep = np.flatnonzero(ids != self.vocab.EOS)
+                    if len(keep) == 0:
+                        break
+                    if len(keep) < len(live):
+                        live, ids = live[keep], ids[keep]
+                        h = T.constant(h.data[keep])
+                        enc = EncodedBatch(T.constant(enc.feats.data[keep]),
+                                           T.constant(enc.keys.data[keep]))
+                h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], ids, h,
+                               p["attn/W_dec"], p["attn/v"], p["dec/W"],
+                               p["dec/b"], p["dec/U"])
+                logits = h.data @ W + b
+                ids = np.argmax(np.where(allowed, logits, -np.inf), axis=1)
+                step_logits.append(logits)
+                step_ids.append(ids)
+                step_live.append(live)
+        # the steps stack step-major: a stable sort by sample keeps each
+        # sample's rows in time order
+        sample = np.concatenate(step_live)
+        order = np.argsort(sample, kind="stable")
+        tokens = np.concatenate(step_ids)[order].tolist()
+        ends = np.cumsum(np.bincount(sample)).tolist()
+        labels = [tuple(tokens[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+        block = np.concatenate(step_logits)[order]
+        return Decoded(T.softmax(T.constant(block)), np.arange(len(order)),
+                       labels)

@@ -6,7 +6,7 @@ for a block).  The tape is rebuilt on every forward pass; one tape and its
 tensors belong to a single thread.  add, sub and mul broadcast as numpy
 does, at any rank; their backward rules sum the gradient over every
 stretched axis; matmul takes a [B, n] or [B, T, n] left operand, and
-gather_rows picks rows of a rank-2 or rank-3 table.  gru_cell and attn_gru
+gather_rows picks rows or entries of a rank-2 table.  gru_cell and attn_gru
 are fused recurrent primitives with analytic backward rules, sharing one
 GRU step: gru_cell runs a GRU over a whole [B, T, 3H] sequence, and
 attn_gru runs T attention-fed decoder steps from token ids, each as one
@@ -375,12 +375,11 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def gather_rows(table: Tensor, rows, cols=None) -> Tensor:
-    """Select rows of a rank-2 table, or leading-axis slices [rows, T, n] of
-    a rank-3 one; with cols, the entries (rows[i], cols[i]) of a rank-2
-    table as an [N, 1] column.  Duplicates accumulate gradient."""
-    if table.data.ndim != 2 and (cols is not None or table.data.ndim != 3):
-        raise DimensionError("gather_rows: need a rank-2 table, or rank 3 "
-                             f"without cols; got {table.shape}")
+    """Select rows of a rank-2 table or, with cols, its entries (rows[i],
+    cols[i]) as an [N, 1] column.  Duplicates accumulate gradient."""
+    if table.data.ndim != 2:
+        raise DimensionError(
+            f"gather_rows: need a rank-2 table, got {table.shape}")
     idx = tuple(np.asarray(i, dtype=np.intp)
                 for i in ((rows,) if cols is None else (rows, cols)))
     for i, size, what in zip(idx, table.shape, ("row", "column")):

@@ -37,7 +37,7 @@ from .recognizer import (STRIP_W, ArchSpec, Recognizer, check_width,
 from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
                          build_pool, replay_plan, select,
                          selected_entropy_loss)
-from .tensor import Tape, Tensor, untaped
+from .tensor import Tape, Tensor
 
 MODES = ("base", "smile", "finetune")
 OPTIMIZERS = ("adam", "adadelta")
@@ -406,8 +406,7 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
     pool = sel = None
     replay, rows = [], np.zeros(0, dtype=int)
     if target_px is not None:
-        with untaped():
-            pool = build_pool(rec.greedy(target_px), cfg.entropy_variant)
+        pool = build_pool(rec.greedy(target_px), cfg.entropy_variant)
         sel = select(pool, PacingSchedule(cfg.p_init, cfg.p_add), step + 1)
         if cfg.lam > 0 and len(sel.chosen):
             samples, sequences, rows = replay_plan(pool, sel)

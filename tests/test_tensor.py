@@ -188,6 +188,9 @@ def test_gather_rows_forward():
         T.gather_rows(table, [4], [0])
     with pytest.raises(ContractError):
         T.gather_rows(table, [0, 1], [0])
+    for shape in ((4, 1, 3), (2, 2, 2, 2)):   # rank 2 only
+        with pytest.raises(DimensionError):
+            T.gather_rows(T.constant(np.zeros(shape)), [0])
 
 
 def test_concat_forward(rng):
@@ -278,31 +281,6 @@ def test_gather_rows_scatter_grad():
     assert_grads_close(picked, table)
     assert np.array_equal(analytic_grad(picked, table),
                           [[0, 2.0], [-1.0, 0], [0, 0.25]])
-
-
-def test_gather_rows_rank3_takes_leading_slices(rng):
-    # a rank-3 table is indexed on its leading axis, as a decode compacts
-    # its [B, T, h] encoding; repeated rows accumulate their gradient
-    data = rng.normal(size=(4, 2, 3))
-    table = T.parameter(data)
-    out = T.gather_rows(table, [3, 1, 3])
-    assert np.array_equal(out.data, data[[3, 1, 3]])
-    w = rng.normal(size=(3, 2, 3))
-
-    def loss():
-        return T.reduce_sum(T.mul(T.gather_rows(table, [3, 1, 3]),
-                                  T.constant(w)))
-
-    want = np.zeros_like(data)
-    want[1], want[3] = w[1], w[0] + w[2]
-    assert np.array_equal(analytic_grad(loss, table), want)
-    assert_grads_close(loss, table)
-    with pytest.raises(IndexRangeError, match="row 4"):
-        T.gather_rows(table, [4])
-    with pytest.raises(DimensionError):
-        T.gather_rows(table, [0], [1])
-    with pytest.raises(DimensionError):
-        T.gather_rows(T.constant(np.zeros((2, 2, 2, 2))), [0])
 
 
 def test_concat_grads(rng):
