@@ -4,8 +4,11 @@ Characters are procedurally drawn 8x8 bitmaps laid out on a fixed grid, so a
 line of up to L_max characters is an 8 x (8*L_max) grayscale image.  A
 configurable pixel-level shift (shear, dimming, background lift, inversion,
 salt-and-pepper) manufactures the target domain.  Everything is a pure
-function of integer seeds.  A Corpus is columnar: one [N, 8, W] pixel block,
-a label list and a [N] domain-tag array.
+function of integer seeds.  Every pixel lies on the 8-bit grid k/255 that
+the file format stores, and a Corpus keeps the codes k: it is columnar, one
+uint8 [N, 8, W] code block, a label list and a [N] domain-tag array, and
+Corpus.images turns the codes of an index or a slice into float64 images
+only when they are drawn.
 """
 
 from __future__ import annotations
@@ -134,33 +137,35 @@ class DomainConfig:
 class Corpus:
     """N text-line images held column-wise.
 
-    pixels is one float64 [N, H, W] block in [0,1]; labels[i] is record i's
-    character indices, stored as a tuple whatever sequence was given (so it
-    compares equal to a greedy decode's tuple), or None when it is unlabeled
-    (a file may mix both); domain[i] is its u8 SOURCE or TARGET tag.
+    codes is one uint8 [N, H, W] block of 8-bit pixel codes: the image is
+    codes / 255, and images() returns it as float64 for an index or a slice.
+    A uint8 block is taken as codes and kept as given; any other block is
+    read as float images, which must be finite, in [0, 1] and on the 8-bit
+    grid (each pixel exactly k/255), since off-grid pixels are refused, not
+    rounded.  labels[i] is record i's character indices, stored as a tuple
+    whatever sequence was given (so it compares equal to a greedy decode's
+    tuple), or None when it is unlabeled (a file may mix both); domain[i]
+    is its u8 SOURCE or TARGET tag.
     """
 
     vocab: VocabSpec
-    pixels: np.ndarray
+    codes: np.ndarray
     labels: list[tuple[int, ...] | None]
     domain: np.ndarray
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3:
+        codes = np.asarray(self.codes)
+        if codes.ndim != 3:
             raise ContractError(
-                f"corpus: pixels must be [N, H, W], got shape {self.pixels.shape}")
-        n, h, w = self.pixels.shape
+                f"corpus: pixels must be [N, H, W], got shape {codes.shape}")
+        n, h, w = codes.shape
         if n == 0:
             raise ContractError("corpus: no images")
         if h == 0 or w == 0:
             raise ContractError(f"corpus: images are {h}x{w} pixels, "
                                 "height and width must be positive")
-        # min and max are nan if any pixel is, which fails both tests
-        lo, hi = self.pixels.min(), self.pixels.max()
-        if not (lo >= 0.0 and hi <= 1.0):
-            raise ContractError("corpus: pixels must be finite and in "
-                                f"[0, 1], got values in [{lo}, {hi}]")
+        self.codes = codes if codes.dtype == np.uint8 else _grid_codes(
+            codes.astype(np.float64, copy=False))
         domain = np.asarray(self.domain)
         if len(self.labels) != n or domain.shape != (n,):
             raise ContractError(f"corpus: {n} images but {len(self.labels)} "
@@ -174,26 +179,51 @@ class Corpus:
     def __len__(self):
         return len(self.labels)
 
+    def images(self, index=slice(None)) -> np.ndarray:
+        """The float64 images codes[index] / 255 of an index, a slice or an
+        index array, as a new array: the only float copy there is of them."""
+        return self.codes[index] / 255.0
+
     @property
     def labeled(self) -> bool:
         return None not in self.labels
 
     def without_labels(self) -> "Corpus":
         """The same images, every label dropped; the arrays are shared."""
-        return Corpus(self.vocab, self.pixels, [None] * len(self), self.domain)
+        return Corpus(self.vocab, self.codes, [None] * len(self), self.domain)
 
     def __eq__(self, other):
         return (isinstance(other, Corpus)
                 and self.vocab == other.vocab
                 and self.labels == other.labels
                 and np.array_equal(self.domain, other.domain)
-                and np.array_equal(self.pixels, other.pixels))
+                and np.array_equal(self.codes, other.codes))
+
+
+def _codes(pixels: np.ndarray) -> np.ndarray:
+    """The nearest 8-bit codes of pixels in [0, 1]: the grid the file format
+    stores, so save/load is exact."""
+    return np.round(pixels * 255.0).astype(np.uint8)
+
+
+def _grid_codes(pixels: np.ndarray) -> np.ndarray:
+    """The codes of float images that lie on the 8-bit grid; anything else
+    is a ContractError."""
+    # min and max are nan if any pixel is, which fails both tests
+    lo, hi = pixels.min(), pixels.max()
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise ContractError("corpus: pixels must be finite and in "
+                            f"[0, 1], got values in [{lo}, {hi}]")
+    codes = _codes(pixels)
+    if not np.array_equal(codes / 255.0, pixels):
+        raise ContractError("corpus: pixels must lie on the 8-bit grid k/255")
+    return codes
 
 
 def render_string(label, vocab: VocabSpec, templates: np.ndarray,
                   l_max: int) -> np.ndarray:
     """Lay the characters' bitmaps left to right, background-padded to L_max;
-    returns the [8, 8*L_max] image."""
+    returns the [8, 8*L_max] image in the templates' dtype."""
     label = tuple(int(i) for i in label)
     if not 1 <= len(label) <= l_max:
         raise ContractError(
@@ -201,24 +231,25 @@ def render_string(label, vocab: VocabSpec, templates: np.ndarray,
     for i in label:
         if not 0 <= i < vocab.n_chars:
             raise ContractError(f"render: index {i} is not a character index")
-    pixels = np.zeros((GLYPH_H, GLYPH_W * l_max))
+    pixels = np.zeros((GLYPH_H, GLYPH_W * l_max), dtype=templates.dtype)
     for pos, i in enumerate(label):
         pixels[:, pos * GLYPH_W:(pos + 1) * GLYPH_W] = templates[i]
     return pixels
 
 
-def _quantize(pixels: np.ndarray) -> np.ndarray:
-    # snap to the 8-bit grid the file format stores, so save/load is exact
-    return np.round(pixels * 255.0) / 255.0
-
-
 def apply_domain_shift(pixels: np.ndarray, cfg: DomainConfig,
                        sample_seed: int) -> np.ndarray:
     """Shear, dim, lift, optionally invert, then speckle one [H, W] image;
-    returns a new quantized image.
+    returns a new image on the 8-bit grid.
 
     The noise stream is a pure function of (cfg.seed, sample_seed).
     """
+    return _shift_codes(pixels, cfg, sample_seed) / 255.0
+
+
+def _shift_codes(pixels: np.ndarray, cfg: DomainConfig,
+                 sample_seed: int) -> np.ndarray:
+    """apply_domain_shift's image as its uint8 codes."""
     rng = np.random.default_rng([cfg.seed, sample_seed])
     px = pixels
     h, w = px.shape
@@ -240,7 +271,7 @@ def apply_domain_shift(pixels: np.ndarray, cfg: DomainConfig,
         hit = rng.random(px.shape) < cfg.salt_pepper_prob
         salt = rng.random(px.shape) < 0.5
         px = np.where(hit, np.where(salt, 1.0, 0.0), px)
-    return _quantize(np.clip(px, 0.0, 1.0))
+    return _codes(np.clip(px, 0.0, 1.0))
 
 
 def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
@@ -251,7 +282,8 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
 
     Sample i is a pure function of (seed, i), so regeneration and parallel
     generation agree.  char_dist is "uniform" or "zipf" (exponent 1.0, rank
-    by character order).
+    by character order).  The templates, in [0, 1], are snapped to the
+    8-bit grid, and each line is written as codes into one uint8 block.
     """
     if count < 1:
         raise ContractError(f"generate_corpus: count {count} < 1")
@@ -265,8 +297,11 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
         probs = (1.0 / ranks) / np.sum(1.0 / ranks)
     else:
         raise ContractError(f"generate_corpus: unknown char_dist {char_dist!r}")
-    templates = _quantize(templates)   # so every rendered line is quantized
-    pixels = np.empty((count, GLYPH_H, GLYPH_W * hi))
+    if not (templates.min() >= 0.0 and templates.max() <= 1.0):
+        raise ContractError("generate_corpus: templates must be finite and "
+                            "in [0, 1]")
+    glyphs = _codes(templates)
+    codes = np.empty((count, GLYPH_H, GLYPH_W * hi), dtype=np.uint8)
     labels = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
@@ -275,13 +310,13 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
             label = tuple(int(c) for c in rng.integers(0, vocab.n_chars, length))
         else:
             label = tuple(int(c) for c in rng.choice(vocab.n_chars, length, p=probs))
-        px = render_string(label, vocab, templates, hi)
+        line = render_string(label, vocab, glyphs, hi)
         if domain_cfg is not None:
-            px = apply_domain_shift(px, domain_cfg, i)
-        pixels[i] = px
+            line = _shift_codes(line / 255.0, domain_cfg, i)
+        codes[i] = line
         labels.append(label)
     tag = SOURCE if domain_cfg is None else TARGET
-    return Corpus(vocab, pixels, labels, np.full(count, tag, dtype=np.uint8))
+    return Corpus(vocab, codes, labels, np.full(count, tag, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +347,11 @@ def save_corpus(corpus: Corpus, path: str):
     if corpus.vocab.n_chars > 256:
         raise ContractError(f"save_corpus: {corpus.vocab.n_chars} characters "
                             "do not fit the u8 label field (at most 256)")
-    n, h, w = corpus.pixels.shape
-    quantized = np.round(corpus.pixels * 255.0).astype(np.uint8)
+    n, h, w = corpus.codes.shape
     parts = [MAGIC, struct.pack("<IIII", VERSION, h, w, n),
              vocab_block(corpus.vocab)]
-    for i, (tag, label, px) in enumerate(
-            zip(corpus.domain, corpus.labels, quantized)):
+    for i, (tag, label, codes) in enumerate(
+            zip(corpus.domain, corpus.labels, corpus.codes)):
         label = label or ()
         if len(label) > MAX_LABEL:
             raise ContractError("save_corpus: label too long for format")
@@ -326,7 +360,7 @@ def save_corpus(corpus: Corpus, path: str):
                 f"save_corpus: record {i} label {label} out of vocab")
         parts.append(struct.pack("<BB", tag, len(label)))
         parts.append(bytes(label))
-        parts.append(px.tobytes())
+        parts.append(codes.tobytes())
     write_atomic(path, b"".join(parts))
 
 
@@ -362,8 +396,8 @@ def load_corpus(path: str) -> Corpus:
     r.expect_end()
     # every record's h*w bytes, gathered through a zero-copy sliding window
     window = sliding_window_view(np.frombuffer(r.blob, dtype=np.uint8), h * w)
-    pixels = window[starts].reshape(count, h, w) / 255.0
-    return Corpus(vocab, pixels, labels, np.array(domain, dtype=np.uint8))
+    codes = window[starts].reshape(count, h, w)
+    return Corpus(vocab, codes, labels, np.array(domain, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ word accuracy is exact sequence match; character accuracy is one minus the
 summed edit distance over the summed longer lengths; mean entropy averages
 the Shannon entropy (losses.row_entropy, forward only) of every emitted row
 of the set's greedy decodes.  evaluate decodes the set in batches of
-EVAL_BATCH images and scores the index tuples directly.
+EVAL_BATCH images, each turned from the corpus codes into float images only
+when its batch runs, and scores the index tuples directly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import tensor as T
 from .data import Corpus
 from .errors import ContractError
 from .losses import row_entropy
@@ -105,6 +105,8 @@ def evaluate(rec: Recognizer, corpus: Corpus,
              threads: int | None = 1) -> EvalResult:
     """Greedy-decode a labeled corpus and aggregate all metrics.
 
+    Each batch of EVAL_BATCH images takes one greedy decode, whose block
+    holds exactly its emitted rows, so the entropy reads the block whole.
     Batches may fan out to `threads` workers (None or 1: serial); results
     fold back in batch order, so the outcome is independent of thread
     count.
@@ -114,18 +116,16 @@ def evaluate(rec: Recognizer, corpus: Corpus,
     if not corpus.labeled:
         raise ContractError("evaluate: corpus has unlabeled images")
     check_width(rec.arch, corpus, "evaluate")
-    pixels = corpus.pixels
-    chunks = [pixels[i:i + EVAL_BATCH]
-              for i in range(0, len(corpus), EVAL_BATCH)]
+    chunks = range(0, len(corpus), EVAL_BATCH)
     eos = rec.vocab.EOS
 
-    def run_chunk(chunk_pixels: np.ndarray):
-        decoded = rec.greedy(chunk_pixels)
+    def run_chunk(start: int):
+        decoded = rec.greedy(corpus.images(slice(start, start + EVAL_BATCH)))
         # greedy stops at a sample's first EOS, so only its last pick can be
         # EOS (GO and PAD never win the restricted argmax)
         preds = [labels[:-1] if labels[-1] == eos else labels
                  for labels in decoded.labels]
-        entropies = row_entropy(T.gather_rows(decoded.probs, decoded.rows))
+        entropies = row_entropy(decoded.probs)
         return preds, float(entropies.data.sum()), len(decoded.rows)
 
     if (threads or 1) > 1 and len(chunks) > 1:

@@ -143,7 +143,7 @@ def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
 def check_width(arch: ArchSpec, corpus: Corpus, what: str):
     """Refuse a corpus with room for more characters than the decoder's
     l_max: greedy stops after l_max+1 steps, so longer words never match."""
-    width = corpus.pixels.shape[2]
+    width = corpus.codes.shape[2]
     if width // STRIP_W > arch.l_max:
         raise ContractError(
             f"{what}: images are {width} px wide ({width // STRIP_W} "
@@ -223,7 +223,12 @@ class Recognizer:
                           p[f"{prefix}/U"], reverse=reverse)
 
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
-        """pixels: [B, 8, W] with W a positive multiple of 8."""
+        """pixels: float images [B, 8, W] with W a positive multiple of 8;
+        integer arrays, such as a corpus's raw 8-bit codes, are refused
+        (Corpus.images gives the float images)."""
+        if pixels.dtype.kind != "f":
+            raise ContractError(f"encode: pixels are {pixels.dtype}, not "
+                                "float images in [0, 1]")
         if pixels.ndim != 3:
             raise DimensionError(f"encode: pixels {pixels.shape} not [B, H, W]")
         batch, h, w = pixels.shape

@@ -59,13 +59,15 @@ class PredictionPool:
 
 
 def build_pool(decoded: Decoded, variant: str = "shannon") -> PredictionPool:
-    """One row per emitted row of the decode, in (sample, timestep) order."""
+    """One row per emitted row of a greedy decode, in (sample, timestep)
+    order; its block holds exactly those rows, in that order, so every row
+    of it is read."""
     lengths = np.array([len(labels) for labels in decoded.labels], dtype=int)
     sample = np.repeat(np.arange(len(lengths)), lengths)
     timestep = np.arange(len(sample)) - (np.cumsum(lengths) - lengths)[sample]
     pseudo_class = np.fromiter(itertools.chain.from_iterable(decoded.labels),
                                dtype=int, count=len(sample))
-    entropy = row_entropy(T.gather_rows(decoded.probs, decoded.rows), variant)
+    entropy = row_entropy(decoded.probs, variant)
     return PredictionPool(sample, timestep, pseudo_class, entropy.data[:, 0])
 
 

@@ -15,7 +15,8 @@ selection is only logged.
 
 Batch composition is stateless: the indices for step s come from fresh
 generators keyed [seed, stream, s], so a resumed run draws exactly the
-batches the uninterrupted run would have drawn.
+batches the uninterrupted run would have drawn.  A corpus holds 8-bit codes;
+each drawn batch is the only float64 copy of its images (Corpus.images).
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ class Adam(_Optimizer):
         for name in sorted(params):
             p = params[name]
             g = p.grad
-            m = self.m.setdefault(name, np.zeros_like(p.data))
-            v = self.v.setdefault(name, np.zeros_like(p.data))
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -168,8 +171,10 @@ class Adadelta(_Optimizer):
         for name in sorted(params):
             p = params[name]
             g = p.grad
-            eg2 = self.eg2.setdefault(name, np.zeros_like(p.data))
-            edx2 = self.edx2.setdefault(name, np.zeros_like(p.data))
+            if name not in self.eg2:
+                self.eg2[name] = np.zeros_like(p.data)
+                self.edx2[name] = np.zeros_like(p.data)
+            eg2, edx2 = self.eg2[name], self.edx2[name]
             eg2 *= self.rho
             eg2 += (1.0 - self.rho) * g * g
             dx = -np.sqrt((edx2 + self.eps) / (eg2 + self.eps)) * g
@@ -459,7 +464,7 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
             raise ContractError("checkpoint vocab differs from corpus vocab")
         rec = start.restore()
     else:
-        l_max = labeled.pixels.shape[2] // STRIP_W
+        l_max = labeled.codes.shape[2] // STRIP_W
         rec = Recognizer.fresh(labeled.vocab, l_max, cfg.seed)
     if test is not None and test.vocab != labeled.vocab:
         raise ContractError("test corpus vocab differs from training vocab")
@@ -486,7 +491,7 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         raise ContractError(
             f"resume step {start_step} is not below total steps {cfg.steps}")
 
-    target_px = target.pixels if cfg.mode == "smile" else None
+    unlabeled = target if cfg.mode == "smile" else None
     log = MetricsLog()
 
     for step in range(start_step, cfg.steps):
@@ -495,13 +500,13 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         idx = _draw(seed, 1, step, len(labeled), cfg.batch_source)
         batch_labels = [labeled.labels[i] for i in idx]
         target_batch = None
-        if target_px is not None:
-            target_batch = target_px[_draw(seed, 2, step, len(target_px),
-                                           cfg.batch_target)]
+        if unlabeled is not None:
+            target_batch = unlabeled.images(
+                _draw(seed, 2, step, len(unlabeled), cfg.batch_target))
         ent_val = None
         with Tape() as tape:
             l_dec, l_ent, pool, sel = step_losses(
-                rec, cfg, step, labeled.pixels[idx], batch_labels,
+                rec, cfg, step, labeled.images(idx), batch_labels,
                 target_batch)
             total = l_dec
             if l_ent is not None:

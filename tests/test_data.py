@@ -1,13 +1,15 @@
 """Glyph rendering, domain shift, corpus generation, and the corpus file
 format, checked against hand-computed oracles."""
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
-from smile.data import (GLYPH12_CHARS, GLYPH12_LENGTHS, MAGIC, SOURCE,
-                        TARGET, VERSION, Corpus, DomainConfig, VocabSpec,
+from smile.data import (GLYPH12_CHARS, GLYPH12_LENGTHS, GLYPH12_SHIFT, MAGIC,
+                        SOURCE, TARGET, VERSION, Corpus, DomainConfig,
+                        VocabSpec,
                         apply_domain_shift, build_glyph12, generate_corpus,
                         load_corpus, make_templates, render_string,
                         save_corpus, vocab_block)
@@ -161,13 +163,13 @@ def test_generate_corpus_basics(vocab, templates):
     c = generate_corpus(vocab, templates, 50, (1, 3), seed=21)
     assert len(c) == 50
     assert c.labeled
-    assert c.pixels.shape == (50, 8, 24)
+    assert c.codes.shape == (50, 8, 24)
     for label in c.labels:
         assert 1 <= len(label) <= 3
         assert all(0 <= i < vocab.n_chars for i in label)
     assert (c.domain == SOURCE).all()
     # each line is its label's glyphs rendered left to right
-    assert np.array_equal(c.pixels[0],
+    assert np.array_equal(c.images(0),
                           render_string(c.labels[0], vocab, templates, 3))
 
 
@@ -182,8 +184,29 @@ def test_generate_corpus_prefix_stability(vocab, templates):
     # sample i depends only on (seed, i), so prefixes agree across sizes
     short = generate_corpus(vocab, templates, 10, (1, 3), seed=24)
     long = generate_corpus(vocab, templates, 25, (1, 3), seed=24)
-    assert np.array_equal(short.pixels, long.pixels[:10])
+    assert np.array_equal(short.images(), long.images(slice(10)))
     assert short.labels == long.labels[:10]
+
+
+@pytest.mark.parametrize("value", [np.nan, 1.5, -0.5])
+def test_generate_corpus_refuses_templates_outside_unit_range(
+        vocab, templates, value):
+    bad = templates.copy()
+    bad[1, 2, 3] = value
+    with pytest.raises(ContractError, match="templates must be finite"):
+        generate_corpus(vocab, bad, 5, (1, 2), seed=0)
+
+
+def test_generated_bytes_are_pinned(tmp_path):
+    # any change to generation or to the file format moves this digest
+    vocab = VocabSpec(GLYPH12_CHARS)
+    c = generate_corpus(vocab, make_templates(vocab, 1), 40, GLYPH12_LENGTHS,
+                        seed=1, domain_cfg=DomainConfig(seed=1,
+                                                        **GLYPH12_SHIFT))
+    path = tmp_path / "pinned.smcp"
+    save_corpus(c, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "936c7d07ab2794843dd93bc301486f93775b28fe299ae605258f33bbb08686b6")
 
 
 def test_generate_corpus_zipf_skews_counts(vocab, templates):
@@ -206,7 +229,7 @@ def test_generate_corpus_domain_shift_tags(vocab, templates):
     # the shift changes pixels only: same draws, same labels as unshifted
     clean = generate_corpus(vocab, templates, 20, (1, 3), seed=26)
     assert c.labels == clean.labels
-    assert not np.array_equal(c.pixels, clean.pixels)
+    assert not np.array_equal(c.images(), clean.images())
 
 
 def test_without_labels(vocab, templates):
@@ -215,18 +238,68 @@ def test_without_labels(vocab, templates):
     bare = c.without_labels()
     assert not bare.labeled
     assert bare.labels == [None] * 12
-    assert bare.pixels is c.pixels  # shared, not copied
+    assert bare.codes is c.codes  # shared, not copied
     assert np.array_equal(bare.domain, c.domain)
     assert c.labeled and c.labels == labels  # original untouched
 
 
 def test_pixel_array_shape_and_cache(vocab, templates):
     c = generate_corpus(vocab, templates, 8, (1, 2), seed=28)
-    assert c.pixels.shape == (8, 8, 16)
-    assert c.pixels.dtype == np.float64
-    # the corpus holds the block it is given: a float64 array is not copied
-    again = Corpus(vocab, c.pixels, c.labels, c.domain)
-    assert again.pixels is c.pixels
+    assert c.codes.shape == (8, 8, 16)
+    assert c.codes.dtype == np.uint8
+    # the corpus holds the code block it is given: a uint8 array is not
+    # copied, and images are drawn from it as float64
+    again = Corpus(vocab, c.codes, c.labels, c.domain)
+    assert again.codes is c.codes
+    assert again.images(slice(2)).dtype == np.float64
+
+
+def test_codes_are_one_uint8_block(tmp_path, vocab, templates):
+    c = generate_corpus(vocab, templates, 12, (1, 3), seed=35,
+                        domain_cfg=DomainConfig(seed=36, **GLYPH12_SHIFT))
+    path = tmp_path / "codes.smcp"
+    save_corpus(c, str(path))
+    for corpus in (c, load_corpus(str(path))):
+        n, h, w = corpus.codes.shape
+        assert corpus.codes.dtype == np.uint8
+        assert corpus.codes.nbytes == n * h * w == 12 * 8 * 24
+
+
+def test_images_are_bit_equal_to_rendering_and_loading(tmp_path, vocab,
+                                                      templates):
+    # image = code / 255: the drawn images equal what the generator rendered
+    # and shifted, and what the saved file loads back, bit for bit
+    cfg = DomainConfig(seed=37, **GLYPH12_SHIFT)
+    clean = generate_corpus(vocab, templates, 10, (1, 3), seed=38)
+    shifted = generate_corpus(vocab, templates, 10, (1, 3), seed=38,
+                              domain_cfg=cfg)
+    for i, label in enumerate(clean.labels):
+        line = render_string(label, vocab, templates, 3)
+        assert clean.images(i).tobytes() == line.tobytes()
+        assert shifted.images(i).tobytes() == apply_domain_shift(
+            line, cfg, i).tobytes()
+    for c in (clean, shifted):
+        path = tmp_path / "images.smcp"
+        save_corpus(c, str(path))
+        loaded = load_corpus(str(path))
+        assert loaded.images().dtype == np.float64
+        assert loaded.images().tobytes() == c.images().tobytes()
+        assert c.images([4, 1]).tobytes() == np.stack(
+            [c.images(4), c.images(1)]).tobytes()
+
+
+def test_corpus_refuses_off_grid_pixels(vocab):
+    # on-grid floats become their codes; anything else is refused, never
+    # rounded
+    levels = np.arange(3 * 8 * 16).reshape(3, 8, 16) % 256
+    px, labels, domain = corpus_parts()
+    c = Corpus(vocab, levels / 255.0, labels, domain)
+    assert c.codes.dtype == np.uint8
+    assert np.array_equal(c.codes, levels)
+    for value in (0.5, 1.0 / 255.0 + 1e-12):
+        px[1, 3, 5] = value
+        with pytest.raises(ContractError, match="8-bit grid"):
+            Corpus(vocab, px, labels, domain)
 
 
 def corpus_parts(n=3):
@@ -277,9 +350,9 @@ def test_glyph12_preset():
     assert len(corpora["target_test"]) == 1000
     assert not corpora["target_train"].labeled
     assert corpora["target_labeled"].labeled
-    assert corpora["target_train"].pixels is corpora["target_labeled"].pixels
+    assert corpora["target_train"].codes is corpora["target_labeled"].codes
     assert GLYPH12_LENGTHS == (1, 4)
-    assert corpora["source_train"].pixels.shape == (5000, 8, 32)
+    assert corpora["source_train"].codes.shape == (5000, 8, 32)
 
 
 # -- file format --------------------------------------------------------------
@@ -311,7 +384,7 @@ def test_corpus_file_layout_is_pinned(tmp_path):
     save_corpus(c, str(path))
     assert path.read_bytes() == want
     loaded = load_corpus(str(path))
-    assert np.array_equal(loaded.pixels, c.pixels)
+    assert np.array_equal(loaded.images(), c.images())
     assert loaded.labels == [(1, 0, 1), None]
     assert loaded.domain.tolist() == [SOURCE, TARGET]
     assert loaded == c
@@ -323,7 +396,7 @@ def test_corpus_mixed_labels_round_trip(tmp_path, vocab, templates):
     labels[2] = None
     domain = c.domain.copy()
     domain[2] = TARGET
-    c = Corpus(vocab, c.pixels, labels, domain)
+    c = Corpus(vocab, c.codes, labels, domain)
     path = tmp_path / "mixed.smcp"
     save_corpus(c, str(path))
     loaded = load_corpus(str(path))

@@ -146,7 +146,7 @@ def test_evaluate_perfect_model(vocab, small_source):
     stub = StubModel(vocab, rows)
     only_a = [i for i, label in enumerate(small_source.labels)
               if label == (0,)]
-    corpus = Corpus(vocab, small_source.pixels[only_a], [(0,)] * len(only_a),
+    corpus = Corpus(vocab, small_source.codes[only_a], [(0,)] * len(only_a),
                     small_source.domain[only_a])
     result = evaluate(stub, corpus)
     assert result.word_acc == 1.0
@@ -184,7 +184,7 @@ def test_evaluate_batches_match_a_chunked_reference(vocab, corpus_300):
     rec = Recognizer.fresh(vocab, l_max=3, seed=4)
     preds, ent_sum, ent_rows = [], 0.0, 0
     for i in range(0, len(corpus_300), 64):
-        decoded = rec.greedy(corpus_300.pixels[i:i + 64])
+        decoded = rec.greedy(corpus_300.images(slice(i, i + 64)))
         preds += [vocab.decode([k for k in labels if k < vocab.n_chars])
                   for labels in decoded.labels]
         entropies = row_entropy(
@@ -209,7 +209,7 @@ def test_evaluate_scores_list_labels_like_tuples(vocab, corpus_300):
     rows[0, 0] = 1.0
     rows[1, vocab.EOS] = 1.0
     rec = StubModel(vocab, rows)
-    as_lists = Corpus(corpus_300.vocab, corpus_300.pixels,
+    as_lists = Corpus(corpus_300.vocab, corpus_300.codes,
                       [list(label) for label in corpus_300.labels],
                       corpus_300.domain)
     assert as_lists.labels == corpus_300.labels

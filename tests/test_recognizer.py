@@ -152,6 +152,14 @@ def test_encode_shapes(rec):
     assert one.feats.shape == (2, 1, 32) and one.keys.shape == (2, 1, 32)
 
 
+def test_encode_refuses_integer_pixels(rec):
+    # a corpus's raw 8-bit codes are not images; Corpus.images divides them
+    with pytest.raises(ContractError, match="uint8"):
+        rec.encode(np.zeros((2, 8, 16), dtype=np.uint8))
+    with pytest.raises(ContractError, match="int64"):
+        rec.greedy(np.zeros((2, 8, 16), dtype=np.int64))
+
+
 def test_encode_rejects_bad_dimensions(rec):
     with pytest.raises(DimensionError):
         rec.encode(np.zeros((2, 7, 16)))
@@ -361,7 +369,7 @@ def glyph():
     """A fresh l_max=4 model and 64 glyph12 target images whose greedy
     decodes end after 2, 3, 4 or 5 steps."""
     target = build_glyph12(7)["target_test"]
-    return Recognizer.fresh(target.vocab, l_max=4, seed=4), target.pixels[:64]
+    return Recognizer.fresh(target.vocab, l_max=4, seed=4), target.images(slice(64))
 
 
 def test_greedy_labels_are_restricted_argmax_of_probs(glyph):

@@ -30,8 +30,8 @@ def batches(source, target, n_source=8, n_target=16, seed=0):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, len(source), n_source)
     tgt = rng.integers(0, len(target), n_target)
-    return (source.pixels[idx], [source.labels[i] for i in idx],
-            target.pixels[tgt])
+    return (source.images(idx), [source.labels[i] for i in idx],
+            target.images(tgt))
 
 
 def smile_cfg(variant="shannon", p_init=0.0, p_add=1e-3):

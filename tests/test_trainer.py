@@ -270,7 +270,7 @@ def test_single_step_descends_on_fixed_batch(small_source):
     from smile.tensor import Tape
 
     rec = Recognizer.fresh(small_source.vocab, 3, seed=0)
-    px = small_source.pixels[:16]
+    px = small_source.images(slice(16))
     labels = small_source.labels[:16]
     opt = Adam(1e-3)
     with Tape() as tape:
