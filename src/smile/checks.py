@@ -2,9 +2,9 @@
 
 Every operation is checked on batches of random instances, and the full
 combined training loss is checked end to end through encoder, attention,
-decoder, pooling, and selection.  Central differences with step h compare
-against the taped gradients under a relative error with absolute floor 1:
-|num - ana| / max(1, |num|, |ana|).
+decoder, pooling, and selection.  Central differences with step FD_STEP
+compare against the taped gradients under a relative error with absolute
+floor 1: |num - ana| / max(1, |num|, |ana|).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ from .trainer import TrainConfig, step_losses
 
 TOLERANCE = 1e-4
 FD_STEP = 1e-5
+INSTANCES = 100         # random instances per op
+MODEL_SEED = 3          # the model check's vocab templates, weights and batch
+COORDS_PER_TENSOR = 8   # coordinates the model check samples per stored tensor
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,7 @@ def _rel(a: float, b: float) -> float:
 
 def grad_check(make_loss, leaves: dict[str, Tensor],
                coords_per_leaf: dict[str, int] | None = None,
-               rng: np.random.Generator | None = None,
-               h: float = FD_STEP) -> float:
+               rng: np.random.Generator | None = None) -> float:
     """Max relative error between taped and central-difference gradients.
 
     make_loss rebuilds the forward pass from the leaves' current data, so
@@ -64,12 +66,12 @@ def grad_check(make_loss, leaves: dict[str, Tensor],
         ana_flat = analytic[name].reshape(-1)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + FD_STEP
             f_plus = make_loss().item()
-            flat[c] = orig - h
+            flat[c] = orig - FD_STEP
             f_minus = make_loss().item()
             flat[c] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             worst = max(worst, _rel(numeric, ana_flat[c]))
     return worst
 
@@ -160,18 +162,16 @@ def _op_cases(rng: np.random.Generator):
         T.reshape(x, (2, 6)), w26)), {"x": x}
 
     # B=1, T=2, H=2: every gate block, both recurrent products and the
-    # gradient carried between steps are reached, in either direction
+    # gradient carried between steps are reached
     xw, hid, u = _leaf(rng, 1, 2, 6), _leaf(rng, 1, 2), _leaf(rng, 2, 6)
-    reverse = bool(rng.integers(2))
     w122 = w14.reshape(1, 2, 2)
-    yield "gru_cell", (lambda xw=xw, hid=hid, u=u, reverse=reverse:
-                       _weighted_sum(T.gru_cell(xw, hid, u, reverse), w122)), \
-        {"xw": xw, "h": hid, "U": u}
+    yield "gru_cell", (lambda xw=xw, hid=hid, u=u: _weighted_sum(
+        T.gru_cell(xw, hid, u), w122)), {"xw": xw, "h": hid, "U": u}
 
     # B=2, T=2 steps over S=2 positions, a=f=H=2, K=3 tokens of width 1,
     # one fed twice; about half the instances leave h untracked, as the
     # decoder's zero start state is.  A leaf samples 2 coordinates if it
-    # has more than 8, else 1: over 100 instances every coordinate is
+    # has more than 8, else 1: over INSTANCES = 100 every coordinate is
     # reached w.p. > 0.999 (the largest miss bound is W's 18 * (8/9)^100)
     ids = rng.integers(0, 3, (2, 2))
     ids[1, 1] = ids[0, 0]
@@ -193,11 +193,11 @@ def _op_cases(rng: np.random.Generator):
         T.log(T.softmax(T.tanh(T.matmul(u, v)))), w33)), {"u": u, "v": v}
 
 
-def check_ops(instances: int = 100, seed: int = 0) -> list[CheckResult]:
-    """Sweep every op with `instances` random cases; one result per op."""
+def check_ops(seed: int = 0) -> list[CheckResult]:
+    """Sweep every op with INSTANCES random cases; one result per op."""
     check_seed(seed, "gradcheck: seed")
     worst: dict[str, float] = {}
-    for i in range(instances):
+    for i in range(INSTANCES):
         rng = np.random.default_rng([seed, i])
         for name, make_loss, leaves, *coords in _op_cases(rng):
             err = grad_check(make_loss, leaves, *coords, rng=rng)
@@ -205,7 +205,7 @@ def check_ops(instances: int = 100, seed: int = 0) -> list[CheckResult]:
     return [CheckResult(f"op/{n}", e, TOLERANCE) for n, e in worst.items()]
 
 
-def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
+def check_model() -> CheckResult:
     """End-to-end check of the combined loss on a 2-sample batch.
 
     The losses come from trainer.step_losses with a full-portion selection,
@@ -214,8 +214,8 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
     """
     vocab = VocabSpec("ABCDE")
     l_max = 2
-    templates = make_templates(vocab, seed)
-    rng = np.random.default_rng([seed, 1])
+    templates = make_templates(vocab, MODEL_SEED)
+    rng = np.random.default_rng([MODEL_SEED, 1])
     src_px = np.stack([
         render_string((0,), vocab, templates, l_max),
         render_string((1, 2), vocab, templates, l_max),
@@ -225,7 +225,7 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
         render_string((3,), vocab, templates, l_max),
         render_string((4, 0), vocab, templates, l_max),
     ]) * 0.8 + rng.uniform(0.0, 0.15, (2, 8, 16)), 0.0, 1.0)
-    rec = Recognizer.fresh(vocab, l_max, seed)
+    rec = Recognizer.fresh(vocab, l_max, MODEL_SEED)
     cfg = TrainConfig(mode="smile", lam=1.0, p_init=1.0, p_add=0.0)
 
     def make_loss():
@@ -234,14 +234,14 @@ def check_model(seed: int = 3, coords_per_tensor: int = 8) -> CheckResult:
         return smile_loss(l_dec, l_ent, cfg.lam)
 
     # a fused GRU tensor gets its three stored per-gate tensors' share
-    coords = {n: coords_per_tensor * len(split_gates({n: p.data}))
+    coords = {n: COORDS_PER_TENSOR * len(split_gates({n: p.data}))
               for n, p in rec.params.items()}
     err = grad_check(make_loss, rec.params, coords,
-                     np.random.default_rng([seed, 2]))
+                     np.random.default_rng([MODEL_SEED, 2]))
     return CheckResult("model/combined_loss", err, TOLERANCE)
 
 
-def run_all(instances: int = 100, seed: int = 0) -> list[CheckResult]:
-    results = check_ops(instances, seed)
+def run_all(seed: int = 0) -> list[CheckResult]:
+    results = check_ops(seed)
     results.append(check_model())
     return results

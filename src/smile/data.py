@@ -2,7 +2,7 @@
 
 Characters are procedurally drawn 8x8 bitmaps laid out on a fixed grid, so a
 line of up to L_max characters is an 8 x (8*L_max) grayscale image.  A
-configurable pixel-level shift (shear, dimming, background lift, inversion,
+configurable pixel-level shift (shear, dimming, background lift,
 salt-and-pepper) manufactures the target domain.  Everything is a pure
 function of integer seeds.  Every pixel lies on the 8-bit grid k/255 that
 the file format stores, and a Corpus keeps the codes k: it is columnar, one
@@ -34,9 +34,14 @@ VERSION = 1
 MAX_LABEL = 255   # a record's label length is one u8
 
 
-def check_seed(seed: int, what: str):
-    if not 0 <= seed < 2 ** 64:   # a checkpoint stores it as two u32 halves
-        raise ContractError(f"{what} {seed} not in [0, 2^64)")
+def check_seed(seed: int, what: str, stored: bool = True):
+    """Refuse a negative seed, which numpy cannot take, and a stored one
+    that a checkpoint's two u32 halves cannot hold.  Generation seeds are
+    never stored, and glyph12 derives them by offset (seed + 40), so they
+    may reach 2^64."""
+    if seed < 0 or (stored and seed >= 2 ** 64):
+        bound = "2^64" if stored else "inf"
+        raise ContractError(f"{what} {seed} not in [0, {bound})")
 
 
 class VocabSpec:
@@ -94,6 +99,7 @@ def make_templates(vocab: VocabSpec, seed: int) -> np.ndarray:
     (here 20, 28, or 36) and no two bitmaps coincide; rejected draws retry
     on the same per-character stream.
     """
+    check_seed(seed, "templates: seed", stored=False)
     templates = np.zeros((vocab.n_chars, GLYPH_H, GLYPH_W))
     seen: set[bytes] = set()
     for c in range(vocab.n_chars):
@@ -116,7 +122,6 @@ class DomainConfig:
     """Pixel-level target-domain shift, applied in the listed order."""
 
     salt_pepper_prob: float = 0.0
-    invert: bool = False
     intensity_scale: float = 1.0
     horizontal_shear: int = 0
     background_level: float = 0.0
@@ -131,6 +136,7 @@ class DomainConfig:
             raise ContractError(f"horizontal_shear {self.horizontal_shear} not in {{0,1,2}}")
         if not 0.0 <= self.background_level < 1.0:
             raise ContractError(f"background_level {self.background_level} not in [0,1)")
+        check_seed(self.seed, "domain shift: seed", stored=False)
 
 
 @dataclass(eq=False)
@@ -144,8 +150,8 @@ class Corpus:
     grid (each pixel exactly k/255), since off-grid pixels are refused, not
     rounded.  labels[i] is record i's character indices, stored as a tuple
     whatever sequence was given (so it compares equal to a greedy decode's
-    tuple), or None when it is unlabeled (a file may mix both); domain[i]
-    is its u8 SOURCE or TARGET tag.
+    tuple), or None when it is unlabeled (a file may mix both), never
+    empty; domain[i] is its u8 SOURCE or TARGET tag.
     """
 
     vocab: VocabSpec
@@ -175,6 +181,10 @@ class Corpus:
         self.domain = domain.astype(np.uint8, copy=False)
         self.labels = [None if label is None else tuple(label)
                        for label in self.labels]
+        if () in self.labels:
+            raise ContractError(
+                f"corpus: record {self.labels.index(())} has an empty label; "
+                "None marks an unlabeled record")
 
     def __len__(self):
         return len(self.labels)
@@ -239,7 +249,7 @@ def render_string(label, vocab: VocabSpec, templates: np.ndarray,
 
 def apply_domain_shift(pixels: np.ndarray, cfg: DomainConfig,
                        sample_seed: int) -> np.ndarray:
-    """Shear, dim, lift, optionally invert, then speckle one [H, W] image;
+    """Shear, dim, lift, then speckle one [H, W] image;
     returns a new image on the 8-bit grid.
 
     The noise stream is a pure function of (cfg.seed, sample_seed).
@@ -265,8 +275,6 @@ def _shift_codes(pixels: np.ndarray, cfg: DomainConfig,
     px = px * cfg.intensity_scale
     bg = cfg.background_level
     px = bg + (1.0 - bg) * px
-    if cfg.invert:
-        px = 1.0 - px
     if cfg.salt_pepper_prob > 0.0:
         hit = rng.random(px.shape) < cfg.salt_pepper_prob
         salt = rng.random(px.shape) < 0.5
@@ -276,27 +284,20 @@ def _shift_codes(pixels: np.ndarray, cfg: DomainConfig,
 
 def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
                     length_range: tuple[int, int], seed: int,
-                    domain_cfg: DomainConfig | None = None,
-                    char_dist: str = "uniform") -> Corpus:
+                    domain_cfg: DomainConfig | None = None) -> Corpus:
     """Draw `count` labeled lines; shift them into the target domain if asked.
 
     Sample i is a pure function of (seed, i), so regeneration and parallel
-    generation agree.  char_dist is "uniform" or "zipf" (exponent 1.0, rank
-    by character order).  The templates, in [0, 1], are snapped to the
-    8-bit grid, and each line is written as codes into one uint8 block.
+    generation agree; characters are drawn uniformly.  The templates, in
+    [0, 1], are snapped to the 8-bit grid, and each line is written as
+    codes into one uint8 block.
     """
     if count < 1:
         raise ContractError(f"generate_corpus: count {count} < 1")
     lo, hi = length_range
     if not 1 <= lo <= hi:
         raise ContractError(f"generate_corpus: bad length range {length_range}")
-    if char_dist == "uniform":
-        probs = None
-    elif char_dist == "zipf":
-        ranks = np.arange(1, vocab.n_chars + 1, dtype=np.float64)
-        probs = (1.0 / ranks) / np.sum(1.0 / ranks)
-    else:
-        raise ContractError(f"generate_corpus: unknown char_dist {char_dist!r}")
+    check_seed(seed, "generate_corpus: seed", stored=False)
     if not (templates.min() >= 0.0 and templates.max() <= 1.0):
         raise ContractError("generate_corpus: templates must be finite and "
                             "in [0, 1]")
@@ -306,10 +307,7 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         length = int(rng.integers(lo, hi + 1))
-        if probs is None:
-            label = tuple(int(c) for c in rng.integers(0, vocab.n_chars, length))
-        else:
-            label = tuple(int(c) for c in rng.choice(vocab.n_chars, length, p=probs))
+        label = tuple(int(c) for c in rng.integers(0, vocab.n_chars, length))
         line = render_string(label, vocab, glyphs, hi)
         if domain_cfg is not None:
             line = _shift_codes(line / 255.0, domain_cfg, i)
@@ -405,7 +403,7 @@ def load_corpus(path: str) -> Corpus:
 
 GLYPH12_CHARS = "ABCDEFGHIJKL"
 GLYPH12_LENGTHS = (1, 4)
-GLYPH12_SHIFT = dict(salt_pepper_prob=0.15, invert=False, intensity_scale=0.7,
+GLYPH12_SHIFT = dict(salt_pepper_prob=0.15, intensity_scale=0.7,
                      horizontal_shear=1, background_level=0.1)
 
 

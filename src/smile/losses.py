@@ -25,31 +25,17 @@ def _check_variant(variant: str):
         raise ContractError(f"entropy variant {variant!r} not in {VARIANTS}")
 
 
-def decoder_loss(decoded: Decoded, labels: list[tuple[int, ...]]) -> Tensor:
+def decoder_loss(decoded: Decoded) -> Tensor:
     """Mean over the batch of each sample's summed -log p(target_t).
 
-    Sample b's targets are its label characters followed by EOS, one per
-    emitted row, so the decode must be teacher-forced with len(label)+1
-    rows per sample.
+    Each emitted row's target is the token that labels it: under teacher
+    forcing, the sample's label characters followed by EOS.
     """
-    if len(decoded.labels) != len(labels):
-        raise ContractError(f"decoder_loss: {len(decoded.labels)} outputs "
-                            f"vs {len(labels)} labels")
-    if not labels:
+    if not decoded.labels:
         raise ContractError("decoder_loss: empty batch")
-    k = decoded.probs.shape[1]
-    for emitted, label in zip(decoded.labels, labels):
-        if len(emitted) != len(label) + 1:
-            raise ContractError(f"decoder_loss: {len(emitted)} rows for a "
-                                f"length-{len(label)} label")
-    # EOS closes every sequence: the one target per sample past the alphabet
-    targets = np.array([c for label in labels for c in (*label, k - 2)])
-    bad = np.count_nonzero((targets < 0) | (targets >= k - 3)) - len(labels)
-    if bad:
-        raise ContractError(
-            f"decoder_loss: {bad} label targets are not character indices")
+    targets = np.array([c for tokens in decoded.labels for c in tokens])
     picked = T.gather_rows(decoded.probs, decoded.rows, targets)
-    return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(labels))
+    return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(decoded.labels))
 
 
 def row_entropy(probs: Tensor, variant: str = "shannon") -> Tensor:

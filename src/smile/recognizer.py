@@ -1,11 +1,10 @@
 """Attention encoder-decoder over glyph strips.
 
 The encoder projects a batch's 8x8 column strips, one [B, T, 64] block,
-through tanh with one matmul, and runs a GRU over the strip sequence
-(optionally bidirectional with summed directions): one [B, T, 3h] input
-matmul and one tensor.gru_cell node per direction.  The decoder is a GRU
-with additive attention queried by its previous hidden state; each step
-sees [attention context ++ input embedding].
+through tanh with one matmul, and runs a GRU over the strip sequence, first
+to last: one [B, T, 3h] input matmul and one tensor.gru_cell node.  The
+decoder is a GRU with additive attention queried by its previous hidden
+state; each step sees [attention context ++ input embedding].
 
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU holds its gates fused side by side, z | r | n: W [in, 3h],
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MAX_LABEL, Corpus, VocabSpec
+from .data import MAX_LABEL, Corpus, VocabSpec, check_seed
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
@@ -41,7 +40,7 @@ GLYPH_H = 8
 STRIP_W = 8
 
 GATES = ("z", "r", "n")
-GRU_BLOCKS = ("enc", "enc_bwd", "dec")
+GRU_BLOCKS = ("enc", "dec")
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class ArchSpec:
     d_feat: int = 32
     enc_hidden: int = 32
     embed_dim: int = 16
-    bidirectional: bool = False
 
     def __post_init__(self):
         # greedy runs l_max + 1 steps, so a corrupt size must not get through
@@ -87,8 +85,6 @@ def param_shapes(arch: ArchSpec) -> dict[str, tuple[int, int]]:
             shapes[f"{prefix}/b_{gate}"] = (1, hid)
 
     gru_block("enc", arch.d_feat, arch.enc_hidden)
-    if arch.bidirectional:
-        gru_block("enc_bwd", arch.d_feat, arch.enc_hidden)
     shapes["attn/W_enc"] = (arch.enc_hidden, arch.attn_dim)
     shapes["attn/W_dec"] = (arch.dec_hidden, arch.attn_dim)
     shapes["attn/v"] = (arch.attn_dim, 1)
@@ -129,6 +125,7 @@ def split_gates(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
     """All weights uniform(-1/sqrt(fan_in), +), biases zero, one seeded
     stream consumed per gate in fixed declaration order; GRU gates fused."""
+    check_seed(seed, "init_params: seed", stored=False)
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, (rows, cols) in param_shapes(arch).items():
@@ -214,14 +211,6 @@ class Recognizer:
 
     # -- shared pieces ------------------------------------------------------
 
-    def _recur(self, prefix: str, x: Tensor, reverse: bool) -> Tensor:
-        """The prefix's GRU over the strip features x [B, T, d]; returns its
-        states [B, T, h] in time order."""
-        p = self.params
-        xw = T.add(T.matmul(x, p[f"{prefix}/W"]), p[f"{prefix}/b"])
-        return T.gru_cell(xw, T.zeros((x.shape[0], self.arch.enc_hidden)),
-                          p[f"{prefix}/U"], reverse=reverse)
-
     def encode(self, pixels: np.ndarray) -> EncodedBatch:
         """pixels: float images [B, 8, W] with W a positive multiple of 8;
         integer arrays, such as a corpus's raw 8-bit codes, are refused
@@ -241,12 +230,13 @@ class Recognizer:
         # strips[b, t] is strip t of sample b, flattened row by row
         strips = pixels.reshape(batch, GLYPH_H, t_enc, STRIP_W).transpose(
             0, 2, 1, 3).reshape(batch, t_enc, GLYPH_H * STRIP_W)
-        x = T.tanh(T.add(T.matmul(T.constant(strips), self.params["proj/W"]),
-                         self.params["proj/b"]))
-        feats = self._recur("enc", x, reverse=False)
-        if self.arch.bidirectional:
-            feats = T.add(feats, self._recur("enc_bwd", x, reverse=True))
-        return EncodedBatch(feats, T.matmul(feats, self.params["attn/W_enc"]))
+        p = self.params
+        x = T.tanh(T.add(T.matmul(T.constant(strips), p["proj/W"]),
+                         p["proj/b"]))
+        xw = T.add(T.matmul(x, p["enc/W"]), p["enc/b"])
+        feats = T.gru_cell(xw, T.zeros((batch, self.arch.enc_hidden)),
+                           p["enc/U"])
+        return EncodedBatch(feats, T.matmul(feats, p["attn/W_enc"]))
 
     # -- the two decoding modes ---------------------------------------------
 

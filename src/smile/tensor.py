@@ -8,10 +8,10 @@ does, at any rank; their backward rules sum the gradient over every
 stretched axis; matmul takes a [B, n] or [B, T, n] left operand, and
 gather_rows picks rows or entries of a rank-2 table.  gru_cell and attn_gru
 are fused recurrent primitives with analytic backward rules, sharing one
-GRU step: gru_cell runs a GRU over a whole [B, T, 3H] sequence, and
-attn_gru runs T attention-fed decoder steps from token ids, each as one
-node whose backward is BPTT, in place of the 12-20 elementary nodes a step
-takes.
+GRU step: gru_cell runs a GRU over a whole [B, T, 3H] sequence, first to
+last, and attn_gru runs T attention-fed decoder steps from token ids, each
+as one node whose backward is BPTT, in place of the 12-20 elementary nodes
+a step takes.
 """
 
 from __future__ import annotations
@@ -474,16 +474,15 @@ def _gru_step_back(g: np.ndarray, saved, U: Tensor, carry: bool):
     return d, (g * z + drh * r + d[:, :two] @ ud[:, :two].T) if carry else None
 
 
-def gru_cell(xw: Tensor, h: Tensor, U: Tensor,
-             reverse: bool = False) -> Tensor:
+def gru_cell(xw: Tensor, h: Tensor, U: Tensor) -> Tensor:
     """A GRU (Cho et al. 2014) over T steps, gates in blocks z | r | n.
 
     xw [B, T, 3H] holds the steps' input projections x_t @ W + b, h is the
     initial state [B, H] and U the recurrent weights [H, 3H].  A step
     computes z, r = sigmoid(xw_zr + h @ U_zr), n = tanh(xw_n + (r * h) @
-    U_n) and h' = (1 - z) * n + z * h.  Steps run first to last, or last to
-    first with reverse; the [B, T, H] result holds every step's state in
-    time order, and backward is BPTT in this one node.
+    U_n) and h' = (1 - z) * n + z * h.  Steps run first to last; the
+    [B, T, H] result holds every step's state, and backward is BPTT in this
+    one node.
     """
     if (h.data.ndim != 2 or xw.data.ndim != 3 or 0 in xw.shape
             or xw.shape[0] != h.shape[0] or xw.shape[2] != 3 * h.shape[1]
@@ -491,19 +490,18 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor,
         raise DimensionError(
             f"gru_cell: need xw [B, T, 3H] with T >= 1, h [B, H] and "
             f"U [H, 3H]; got {xw.shape}, {h.shape}, {U.shape}")
-    steps = sorted(range(xw.shape[1]), reverse=reverse)
     states = np.empty((*xw.shape[:2], h.shape[1]))
-    saved, hd = [], h.data  # each step's _gru_step record, in run order
-    for t in steps:
+    saved, hd = [], h.data  # each step's _gru_step record
+    for t in range(xw.shape[1]):
         saved.append(_gru_step(xw.data[:, t], hd, U.data, states[:, t]))
         hd = states[:, t]
     out = Tensor(states)
 
     def back():
         dh = 0.0  # gradient reaching the state the later step read
-        for t, step in zip(reversed(steps), reversed(saved)):
-            d, dh = _gru_step_back(out.grad[:, t] + dh, step, U,
-                                   t != steps[0] or h.requires_grad)
+        for t in reversed(range(len(saved))):
+            d, dh = _gru_step_back(out.grad[:, t] + dh, saved[t], U,
+                                   t > 0 or h.requires_grad)
             if xw.requires_grad:
                 xw.grad[:, t] += d
         if h.requires_grad:

@@ -324,8 +324,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     params = {n: a for n, a in tensors.items() if not n.startswith("opt/")}
     opt_state = {n: a for n, a in tensors.items() if n.startswith("opt/")}
     arch = ArchSpec(K=k, l_max=l_max, d_feat=d_feat, enc_hidden=enc_hidden,
-                    embed_dim=embed_dim,
-                    bidirectional="enc_bwd/W_z" in params)
+                    embed_dim=embed_dim)
     expected = param_shapes(arch)
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
@@ -418,7 +417,7 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
             replay = [(target_px[samples], sequences)]
     decoded = rec.teacher_forced(batch_px, batch_labels, replay)
     source = decoded.head(len(batch_labels))
-    l_dec = decoder_loss(source, batch_labels)
+    l_dec = decoder_loss(source)
     # the replayed samples' emitted rows follow the labeled batch's
     l_ent = selected_entropy_loss(
         decoded.probs, decoded.rows[len(source.rows) + rows],

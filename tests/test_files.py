@@ -148,7 +148,7 @@ def test_checkpoint_zero_arch_size_refused(capsys, tmp_path, files, name):
     # whose zero-size tensors match their declared shapes
     sizes = {"d_feat": 2, "enc_hidden": 2, "embed_dim": 2, name: 0}
     vocab = VocabSpec("ABCD")
-    arch = SimpleNamespace(K=vocab.K, l_max=2, bidirectional=False,
+    arch = SimpleNamespace(K=vocab.K, l_max=2,
                            dec_hidden=2 * sizes["enc_hidden"],
                            attn_dim=sizes["d_feat"], **sizes)
     params = {n: np.full(shape, 0.1)

@@ -28,14 +28,14 @@ def test_decoder_loss_zero_on_certain_targets():
     rows[0, 0] = 1.0
     rows[1, 1] = 1.0
     rows[2, 3] = 1.0
-    loss = decoder_loss(decoded_from(rows), [(0, 1)])
+    loss = decoder_loss(decoded_from(rows, labels=[(0, 1, 3)]))
     assert abs(loss.item()) < 1e-12
 
 
 def test_decoder_loss_uniform_rows():
     k = 8
     rows = np.full((3, k), 1.0 / k)
-    loss = decoder_loss(decoded_from(rows), [(0, 4)])
+    loss = decoder_loss(decoded_from(rows, labels=[(0, 4, k - 2)]))
     assert abs(loss.item() - 3 * math.log(k)) < 1e-12
 
 
@@ -43,9 +43,9 @@ def test_decoder_loss_matches_scalar_recomputation(rng):
     k = 6
     rows_a = random_stochastic(rng, 3, k)
     rows_b = random_stochastic(rng, 2, k)
-    labels = [(2, 0), (1,)]
-    loss = decoder_loss(decoded_from(rows_a, rows_b), labels)
     eos = k - 2
+    labels = [(2, 0, eos), (1, eos)]
+    loss = decoder_loss(decoded_from(rows_a, rows_b, labels=labels))
     want = -(math.log(rows_a[0, 2]) + math.log(rows_a[1, 0])
              + math.log(rows_a[2, eos])
              + math.log(rows_b[0, 1]) + math.log(rows_b[1, eos])) / 2.0
@@ -55,24 +55,16 @@ def test_decoder_loss_matches_scalar_recomputation(rng):
 def test_decoder_loss_batch_order_invariant(rng):
     k = 6
     samples = [random_stochastic(rng, t, k) for t in (2, 3, 4)]
-    labels = [(0,), (1, 2), (2, 0, 1)]
-    forward = decoder_loss(decoded_from(*samples), labels).item()
-    backward = decoder_loss(decoded_from(*samples[::-1]), labels[::-1]).item()
+    labels = [(0, 4), (1, 2, 4), (2, 0, 1, 4)]
+    forward = decoder_loss(decoded_from(*samples, labels=labels)).item()
+    backward = decoder_loss(decoded_from(*samples[::-1],
+                                         labels=labels[::-1])).item()
     assert abs(forward - backward) < 1e-12
 
 
-def test_decoder_loss_validation(rng):
-    k = 6
-    rows = random_stochastic(rng, 3, k)
-    out = decoded_from(rows)
-    with pytest.raises(ContractError):
-        decoder_loss(out, [(0,)])            # 3 rows vs length-1 label
-    with pytest.raises(ContractError):
-        decoder_loss(out, [(0, k - 2)])      # EOS is not a character target
-    with pytest.raises(ContractError):
-        decoder_loss(decoded_from(rows, rows), [(0, 1)])   # misaligned batch
-    with pytest.raises(ContractError):
-        decoder_loss(decoded_from(np.zeros((0, k)), labels=[]), [])
+def test_decoder_loss_validation():
+    with pytest.raises(ContractError, match="empty batch"):
+        decoder_loss(decoded_from(np.zeros((0, 6)), labels=[]))
 
 
 def test_decoder_loss_gradient_direction(rng):
@@ -81,8 +73,7 @@ def test_decoder_loss_gradient_direction(rng):
     logits = T.parameter(rng.normal(size=(3, 5)))
     with Tape() as tape:
         probs = T.softmax(logits)
-        loss = decoder_loss(Decoded(probs, np.array([0, 2]), [(0, 0)]),
-                            [(1,)])
+        loss = decoder_loss(Decoded(probs, np.array([0, 2]), [(1, 3)]))
         tape.backward(loss)
     # gradient w.r.t. the target logits is negative (increase helps)
     assert logits.grad[0, 1] < 0

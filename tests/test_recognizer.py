@@ -49,7 +49,7 @@ def per_gate_draws(arch, seed):
 
 def check_fused_columns(p, arch, seed):
     draws = per_gate_draws(arch, seed)
-    gru = [n for n in p if n.split("/")[0] in ("enc", "enc_bwd", "dec")]
+    gru = [n for n in p if n.split("/")[0] in ("enc", "dec")]
     for name in gru:
         assert np.array_equal(p[name].data, np.hstack(
             [draws[f"{name}_{g}"] for g in "zrn"])), name
@@ -72,7 +72,6 @@ def test_init_params_layout():
     assert p["dec/W"].shape == (32 + 16, 3 * 64)
     assert p["dec/U"].shape == (64, 3 * 64)
     assert p["out/W"].shape == (64, 7)
-    assert "enc_bwd/W" not in p
     assert len(p) == 14
     for name, t in p.items():
         if name.endswith("/b"):
@@ -83,18 +82,8 @@ def test_init_params_layout():
     check_fused_columns(p, arch, seed=0)
 
 
-def test_init_params_bidirectional_adds_backward_pass():
-    arch = ArchSpec(K=7, l_max=4, bidirectional=True)
-    p = init_params(arch, seed=0)
-    assert p["enc_bwd/W"].shape == (32, 3 * 32)
-    assert p["enc_bwd/U"].shape == (32, 3 * 32)
-    assert len(p) == 17
-    check_fused_columns(p, arch, seed=0)
-
-
 def test_fuse_and_split_gates_round_trip():
-    arch = ArchSpec(K=5, l_max=2, d_feat=3, enc_hidden=2, embed_dim=2,
-                    bidirectional=True)
+    arch = ArchSpec(K=5, l_max=2, d_feat=3, enc_hidden=2, embed_dim=2)
     rng = np.random.default_rng(1)
     stored = {n: rng.normal(size=shape)
               for n, shape in param_shapes(arch).items()}
@@ -103,14 +92,19 @@ def test_fuse_and_split_gates_round_trip():
     stored["opt/seed"] = np.zeros(2)
     fused = fuse_gates(stored)
     assert fused["dec/W"].shape == (2 + 2, 3 * 4)
-    assert np.array_equal(fused["opt/adam/m/enc_bwd/U"][:, 2:4],
-                          stored["opt/adam/m/enc_bwd/U_r"])
+    assert np.array_equal(fused["opt/adam/m/enc/U"][:, 2:4],
+                          stored["opt/adam/m/enc/U_r"])
     assert not any(n.endswith(("_z", "_r", "_n")) for n in fused)
-    # 3 blocks x (W, U, b) x (params, slot): each triple becomes one tensor
-    assert len(fused) == len(stored) - 2 * 3 * 3 * 2
+    # 2 blocks x (W, U, b) x (params, slot): each triple becomes one tensor
+    assert len(fused) == len(stored) - 2 * 2 * 3 * 2
     back = split_gates(fused)
     assert back.keys() == stored.keys()
     assert all(np.array_equal(back[n], stored[n]) for n in stored)
+
+
+def test_init_params_refuses_negative_seed():
+    with pytest.raises(ContractError, match="init_params: seed -1"):
+        Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=-1)
 
 
 def test_init_params_deterministic():
@@ -173,79 +167,70 @@ def test_encode_rejects_bad_dimensions(rec):
         rec.encode(np.zeros((1, 2, 8, 16)))
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_encode_tape_is_the_same_for_any_strip_count(bidirectional):
-    enc_rec = Recognizer.fresh(VocabSpec("ABCD"), l_max=4, seed=3,
-                               bidirectional=bidirectional)
-    directions = 2 if bidirectional else 1
+def test_encode_tape_is_the_same_for_any_strip_count():
+    enc_rec = Recognizer.fresh(VocabSpec("ABCD"), l_max=4, seed=3)
     sizes = []
     for width in (16, 24, 32):
         with Tape() as tape:
             enc_rec.encode(some_pixels(2, width // 8))
             ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
-        # one strip projection, one input projection and one whole-sequence
-        # gru_cell per direction, and the keys, whatever the strip count;
-        # every op takes the [B, T, .] blocks as they are
+        # one strip projection, one input projection, one whole-sequence
+        # gru_cell and the keys, whatever the strip count; every op takes
+        # the [B, T, .] blocks as they are
         assert ops.count("tanh") == 1
-        assert ops.count("matmul") == 2 + directions
-        assert ops.count("gru_cell") == directions
+        assert ops.count("matmul") == 3
+        assert ops.count("gru_cell") == 1
         assert ops.count("gather_rows") == ops.count("reshape") == 0
         sizes.append(len(ops))
-    assert sizes == [11 if bidirectional else 7] * 3
+    assert sizes == [7] * 3
 
 
-def numpy_gru(p, prefix, x, h):
-    """Reference GRU step on the fused parameters' z | r | n column slices."""
+def numpy_gru(p, x, h):
+    """Reference encoder GRU step on the fused parameters' z | r | n column
+    slices."""
     def gate(g, hh):
         cols = slice("zrn".index(g) * h.shape[1],
                      ("zrn".index(g) + 1) * h.shape[1])
-        return x @ p[f"{prefix}/W"][:, cols] + hh @ p[f"{prefix}/U"][:, cols] \
-            + p[f"{prefix}/b"][:, cols]
+        return x @ p["enc/W"][:, cols] + hh @ p["enc/U"][:, cols] \
+            + p["enc/b"][:, cols]
     z = 1.0 / (1.0 + np.exp(-gate("z", h)))
     r = 1.0 / (1.0 + np.exp(-gate("r", h)))
     n = np.tanh(gate("n", r * h))
     return (1.0 - z) * n + z * h
 
 
-def test_bidirectional_teacher_forced_through_gru_cell():
-    birec = Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=4,
-                             bidirectional=True)
+def test_encoder_teacher_forced_through_gru_cell():
+    enc_rec = Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=4)
     rng = np.random.default_rng(2)
-    for name in ("enc/b", "enc_bwd/b", "dec/b"):
+    for name in ("enc/b", "dec/b"):
         # nonzero GRU biases so every gate term matters
-        t = birec.params[name]
+        t = enc_rec.params[name]
         t.data[...] = rng.normal(scale=0.1, size=t.shape)
     px = some_pixels(2, 3, seed=3)
-    # the features sum the forward pass and the reversed backward pass
-    p = {n: t.data for n, t in birec.params.items()}
-    strips = [np.tanh(px[:, :, 8 * t:8 * t + 8].reshape(2, 64) @ p["proj/W"]
-                      + p["proj/b"]) for t in range(3)]
-
-    def run(prefix, xs):
-        h, hs = np.zeros((2, 32)), []
-        for x in xs:
-            h = numpy_gru(p, prefix, x, h)
-            hs.append(h)
-        return hs
-
-    want = np.stack([f + b for f, b in zip(
-        run("enc", strips), run("enc_bwd", strips[::-1])[::-1])], axis=1)
-    assert np.allclose(birec.encode(px).feats.data, want, rtol=0, atol=1e-12)
+    # the features are the encoder GRU's states, first strip to last
+    p = {n: t.data for n, t in enc_rec.params.items()}
+    h, want = np.zeros((2, 32)), []
+    for t in range(3):
+        x = np.tanh(px[:, :, 8 * t:8 * t + 8].reshape(2, 64) @ p["proj/W"]
+                    + p["proj/b"])
+        h = numpy_gru(p, x, h)
+        want.append(h)
+    assert np.allclose(enc_rec.encode(px).feats.data, np.stack(want, axis=1),
+                       rtol=0, atol=1e-12)
 
     labels = [(0, 1), (2,)]
 
     def make_loss():
-        return decoder_loss(birec.teacher_forced(px, labels), labels)
+        return decoder_loss(enc_rec.teacher_forced(px, labels))
 
     with Tape() as tape:
         make_loss()
-        # one gru_cell per encoder direction and one attn_gru for the
-        # decoder's 3 steps
+        # one gru_cell for the encoder and one attn_gru for the decoder's 3
+        # steps
         ops = [fn.__qualname__.split(".")[0] for _, fn in tape._nodes]
-        assert ops.count("gru_cell") == 2
+        assert ops.count("gru_cell") == 1
         assert ops.count("attn_gru") == 1
-    leaves = {n: birec.params[n] for n in ("enc_bwd/U", "enc_bwd/W",
-                                           "enc/U", "dec/b")}
+    leaves = {n: enc_rec.params[n] for n in ("enc/U", "enc/W", "dec/b")}
     err = grad_check(make_loss, leaves, dict.fromkeys(leaves, 18),
                      rng=np.random.default_rng(5))
     assert err < 1e-6
@@ -318,12 +303,10 @@ def test_two_width_decode_equals_separate_decodes(rec):
     assert head.labels == wide.labels
     assert all(np.array_equal(got.probs, want.probs)
                for got, want in zip(head, wide))
-    assert (decoder_loss(head, labels).item()
-            == decoder_loss(wide, labels).item())
-    want = (2 * decoder_loss(wide, labels).item() + 3 * decoder_loss(
-        rec.teacher_forced(narrow, prefixes), prefixes).item()) / 5
-    assert decoder_loss(joined, labels + prefixes).item() == pytest.approx(
-        want, rel=1e-14)
+    assert decoder_loss(head).item() == decoder_loss(wide).item()
+    want = (2 * decoder_loss(wide).item() + 3 * decoder_loss(
+        rec.teacher_forced(narrow, prefixes)).item()) / 5
+    assert decoder_loss(joined).item() == pytest.approx(want, rel=1e-14)
 
 
 def test_teacher_forced_records_one_decoder_node(rec):

@@ -69,8 +69,7 @@ def reference(rec, cfg, src_px, src_labels, tgt_px):
     """The whole greedy block on the tape, every pool row's entropy, and
     the chosen ones summed by a 0/1 mask."""
     with Tape() as tape:
-        l_dec = decoder_loss(rec.teacher_forced(src_px, src_labels),
-                             src_labels)
+        l_dec = decoder_loss(rec.teacher_forced(src_px, src_labels))
         decoded = taped_greedy(rec, tgt_px)
         column = row_entropy(decoded.probs, cfg.entropy_variant)
         pool = build_pool(decoded, cfg.entropy_variant)
@@ -203,7 +202,7 @@ def test_lambda_zero_replays_nothing(base, small_source, small_target):
                                               src_labels, tgt_px)
         smile_nodes = len(tape)
     with Tape() as tape:
-        decoder_loss(rec.teacher_forced(src_px, src_labels), src_labels)
+        decoder_loss(rec.teacher_forced(src_px, src_labels))
         base_nodes = len(tape)
     assert l_ent is None and len(sel.chosen) == len(pool)
     assert smile_nodes == base_nodes

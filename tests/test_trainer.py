@@ -246,14 +246,19 @@ def test_checkpoint_rejects_wrong_shape(tmp_path):
         load_checkpoint(str(path))
 
 
-def test_checkpoint_restores_bidirectional_flag(tmp_path):
-    vocab = VocabSpec("AB")
-    arch = ArchSpec(K=vocab.K, l_max=2, bidirectional=True)
-    params = {n: t.data.copy() for n, t in init_params(arch, 1).items()}
-    ck = Checkpoint(vocab, arch, params, {}, 0)
+def test_checkpoint_refuses_backward_encoder_tensors(tmp_path):
+    # the encoder runs one direction, so a second GRU's per-gate tensors
+    # are unknown names, not a mode to infer
+    ck = small_checkpoint()
+    stored = split_gates(ck.params)
+    stored.update({n.replace("enc/", "enc_bwd/"): a
+                   for n, a in stored.items() if n.startswith("enc/")})
     path = tmp_path / "bi.smck"
-    save_checkpoint(ck, str(path))
-    assert load_checkpoint(str(path)).arch.bidirectional
+    save_checkpoint(Checkpoint(ck.vocab, ck.arch, stored, ck.opt_state,
+                               ck.step), str(path))
+    with pytest.raises(FormatError, match=r"parameter set mismatch \(missing "
+                       r"\[\], unexpected \['enc_bwd/U_n', 'enc_bwd/U_r'"):
+        load_checkpoint(str(path))
 
 
 def test_seed_encoding_round_trip(tmp_path):
@@ -274,11 +279,11 @@ def test_single_step_descends_on_fixed_batch(small_source):
     labels = small_source.labels[:16]
     opt = Adam(1e-3)
     with Tape() as tape:
-        loss = decoder_loss(rec.teacher_forced(px, labels), labels)
+        loss = decoder_loss(rec.teacher_forced(px, labels))
         tape.backward(loss)
     before = loss.item()
     opt.step(rec.params)
-    after = decoder_loss(rec.teacher_forced(px, labels), labels).item()
+    after = decoder_loss(rec.teacher_forced(px, labels)).item()
     assert after < before
 
 
