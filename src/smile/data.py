@@ -3,12 +3,15 @@
 Characters are procedurally drawn 8x8 bitmaps laid out on a fixed grid, so a
 line of up to L_max characters is an 8 x (8*L_max) grayscale image.  A
 configurable pixel-level shift (shear, dimming, background lift,
-salt-and-pepper) manufactures the target domain.  Everything is a pure
-function of integer seeds.  Every pixel lies on the 8-bit grid k/255 that
-the file format stores, and a Corpus keeps the codes k: it is columnar, one
-uint8 [N, 8, W] code block, a label list and a [N] domain-tag array, and
-Corpus.images turns the codes of an index or a slice into float64 images
-only when they are drawn.
+salt-and-pepper) manufactures the target domain.  Rendering and the shift
+work on [n, 8, W] blocks of lines: one gather from the glyph table draws
+every line, and the shift runs on BLOCK images per numpy pass.  Everything
+is a pure function of integer seeds, and sample i of a corpus is still a
+pure function of (seed, i), whatever block it falls in.  Every pixel lies
+on the 8-bit grid k/255 that the file format stores, and a Corpus keeps
+the codes k: it is columnar, one uint8 [N, 8, W] code block, a label list
+and a [N] domain-tag array, and Corpus.images turns the codes of an index
+or a slice into float64 images only when they are drawn.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ DOMAINS = (SOURCE, TARGET)
 MAGIC = b"SMCP"
 VERSION = 1
 MAX_LABEL = 255   # a record's label length is one u8
+BLOCK = 256       # images shifted per numpy pass in generate_corpus
 
 
 def check_seed(seed: int, what: str, stored: bool = True):
@@ -230,6 +234,24 @@ def _grid_codes(pixels: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _check_templates(templates: np.ndarray, vocab: VocabSpec, what: str):
+    """Refuse templates that are not one 8x8 bitmap per character: the
+    renderer's blank padding glyph is the row after the last character."""
+    if templates.shape != (vocab.n_chars, GLYPH_H, GLYPH_W):
+        raise ContractError(f"{what}: templates must be [{vocab.n_chars}, "
+                            f"8, 8], got shape {templates.shape}")
+
+
+def _render(index: np.ndarray, templates: np.ndarray) -> np.ndarray:
+    """The [n, 8, 8*L] lines of an [n, L] block of glyph indices, in the
+    templates' dtype, drawn by one gather; index len(templates) is the
+    blank glyph that pads a line to L."""
+    blank = np.zeros((1, GLYPH_H, GLYPH_W), dtype=templates.dtype)
+    glyphs = np.concatenate([templates, blank])[index]   # [n, L, 8, 8]
+    n, l_max = index.shape
+    return glyphs.transpose(0, 2, 1, 3).reshape(n, GLYPH_H, GLYPH_W * l_max)
+
+
 def render_string(label, vocab: VocabSpec, templates: np.ndarray,
                   l_max: int) -> np.ndarray:
     """Lay the characters' bitmaps left to right, background-padded to L_max;
@@ -241,45 +263,38 @@ def render_string(label, vocab: VocabSpec, templates: np.ndarray,
     for i in label:
         if not 0 <= i < vocab.n_chars:
             raise ContractError(f"render: index {i} is not a character index")
-    pixels = np.zeros((GLYPH_H, GLYPH_W * l_max), dtype=templates.dtype)
-    for pos, i in enumerate(label):
-        pixels[:, pos * GLYPH_W:(pos + 1) * GLYPH_W] = templates[i]
-    return pixels
+    _check_templates(templates, vocab, "render")
+    index = np.full((1, l_max), vocab.n_chars)
+    index[0, :len(label)] = label
+    return _render(index, templates)[0]
 
 
-def apply_domain_shift(pixels: np.ndarray, cfg: DomainConfig,
-                       sample_seed: int) -> np.ndarray:
-    """Shear, dim, lift, then speckle one [H, W] image;
-    returns a new image on the 8-bit grid.
+def _shift_codes(codes: np.ndarray, cfg: DomainConfig,
+                 samples: range) -> np.ndarray:
+    """Shear, dim, lift, then speckle an [n, H, W] uint8 block of codes;
+    returns the shifted block's codes.
 
-    The noise stream is a pure function of (cfg.seed, sample_seed).
+    Image k's noise stream is a pure function of (cfg.seed, samples[k]).
+    Dimming and lifting act on each pixel alone, so they run, with the
+    clip and quantization, as one 256-entry table of exact float results.
     """
-    return _shift_codes(pixels, cfg, sample_seed) / 255.0
-
-
-def _shift_codes(pixels: np.ndarray, cfg: DomainConfig,
-                 sample_seed: int) -> np.ndarray:
-    """apply_domain_shift's image as its uint8 codes."""
-    rng = np.random.default_rng([cfg.seed, sample_seed])
-    px = pixels
-    h, w = px.shape
+    n, h, w = codes.shape
     if cfg.horizontal_shear > 0:
-        sheared = np.zeros_like(px)
+        sheared = np.zeros_like(codes)
         for y in range(h):
             shift = round(y * cfg.horizontal_shear / (h - 1))
-            if shift == 0:
-                sheared[y] = px[y]
-            else:
-                sheared[y, shift:] = px[y, :w - shift]
-        px = sheared
-    px = px * cfg.intensity_scale
+            sheared[:, y, shift:] = codes[:, y, :w - shift]
+        codes = sheared
     bg = cfg.background_level
-    px = bg + (1.0 - bg) * px
+    level = np.arange(256) / 255.0 * cfg.intensity_scale
+    out = _codes(np.clip(bg + (1.0 - bg) * level, 0.0, 1.0))[codes]
     if cfg.salt_pepper_prob > 0.0:
-        hit = rng.random(px.shape) < cfg.salt_pepper_prob
-        salt = rng.random(px.shape) < 0.5
-        px = np.where(hit, np.where(salt, 1.0, 0.0), px)
-    return _codes(np.clip(px, 0.0, 1.0))
+        u = np.empty((n, 2, h, w))   # per image: the hit field, the salt field
+        for k, sample in enumerate(samples):
+            np.random.default_rng([cfg.seed, sample]).random(out=u[k])
+        hit = u[:, 0] < cfg.salt_pepper_prob
+        out[hit] = np.where(u[:, 1][hit] < 0.5, 255, 0)
+    return out
 
 
 def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
@@ -289,8 +304,9 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
 
     Sample i is a pure function of (seed, i), so regeneration and parallel
     generation agree; characters are drawn uniformly.  The templates, in
-    [0, 1], are snapped to the 8-bit grid, and each line is written as
-    codes into one uint8 block.
+    [0, 1], are snapped to the 8-bit grid; one gather renders every line
+    into one uint8 block of codes, and the shift runs on it BLOCK images
+    at a time.
     """
     if count < 1:
         raise ContractError(f"generate_corpus: count {count} < 1")
@@ -298,21 +314,24 @@ def generate_corpus(vocab: VocabSpec, templates: np.ndarray, count: int,
     if not 1 <= lo <= hi:
         raise ContractError(f"generate_corpus: bad length range {length_range}")
     check_seed(seed, "generate_corpus: seed", stored=False)
+    _check_templates(templates, vocab, "generate_corpus")
     if not (templates.min() >= 0.0 and templates.max() <= 1.0):
         raise ContractError("generate_corpus: templates must be finite and "
                             "in [0, 1]")
-    glyphs = _codes(templates)
-    codes = np.empty((count, GLYPH_H, GLYPH_W * hi), dtype=np.uint8)
+    index = np.full((count, hi), vocab.n_chars)
     labels = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         length = int(rng.integers(lo, hi + 1))
-        label = tuple(int(c) for c in rng.integers(0, vocab.n_chars, length))
-        line = render_string(label, vocab, glyphs, hi)
-        if domain_cfg is not None:
-            line = _shift_codes(line / 255.0, domain_cfg, i)
-        codes[i] = line
+        label = tuple(rng.integers(0, vocab.n_chars, length).tolist())
+        index[i, :length] = label
         labels.append(label)
+    codes = _render(index, _codes(templates))
+    if domain_cfg is not None:
+        for start in range(0, count, BLOCK):
+            block = range(start, min(start + BLOCK, count))
+            codes[start:block.stop] = _shift_codes(
+                codes[start:block.stop], domain_cfg, block)
     tag = SOURCE if domain_cfg is None else TARGET
     return Corpus(vocab, codes, labels, np.full(count, tag, dtype=np.uint8))
 
@@ -371,26 +390,42 @@ def load_corpus(path: str) -> Corpus:
     if count == 0:
         raise ContractError(f"{path}: corpus has no records")
     vocab = read_vocab_block(r)
+    blob, off, size = r.blob, r.off, h * w
     labels, domain, starts = [], [], []
+
+    def cut(at: int, n: int, what: str):
+        """Raise the Reader's truncation error for n bytes of what at
+        offset at; the message is built only here, on failure."""
+        r.off = at
+        r.take(n, f"record {i} {what}")
+
     for i in range(count):
-        tag = r.u8(f"record {i} domain tag")
+        if off >= len(blob):
+            cut(off, 1, "domain tag")
+        tag = blob[off]
         if tag not in DOMAINS:
-            raise FormatError(
-                f"{path}: bad domain tag {tag} at offset {r.off - 1}")
-        label_len = r.u8(f"record {i} label length")
+            raise FormatError(f"{path}: bad domain tag {tag} at offset {off}")
+        if off + 1 >= len(blob):
+            cut(off + 1, 1, "label length")
+        label_len = blob[off + 1]
+        off += 2
+        label = None
         if label_len:
-            raw = r.take(label_len, f"record {i} label")
-            label = tuple(raw)
-            for idx in label:
-                if idx >= vocab.n_chars:
-                    raise FormatError(
-                        f"{path}: label index {idx} out of vocab in record {i}")
-        else:
-            label = None
-        starts.append(r.off)
-        r.take(h * w, f"record {i} pixels")
+            if off + label_len > len(blob):
+                cut(off, label_len, "label")
+            label = tuple(blob[off:off + label_len])
+            if max(label) >= vocab.n_chars:
+                idx = next(j for j in label if j >= vocab.n_chars)
+                raise FormatError(
+                    f"{path}: label index {idx} out of vocab in record {i}")
+            off += label_len
+        if off + size > len(blob):
+            cut(off, size, "pixels")
+        starts.append(off)
+        off += size
         labels.append(label)
         domain.append(tag)
+    r.off = off
     r.expect_end()
     # every record's h*w bytes, gathered through a zero-copy sliding window
     window = sliding_window_view(np.frombuffer(r.blob, dtype=np.uint8), h * w)

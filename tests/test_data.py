@@ -7,12 +7,11 @@ import struct
 import numpy as np
 import pytest
 
-from smile.data import (GLYPH12_CHARS, GLYPH12_LENGTHS, GLYPH12_SHIFT, MAGIC,
-                        SOURCE, TARGET, VERSION, Corpus, DomainConfig,
-                        VocabSpec,
-                        apply_domain_shift, build_glyph12, generate_corpus,
-                        load_corpus, make_templates, render_string,
-                        save_corpus, vocab_block)
+from smile.data import (BLOCK, GLYPH12_CHARS, GLYPH12_LENGTHS, GLYPH12_SHIFT,
+                        MAGIC, SOURCE, TARGET, VERSION, Corpus, DomainConfig,
+                        VocabSpec, _shift_codes, build_glyph12,
+                        generate_corpus, load_corpus, make_templates,
+                        render_string, save_corpus, vocab_block)
 from smile.errors import ContractError, FormatError
 
 
@@ -97,13 +96,61 @@ def test_render_rejects_bad_labels(vocab, templates):
         render_string((vocab.n_chars,), vocab, templates, l_max=3)
 
 
+TEMPLATE_SHAPES = {"narrow": lambda t: t[:, :, :6],
+                   "too_few_rows": lambda t: t[:-1],
+                   "extra_row": lambda t: np.concatenate([t, t[:1]])}
+
+
+@pytest.mark.parametrize("shape", sorted(TEMPLATE_SHAPES))
+def test_render_and_generate_refuse_misshapen_templates(vocab, templates,
+                                                       shape):
+    # an extra row would otherwise be drawn where the blank padding belongs
+    bad = TEMPLATE_SHAPES[shape](templates)
+    want = rf"templates must be \[{vocab.n_chars}, 8, 8\], got shape"
+    with pytest.raises(ContractError, match="render: " + want):
+        render_string((0,), vocab, bad, l_max=3)
+    with pytest.raises(ContractError, match="generate_corpus: " + want):
+        generate_corpus(vocab, bad, 5, (1, 2), seed=0)
+
+
 # -- domain shift -------------------------------------------------------------
+
+def shift_one(px: np.ndarray, cfg: DomainConfig, sample: int) -> np.ndarray:
+    """The block shift of one on-grid [H, W] image, as a float image."""
+    codes = np.round(px * 255.0).astype(np.uint8)
+    return _shift_codes(codes[None], cfg, range(sample, sample + 1))[0] / 255.0
+
+
+def shift_reference(px: np.ndarray, cfg: DomainConfig,
+                    sample: int) -> np.ndarray:
+    """The shift drawn one float image at a time: an oracle written apart
+    from the block code, whose table and block-wide noise it must match."""
+    rng = np.random.default_rng([cfg.seed, sample])
+    h, w = px.shape
+    if cfg.horizontal_shear > 0:
+        sheared = np.zeros_like(px)
+        for y in range(h):
+            shift = round(y * cfg.horizontal_shear / (h - 1))
+            if shift == 0:
+                sheared[y] = px[y]
+            else:
+                sheared[y, shift:] = px[y, :w - shift]
+        px = sheared
+    px = px * cfg.intensity_scale
+    bg = cfg.background_level
+    px = bg + (1.0 - bg) * px
+    if cfg.salt_pepper_prob > 0.0:
+        hit = rng.random(px.shape) < cfg.salt_pepper_prob
+        salt = rng.random(px.shape) < 0.5
+        px = np.where(hit, np.where(salt, 1.0, 0.0), px)
+    return np.round(np.clip(px, 0.0, 1.0) * 255.0).astype(np.uint8) / 255.0
+
 
 def test_shear_shifts_lower_rows_right():
     px = np.zeros((8, 16))
     px[:, 0] = 1.0
     cfg = DomainConfig(horizontal_shear=1, seed=0)
-    out = apply_domain_shift(px, cfg, sample_seed=0)
+    out = shift_one(px, cfg, sample=0)
     for y in range(8):
         shift = round(y * 1 / 7)
         assert out[y, shift] == 1.0
@@ -111,20 +158,20 @@ def test_shear_shifts_lower_rows_right():
 
 
 def test_intensity_and_background_compose():
-    px = np.full((8, 8), 0.5)
+    px = np.full((8, 8), 128 / 255)
     cfg = DomainConfig(intensity_scale=0.6, background_level=0.2, seed=0)
-    out = apply_domain_shift(px, cfg, sample_seed=1)
-    want = 0.2 + 0.8 * (0.5 * 0.6)
+    out = shift_one(px, cfg, sample=1)
+    want = 0.2 + 0.8 * (128 / 255 * 0.6)
     want = round(want * 255) / 255
     assert np.allclose(out, want)
 
 
 def test_salt_pepper_is_deterministic_and_bounded():
-    px = np.full((8, 8), 0.5)
+    px = np.full((8, 8), 128 / 255)
     cfg = DomainConfig(salt_pepper_prob=0.5, seed=9)
-    a = apply_domain_shift(px, cfg, sample_seed=3)
-    b = apply_domain_shift(px, cfg, sample_seed=3)
-    c = apply_domain_shift(px, cfg, sample_seed=4)
+    a = shift_one(px, cfg, sample=3)
+    b = shift_one(px, cfg, sample=3)
+    c = shift_one(px, cfg, sample=4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert set(np.unique(a)) <= {0.0, 128.0 / 255.0, 1.0}
@@ -132,13 +179,13 @@ def test_salt_pepper_is_deterministic_and_bounded():
 
 def test_shift_preserves_label_and_pixel_grid():
     rng = np.random.default_rng(4)
-    px = rng.random((8, 16))
-    before = px.copy()
+    codes = rng.integers(0, 256, (1, 8, 16), dtype=np.uint8)
+    before = codes.copy()
     cfg = DomainConfig(salt_pepper_prob=0.2, intensity_scale=0.7,
                        background_level=0.1, horizontal_shear=2, seed=5)
-    out = apply_domain_shift(px, cfg, sample_seed=6)
-    assert out.shape == px.shape
-    assert np.array_equal(px, before)  # input untouched
+    out = _shift_codes(codes, cfg, range(6, 7)) / 255.0
+    assert out.shape == codes.shape
+    assert np.array_equal(codes, before)  # input untouched
     scaled = out * 255.0
     assert np.allclose(scaled, np.round(scaled))
     assert out.min() >= 0.0 and out.max() <= 1.0
@@ -226,6 +273,19 @@ def test_generated_bytes_are_pinned(tmp_path):
         "936c7d07ab2794843dd93bc301486f93775b28fe299ae605258f33bbb08686b6")
 
 
+def test_generated_bytes_are_pinned_across_blocks(tmp_path):
+    # 600 images end two whole shift blocks and part of a third
+    assert 600 % BLOCK != 0 and 600 > 2 * BLOCK
+    vocab = VocabSpec(GLYPH12_CHARS)
+    c = generate_corpus(vocab, make_templates(vocab, 1), 600, GLYPH12_LENGTHS,
+                        seed=1, domain_cfg=DomainConfig(seed=1,
+                                                        **GLYPH12_SHIFT))
+    path = tmp_path / "pinned600.smcp"
+    save_corpus(c, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9e5ac87f6ab26e980482f5235f127a36ad9fb106767d3ed4167d7d5f525aa4ca")
+
+
 def test_generate_corpus_domain_shift_tags(vocab, templates):
     cfg = DomainConfig(background_level=0.1, seed=31)
     c = generate_corpus(vocab, templates, 20, (1, 3), seed=26, domain_cfg=cfg)
@@ -272,16 +332,18 @@ def test_codes_are_one_uint8_block(tmp_path, vocab, templates):
 
 def test_images_are_bit_equal_to_rendering_and_loading(tmp_path, vocab,
                                                       templates):
-    # image = code / 255: the drawn images equal what the generator rendered
-    # and shifted, and what the saved file loads back, bit for bit
+    # image = code / 255: the drawn images equal what the per-image recipe
+    # renders and shifts, across a block boundary, and what the saved file
+    # loads back, bit for bit
     cfg = DomainConfig(seed=37, **GLYPH12_SHIFT)
-    clean = generate_corpus(vocab, templates, 10, (1, 3), seed=38)
-    shifted = generate_corpus(vocab, templates, 10, (1, 3), seed=38,
+    count = BLOCK + 10
+    clean = generate_corpus(vocab, templates, count, (1, 3), seed=38)
+    shifted = generate_corpus(vocab, templates, count, (1, 3), seed=38,
                               domain_cfg=cfg)
     for i, label in enumerate(clean.labels):
         line = render_string(label, vocab, templates, 3)
         assert clean.images(i).tobytes() == line.tobytes()
-        assert shifted.images(i).tobytes() == apply_domain_shift(
+        assert shifted.images(i).tobytes() == shift_reference(
             line, cfg, i).tobytes()
     for c in (clean, shifted):
         path = tmp_path / "images.smcp"
@@ -346,7 +408,21 @@ def test_corpus_refuses_pixels_outside_unit_range(vocab, value):
         Corpus(vocab, px, labels, domain)
 
 
-def test_glyph12_preset():
+GLYPH12_SEED7_SHA256 = {
+    "source_train":
+        "6a22fce49b7a115d38b39cca02eb4e00a634b0bd2debb3eca6ab817936236f9a",
+    "source_val":
+        "bc953dfe9313c45c6c9b211720931f3a9608a0a5179a794a352b90e681798957",
+    "target_train":
+        "6d52bbe460c8aa44ad461d68b13724f664324c804200b421a9ba8b559aecf3e4",
+    "target_labeled":
+        "a0438c0cf803acc12898938ffba6b8382a142feec28855a472105fd838311117",
+    "target_test":
+        "8eed5a5e14cd0f6daa7c3a47ef7b63643b72df601ea92ca942b5119e660398a4",
+}
+
+
+def test_glyph12_preset(tmp_path):
     corpora = build_glyph12(seed=7)
     assert set(corpora) == {"source_train", "source_val", "target_train",
                             "target_labeled", "target_test"}
@@ -360,6 +436,12 @@ def test_glyph12_preset():
     assert corpora["target_train"].codes is corpora["target_labeled"].codes
     assert GLYPH12_LENGTHS == (1, 4)
     assert corpora["source_train"].codes.shape == (5000, 8, 32)
+    # any change to generation or to the file format moves these digests
+    for name, corpus in corpora.items():
+        path = tmp_path / f"{name}.smcp"
+        save_corpus(corpus, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            GLYPH12_SEED7_SHA256[name]), name
 
 
 # -- file format --------------------------------------------------------------
@@ -395,6 +477,55 @@ def test_corpus_file_layout_is_pinned(tmp_path):
     assert loaded.labels == [(1, 0, 1), None]
     assert loaded.domain.tolist() == [SOURCE, TARGET]
     assert loaded == c
+
+
+def two_record_file(tmp_path) -> tuple:
+    """A saved 2x3-pixel corpus: record 0 an unlabeled TARGET line, record 1
+    a SOURCE line labeled (1, 0, 1); returns (path, file bytes)."""
+    levels = np.array([[[255, 0, 17], [3, 200, 9]],
+                       [[0, 1, 2], [128, 254, 255]]], dtype=np.uint8)
+    c = Corpus(VocabSpec("AB"), levels, [None, (1, 0, 1)],
+               np.array([TARGET, SOURCE], dtype=np.uint8))
+    path = tmp_path / "two.smcp"
+    save_corpus(c, str(path))
+    return path, path.read_bytes()
+
+
+# the fields of two_record_file after its 32-byte header:
+# (offset, record, field, size)
+TWO_RECORD_FIELDS = [(32, 0, "domain tag", 1), (33, 0, "label length", 1),
+                     (34, 0, "pixels", 6), (40, 1, "domain tag", 1),
+                     (41, 1, "label length", 1), (42, 1, "label", 3),
+                     (45, 1, "pixels", 6)]
+
+
+@pytest.mark.parametrize("length", range(32, 51))
+def test_load_names_the_truncated_field(tmp_path, length):
+    # every cut inside the records names its field, offset and byte counts
+    path, raw = two_record_file(tmp_path)
+    assert len(raw) == 51
+    path.write_bytes(raw[:length])
+    offset, record, field, size = next(
+        f for f in TWO_RECORD_FIELDS if f[0] <= length < f[0] + f[3])
+    want = (f"{path}: truncated reading record {record} {field} at offset "
+            f"{offset} (need {size} bytes, have {length - offset})")
+    with pytest.raises(FormatError) as e:
+        load_corpus(str(path))
+    assert str(e.value) == want
+
+
+def test_load_names_out_of_vocab_label_and_bad_tag(tmp_path):
+    path, raw = two_record_file(tmp_path)
+    assert load_corpus(str(path)).labels == [None, (1, 0, 1)]
+    for offset, value, want in (
+            (43, 2, f"{path}: label index 2 out of vocab in record 1"),
+            (40, 5, f"{path}: bad domain tag 5 at offset 40")):
+        bad = bytearray(raw)
+        bad[offset] = value
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FormatError) as e:
+            load_corpus(str(path))
+        assert str(e.value) == want
 
 
 def test_corpus_mixed_labels_round_trip(tmp_path, vocab, templates):
