@@ -8,8 +8,7 @@ from .data import (Corpus, DomainConfig, VocabSpec, build_glyph12,
 from .errors import (ContractError, DimensionError, FormatError,
                      IndexRangeError, NumericalAbort)
 from .losses import decoder_loss, smile_loss
-from .metrics import (EvalResult, compare_report, edit_distance, evaluate,
-                      word_accuracy)
+from .metrics import EvalResult, compare_report, evaluate, word_accuracy
 from .recognizer import ArchSpec, Decoded, DecoderOutput, Recognizer
 from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
                          build_pool, portion_at, select,
@@ -27,8 +26,8 @@ __all__ = [
     "PacingSchedule", "PredictionPool", "Recognizer", "SelectionResult",
     "Tape", "Tensor", "TrainConfig", "VocabSpec",
     "build_glyph12", "build_pool", "compare_report", "decoder_loss",
-    "edit_distance", "evaluate", "generate_corpus", "load_checkpoint",
-    "load_corpus", "make_templates", "portion_at", "render_string",
-    "save_checkpoint", "save_corpus", "select", "selected_entropy_loss",
-    "smile_loss", "sweep", "train", "train_with_corpora", "word_accuracy",
+    "evaluate", "generate_corpus", "load_checkpoint", "load_corpus",
+    "make_templates", "portion_at", "render_string", "save_checkpoint",
+    "save_corpus", "select", "selected_entropy_loss", "smile_loss", "sweep",
+    "train", "train_with_corpora", "word_accuracy",
 ]

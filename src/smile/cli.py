@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, eval, compare, sweep, gradcheck.  Settings
-resolve as defaults < config file (key=value lines) < flags, the resolved
+resolve as defaults < config file (key=value lines) < flags, and each sweep
+cell (key=value;...) overrides them for its own run; the resolved
 configuration is printed before anything runs, and exit codes are 0 for
 success, 1 for contract or format violations, 2 for numerical aborts.
 """
@@ -18,13 +19,13 @@ from .binio import write_atomic
 from .data import build_glyph12, load_corpus, save_corpus
 from .errors import ContractError, FormatError, NumericalAbort
 from .metrics import compare_report, evaluate
-from .self_paced import PacingSchedule
-from .trainer import (SWEEP_GRID, TrainConfig, load_checkpoint,
-                      save_checkpoint, sweep, train, train_with_corpora)
+from .trainer import (SWEEP_GRID, TrainConfig, cell_name, load_checkpoint,
+                      save_checkpoint, sweep, sweep_configs, train)
 
 PROG = "smile"
 
-# flag spelling -> (dest, parser); config files use the same spellings
+# flag spelling -> (dest, parser), the one settings table: config lines and
+# sweep cells use the same spellings without the dashes
 _OPTIONS = {
     "--mode": ("mode", str),
     "--lambda": ("lam", float),
@@ -47,19 +48,6 @@ _OPTIONS = {
     "--preset": ("preset", str),
 }
 
-
-def _parse_bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ContractError(f"config: {raw!r} is not a boolean")
-
-
-# config-file-only keys, never flags
-_CONFIG_EXTRA = {"allow-cold-smile": ("allow_cold_smile", _parse_bool)}
-
 _TRAIN_FLAGS = tuple(flag for flag in _OPTIONS if flag != "--preset")
 
 _COMMAND_FLAGS = {
@@ -67,8 +55,7 @@ _COMMAND_FLAGS = {
     "train": _TRAIN_FLAGS,
     "eval": ("--checkpoint", "--test"),
     "compare": ("--test", "--out"),
-    "sweep": tuple(flag for flag in _TRAIN_FLAGS
-                   if flag not in ("--mode", "--p-init", "--p-add")),
+    "sweep": tuple(flag for flag in _TRAIN_FLAGS if flag != "--mode"),
     "gradcheck": ("--seed",),
 }
 
@@ -80,7 +67,7 @@ _DEFAULTS = {
     "gradcheck": {"seed": 0},
 }
 _DEFAULTS["sweep"] = {k: v for k, v in _DEFAULTS["train"].items()
-                      if k not in ("mode", "p_init", "p_add")}
+                      if k != "mode"}
 
 _UNSET = object()
 
@@ -102,46 +89,54 @@ def _build_parser() -> _Parser:
         if command == "compare":
             sub.add_argument("pairs", nargs="+", metavar="name=checkpoint")
         if command == "sweep":
-            sub.add_argument("cells", nargs="*", metavar="p_init,p_add")
+            sub.add_argument("cells", nargs="*", metavar="key=value;...")
     return parser
 
 
-def _read_config_file(path: str, allowed: dict[str, tuple]) -> dict:
+def _allowed(flags) -> dict[str, tuple]:
+    """key spelling (a flag without its dashes) -> (dest, parser)."""
+    return {flag[2:]: _OPTIONS[flag] for flag in flags}
+
+
+def _parse_settings(items: list[tuple[str, str]], allowed: dict[str, tuple]
+                    ) -> dict:
+    """{dest: value} of (where, "key=value") items, each value read by its
+    flag's parser; `where` locates an item in any error."""
     out = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except (OSError, ValueError) as e:   # ValueError: not UTF-8, or a NUL
-        raise ContractError(f"config: cannot read {path}: {e}") from None
-    for lineno, line in enumerate(lines, start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for where, text in items:
         key, eq, raw = text.partition("=")
         if not eq:
-            raise ContractError(
-                f"{path}:{lineno}: expected key=value, got {text!r}")
+            raise ContractError(f"{where}: expected key=value, got {text!r}")
         key, raw = key.strip(), raw.strip()
         if key not in allowed:
-            raise ContractError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ContractError(f"{where}: unknown config key {key!r}")
         dest, typ = allowed[key]
         try:
             out[dest] = typ(raw)
         except ValueError:
             raise ContractError(
-                f"{path}:{lineno}: bad value {raw!r} for {key}") from None
+                f"{where}: bad value {raw!r} for {key}") from None
     return out
+
+
+def _read_config_file(path: str, allowed: dict[str, tuple]) -> dict:
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except (OSError, ValueError) as e:   # ValueError: not UTF-8, or a NUL
+        raise ContractError(f"config: cannot read {path}: {e}") from None
+    items = [(f"{path}:{lineno}", line.split("#", 1)[0].strip())
+             for lineno, line in enumerate(lines, start=1)]
+    return _parse_settings([item for item in items if item[1]], allowed)
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < flags; rejects unknown config keys."""
     resolved = dict(_DEFAULTS[command])
-    allowed = {flag[2:]: _OPTIONS[flag] for flag in _COMMAND_FLAGS[command]}
-    if command in ("train", "sweep"):
-        allowed |= _CONFIG_EXTRA
     config_path = getattr(args, "config", _UNSET)
     if config_path is not _UNSET:
-        resolved.update(_read_config_file(config_path, allowed))
+        resolved.update(_read_config_file(config_path,
+                                          _allowed(_COMMAND_FLAGS[command])))
     for flag in _COMMAND_FLAGS[command]:
         dest = _OPTIONS[flag][0]
         value = getattr(args, dest)
@@ -263,40 +258,25 @@ def _run_compare(args) -> int:
     return 0
 
 
-def _parse_cells(raw_cells: list[str]) -> list[tuple[float, float]]:
-    if not raw_cells:
-        return list(SWEEP_GRID)
-    cells = []
-    for raw in raw_cells:
-        first, comma, second = raw.partition(",")
-        if not comma:
-            raise ContractError(f"sweep: expected p_init,p_add, got {raw!r}")
-        try:
-            cell = float(first), float(second)
-        except ValueError:
-            raise ContractError(f"sweep: bad cell {raw!r}") from None
-        PacingSchedule(*cell)  # refuse a bad cell before anything loads
-        cells.append(cell)
-    return cells
-
-
 def _run_sweep(args) -> int:
     resolved = _resolve("sweep", args)
-    cells = _parse_cells(args.cells)
+    train_keys = _allowed(_TRAIN_FLAGS)
+    cells = [_parse_settings([(f"sweep: cell {raw!r}", text.strip())
+                              for text in raw.split(";")], train_keys)
+             for raw in args.cells] or list(SWEEP_GRID)
     _print_config("sweep", resolved,
-                  {"cells": " ".join(f"{a},{b}" for a, b in cells)})
-    _require(resolved, "sweep", "source", "target", "test")
+                  {"cells": " ".join(cell_name(cell) for cell in cells)})
+    _require(resolved, "sweep", "source", "target", "test", "checkpoint")
     out_dir = resolved.pop("out")
     cfg = TrainConfig(mode="smile", **resolved)
+    sweep_configs(cells, cfg)  # refuse a bad cell before anything loads
     if out_dir:
         _check_out(out_dir, directory=True)
     source = load_corpus(cfg.source)
     target = load_corpus(cfg.target)
     test = load_corpus(cfg.test)
-    start = load_checkpoint(cfg.checkpoint) if cfg.checkpoint else None
-    rows = sweep(cells, cfg, source, target, test, start)
-    named = [(f"p_init={pi};p_add={pa}", res) for (pi, pa), res in rows]
-    text, csv = compare_report(named)
+    start = load_checkpoint(cfg.checkpoint)
+    text, csv = compare_report(sweep(cells, cfg, source, target, test, start))
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -83,12 +83,6 @@ def _distances(a_seqs: Sequence[Sequence], b_seqs: Sequence[Sequence]
     return dist, np.maximum(len_a, len_b)
 
 
-def edit_distance(a: Sequence, b: Sequence) -> int:
-    """Levenshtein distance of two strings or int sequences; the batched
-    dynamic program of char_accuracy run on one pair."""
-    return int(_distances([a], [b])[0][0])
-
-
 def char_accuracy(preds: Sequence[Sequence], labels: Sequence[Sequence]
                   ) -> float:
     if len(preds) != len(labels):

@@ -1,4 +1,4 @@
-"""Training regimes, optimizers, checkpoint format, and the pacing sweep.
+"""Training regimes, optimizers, checkpoint format, and the sweep.
 
 Three modes share one loop: "base" minimizes the decoder loss on labeled
 source batches; "smile" adds the paced mean entropy of confident target
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,8 +47,9 @@ CK_MAGIC = b"SMCK"
 CK_VERSION = 1
 
 # built-in sensitivity grid; the last cell disables self-paced selection
-SWEEP_GRID = ((0.0, 1e-4), (0.3, 1e-4), (0.5, 1e-4),
-              (0.0, 5e-5), (0.3, 5e-5), (0.5, 5e-5), (1.0, 0.0))
+SWEEP_GRID = tuple({"p_init": p_init, "p_add": p_add} for p_init, p_add in (
+    (0.0, 1e-4), (0.3, 1e-4), (0.5, 1e-4),
+    (0.0, 5e-5), (0.3, 5e-5), (0.5, 5e-5), (1.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class TrainConfig:
     test: str | None = None
     checkpoint: str | None = None
     out: str | None = None
-    allow_cold_smile: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -452,10 +452,8 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
     if cfg.mode == "smile":
         if target is None:
             raise ContractError("smile requires a target corpus")
-        if start is None and not resume and not cfg.allow_cold_smile:
-            raise ContractError(
-                "smile starts from a base checkpoint; set allow_cold_smile "
-                "to train from scratch anyway")
+        if start is None:
+            raise ContractError("smile requires a starting checkpoint")
         target = target.without_labels()
 
     if start is not None:
@@ -467,8 +465,10 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         rec = Recognizer.fresh(labeled.vocab, l_max, cfg.seed)
     if test is not None and test.vocab != labeled.vocab:
         raise ContractError("test corpus vocab differs from training vocab")
-    for name, corpus in (("target", None if cfg.mode == "base" else target),
-                         ("test", test)):
+    for name, corpus in (
+            ("source", None if cfg.mode == "finetune" else source),
+            ("target", None if cfg.mode == "base" else target),
+            ("test", test)):
         if corpus is not None:
             check_width(rec.arch, corpus, f"{name} corpus")
     if cfg.mode == "smile" and target.vocab != labeled.vocab:
@@ -502,22 +502,22 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         if unlabeled is not None:
             target_batch = unlabeled.images(
                 _draw(seed, 2, step, len(unlabeled), cfg.batch_target))
-        ent_val = None
         with Tape() as tape:
             l_dec, l_ent, pool, sel = step_losses(
                 rec, cfg, step, labeled.images(idx), batch_labels,
                 target_batch)
-            total = l_dec
-            if l_ent is not None:
-                ent_val = l_ent.item()
-                total = smile_loss(l_dec, l_ent, cfg.lam)
+            # the terms are checked before smile_loss, which refuses a
+            # non-finite one as a contract breach
             dec_val = l_dec.item()
-            total_val = total.item()
+            ent_val = None if l_ent is None else l_ent.item()
+            total_val = (dec_val if l_ent is None
+                         else dec_val + cfg.lam * ent_val)
             if not math.isfinite(total_val):
                 raise NumericalAbort(
                     f"step {step + 1}: non-finite loss {total_val} "
                     f"(decoder {dec_val}, entropy {ent_val})")
-            tape.backward(total)
+            tape.backward(l_dec if l_ent is None
+                          else smile_loss(l_dec, l_ent, cfg.lam))
         clip_gradients(rec.params, cfg.clip)
         opt.step(rec.params)
         if sel is not None:
@@ -540,18 +540,41 @@ def train(cfg: TrainConfig) -> tuple[Checkpoint, MetricsLog]:
     return train_with_corpora(cfg, source, target, test, start)
 
 
-def sweep(cells, cfg: TrainConfig, source: Corpus, target: Corpus,
-          test: Corpus, start: Checkpoint | None
-          ) -> list[tuple[tuple[float, float], EvalResult]]:
-    """Train one smile run per (p_init, p_add) cell from a shared start and
-    seed; returns each cell's final test evaluation."""
+def cell_name(cell: dict) -> str:
+    """A sweep cell's dest=value pairs joined with ';', the name of its row,
+    e.g. p_init=0.0;p_add=5e-05."""
+    return ";".join(f"{key}={value}" for key, value in cell.items())
+
+
+def sweep_configs(cells, cfg: TrainConfig) -> list[TrainConfig]:
+    """Each cell's smile run: cfg with the cell's train settings overridden.
+    A cell sets train settings, never the run's mode, files or start; every
+    cell is checked here, so a bad one fails before any trains."""
     if not cells:
         raise ContractError("sweep: empty grid")
-    # every cell's settings are checked before the first one trains
-    cell_cfgs = [replace(cfg, mode="smile", p_init=p_init, p_add=p_add)
-                 for p_init, p_add in cells]
+    settings = {f.name for f in fields(TrainConfig)} - {
+        "mode", "source", "target", "test", "checkpoint", "out"}
+    configs = []
+    for cell in cells:
+        refused = [key for key in cell if key not in settings]
+        if refused:
+            raise ContractError(f"sweep: cell {cell_name(cell)!r} may not set "
+                                f"{', '.join(refused)}")
+        try:
+            configs.append(replace(cfg, mode="smile", **cell))
+        except ContractError as e:
+            raise ContractError(
+                f"sweep: cell {cell_name(cell)!r}: {e}") from None
+    return configs
+
+
+def sweep(cells, cfg: TrainConfig, source: Corpus, target: Corpus,
+          test: Corpus, start: Checkpoint | None
+          ) -> list[tuple[str, EvalResult]]:
+    """Train one smile run per cell, a dict of train-setting overrides, from
+    the shared start; returns each cell's name and final test evaluation."""
     rows = []
-    for (p_init, p_add), cell_cfg in zip(cells, cell_cfgs):
+    for cell, cell_cfg in zip(cells, sweep_configs(cells, cfg)):
         ck, _ = train_with_corpora(cell_cfg, source, target, test, start=start)
-        rows.append(((p_init, p_add), evaluate(ck.restore(), test)))
+        rows.append((cell_name(cell), evaluate(ck.restore(), test)))
     return rows

@@ -216,9 +216,9 @@ def test_a03_selection_oracle(capfd):
 
 def test_a04_pacing_schedule(capfd):
     probes = (0, 1, 10 ** 3, 2 * 10 ** 4, 10 ** 6)
-    exact = all(portion_at(PacingSchedule(pi, pa), t)
-                == min(pi + pa * t, 1.0)
-                for pi, pa in SWEEP_GRID for t in probes)
+    exact = all(portion_at(PacingSchedule(**cell), t)
+                == min(cell["p_init"] + cell["p_add"] * t, 1.0)
+                for cell in SWEEP_GRID for t in probes)
 
     rng = np.random.default_rng(22)
     full_cell = PacingSchedule(1.0, 0.0)
@@ -289,9 +289,9 @@ def test_a08_selection_ablation(capfd, glyph12, base_runs):
     # start, unselective entropy minimization locks in early mistakes while
     # the paced run lets source training mature first.
     cfg = TrainConfig(seed=2, **SMILE_RECIPE)
-    rows = sweep([(0.0, 5e-5), (1.0, 0.0)], cfg, glyph12["source_train"],
-                 glyph12["target_train"], glyph12["target_test"],
-                 base_runs["ck500"])
+    cells = [{"p_init": 0.0, "p_add": 5e-5}, {"p_init": 1.0, "p_add": 0.0}]
+    rows = sweep(cells, cfg, glyph12["source_train"], glyph12["target_train"],
+                 glyph12["target_test"], base_runs["ck500"])
     paced = rows[0][1].word_acc
     full = rows[1][1].word_acc
     ok = paced >= full

@@ -1,6 +1,7 @@
 """Command-line behavior: flag parsing, config-file precedence, the six
 subcommands end to end on tiny corpora, and exit codes."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from smile import cli
 from smile.data import (MAGIC, SOURCE, VERSION, load_corpus, save_corpus,
                         vocab_block)
-from smile.trainer import EVAL_HEADER, load_checkpoint, save_checkpoint
+from smile.trainer import (EVAL_HEADER, TrainConfig, load_checkpoint,
+                           save_checkpoint)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +65,7 @@ def test_train_defaults_are_printed_sorted(capsys):
     assert cli.main(["train"]) == 1  # --source missing, but config printed
     out = capsys.readouterr().out
     lines = [l for l in out.split("\n") if l.startswith("[config]")]
-    assert lines == ["[config] train.allow_cold_smile = False",
-                     "[config] train.batch_source = 32",
+    assert lines == ["[config] train.batch_source = 32",
                      "[config] train.batch_target = 32",
                      "[config] train.checkpoint = None",
                      "[config] train.clip = 5.0",
@@ -105,22 +106,24 @@ def test_config_file_precedence(capsys, tmp_path):
 
 
 def test_config_file_rejections(capsys, tmp_path):
-    cases = ("nonsense without equals", "no_such_key = 1", "steps = many")
-    for body in cases:
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(body + "\n")
+    cfg = tmp_path / "bad.cfg"
+    cases = (("nonsense without equals",
+              "expected key=value, got 'nonsense without equals'"),
+             ("no_such_key = 1", "unknown config key 'no_such_key'"),
+             ("steps = many", "bad value 'many' for steps"),
+             ("allow-cold-smile = true", "unknown config key"))
+    for body, message in cases:
+        cfg.write_text("# header\n\n" + body + "\n")
         assert cli.main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"smile train: ContractError: {cfg}:3: {message}" in err
     assert cli.main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1
 
 
-def test_allow_cold_smile_is_config_only(capsys, tmp_path):
-    assert cli.main(["train", "--allow-cold-smile", "true"]) == 1
-    cfg = tmp_path / "cold.cfg"
-    cfg.write_text("allow-cold-smile = yes\n")
-    cli.main(["train", "--config", str(cfg)])
-    assert "[config] train.allow_cold_smile = True" in capsys.readouterr().out
-    cfg.write_text("allow-cold-smile = maybe\n")
-    assert cli.main(["train", "--config", str(cfg)]) == 1
+def test_every_train_setting_is_a_flag():
+    # one settings table: flags, config lines and sweep cells all read it
+    dests = {dest for dest, _ in cli._OPTIONS.values()}
+    assert {f.name for f in dataclasses.fields(TrainConfig)} <= dests
 
 
 def test_train_rejects_invalid_mode(capsys):
@@ -327,7 +330,8 @@ def test_out_under_a_file_is_refused_before_loading(capsys, tmp_path,
     out, missing = afile / "x", str(tmp_path / "nowhere.smcp")
     args = {"train": ["--source", missing, "--steps", "30"],
             "sweep": ["--source", missing, "--target", missing,
-                      "--test", missing, "1.0,0.0"],
+                      "--test", missing, "--checkpoint", missing,
+                      "p-init=1.0;p-add=0.0"],
             "compare": ["--test", missing, f"one={missing}"]}[command]
     assert cli.main([command, "--out", str(out), *args]) == 1
     err = capsys.readouterr().err
@@ -353,43 +357,73 @@ def test_compare_rejects_malformed_pair(capsys, workdir):
 
 # -- sweep --------------------------------------------------------------------
 
+def sweep_args(workdir, out):
+    return ["sweep", "--source", workdir["src"], "--target", workdir["tgt"],
+            "--test", workdir["test"], "--checkpoint", workdir["base_ck"],
+            "--steps", "4", "--batch-source", "8", "--batch-target", "8",
+            "--eval-every", "4", "--out", str(out)]
+
+
 def test_sweep_named_cells(capsys, workdir):
     out = workdir["root"] / "sweep_out"
-    code = cli.main(["sweep", "--source", workdir["src"], "--target",
-                     workdir["tgt"], "--test", workdir["test"],
-                     "--checkpoint", workdir["base_ck"], "--steps", "6",
-                     "--batch-source", "8", "--batch-target", "8",
-                     "--eval-every", "6", "--out", str(out),
-                     "1.0,0.0", "0.0,5e-5"])
+    code = cli.main(sweep_args(workdir, out)
+                    + ["p-init=1.0;p-add=0.0", " p-add = 5e-5 ;p-init=0.0",
+                       "entropy-variant=pseudo_nll;lambda=0.5"])
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "[config] sweep.cells = 1.0,0.0 0.0,5e-05" in stdout
-    assert "p_init=1.0;p_add=0.0" in stdout
-    assert "p_init=0.0;p_add=5e-05" in stdout
+    names = ["p_init=1.0;p_add=0.0", "p_add=5e-05;p_init=0.0",
+             "entropy_variant=pseudo_nll;lam=0.5"]
+    assert f"[config] sweep.cells = {' '.join(names)}" in stdout
     csv = (out / "sweep.csv").read_text()
-    assert len(csv.strip().split("\n")) == 3
+    assert [row.split(",")[0] for row in csv.splitlines()] == ["name", *names]
+
+
+def test_default_sweep_names_the_grid(capsys, workdir):
+    out = workdir["root"] / "sweep_grid"
+    assert cli.main(sweep_args(workdir, out) + ["--p-init", "0.7"]) == 0
+    stdout = capsys.readouterr().out
+    assert "[config] sweep.p_init = 0.7" in stdout  # the grid overrides it
+    csv = (out / "sweep.csv").read_text()
+    assert [row.split(",")[0] for row in csv.splitlines()[1:]] == [
+        "p_init=0.0;p_add=0.0001", "p_init=0.3;p_add=0.0001",
+        "p_init=0.5;p_add=0.0001", "p_init=0.0;p_add=5e-05",
+        "p_init=0.3;p_add=5e-05", "p_init=0.5;p_add=5e-05",
+        "p_init=1.0;p_add=0.0"]
 
 
 def test_sweep_rejects_bad_cells(capsys, workdir):
-    args = ["sweep", "--source", workdir["src"], "--target", workdir["tgt"],
-            "--test", workdir["test"]]
-    assert cli.main(args + ["0.5"]) == 1
-    assert "expected p_init,p_add" in capsys.readouterr().err
-    assert cli.main(args + ["a,b"]) == 1
-    assert "bad cell" in capsys.readouterr().err
     # every cell is checked before any corpus loads or any cell trains
     missing = str(workdir["root"] / "nowhere.smcp")
     args = ["sweep", "--source", missing, "--target", missing,
-            "--test", missing]
-    for cells in (["0,nan"], ["0,1e-4", "0,nan"]):
+            "--test", missing, "--checkpoint", missing]
+    cases = (
+        (["0.5"], "sweep: cell '0.5': expected key=value, got '0.5'"),
+        (["p-init=0.1;"], "sweep: cell 'p-init=0.1;': expected key=value, "
+                          "got ''"),
+        (["p_init=0.1"], "sweep: cell 'p_init=0.1': unknown config key "
+                         "'p_init'"),
+        (["p-init=x"], "sweep: cell 'p-init=x': bad value 'x' for p-init"),
+        (["mode=base"], "sweep: cell 'mode=base' may not set mode"),
+        (["p-init=0;out=x;checkpoint=y"],
+         "sweep: cell 'p_init=0.0;out=x;checkpoint=y' may not set out, "
+         "checkpoint"),
+        (["p-add=nan"], "sweep: cell 'p_add=nan': pacing: p_add nan not in "
+                        "[0, inf)"),
+        (["p-init=0;p-add=1e-4", "p-init=0;p-add=nan"],
+         "sweep: cell 'p_init=0.0;p_add=nan': pacing: p_add nan not in"))
+    for cells, message in cases:
         assert cli.main(args + cells) == 1
         err = capsys.readouterr().err
-        assert "ContractError: pacing: p_add nan not in [0, inf)" in err
+        assert f"smile sweep: ContractError: {message}" in err
 
 
 def test_sweep_requires_corpora(capsys, workdir):
-    assert cli.main(["sweep", "--source", workdir["src"], "1.0,0.0"]) == 1
+    args = ["sweep", "--source", workdir["src"], "p-init=1.0"]
+    assert cli.main(args) == 1
     assert "--target is required" in capsys.readouterr().err
+    args += ["--target", workdir["tgt"], "--test", workdir["test"]]
+    assert cli.main(args) == 1
+    assert "sweep: --checkpoint is required" in capsys.readouterr().err
 
 
 # -- gradcheck and exit codes -------------------------------------------------
@@ -412,6 +446,15 @@ def test_numerical_abort_exits_two(capsys, workdir):
     with np.errstate(invalid="ignore", over="ignore"):
         code = cli.main(["train", "--source", workdir["src"], "--checkpoint",
                          str(broken), "--steps", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "smile train: NumericalAbort: step 1: non-finite loss" in err
+    # smile mode checks its two terms before it combines them
+    with np.errstate(invalid="ignore", over="ignore"):
+        code = cli.main(["train", "--mode", "smile", "--source",
+                         workdir["src"], "--target", workdir["tgt"],
+                         "--checkpoint", str(broken), "--p-init", "1.0",
+                         "--steps", "5"])
     assert code == 2
     err = capsys.readouterr().err
     assert "smile train: NumericalAbort: step 1: non-finite loss" in err

@@ -10,9 +10,8 @@ import smile.tensor as T
 from smile.data import Corpus, VocabSpec, generate_corpus
 from smile.errors import ContractError
 from smile.losses import row_entropy
-from smile.metrics import (EVAL_BATCH, EvalResult, char_accuracy,
-                           compare_report, edit_distance, evaluate,
-                           word_accuracy)
+from smile.metrics import (EVAL_BATCH, EvalResult, _distances, char_accuracy,
+                           compare_report, evaluate, word_accuracy)
 from smile.recognizer import ArchSpec, Recognizer
 
 from conftest import decoded_from
@@ -32,13 +31,23 @@ def test_word_accuracy_counting():
 
 # -- edit distance ------------------------------------------------------------
 
+def edit_distance(a, b):
+    """char_accuracy's batched dynamic program run on one pair."""
+    dist, longer = _distances([a], [b])
+    assert longer.tolist() == [max(len(a), len(b))]
+    return int(dist[0])
+
+
 def test_edit_distance_known_pairs():
-    assert edit_distance("abc", "abc") == 0
-    assert edit_distance("abc", "") == 3
-    assert edit_distance("", "xy") == 2
-    assert edit_distance("kitten", "sitting") == 3
-    assert edit_distance("flaw", "lawn") == 2
-    assert edit_distance("AB", "BA") == 2
+    pairs = [("abc", "abc", 0), ("abc", "", 3), ("", "xy", 2),
+             ("kitten", "sitting", 3), ("flaw", "lawn", 2), ("AB", "BA", 2)]
+    for a, b, d in pairs:
+        assert edit_distance(a, b) == d
+    # the same pairs as one batch
+    dist, longer = _distances([a for a, _, _ in pairs],
+                              [b for _, b, _ in pairs])
+    assert dist.tolist() == [d for _, _, d in pairs]
+    assert longer.tolist() == [max(len(a), len(b)) for a, b, _ in pairs]
 
 
 def edit_distance_oracle(a, b):
@@ -87,6 +96,8 @@ def test_edit_distance_matches_oracle(rng, kind):
     for a, b in pairs:
         assert edit_distance(a, b) == edit_distance_oracle(a, b)
         assert edit_distance(b, a) == edit_distance_oracle(b, a)
+    dist, _ = _distances([a for a, _ in pairs], [b for _, b in pairs])
+    assert dist.tolist() == [edit_distance_oracle(a, b) for a, b in pairs]
 
 
 def test_char_accuracy_is_one_dp_over_all_pairs(rng):

@@ -4,6 +4,7 @@ clipping, checkpoint format, reproducibility, and the mode contracts."""
 import hashlib
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from smile import trainer
 from smile.data import VocabSpec, generate_corpus, make_templates
 from smile.errors import ContractError, FormatError, NumericalAbort
+from smile.metrics import evaluate
 from smile.recognizer import ArchSpec, init_params, split_gates
 from smile.tensor import Tensor
 from smile.trainer import (SWEEP_GRID, Adadelta, Adam, Checkpoint,
@@ -54,8 +56,9 @@ def test_config_refuses_non_finite_floats(field, name, value):
 
 def test_sweep_grid():
     assert len(SWEEP_GRID) == 7
-    assert (0.0, 5e-5) in SWEEP_GRID
-    assert (1.0, 0.0) in SWEEP_GRID
+    assert {"p_init": 0.0, "p_add": 5e-5} in SWEEP_GRID
+    assert {"p_init": 1.0, "p_add": 0.0} in SWEEP_GRID
+    assert all(list(cell) == ["p_init", "p_add"] for cell in SWEEP_GRID)
 
 
 # -- optimizers ---------------------------------------------------------------
@@ -411,14 +414,9 @@ def test_start_checkpoint_restarts_clock(small_source):
 def test_smile_needs_target_and_checkpoint(small_source, small_target):
     with pytest.raises(ContractError, match="target"):
         train_with_corpora(quick_cfg(mode="smile"), source=small_source)
-    with pytest.raises(ContractError, match="checkpoint"):
+    with pytest.raises(ContractError, match="starting checkpoint"):
         train_with_corpora(quick_cfg(mode="smile"), source=small_source,
                            target=small_target)
-    # config escape hatch for cold starts
-    ck, _ = train_with_corpora(quick_cfg(mode="smile", allow_cold_smile=True,
-                                         seed=11),
-                               source=small_source, target=small_target)
-    assert ck.step == QUICK["steps"]
 
 
 def test_smile_ignores_target_labels(small_source, small_target, vocab,
@@ -488,16 +486,19 @@ def test_vocab_mismatch_rejected(small_source):
 
 
 def test_corpus_wider_than_l_max_rejected(small_source, small_target,
-                                          small_test, vocab):
+                                          small_test, vocab, templates):
     # the small corpora are 24 px wide: three characters
     arch = ArchSpec(K=vocab.K, l_max=2)
     params = {n: t.data.copy() for n, t in init_params(arch, 0).items()}
     narrow = Checkpoint(vocab, arch, params, {}, 0)
+    fits = generate_corpus(vocab, templates, 40, (1, 2), seed=46)
+    with pytest.raises(ContractError, match="source corpus: images are 24 px"):
+        train_with_corpora(quick_cfg(), source=small_source, start=narrow)
     with pytest.raises(ContractError, match="test corpus: images are 24 px"):
-        train_with_corpora(quick_cfg(), source=small_source, test=small_test,
+        train_with_corpora(quick_cfg(), source=fits, test=small_test,
                            start=narrow)
     with pytest.raises(ContractError, match="target corpus: images are 24 px"):
-        train_with_corpora(quick_cfg(mode="smile"), source=small_source,
+        train_with_corpora(quick_cfg(mode="smile"), source=fits,
                            target=small_target, start=narrow)
 
 
@@ -506,6 +507,17 @@ def test_non_finite_start_aborts(small_source):
     ck.params["proj/W"] = np.full_like(ck.params["proj/W"], np.nan)
     with pytest.raises(NumericalAbort, match="step 1"):
         train_with_corpora(quick_cfg(seed=16), source=small_source, start=ck)
+
+
+def test_non_finite_smile_start_aborts(small_source, small_target):
+    # the terms are checked before smile_loss, which would call a
+    # non-finite term a contract breach
+    ck, _ = train_with_corpora(quick_cfg(seed=16), source=small_source)
+    ck.params["proj/W"] = np.full_like(ck.params["proj/W"], np.nan)
+    with pytest.raises(NumericalAbort, match="step 1: non-finite loss nan"):
+        train_with_corpora(quick_cfg(mode="smile", seed=16, p_init=1.0),
+                           source=small_source, target=small_target,
+                           start=ck)
 
 
 def test_metrics_log_guards_step_order():
@@ -532,11 +544,16 @@ def test_train_by_paths(tmp_path, small_source, small_test):
 def test_sweep_runs_each_cell(small_source, small_target, small_test):
     base, _ = train_with_corpora(quick_cfg(seed=18), source=small_source)
     cfg = quick_cfg(mode="smile", seed=18)
-    rows = sweep([(0.0, 5e-5), (1.0, 0.0)], cfg, small_source, small_target,
-                 small_test, base)
-    assert [cell for cell, _ in rows] == [(0.0, 5e-5), (1.0, 0.0)]
-    for _, result in rows:
-        assert 0.0 <= result.word_acc <= 1.0
+    cells = [{"p_init": 0.0, "p_add": 5e-5}, {"p_init": 1.0, "p_add": 0.0},
+             {"entropy_variant": "pseudo_nll", "lam": 0.5}]
+    rows = sweep(cells, cfg, small_source, small_target, small_test, base)
+    assert [name for name, _ in rows] == [
+        "p_init=0.0;p_add=5e-05", "p_init=1.0;p_add=0.0",
+        "entropy_variant=pseudo_nll;lam=0.5"]
+    for cell, (_, result) in zip(cells, rows):
+        ck, _ = train_with_corpora(replace(cfg, **cell), small_source,
+                                   small_target, small_test, start=base)
+        assert result == evaluate(ck.restore(), small_test)
         assert result.n == len(small_test)
     with pytest.raises(ContractError):
         sweep([], cfg, small_source, small_target, small_test, base)
@@ -548,6 +565,17 @@ def test_sweep_checks_every_cell_before_training(monkeypatch, small_source,
         raise AssertionError("a cell trained before the grid was checked")
 
     monkeypatch.setattr(trainer, "train_with_corpora", never)
+    good = {"p_init": 0.0, "p_add": 1e-4}
     with pytest.raises(ContractError, match="p_add nan"):
-        sweep([(0.0, 1e-4), (0.0, math.nan)], quick_cfg(mode="smile"),
-              small_source, small_target, small_test, None)
+        sweep([good, {"p_init": 0.0, "p_add": math.nan}],
+              quick_cfg(mode="smile"), small_source, small_target,
+              small_test, None)
+    # a cell varies train settings, never the mode, files or start
+    for key, value in (("mode", "base"), ("out", "runs"),
+                       ("source", "s.smcp"), ("target", "t.smcp"),
+                       ("test", "x.smcp"), ("checkpoint", "c.smck")):
+        with pytest.raises(ContractError,
+                           match=f"sweep: cell '{key}={value}' may not set "
+                                 f"{key}$"):
+            sweep([good, {key: value}], quick_cfg(mode="smile"),
+                  small_source, small_target, small_test, None)
