@@ -15,7 +15,7 @@ from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
                          selected_entropy_loss)
 from .tensor import Tape, Tensor
 from .trainer import (Checkpoint, MetricsLog, TrainConfig, load_checkpoint,
-                      save_checkpoint, sweep, train, train_with_corpora)
+                      save_checkpoint, sweep, train_with_corpora)
 
 __version__ = "0.1.0"
 
@@ -29,5 +29,5 @@ __all__ = [
     "evaluate", "generate_corpus", "load_checkpoint", "load_corpus",
     "make_templates", "portion_at", "render_string", "save_checkpoint",
     "save_corpus", "select", "selected_entropy_loss", "smile_loss", "sweep",
-    "train", "train_with_corpora", "word_accuracy",
+    "train_with_corpora", "word_accuracy",
 ]

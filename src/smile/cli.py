@@ -1,10 +1,14 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, compare, sweep, gradcheck.  Settings
-resolve as defaults < config file (key=value lines) < flags, and each sweep
-cell (key=value;...) overrides them for its own run; the resolved
-configuration is printed before anything runs, and exit codes are 0 for
-success, 1 for contract or format violations, 2 for numerical aborts.
+Subcommands: gen-data, train, compare, sweep, gradcheck.  Finetuning is a
+base-mode train run whose --source is a labeled target corpus and whose
+--checkpoint is its start; a compare with one name=checkpoint pair scores
+one model.  Settings resolve as defaults < config file (key=value lines) <
+flags, and each sweep cell (key=value;...) overrides them for its own run.
+The resolved configuration is printed, and every required setting, --out
+path and compare pair is checked, before any corpus or checkpoint is read.
+Exit codes are 0 for success, 1 for contract or format violations, 2 for
+numerical aborts.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from .data import build_glyph12, load_corpus, save_corpus
 from .errors import ContractError, FormatError, NumericalAbort
 from .metrics import compare_report, evaluate
 from .trainer import (SWEEP_GRID, TrainConfig, cell_name, load_checkpoint,
-                      save_checkpoint, sweep, sweep_configs, train)
+                      save_checkpoint, sweep, sweep_configs,
+                      train_with_corpora)
 
 PROG = "smile"
 
@@ -45,24 +50,19 @@ _OPTIONS = {
     "--checkpoint": ("checkpoint", str),
     "--out": ("out", str),
     "--eval-every": ("eval_every", int),
-    "--preset": ("preset", str),
 }
 
-_TRAIN_FLAGS = tuple(flag for flag in _OPTIONS if flag != "--preset")
-
 _COMMAND_FLAGS = {
-    "gen-data": ("--preset", "--seed", "--out"),
-    "train": _TRAIN_FLAGS,
-    "eval": ("--checkpoint", "--test"),
+    "gen-data": ("--seed", "--out"),
+    "train": tuple(_OPTIONS),
     "compare": ("--test", "--out"),
-    "sweep": tuple(flag for flag in _TRAIN_FLAGS if flag != "--mode"),
+    "sweep": tuple(flag for flag in _OPTIONS if flag != "--mode"),
     "gradcheck": ("--seed",),
 }
 
 _DEFAULTS = {
-    "gen-data": {"preset": "glyph12", "seed": 7, "out": None},
+    "gen-data": {"seed": 7, "out": None},
     "train": dataclasses.asdict(TrainConfig()),
-    "eval": {"checkpoint": None, "test": None},
     "compare": {"test": None, "out": None},
     "gradcheck": {"seed": 0},
 }
@@ -182,8 +182,6 @@ def _run_gen_data(args) -> int:
     resolved = _resolve("gen-data", args)
     _print_config("gen-data", resolved)
     _require(resolved, "gen-data", "out")
-    if resolved["preset"] != "glyph12":
-        raise ContractError(f"gen-data: unknown preset {resolved['preset']!r}")
     _check_out(resolved["out"], directory=True)
     corpora = build_glyph12(resolved["seed"])
     os.makedirs(resolved["out"], exist_ok=True)
@@ -195,15 +193,24 @@ def _run_gen_data(args) -> int:
     return 0
 
 
+def _load_inputs(cfg: TrainConfig) -> tuple:
+    """(source, target, test, start) read from cfg's paths; None for each
+    path that is unset."""
+    corpora = [load_corpus(path) if path else None
+               for path in (cfg.source, cfg.target, cfg.test)]
+    start = load_checkpoint(cfg.checkpoint) if cfg.checkpoint else None
+    return (*corpora, start)
+
+
 def _run_train(args) -> int:
     resolved = _resolve("train", args)
     _print_config("train", resolved)
     cfg = TrainConfig(**resolved)
-    _require(resolved, "train",
-             "target" if cfg.mode == "finetune" else "source")
+    smile_inputs = ("target", "checkpoint") if cfg.mode == "smile" else ()
+    _require(resolved, "train", "source", *smile_inputs)
     if cfg.out:
         _check_out(cfg.out, directory=True)
-    ck, log = train(cfg)
+    ck, log = train_with_corpora(cfg, *_load_inputs(cfg))
     if log.eval_rows:
         last = log.eval_rows[-1]
         print(f"final: step={last[0]} source_loss={last[2]} "
@@ -223,33 +230,28 @@ def _run_train(args) -> int:
     return 0
 
 
-def _run_eval(args) -> int:
-    resolved = _resolve("eval", args)
-    _print_config("eval", resolved)
-    _require(resolved, "eval", "checkpoint", "test")
-    ck = load_checkpoint(resolved["checkpoint"])
-    corpus = load_corpus(resolved["test"])
-    result = evaluate(ck.restore(), corpus)
-    print(f"word_acc={result.word_acc!r} char_acc={result.char_acc!r} "
-          f"mean_entropy={result.mean_entropy!r} n={result.n}")
-    return 0
+def _parse_pair(pair: str) -> tuple[str, str]:
+    """(name, checkpoint path) of a compare pair; the name is a CSV cell,
+    so it may hold no comma or line break."""
+    name, eq, path = pair.partition("=")
+    if not eq or not name or not path:
+        raise ContractError(f"compare: expected name=checkpoint, got {pair!r}")
+    if any(c in name for c in ",\r\n"):
+        raise ContractError(f"compare: name {name!r} holds a comma or a line "
+                            "break, which the CSV cannot hold")
+    return name, path
 
 
 def _run_compare(args) -> int:
     resolved = _resolve("compare", args)
     _print_config("compare", resolved, {"pairs": " ".join(args.pairs)})
     _require(resolved, "compare", "test")
+    pairs = [_parse_pair(pair) for pair in args.pairs]
     if resolved["out"]:
         _check_out(resolved["out"], directory=False)
     corpus = load_corpus(resolved["test"])
-    named = []
-    for pair in args.pairs:
-        name, eq, path = pair.partition("=")
-        if not eq or not name or not path:
-            raise ContractError(
-                f"compare: expected name=checkpoint, got {pair!r}")
-        ck = load_checkpoint(path)
-        named.append((name, evaluate(ck.restore(), corpus)))
+    named = [(name, evaluate(load_checkpoint(path).restore(), corpus))
+             for name, path in pairs]
     text, csv = compare_report(named)
     print(text)
     if resolved["out"]:
@@ -260,7 +262,7 @@ def _run_compare(args) -> int:
 
 def _run_sweep(args) -> int:
     resolved = _resolve("sweep", args)
-    train_keys = _allowed(_TRAIN_FLAGS)
+    train_keys = _allowed(_OPTIONS)
     cells = [_parse_settings([(f"sweep: cell {raw!r}", text.strip())
                               for text in raw.split(";")], train_keys)
              for raw in args.cells] or list(SWEEP_GRID)
@@ -272,11 +274,7 @@ def _run_sweep(args) -> int:
     sweep_configs(cells, cfg)  # refuse a bad cell before anything loads
     if out_dir:
         _check_out(out_dir, directory=True)
-    source = load_corpus(cfg.source)
-    target = load_corpus(cfg.target)
-    test = load_corpus(cfg.test)
-    start = load_checkpoint(cfg.checkpoint)
-    text, csv = compare_report(sweep(cells, cfg, source, target, test, start))
+    text, csv = compare_report(sweep(cells, cfg, *_load_inputs(cfg)))
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -305,7 +303,6 @@ def _run_gradcheck(args) -> int:
 _RUNNERS = {
     "gen-data": _run_gen_data,
     "train": _run_train,
-    "eval": _run_eval,
     "compare": _run_compare,
     "sweep": _run_sweep,
     "gradcheck": _run_gradcheck,

@@ -66,21 +66,6 @@ class VocabSpec:
         self.GO = self.K - 3
         self.EOS = self.K - 2
         self.PAD = self.K - 1
-        self._index = {c: i for i, c in enumerate(characters)}
-
-    def encode(self, text: str) -> tuple[int, ...]:
-        try:
-            return tuple(self._index[c] for c in text)
-        except KeyError as e:
-            raise ContractError(f"vocab: unknown character {e.args[0]!r}") from None
-
-    def decode(self, indices) -> str:
-        out = []
-        for i in indices:
-            if not 0 <= i < self.n_chars:
-                raise ContractError(f"vocab: index {i} is not a character index")
-            out.append(self.characters[i])
-        return "".join(out)
 
     def __eq__(self, other):
         return isinstance(other, VocabSpec) and self.characters == other.characters
@@ -147,15 +132,13 @@ class DomainConfig:
 class Corpus:
     """N text-line images held column-wise.
 
-    codes is one uint8 [N, H, W] block of 8-bit pixel codes: the image is
-    codes / 255, and images() returns it as float64 for an index or a slice.
-    A uint8 block is taken as codes and kept as given; any other block is
-    read as float images, which must be finite, in [0, 1] and on the 8-bit
-    grid (each pixel exactly k/255), since off-grid pixels are refused, not
-    rounded.  labels[i] is record i's character indices, stored as a tuple
-    whatever sequence was given (so it compares equal to a greedy decode's
-    tuple), or None when it is unlabeled (a file may mix both), never
-    empty; domain[i] is its u8 SOURCE or TARGET tag.
+    codes is one uint8 [N, H, W] block of 8-bit pixel codes, kept as given
+    (a block of any other dtype is refused): the image is codes / 255, and
+    images() returns it as float64 for an index or a slice.  labels[i] is
+    record i's character indices, stored as a tuple whatever sequence was
+    given (so it compares equal to a greedy decode's tuple), or None when it
+    is unlabeled (a file may mix both), never empty; domain[i] is its u8
+    SOURCE or TARGET tag.
     """
 
     vocab: VocabSpec
@@ -165,6 +148,9 @@ class Corpus:
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
+        if codes.dtype != np.uint8:
+            raise ContractError(
+                f"corpus: pixel codes must be uint8, got {codes.dtype}")
         if codes.ndim != 3:
             raise ContractError(
                 f"corpus: pixels must be [N, H, W], got shape {codes.shape}")
@@ -174,8 +160,7 @@ class Corpus:
         if h == 0 or w == 0:
             raise ContractError(f"corpus: images are {h}x{w} pixels, "
                                 "height and width must be positive")
-        self.codes = codes if codes.dtype == np.uint8 else _grid_codes(
-            codes.astype(np.float64, copy=False))
+        self.codes = codes
         domain = np.asarray(self.domain)
         if len(self.labels) != n or domain.shape != (n,):
             raise ContractError(f"corpus: {n} images but {len(self.labels)} "
@@ -218,20 +203,6 @@ def _codes(pixels: np.ndarray) -> np.ndarray:
     """The nearest 8-bit codes of pixels in [0, 1]: the grid the file format
     stores, so save/load is exact."""
     return np.round(pixels * 255.0).astype(np.uint8)
-
-
-def _grid_codes(pixels: np.ndarray) -> np.ndarray:
-    """The codes of float images that lie on the 8-bit grid; anything else
-    is a ContractError."""
-    # min and max are nan if any pixel is, which fails both tests
-    lo, hi = pixels.min(), pixels.max()
-    if not (lo >= 0.0 and hi <= 1.0):
-        raise ContractError("corpus: pixels must be finite and in "
-                            f"[0, 1], got values in [{lo}, {hi}]")
-    codes = _codes(pixels)
-    if not np.array_equal(codes / 255.0, pixels):
-        raise ContractError("corpus: pixels must lie on the 8-bit grid k/255")
-    return codes
 
 
 def _check_templates(templates: np.ndarray, vocab: VocabSpec, what: str):

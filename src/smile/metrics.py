@@ -1,7 +1,7 @@
 """Evaluation metrics and run comparison tables.
 
-Scores compare label sequences (strings or tuples of character indices):
-word accuracy is exact sequence match; character accuracy is one minus the
+Scores compare label sequences, tuples of character indices: word
+accuracy is exact sequence match; character accuracy is one minus the
 summed edit distance over the summed longer lengths; mean entropy averages
 the Shannon entropy (losses.row_entropy, forward only) of every emitted row
 of the set's greedy decodes.  evaluate decodes the set in batches of
@@ -45,13 +45,10 @@ def word_accuracy(preds: Sequence[Sequence], labels: Sequence[Sequence]
 
 
 def _padded(seqs: Sequence[Sequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Int sequences (strings as code points) as one zero-padded [n, L] int
-    array, plus their lengths."""
+    """Int sequences as one zero-padded [n, L] int array, plus their
+    lengths."""
     lens = np.array([len(s) for s in seqs], dtype=np.intp)
-    flat = np.fromiter(
-        chain.from_iterable(map(ord, s) if isinstance(s, str) else s
-                            for s in seqs),
-        np.int64, int(lens.sum()))
+    flat = np.fromiter(chain.from_iterable(seqs), np.int64, int(lens.sum()))
     grid = np.zeros((len(seqs), int(lens.max(initial=0))), dtype=np.int64)
     grid[np.arange(grid.shape[1]) < lens[:, None]] = flat
     return grid, lens

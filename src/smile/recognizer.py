@@ -138,9 +138,15 @@ def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
 
 
 def check_width(arch: ArchSpec, corpus: Corpus, what: str):
-    """Refuse a corpus with room for more characters than the decoder's
-    l_max: greedy stops after l_max+1 steps, so longer words never match."""
-    width = corpus.codes.shape[2]
+    """Refuse a corpus the model cannot read whole: encode takes lines
+    GLYPH_H px high and a multiple of STRIP_W px wide, and the line must
+    hold at most the decoder's l_max characters, since greedy stops after
+    l_max+1 steps, so longer words never match."""
+    _, height, width = corpus.codes.shape
+    if height != GLYPH_H or width % STRIP_W:
+        raise ContractError(
+            f"{what}: images are {height}x{width} px; the model reads lines "
+            f"{GLYPH_H} px high and a multiple of {STRIP_W} px wide")
     if width // STRIP_W > arch.l_max:
         raise ContractError(
             f"{what}: images are {width} px wide ({width // STRIP_W} "
@@ -203,10 +209,9 @@ class Recognizer:
         self.params = params
 
     @classmethod
-    def fresh(cls, vocab: VocabSpec, l_max: int, seed: int,
-              **arch) -> "Recognizer":
-        """A freshly initialized model; arch takes ArchSpec's size fields."""
-        spec = ArchSpec(K=vocab.K, l_max=l_max, **arch)
+    def fresh(cls, vocab: VocabSpec, l_max: int, seed: int) -> "Recognizer":
+        """A freshly initialized model of ArchSpec's default sizes."""
+        spec = ArchSpec(K=vocab.K, l_max=l_max)
         return cls(vocab, spec, init_params(spec, seed))
 
     # -- shared pieces ------------------------------------------------------

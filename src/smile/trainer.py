@@ -1,9 +1,9 @@
 """Training regimes, optimizers, checkpoint format, and the sweep.
 
-Three modes share one loop: "base" minimizes the decoder loss on labeled
+Two modes share one loop: "base" minimizes the decoder loss on labeled
 source batches; "smile" adds the paced mean entropy of confident target
-predictions on top of that; "finetune" is the decoder loss on a labeled
-target corpus starting from a loaded checkpoint.
+predictions on top of that.  Supervised finetuning is a base run whose
+source is a labeled target corpus, started from a loaded checkpoint.
 
 step_losses builds every step's losses, and gate A1 checks it.  In smile
 mode it greedy-decodes the target batch off the tape, pools and selects;
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .binio import Reader, read_file, write_atomic
-from .data import (Corpus, VocabSpec, check_seed, load_corpus,
-                   read_vocab_block, vocab_block)
+from .data import Corpus, VocabSpec, check_seed, read_vocab_block, vocab_block
 from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
@@ -40,7 +39,7 @@ from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
                          selected_entropy_loss)
 from .tensor import Tape, Tensor
 
-MODES = ("base", "smile", "finetune")
+MODES = ("base", "smile")
 OPTIMIZERS = ("adam", "adadelta")
 
 CK_MAGIC = b"SMCK"
@@ -437,41 +436,33 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
     restores optimizer state, step counter, and batch seed, continuing to
     cfg.steps total steps.
     """
-    if cfg.mode == "finetune":
-        if start is None:
-            raise ContractError("finetune requires a starting checkpoint")
-        if target is None or not target.labeled:
-            raise ContractError("finetune requires a labeled target corpus")
-        labeled = target
-    else:
-        if source is None:
-            raise ContractError(f"{cfg.mode} requires a source corpus")
-        if not source.labeled:
-            raise ContractError("source corpus must be fully labeled")
-        labeled = source
+    if source is None:
+        raise ContractError(f"{cfg.mode} requires a source corpus")
+    if not source.labeled:
+        raise ContractError("source corpus must be fully labeled")
     if cfg.mode == "smile":
         if target is None:
             raise ContractError("smile requires a target corpus")
         if start is None:
             raise ContractError("smile requires a starting checkpoint")
         target = target.without_labels()
+    else:
+        target = None   # base mode draws no target batches
 
     if start is not None:
-        if start.vocab != labeled.vocab:
+        if start.vocab != source.vocab:
             raise ContractError("checkpoint vocab differs from corpus vocab")
         rec = start.restore()
     else:
-        l_max = labeled.codes.shape[2] // STRIP_W
-        rec = Recognizer.fresh(labeled.vocab, l_max, cfg.seed)
-    if test is not None and test.vocab != labeled.vocab:
+        l_max = source.codes.shape[2] // STRIP_W
+        rec = Recognizer.fresh(source.vocab, l_max, cfg.seed)
+    if test is not None and test.vocab != source.vocab:
         raise ContractError("test corpus vocab differs from training vocab")
-    for name, corpus in (
-            ("source", None if cfg.mode == "finetune" else source),
-            ("target", None if cfg.mode == "base" else target),
-            ("test", test)):
+    for name, corpus in (("source", source), ("target", target),
+                         ("test", test)):
         if corpus is not None:
             check_width(rec.arch, corpus, f"{name} corpus")
-    if cfg.mode == "smile" and target.vocab != labeled.vocab:
+    if target is not None and target.vocab != source.vocab:
         raise ContractError("target corpus vocab differs from source vocab")
 
     opt = make_optimizer(cfg)
@@ -490,21 +481,20 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
         raise ContractError(
             f"resume step {start_step} is not below total steps {cfg.steps}")
 
-    unlabeled = target if cfg.mode == "smile" else None
     log = MetricsLog()
 
     for step in range(start_step, cfg.steps):
         for p in rec.params.values():
             p.zero_grad()
-        idx = _draw(seed, 1, step, len(labeled), cfg.batch_source)
-        batch_labels = [labeled.labels[i] for i in idx]
+        idx = _draw(seed, 1, step, len(source), cfg.batch_source)
+        batch_labels = [source.labels[i] for i in idx]
         target_batch = None
-        if unlabeled is not None:
-            target_batch = unlabeled.images(
-                _draw(seed, 2, step, len(unlabeled), cfg.batch_target))
+        if target is not None:
+            target_batch = target.images(
+                _draw(seed, 2, step, len(target), cfg.batch_target))
         with Tape() as tape:
             l_dec, l_ent, pool, sel = step_losses(
-                rec, cfg, step, labeled.images(idx), batch_labels,
+                rec, cfg, step, source.images(idx), batch_labels,
                 target_batch)
             # the terms are checked before smile_loss, which refuses a
             # non-finite one as a contract breach
@@ -529,15 +519,6 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
                          len(sel.chosen) if sel else None,
                          len(pool) if pool else None, result)
     return snapshot(rec, opt, cfg.steps, seed), log
-
-
-def train(cfg: TrainConfig) -> tuple[Checkpoint, MetricsLog]:
-    """Path-based entry: load corpora and checkpoint per cfg, then run."""
-    source = load_corpus(cfg.source) if cfg.source else None
-    target = load_corpus(cfg.target) if cfg.target else None
-    test = load_corpus(cfg.test) if cfg.test else None
-    start = load_checkpoint(cfg.checkpoint) if cfg.checkpoint else None
-    return train_with_corpora(cfg, source, target, test, start)
 
 
 def cell_name(cell: dict) -> str:

@@ -1,17 +1,23 @@
-"""Command-line behavior: flag parsing, config-file precedence, the six
-subcommands end to end on tiny corpora, and exit codes."""
+"""Command-line behavior: flag parsing, config-file precedence, the five
+subcommands end to end on tiny corpora, exit codes, and the README's flag
+list."""
 
 import dataclasses
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smile import cli
-from smile.data import (MAGIC, SOURCE, VERSION, load_corpus, save_corpus,
-                        vocab_block)
+from smile import cli, trainer
+from smile.data import (MAGIC, SOURCE, VERSION, Corpus, load_corpus,
+                        save_corpus, vocab_block)
+from smile.metrics import compare_report, evaluate
 from smile.trainer import (EVAL_HEADER, TrainConfig, load_checkpoint,
                            save_checkpoint)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +51,10 @@ def test_unknown_flag_rejected(capsys):
 def test_unknown_command_rejected(capsys):
     assert cli.main(["frobnicate"]) == 1
     assert "ContractError" in capsys.readouterr().err
+    # one model is scored by `compare` with one pair
+    assert cli.main(["eval", "--test", "t.smcp"]) == 1
+    assert ("smile eval: ContractError: argument command: invalid choice: "
+            "'eval'") in capsys.readouterr().err
 
 
 def test_no_command_rejected(capsys):
@@ -57,7 +67,6 @@ def test_resolved_config_is_printed_sorted(capsys, tmp_path):
     out = capsys.readouterr().out
     lines = [l for l in out.split("\n") if l.startswith("[config]")]
     assert lines == ["[config] gen-data.out = None",
-                     "[config] gen-data.preset = glyph12",
                      "[config] gen-data.seed = 7"]
 
 
@@ -129,6 +138,23 @@ def test_every_train_setting_is_a_flag():
 def test_train_rejects_invalid_mode(capsys):
     assert cli.main(["train", "--mode", "warmup"]) == 1
     assert "ContractError" in capsys.readouterr().err
+    # finetuning is a base run from a checkpoint, not a mode
+    assert cli.main(["train", "--mode", "finetune"]) == 1
+    assert ("smile train: ContractError: mode 'finetune' not in "
+            "('base', 'smile')") in capsys.readouterr().err
+
+
+def test_smile_train_requires_target_and_checkpoint_before_loading(
+        capsys, tmp_path):
+    # the corpus paths do not exist: a FormatError would mean they loaded
+    missing = str(tmp_path / "nowhere.smcp")
+    args = ["train", "--mode", "smile", "--source", missing]
+    assert cli.main(args) == 1
+    assert ("smile train: ContractError: train: --target is required"
+            in capsys.readouterr().err)
+    assert cli.main(args + ["--target", missing]) == 1
+    assert ("smile train: ContractError: train: --checkpoint is required"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -191,13 +217,16 @@ def test_gen_data_out_under_a_file_exits_one(capsys, tmp_path):
 
 
 def test_gen_data_unknown_preset(capsys, tmp_path):
-    code = cli.main(["gen-data", "--preset", "mnist",
+    # gen-data builds glyph12 only, so it takes no preset
+    code = cli.main(["gen-data", "--preset", "glyph12",
                      "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "unknown preset 'mnist'" in capsys.readouterr().err
+    assert ("smile gen-data: ContractError: unrecognized arguments: "
+            "--preset glyph12") in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
-# -- train / eval / compare ---------------------------------------------------
+# -- train / compare ----------------------------------------------------------
 
 def test_train_writes_artifacts(capsys, workdir):
     out = workdir["root"] / "run"
@@ -251,27 +280,29 @@ def test_eval_rejects_zero_width_corpus(capsys, workdir, vocab):
     flat = workdir["root"] / "flat.smcp"
     flat.write_bytes(MAGIC + struct.pack("<IIII", VERSION, 8, 0, 2)
                      + vocab_block(vocab) + bytes([SOURCE, 1, 0, SOURCE, 1, 1]))
-    assert cli.main(["eval", "--checkpoint", workdir["base_ck"],
-                     "--test", str(flat)]) == 1
+    assert cli.main(["compare", "--test", str(flat),
+                     f"one={workdir['base_ck']}"]) == 1
     err = capsys.readouterr().err
-    assert "smile eval: ContractError: corpus: images are 8x0 pixels" in err
+    assert "smile compare: ContractError: corpus: images are 8x0 pixels" in err
 
 
 def test_eval_missing_checkpoint_path(capsys, workdir):
-    code = cli.main(["eval", "--checkpoint",
-                     str(workdir["root"] / "nowhere.smck"),
-                     "--test", workdir["test"]])
+    code = cli.main(["compare", "--test", workdir["test"],
+                     f"one={workdir['root'] / 'nowhere.smck'}"])
     assert code == 1
     assert "cannot read checkpoint" in capsys.readouterr().err
 
 
-def test_eval_reports_metrics(capsys, workdir):
-    code = cli.main(["eval", "--checkpoint", workdir["base_ck"],
-                     "--test", workdir["test"]])
+def test_eval_reports_metrics(capsys, workdir, small_test):
+    # one model is scored by a one-pair compare
+    code = cli.main(["compare", "--test", workdir["test"],
+                     f"one={workdir['base_ck']}"])
     assert code == 0
-    stdout = capsys.readouterr().out
-    assert "word_acc=" in stdout
-    assert "n=48" in stdout
+    result = evaluate(load_checkpoint(workdir["base_ck"]).restore(),
+                      small_test)
+    assert result.n == 48
+    text, _ = compare_report([("one", result)])
+    assert text in capsys.readouterr().out
 
 
 def test_eval_rejects_corpus_wider_than_l_max(capsys, workdir, vocab,
@@ -280,19 +311,43 @@ def test_eval_rejects_corpus_wider_than_l_max(capsys, workdir, vocab,
     wide = workdir["root"] / "wide.smcp"
     save_corpus(generate_corpus(vocab, templates, 4, (1, 4), seed=3),
                 str(wide))
-    code = cli.main(["eval", "--checkpoint", workdir["base_ck"],
-                     "--test", str(wide)])
+    code = cli.main(["compare", "--test", str(wide),
+                     f"one={workdir['base_ck']}"])
     assert code == 1
     err = capsys.readouterr().err
-    assert "smile eval: ContractError: evaluate: images are 32 px" in err
+    assert "smile compare: ContractError: evaluate: images are 32 px" in err
     assert "l_max=3 (24 px)" in err
 
 
+@pytest.mark.parametrize("shape", [(8, 12), (6, 16)], ids=["8x12", "6x16"])
+def test_misshapen_corpus_is_refused_before_any_step(capsys, monkeypatch,
+                                                     workdir, vocab, shape):
+    # encode reads lines 8 px high, a multiple of 8 px wide
+    def never(*args, **kwargs):
+        raise AssertionError("a step ran before the corpus was checked")
+
+    monkeypatch.setattr(trainer, "step_losses", never)
+    bad = workdir["root"] / "misshapen.smcp"
+    save_corpus(Corpus(vocab, np.zeros((4, *shape), dtype=np.uint8),
+                       [(0,)] * 4, np.zeros(4, dtype=np.uint8)), str(bad))
+    message = (f"images are {shape[0]}x{shape[1]} px; the model reads lines "
+               "8 px high and a multiple of 8 px wide")
+    assert cli.main(["train", "--source", workdir["src"], "--test", str(bad),
+                     "--steps", "300", "--eval-every", "300"]) == 1
+    assert (f"smile train: ContractError: test corpus: {message}"
+            in capsys.readouterr().err)
+    assert cli.main(["compare", "--test", str(bad),
+                     f"one={workdir['base_ck']}"]) == 1
+    assert (f"smile compare: ContractError: evaluate: {message}"
+            in capsys.readouterr().err)
+
+
 def test_eval_requires_both_flags(capsys, workdir):
-    assert cli.main(["eval", "--test", workdir["test"]]) == 1
-    assert "--checkpoint is required" in capsys.readouterr().err
-    assert cli.main(["eval", "--checkpoint", workdir["base_ck"]]) == 1
-    assert "--test is required" in capsys.readouterr().err
+    assert cli.main(["compare", f"one={workdir['base_ck']}"]) == 1
+    assert "compare: --test is required" in capsys.readouterr().err
+    assert cli.main(["compare", "--test", workdir["test"]]) == 1
+    assert ("the following arguments are required: name=checkpoint"
+            in capsys.readouterr().err)
 
 
 def test_compare_renders_table(capsys, workdir):
@@ -353,6 +408,18 @@ def test_compare_rejects_malformed_pair(capsys, workdir):
     code = cli.main(["compare", "--test", workdir["test"], "justaname"])
     assert code == 1
     assert "expected name=checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["x,y", "x\ny", "x\ry"])
+def test_compare_refuses_names_the_csv_cannot_hold(capsys, tmp_path, name):
+    # every pair is parsed before anything loads: the paths are missing
+    missing, out = tmp_path / "nowhere", tmp_path / "c.csv"
+    code = cli.main(["compare", "--test", f"{missing}.smcp", "--out",
+                     str(out), f"ok={missing}.smck", f"{name}={missing}.smck"])
+    assert code == 1
+    assert (f"smile compare: ContractError: compare: name {name!r} holds a "
+            "comma or a line break") in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- sweep --------------------------------------------------------------------
@@ -458,3 +525,16 @@ def test_numerical_abort_exits_two(capsys, workdir):
     assert code == 2
     err = capsys.readouterr().err
     assert "smile train: NumericalAbort: step 1: non-finite loss" in err
+
+
+# -- documentation ------------------------------------------------------------
+
+def test_readme_flag_list_matches_the_parser():
+    # the README's Flags: paragraph names every flag and every --mode value
+    text = README.read_text(encoding="utf-8")
+    flags = text[text.index("\nFlags: "):]
+    flags = flags[:flags.index("\n\n")]
+    assert set(re.findall(r"`(--[a-z-]+)`", flags)) == {*cli._OPTIONS,
+                                                        "--config"}
+    modes = re.search(r"`--mode` \(([^)]*)\)", flags).group(1)
+    assert tuple(modes.split("/")) == trainer.MODES

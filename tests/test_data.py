@@ -24,16 +24,6 @@ def test_vocab_layout():
     assert (v.GO, v.EOS, v.PAD) == (3, 4, 5)
 
 
-def test_vocab_encode_decode_round_trip():
-    v = VocabSpec("XYZ")
-    assert v.encode("ZXY") == (2, 0, 1)
-    assert v.decode((2, 0, 1)) == "ZXY"
-    with pytest.raises(ContractError):
-        v.encode("W")
-    with pytest.raises(ContractError):
-        v.decode((3,))
-
-
 def test_vocab_rejects_bad_alphabets():
     with pytest.raises(ContractError):
         VocabSpec("")
@@ -355,23 +345,21 @@ def test_images_are_bit_equal_to_rendering_and_loading(tmp_path, vocab,
             [c.images(4), c.images(1)]).tobytes()
 
 
-def test_corpus_refuses_off_grid_pixels(vocab):
-    # on-grid floats become their codes; anything else is refused, never
-    # rounded
+def test_corpus_refuses_non_uint8_codes(vocab):
+    # a corpus holds codes only: float images, even ones exactly on the
+    # 8-bit grid, and wider integers are refused, never converted
     levels = np.arange(3 * 8 * 16).reshape(3, 8, 16) % 256
-    px, labels, domain = corpus_parts()
-    c = Corpus(vocab, levels / 255.0, labels, domain)
-    assert c.codes.dtype == np.uint8
-    assert np.array_equal(c.codes, levels)
-    for value in (0.5, 1.0 / 255.0 + 1e-12):
-        px[1, 3, 5] = value
-        with pytest.raises(ContractError, match="8-bit grid"):
-            Corpus(vocab, px, labels, domain)
+    _, labels, domain = corpus_parts()
+    for block in (levels / 255.0, levels, levels.astype(np.uint16)):
+        with pytest.raises(ContractError,
+                           match=f"codes must be uint8, got {block.dtype}"):
+            Corpus(vocab, block, labels, domain)
 
 
 def corpus_parts(n=3):
     """Valid Corpus fields: n blank 8x16 SOURCE images labeled (0,)."""
-    return np.zeros((n, 8, 16)), [(0,)] * n, np.zeros(n, dtype=np.uint8)
+    return (np.zeros((n, 8, 16), dtype=np.uint8), [(0,)] * n,
+            np.zeros(n, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("case", [
@@ -401,10 +389,12 @@ def test_corpus_constructor_contract(vocab, case):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2.0, -1.0])
 def test_corpus_refuses_pixels_outside_unit_range(vocab, value):
-    # a NaN pixel would pass a save-time min/max test and cast to u8
+    # a NaN or out-of-range pixel would cast to some u8 code; no float
+    # block is ever cast
     px, labels, domain = corpus_parts()
+    px = px.astype(np.float64)
     px[1, 3, 5] = value
-    with pytest.raises(ContractError, match="pixels must be finite and in"):
+    with pytest.raises(ContractError, match="codes must be uint8"):
         Corpus(vocab, px, labels, domain)
 
 
@@ -462,7 +452,7 @@ def test_corpus_file_layout_is_pinned(tmp_path):
     # two 2x3 records: a labeled SOURCE line and an unlabeled TARGET line
     levels = np.array([[[0, 1, 2], [128, 254, 255]],
                        [[255, 0, 17], [3, 200, 9]]], dtype=np.uint8)
-    c = Corpus(VocabSpec("AB"), levels / 255.0, [(1, 0, 1), None],
+    c = Corpus(VocabSpec("AB"), levels, [(1, 0, 1), None],
                np.array([SOURCE, TARGET], dtype=np.uint8))
     want = (b"SMCP"
             + struct.pack("<IIII", 1, 2, 3, 2)          # version, h, w, N
@@ -589,16 +579,13 @@ def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
     px, labels, domain = corpus_parts(n=0)
     with pytest.raises(ContractError, match="no images"):
         Corpus(vocab, px, labels, domain)  # so none reaches save or train
-    px, labels, domain = corpus_parts(n=1)
-    with pytest.raises(ContractError):
-        save_corpus(Corpus(vocab, px + 1.5, labels, domain),
-                    str(tmp_path / "r.smcp"))
     # a label outside the vocab, or outside the u8 field, writes nothing
     two = VocabSpec("AB")
     path = tmp_path / "bad_label.smcp"
     for bad in [(5,), (300,)]:
         with pytest.raises(ContractError, match="record 1 label"):
-            save_corpus(Corpus(two, np.zeros((2, 8, 8)), [(0,), bad],
+            save_corpus(Corpus(two, np.zeros((2, 8, 8), dtype=np.uint8),
+                               [(0,), bad],
                                np.zeros(2, dtype=np.uint8)), str(path))
         assert not path.exists()
 
@@ -606,7 +593,8 @@ def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
 def test_zero_size_images_are_refused(tmp_path, vocab):
     path = tmp_path / "empty_images.smcp"
     with pytest.raises(ContractError, match="height and width"):
-        save_corpus(Corpus(vocab, np.zeros((2, 8, 0)), [(0,), (1,)],
+        save_corpus(Corpus(vocab, np.zeros((2, 8, 0), dtype=np.uint8),
+                           [(0,), (1,)],
                            np.zeros(2, dtype=np.uint8)), str(path))
     assert not path.exists()
     # a hand-written file: two labeled records with no pixel bytes

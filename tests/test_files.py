@@ -35,8 +35,8 @@ def tiny_checkpoint(vocab: VocabSpec, l_max: int) -> Checkpoint:
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory, templates):
-    """A 3-image corpus, a checkpoint that evaluates it, and an eval
-    config naming both."""
+    """A 3-image corpus, a checkpoint that evaluates it, and a compare
+    config naming the corpus."""
     root = tmp_path_factory.mktemp("fuzz")
     vocab = VocabSpec("ABCD")
     corpus = root / "c.smcp"
@@ -44,8 +44,8 @@ def files(tmp_path_factory, templates):
                 str(corpus))
     ck = root / "m.smck"
     save_checkpoint(tiny_checkpoint(vocab, 2), str(ck))
-    config = root / "eval.cfg"
-    config.write_text(f"checkpoint = {ck}\ntest = {corpus}\n")
+    config = root / "compare.cfg"
+    config.write_text(f"test = {corpus}\n")
     return {"root": root, "corpus": corpus, "ck": ck, "config": config}
 
 
@@ -89,21 +89,22 @@ def test_mutated_files_raise_only_named_errors(capsys, files, kind):
         bad.write_bytes(blob)
         paths = {"ck": str(files["ck"]), "corpus": str(files["corpus"]),
                  kind: str(bad)}
-        code = cli.main(["eval", "--checkpoint", paths["ck"],
-                         "--test", paths["corpus"]])
+        code = cli.main(["compare", "--test", paths["corpus"],
+                         f"one={paths['ck']}"])
         assert code == 1
         assert "Error: " in capsys.readouterr().err
 
 
 def test_mutated_config_exits_cleanly(capsys, files):
-    # a surviving config still names a valid checkpoint and corpus, so the
-    # eval it runs succeeds
+    # a surviving config still names a valid corpus, so the compare it
+    # runs succeeds
     original = files["config"].read_bytes()
     bad = files["root"] / "mut.cfg"
     codes = []
     for blob in list(mutants(original, seed=12))[:60]:
         bad.write_bytes(blob)
-        codes.append(cli.main(["eval", "--config", str(bad)]))
+        codes.append(cli.main(["compare", "--config", str(bad),
+                               f"one={files['ck']}"]))
     capsys.readouterr()
     assert set(codes) <= {0, 1}
     assert codes.count(1) > 10
@@ -136,8 +137,8 @@ def test_checkpoint_huge_l_max_fails_fast(capsys, tmp_path, files):
     corrupt(path, 36, struct.pack("<I", 2 ** 31 - 1))
     with pytest.raises(ContractError, match="l_max 2147483647 outside"):
         load_checkpoint(str(path))
-    code = cli.main(["eval", "--checkpoint", str(path),
-                     "--test", str(files["corpus"])])
+    code = cli.main(["compare", "--test", str(files["corpus"]),
+                     f"one={path}"])
     assert code == 1
     assert "ContractError: arch: l_max" in capsys.readouterr().err
 
@@ -158,8 +159,8 @@ def test_checkpoint_zero_arch_size_refused(capsys, tmp_path, files, name):
                                3), str(path))
     with pytest.raises(ContractError, match=f"{name} 0 is below 1"):
         load_checkpoint(str(path))
-    code = cli.main(["eval", "--checkpoint", str(path),
-                     "--test", str(files["corpus"])])
+    code = cli.main(["compare", "--test", str(files["corpus"]),
+                     f"one={path}"])
     assert code == 1
     assert f"ContractError: arch: {name} 0" in capsys.readouterr().err
 
@@ -205,8 +206,8 @@ def test_malformed_gate_slot_loads_and_resume_names_it(capsys, tmp_path,
     ck.opt_state["opt/adam/m/enc/W_r"] = np.zeros(5)
     path = tmp_path / "bad-slot.smck"
     save_checkpoint(ck, str(path))
-    assert cli.main(["eval", "--checkpoint", str(path),
-                     "--test", str(files["corpus"])]) == 0
+    assert cli.main(["compare", "--test", str(files["corpus"]),
+                     f"one={path}"]) == 0
     capsys.readouterr()
     with pytest.raises(ContractError, match=r"opt/adam/m/enc/W_r has shape"):
         train_with_corpora(TrainConfig(steps=5),

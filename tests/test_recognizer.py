@@ -127,8 +127,6 @@ def test_arch_refuses_sizes_below_one():
     for name in ("d_feat", "enc_hidden", "embed_dim"):
         with pytest.raises(ContractError, match=f"{name} 0 is below 1"):
             ArchSpec(K=7, l_max=4, **{name: 0})
-    with pytest.raises(ContractError, match="d_feat"):
-        Recognizer.fresh(VocabSpec("ABCD"), l_max=3, seed=0, d_feat=0)
 
 
 def test_recognizer_rejects_vocab_arch_mismatch():

@@ -9,8 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from smile import trainer
-from smile.data import VocabSpec, generate_corpus, make_templates
+from smile import cli, trainer
+from smile.data import (DomainConfig, VocabSpec, generate_corpus,
+                        make_templates, save_corpus)
 from smile.errors import ContractError, FormatError, NumericalAbort
 from smile.metrics import evaluate
 from smile.recognizer import ArchSpec, init_params, split_gates
@@ -18,7 +19,9 @@ from smile.tensor import Tensor
 from smile.trainer import (SWEEP_GRID, Adadelta, Adam, Checkpoint,
                            MetricsLog, TrainConfig, clip_gradients,
                            load_checkpoint, make_optimizer, save_checkpoint,
-                           snapshot, sweep, train, train_with_corpora)
+                           snapshot, sweep, train_with_corpora)
+
+from conftest import SMALL_SHIFT
 
 QUICK = dict(steps=12, eval_every=6, batch_source=8, batch_target=8)
 
@@ -31,7 +34,7 @@ def quick_cfg(**kw):
 # -- config validation --------------------------------------------------------
 
 def test_config_validation():
-    for bad in (dict(mode="warmup"), dict(lam=-1.0),
+    for bad in (dict(mode="warmup"), dict(mode="finetune"), dict(lam=-1.0),
                 dict(entropy_variant="gini"), dict(p_init=2.0),
                 dict(p_add=-1e-9), dict(steps=0), dict(batch_source=0),
                 dict(batch_target=0), dict(seed=-1), dict(optimizer="sgd"),
@@ -464,16 +467,18 @@ def test_smile_entropy_term_changes_updates(small_source, small_target):
 
 def test_finetune_requires_labeled_target(small_source, small_target, vocab,
                                           templates):
+    # finetuning is a base run from a checkpoint on a labeled target corpus
     base, _ = train_with_corpora(quick_cfg(seed=15), source=small_source)
-    with pytest.raises(ContractError, match="starting checkpoint"):
-        train_with_corpora(quick_cfg(mode="finetune"), target=small_target)
-    with pytest.raises(ContractError, match="labeled"):
-        train_with_corpora(quick_cfg(mode="finetune"), target=small_target,
-                           start=base)
-    labeled = generate_corpus(vocab, templates, 40, (1, 3), seed=45)
-    ck, _ = train_with_corpora(quick_cfg(mode="finetune", seed=15),
-                               target=labeled, start=base)
+    with pytest.raises(ContractError, match="fully labeled"):
+        train_with_corpora(quick_cfg(), source=small_target, start=base)
+    labeled = generate_corpus(vocab, templates, 40, (1, 3), seed=45,
+                              domain_cfg=DomainConfig(seed=90, **SMALL_SHIFT))
+    ck, log = train_with_corpora(quick_cfg(seed=15), source=labeled,
+                                 start=base)
     assert ck.step == QUICK["steps"]
+    assert all(row[1] == "base" for row in log.eval_rows)
+    assert any(not np.array_equal(ck.params[n], base.params[n])
+               for n in ck.params)
 
 
 def test_vocab_mismatch_rejected(small_source):
@@ -528,17 +533,23 @@ def test_metrics_log_guards_step_order():
     assert log.eval_csv().strip().split("\n")[1] == "5,base,1.0,,,,,,,"
 
 
-def test_train_by_paths(tmp_path, small_source, small_test):
-    from smile.data import save_corpus
+def test_train_by_paths(capsys, tmp_path, small_source, small_test):
+    # `smile train` loads its files and runs train_with_corpora on them
     src = tmp_path / "src.smcp"
     tst = tmp_path / "tst.smcp"
     save_corpus(small_source, str(src))
     save_corpus(small_test, str(tst))
-    cfg = quick_cfg(mode="base", seed=17, source=str(src), test=str(tst))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--source", str(src), "--test", str(tst),
+                     "--seed", "17", "--steps", "12", "--eval-every", "6",
+                     "--batch-source", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    cfg = quick_cfg(mode="base", seed=17)
     ck, log = train_with_corpora(cfg, small_source, test=small_test)
-    ck2, log2 = train(cfg)
-    assert all(np.array_equal(ck.params[n], ck2.params[n]) for n in ck.params)
-    assert log.eval_csv() == log2.eval_csv()
+    save_checkpoint(ck, str(tmp_path / "in_memory.smck"))
+    assert ((out / "checkpoint.smck").read_bytes()
+            == (tmp_path / "in_memory.smck").read_bytes())
+    assert (out / "metrics.csv").read_text() == log.eval_csv()
 
 
 def test_sweep_runs_each_cell(small_source, small_target, small_test):
