@@ -10,9 +10,8 @@ from .errors import (ContractError, DimensionError, FormatError,
 from .losses import decoder_loss, smile_loss
 from .metrics import EvalResult, compare_report, evaluate, word_accuracy
 from .recognizer import ArchSpec, Decoded, DecoderOutput, Recognizer
-from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
-                         build_pool, portion_at, select,
-                         selected_entropy_loss)
+from .self_paced import (PredictionPool, SelectionResult, build_pool,
+                         portion_at, select, selected_entropy_loss)
 from .tensor import Tape, Tensor
 from .trainer import (Checkpoint, MetricsLog, TrainConfig, load_checkpoint,
                       save_checkpoint, sweep, train_with_corpora)
@@ -23,8 +22,8 @@ __all__ = [
     "ArchSpec", "Checkpoint", "ContractError", "Corpus", "Decoded",
     "DecoderOutput", "DimensionError", "DomainConfig", "EvalResult",
     "FormatError", "IndexRangeError", "MetricsLog", "NumericalAbort",
-    "PacingSchedule", "PredictionPool", "Recognizer", "SelectionResult",
-    "Tape", "Tensor", "TrainConfig", "VocabSpec",
+    "PredictionPool", "Recognizer", "SelectionResult", "Tape", "Tensor",
+    "TrainConfig", "VocabSpec",
     "build_glyph12", "build_pool", "compare_report", "decoder_loss",
     "evaluate", "generate_corpus", "load_checkpoint", "load_corpus",
     "make_templates", "portion_at", "render_string", "save_checkpoint",

@@ -266,7 +266,10 @@ def _run_sweep(args) -> int:
     cells = [_parse_settings([(f"sweep: cell {raw!r}", text.strip())
                               for text in raw.split(";")], train_keys)
              for raw in args.cells] or list(SWEEP_GRID)
-    _print_config("sweep", resolved,
+    # a setting every cell overrides is used by no run, so it is not shown
+    overridden = set.intersection(*(set(cell) for cell in cells))
+    _print_config("sweep",
+                  {k: v for k, v in resolved.items() if k not in overridden},
                   {"cells": " ".join(cell_name(cell) for cell in cells)})
     _require(resolved, "sweep", "source", "target", "test", "checkpoint")
     out_dir = resolved.pop("out")

@@ -21,7 +21,7 @@ import numpy as np
 from .data import Corpus
 from .errors import ContractError
 from .losses import row_entropy
-from .recognizer import Recognizer, check_width
+from .recognizer import Recognizer, check_corpus
 
 EVAL_BATCH = 256
 
@@ -102,11 +102,7 @@ def evaluate(rec: Recognizer, corpus: Corpus,
     fold back in batch order, so the outcome is independent of thread
     count.
     """
-    if corpus.vocab != rec.vocab:
-        raise ContractError("evaluate: corpus vocab differs from the model's")
-    if not corpus.labeled:
-        raise ContractError("evaluate: corpus has unlabeled images")
-    check_width(rec.arch, corpus, "evaluate")
+    check_corpus(corpus, rec.vocab, rec.arch.l_max, "evaluate")
     chunks = range(0, len(corpus), EVAL_BATCH)
     eos = rec.vocab.EOS
 

@@ -137,21 +137,28 @@ def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
     return {n: T.parameter(a) for n, a in fuse_gates(arrays).items()}
 
 
-def check_width(arch: ArchSpec, corpus: Corpus, what: str):
-    """Refuse a corpus the model cannot read whole: encode takes lines
-    GLYPH_H px high and a multiple of STRIP_W px wide, and the line must
-    hold at most the decoder's l_max characters, since greedy stops after
-    l_max+1 steps, so longer words never match."""
+def check_corpus(corpus: Corpus, vocab: VocabSpec, l_max: int, what: str,
+                 labeled: bool = True):
+    """Refuse a corpus of another vocab, unlabeled records where labels are
+    needed, lines encode cannot take (not GLYPH_H px high or a multiple of
+    STRIP_W px wide), or lines of more than l_max characters, since greedy
+    stops after l_max+1 steps, so longer words never match."""
+    if corpus.vocab != vocab:
+        raise ContractError(f"{what}: vocab {corpus.vocab.characters!r} "
+                            f"differs from the model's {vocab.characters!r}")
+    if labeled and not corpus.labeled:
+        raise ContractError(f"{what}: {corpus.labels.count(None)} of "
+                            f"{len(corpus)} images are unlabeled")
     _, height, width = corpus.codes.shape
     if height != GLYPH_H or width % STRIP_W:
         raise ContractError(
             f"{what}: images are {height}x{width} px; the model reads lines "
             f"{GLYPH_H} px high and a multiple of {STRIP_W} px wide")
-    if width // STRIP_W > arch.l_max:
+    if width // STRIP_W > l_max:
         raise ContractError(
             f"{what}: images are {width} px wide ({width // STRIP_W} "
-            f"characters), the model decodes at most l_max={arch.l_max} "
-            f"({arch.l_max * STRIP_W} px)")
+            f"characters), the model decodes at most l_max={l_max} "
+            f"({l_max * STRIP_W} px)")
 
 
 @dataclass

@@ -29,22 +29,10 @@ from .recognizer import Decoded
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class PacingSchedule:
-    p_init: float = 0.0
-    p_add: float = 5e-5
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_init <= 1.0:
-            raise ContractError(f"pacing: p_init {self.p_init} not in [0,1]")
-        if not 0.0 <= self.p_add < math.inf:
-            raise ContractError(f"pacing: p_add {self.p_add} not in [0, inf)")
-
-
-def portion_at(schedule: PacingSchedule, t: int) -> float:
+def portion_at(p_init: float, p_add: float, t: int) -> float:
     if t < 0:
         raise ContractError(f"portion_at: negative step {t}")
-    return min(schedule.p_init + schedule.p_add * t, 1.0)
+    return min(p_init + p_add * t, 1.0)
 
 
 @dataclass
@@ -86,9 +74,8 @@ class SelectionResult:
     stats: list[ClassStat]
 
 
-def select(pool: PredictionPool, schedule: PacingSchedule,
-           t: int) -> SelectionResult:
-    """Take the ceil(n_c * P_t) most confident rows of every class.
+def select(pool: PredictionPool, p_t: float) -> SelectionResult:
+    """Take the ceil(n_c * p_t) most confident rows of every class.
 
     One stable sort orders the pool by (class, entropy, sample, timestep),
     so ties resolve the same way on every run; each class is then one
@@ -96,7 +83,8 @@ def select(pool: PredictionPool, schedule: PacingSchedule,
     """
     if not len(pool):
         raise ContractError("select: empty pool")
-    p_t = portion_at(schedule, t)
+    if not 0.0 <= p_t <= 1.0:
+        raise ContractError(f"select: portion {p_t} not in [0, 1]")
     entropy = pool.entropy
     order = np.lexsort((pool.timestep, pool.sample, entropy, pool.pseudo_class))
     cls = pool.pseudo_class[order]

@@ -32,10 +32,10 @@ from .data import Corpus, VocabSpec, check_seed, read_vocab_block, vocab_block
 from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
-from .recognizer import (STRIP_W, ArchSpec, Recognizer, check_width,
+from .recognizer import (STRIP_W, ArchSpec, Recognizer, check_corpus,
                          fuse_gates, param_shapes, split_gates)
-from .self_paced import (PacingSchedule, PredictionPool, SelectionResult,
-                         build_pool, replay_plan, select,
+from .self_paced import (PredictionPool, SelectionResult, build_pool,
+                         portion_at, replay_plan, select,
                          selected_entropy_loss)
 from .tensor import Tape, Tensor
 
@@ -80,7 +80,10 @@ class TrainConfig:
         if self.entropy_variant not in VARIANTS:
             raise ContractError(
                 f"entropy variant {self.entropy_variant!r} not in {VARIANTS}")
-        PacingSchedule(self.p_init, self.p_add)
+        if not 0.0 <= self.p_init <= 1.0:
+            raise ContractError(f"pacing: p_init {self.p_init} not in [0,1]")
+        if not 0.0 <= self.p_add < math.inf:
+            raise ContractError(f"pacing: p_add {self.p_add} not in [0, inf)")
         if self.steps < 1:
             raise ContractError(f"steps {self.steps} < 1")
         if self.batch_source < 1 or self.batch_target < 1:
@@ -410,7 +413,7 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
     replay, rows = [], np.zeros(0, dtype=int)
     if target_px is not None:
         pool = build_pool(rec.greedy(target_px), cfg.entropy_variant)
-        sel = select(pool, PacingSchedule(cfg.p_init, cfg.p_add), step + 1)
+        sel = select(pool, portion_at(cfg.p_init, cfg.p_add, step + 1))
         if cfg.lam > 0 and len(sel.chosen):
             samples, sequences, rows = replay_plan(pool, sel)
             replay = [(target_px[samples], sequences)]
@@ -438,8 +441,6 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
     """
     if source is None:
         raise ContractError(f"{cfg.mode} requires a source corpus")
-    if not source.labeled:
-        raise ContractError("source corpus must be fully labeled")
     if cfg.mode == "smile":
         if target is None:
             raise ContractError("smile requires a target corpus")
@@ -449,21 +450,17 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
     else:
         target = None   # base mode draws no target batches
 
-    if start is not None:
-        if start.vocab != source.vocab:
-            raise ContractError("checkpoint vocab differs from corpus vocab")
-        rec = start.restore()
-    else:
-        l_max = source.codes.shape[2] // STRIP_W
-        rec = Recognizer.fresh(source.vocab, l_max, cfg.seed)
-    if test is not None and test.vocab != source.vocab:
-        raise ContractError("test corpus vocab differs from training vocab")
-    for name, corpus in (("source", source), ("target", target),
-                         ("test", test)):
+    # every corpus is checked against the model's vocab and l_max (the
+    # start's, or the source's for a fresh model) before the model is built
+    vocab, l_max = ((start.vocab, start.arch.l_max) if start is not None
+                    else (source.vocab, source.codes.shape[2] // STRIP_W))
+    for name, corpus, labeled in (("source", source, True),
+                                  ("target", target, False),
+                                  ("test", test, True)):
         if corpus is not None:
-            check_width(rec.arch, corpus, f"{name} corpus")
-    if target is not None and target.vocab != source.vocab:
-        raise ContractError("target corpus vocab differs from source vocab")
+            check_corpus(corpus, vocab, l_max, f"{name} corpus", labeled)
+    rec = (start.restore() if start is not None
+           else Recognizer.fresh(vocab, l_max, cfg.seed))
 
     opt = make_optimizer(cfg)
     start_step = 0
@@ -553,9 +550,13 @@ def sweep(cells, cfg: TrainConfig, source: Corpus, target: Corpus,
           test: Corpus, start: Checkpoint | None
           ) -> list[tuple[str, EvalResult]]:
     """Train one smile run per cell, a dict of train-setting overrides, from
-    the shared start; returns each cell's name and final test evaluation."""
+    the shared start; returns each cell's name and its one evaluation on
+    the test corpus, which is checked before the first cell trains."""
+    configs = sweep_configs(cells, cfg)
+    if start is not None:   # without one, the first cell's run refuses
+        check_corpus(test, start.vocab, start.arch.l_max, "test corpus")
     rows = []
-    for cell, cell_cfg in zip(cells, sweep_configs(cells, cfg)):
-        ck, _ = train_with_corpora(cell_cfg, source, target, test, start=start)
+    for cell, cell_cfg in zip(cells, configs):
+        ck, _ = train_with_corpora(cell_cfg, source, target, start=start)
         rows.append((cell_name(cell), evaluate(ck.restore(), test)))
     return rows

@@ -24,8 +24,7 @@ from smile.errors import FormatError
 from smile.losses import row_entropy
 from smile.metrics import evaluate
 from smile.recognizer import Recognizer
-from smile.self_paced import (PacingSchedule, PredictionPool, portion_at,
-                              select)
+from smile.self_paced import PredictionPool, portion_at, select
 from smile.tensor import Tape
 from smile.trainer import (SWEEP_GRID, TrainConfig, load_checkpoint,
                            save_checkpoint, snapshot, sweep,
@@ -194,8 +193,8 @@ def test_a03_selection_oracle(capfd):
     for _ in range(1000):
         pool = random_pool(rng)
         p_t = float(rng.choice([0.0, 0.17, 1.0 / 3.0, 0.5, 0.75, 1.0]))
-        sel = select(pool, PacingSchedule(p_t, 0.0), t=0)
-        again = select(pool, PacingSchedule(p_t, 0.0), t=0)
+        sel = select(pool, p_t)
+        again = select(pool, p_t)
         classes = pool.pseudo_class.tolist()
         quotas_ok = all(s.quota == math.ceil(s.pool_size * p_t)
                         and s.pool_size == classes.count(s.pseudo_class)
@@ -216,16 +215,15 @@ def test_a03_selection_oracle(capfd):
 
 def test_a04_pacing_schedule(capfd):
     probes = (0, 1, 10 ** 3, 2 * 10 ** 4, 10 ** 6)
-    exact = all(portion_at(PacingSchedule(**cell), t)
+    exact = all(portion_at(**cell, t=t)
                 == min(cell["p_init"] + cell["p_add"] * t, 1.0)
                 for cell in SWEEP_GRID for t in probes)
 
     rng = np.random.default_rng(22)
-    full_cell = PacingSchedule(1.0, 0.0)
     full_ok = True
     for t in (0, 1, 777, 10 ** 6):
         pool = random_pool(rng)
-        sel = select(pool, full_cell, t)
+        sel = select(pool, portion_at(1.0, 0.0, t))
         if sorted(sel.chosen.tolist()) != list(range(len(pool))):
             full_ok = False
     ok = exact and full_ok

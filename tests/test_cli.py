@@ -342,6 +342,27 @@ def test_misshapen_corpus_is_refused_before_any_step(capsys, monkeypatch,
             in capsys.readouterr().err)
 
 
+def test_unlabeled_test_corpus_is_refused_before_any_step(capsys,
+                                                         monkeypatch, workdir):
+    # train and sweep score --test, so it needs labels; both say so before
+    # step 1, not at the first evaluation
+    def never(*args, **kwargs):
+        raise AssertionError("a step ran before the corpora were checked")
+
+    monkeypatch.setattr(trainer, "step_losses", never)
+    message = "test corpus: 160 of 160 images are unlabeled"
+    assert cli.main(["train", "--source", workdir["src"], "--test",
+                     workdir["tgt"], "--steps", "30", "--eval-every",
+                     "20"]) == 1
+    assert (f"smile train: ContractError: {message}"
+            in capsys.readouterr().err)
+    assert cli.main(["sweep", "--source", workdir["src"], "--target",
+                     workdir["tgt"], "--test", workdir["tgt"],
+                     "--checkpoint", workdir["base_ck"]]) == 1
+    assert (f"smile sweep: ContractError: {message}"
+            in capsys.readouterr().err)
+
+
 def test_eval_requires_both_flags(capsys, workdir):
     assert cli.main(["compare", f"one={workdir['base_ck']}"]) == 1
     assert "compare: --test is required" in capsys.readouterr().err
@@ -449,13 +470,25 @@ def test_default_sweep_names_the_grid(capsys, workdir):
     out = workdir["root"] / "sweep_grid"
     assert cli.main(sweep_args(workdir, out) + ["--p-init", "0.7"]) == 0
     stdout = capsys.readouterr().out
-    assert "[config] sweep.p_init = 0.7" in stdout  # the grid overrides it
+    # every grid cell sets p_init and p_add, so no run uses --p-init 0.7
+    assert "sweep.p_init" not in stdout and "sweep.p_add" not in stdout
+    assert "[config] sweep.lam = 1.0" in stdout
     csv = (out / "sweep.csv").read_text()
     assert [row.split(",")[0] for row in csv.splitlines()[1:]] == [
         "p_init=0.0;p_add=0.0001", "p_init=0.3;p_add=0.0001",
         "p_init=0.5;p_add=0.0001", "p_init=0.0;p_add=5e-05",
         "p_init=0.3;p_add=5e-05", "p_init=0.5;p_add=5e-05",
         "p_init=1.0;p_add=0.0"]
+
+
+def test_sweep_shows_the_settings_some_cell_keeps(capsys, workdir):
+    out = workdir["root"] / "sweep_variant"
+    assert cli.main(sweep_args(workdir, out) + [
+        "entropy-variant=pseudo_nll", "entropy-variant=shannon"]) == 0
+    stdout = capsys.readouterr().out
+    assert "[config] sweep.p_init = 0.0" in stdout
+    assert "[config] sweep.p_add = 5e-05" in stdout
+    assert "sweep.entropy_variant" not in stdout
 
 
 def test_sweep_rejects_bad_cells(capsys, workdir):

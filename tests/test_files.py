@@ -96,18 +96,22 @@ def test_mutated_files_raise_only_named_errors(capsys, files, kind):
 
 
 def test_mutated_config_exits_cleanly(capsys, files):
-    # a surviving config still names a valid corpus, so the compare it
-    # runs succeeds
-    original = files["config"].read_bytes()
+    # the config's one line names the corpus, and none of these 60 mutants
+    # still names a readable one: each must exit 1 with one named error line
+    def compare(config) -> tuple[int, str]:
+        code = cli.main(["compare", "--config", str(config),
+                         f"one={files['ck']}"])
+        return code, capsys.readouterr().err
+
+    assert compare(files["config"]) == (0, "")
     bad = files["root"] / "mut.cfg"
-    codes = []
-    for blob in list(mutants(original, seed=12))[:60]:
+    named = ("smile compare: ContractError: ", "smile compare: FormatError: ")
+    for blob in list(mutants(files["config"].read_bytes(), seed=12))[:60]:
         bad.write_bytes(blob)
-        codes.append(cli.main(["compare", "--config", str(bad),
-                               f"one={files['ck']}"]))
-    capsys.readouterr()
-    assert set(codes) <= {0, 1}
-    assert codes.count(1) > 10
+        code, err = compare(bad)
+        assert code == 1, blob
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(named), err
 
 
 # -- the failure modes the fuzzing found, one each ------------------------------

@@ -1,4 +1,4 @@
-"""Pacing schedule, pool construction, class-balanced selection against a
+"""The pacing portion, pool construction, class-balanced selection against a
 brute-force oracle, the replay plan, and the selected-mean loss."""
 
 import math
@@ -9,9 +9,8 @@ import pytest
 import smile.tensor as T
 from smile.errors import ContractError
 from smile.losses import row_entropy
-from smile.self_paced import (PacingSchedule, PredictionPool, build_pool,
-                              portion_at, replay_plan, select,
-                              selected_entropy_loss)
+from smile.self_paced import (PredictionPool, build_pool, portion_at,
+                              replay_plan, select, selected_entropy_loss)
 from smile.tensor import Tape
 
 from conftest import decoded_from
@@ -40,34 +39,28 @@ def rows_with_nll(values, k=4) -> np.ndarray:
     return rows
 
 
-# -- schedule -----------------------------------------------------------------
+# -- pacing portion -----------------------------------------------------------
 
 def test_portion_at_exact_values():
-    s = PacingSchedule(0.0, 5e-5)
-    assert portion_at(s, 0) == 0.0
-    assert portion_at(s, 1) == 5e-5
-    assert portion_at(s, 20000) == 1.0
-    assert portion_at(s, 10 ** 6) == 1.0
-    assert portion_at(PacingSchedule(0.3, 1e-4), 7000) == 1.0
-    assert portion_at(PacingSchedule(0.3, 1e-4), 1000) == pytest.approx(0.4)
+    assert portion_at(0.0, 5e-5, 0) == 0.0
+    assert portion_at(0.0, 5e-5, 1) == 5e-5
+    assert portion_at(0.0, 5e-5, 20000) == 1.0
+    assert portion_at(0.0, 5e-5, 10 ** 6) == 1.0
+    assert portion_at(0.3, 1e-4, 7000) == 1.0
+    assert portion_at(0.3, 1e-4, 1000) == pytest.approx(0.4)
 
 
 def test_portion_at_nondecreasing():
-    s = PacingSchedule(0.1, 3e-4)
-    vals = [portion_at(s, t) for t in range(0, 5000, 50)]
+    vals = [portion_at(0.1, 3e-4, t) for t in range(0, 5000, 50)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == 1.0
 
 
 def test_schedule_validation():
-    with pytest.raises(ContractError):
-        PacingSchedule(-0.1, 0.0)
-    with pytest.raises(ContractError):
-        PacingSchedule(1.1, 0.0)
-    with pytest.raises(ContractError):
-        PacingSchedule(0.0, -1e-6)
-    with pytest.raises(ContractError):
-        portion_at(PacingSchedule(0.0, 0.0), -1)
+    # TrainConfig checks p_init and p_add (test_trainer); a step is checked
+    # here
+    with pytest.raises(ContractError, match="portion_at: negative step -1"):
+        portion_at(0.0, 0.0, -1)
 
 
 # -- pool construction --------------------------------------------------------
@@ -142,7 +135,7 @@ def brute_force_select(pool, p_t):
 
 def test_select_worked_example():
     pool = pool_from_entropies([0.9, 0.1, 0.5])
-    sel = select(pool, PacingSchedule(0.34, 0.0), t=0)
+    sel = select(pool, 0.34)
     assert sel.stats[0].quota == 2
     assert sel.chosen.tolist() == [1, 2]
 
@@ -151,13 +144,13 @@ def test_select_full_portion_takes_everything(rng):
     vals = rng.random(17)
     classes = list(rng.integers(0, 4, 17))
     pool = pool_from_entropies(vals, classes)
-    sel = select(pool, PacingSchedule(1.0, 0.0), t=0)
+    sel = select(pool, 1.0)
     assert len(sel.chosen) == 17
 
 
 def test_select_zero_portion_takes_nothing():
     pool = pool_from_entropies([0.3, 0.2])
-    sel = select(pool, PacingSchedule(0.0, 1e-4), t=0)
+    sel = select(pool, 0.0)
     assert len(sel.chosen) == 0
     assert all(s.quota == 0 for s in sel.stats)
     assert math.isnan(sel.stats[0].mean_chosen)
@@ -167,14 +160,14 @@ def test_select_ceiling_never_starves_classes():
     # tiny portion still takes one entry from every represented class
     pool = pool_from_entropies([0.5, 0.4, 0.3, 0.2, 0.1],
                                   classes=[0, 0, 1, 1, 2])
-    sel = select(pool, PacingSchedule(0.01, 0.0), t=0)
+    sel = select(pool, 0.01)
     assert {s.pseudo_class: s.quota for s in sel.stats} == {0: 1, 1: 1, 2: 1}
     assert sel.chosen.tolist() == [1, 3, 4]
 
 
 def test_select_tie_break_is_deterministic():
     pool = pool_of([1, 1, 0, 0], [1, 0, 1, 0], [0] * 4, np.full(4, 0.5))
-    sel = select(pool, PacingSchedule(0.5, 0.0), 0)
+    sel = select(pool, 0.5)
     assert sel.chosen.tolist() == [3, 2]   # (sample 0, t 0), (sample 0, t 1)
 
 
@@ -189,10 +182,10 @@ def test_select_matches_brute_force_oracle(rng):
                                                     rng.random()]))))
         sample, timestep, classes, entropy = zip(*rows)
         pool = pool_of(sample, timestep, classes, entropy)
-        schedule = PacingSchedule(float(rng.random()), float(rng.random() * 1e-3))
-        t = int(rng.integers(0, 3000))
-        sel = select(pool, schedule, t)
-        want = brute_force_select(pool, portion_at(schedule, t))
+        p_t = portion_at(float(rng.random()), float(rng.random() * 1e-3),
+                         int(rng.integers(0, 3000)))
+        sel = select(pool, p_t)
+        want = brute_force_select(pool, p_t)
         assert sel.chosen.tolist() == want
         for s in sel.stats:
             assert s.quota == math.ceil(s.pool_size * sel.portion)
@@ -201,7 +194,15 @@ def test_select_matches_brute_force_oracle(rng):
 def test_select_rejects_empty_pool():
     pool = pool_of([], [], [], [])
     with pytest.raises(ContractError):
-        select(pool, PacingSchedule(0.5, 0.0), 0)
+        select(pool, 0.5)
+
+
+@pytest.mark.parametrize("p_t", [-0.1, 1.5, math.nan])
+def test_select_refuses_a_portion_outside_the_unit_interval(p_t):
+    pool = pool_from_entropies([0.3, 0.2])
+    with pytest.raises(ContractError, match=f"select: portion {p_t} not in "
+                                            r"\[0, 1\]"):
+        select(pool, p_t)
 
 
 def test_selection_grows_monotonically():
@@ -209,10 +210,9 @@ def test_selection_grows_monotonically():
     vals = rng.random(30)
     classes = list(rng.integers(0, 3, 30))
     pool = pool_from_entropies(vals, classes)
-    schedule = PacingSchedule(0.0, 1e-3)
     prev: set[int] = set()
     for t in (100, 300, 500, 900):
-        chosen = set(select(pool, schedule, t).chosen.tolist())
+        chosen = set(select(pool, portion_at(0.0, 1e-3, t)).chosen.tolist())
         assert prev <= chosen
         prev = chosen
 
@@ -224,7 +224,7 @@ def test_replay_plan_worked_example():
     pool = pool_of([0, 0, 0, 1, 1, 2, 2, 2, 2], [0, 1, 2, 0, 1, 0, 1, 2, 3],
                    [5, 6, 9, 7, 9, 4, 3, 2, 9],
                    [0.9, 0.8, 0.1, 0.7, 0.6, 0.5, 0.05, 0.4, 0.3])
-    sel = select(pool, PacingSchedule(0.4, 0.0), t=0)
+    sel = select(pool, 0.4)
     # one row per class here: 5,6,7,4,3,2 are singletons, 9 takes 2 of 3
     assert sorted(sel.chosen.tolist()) == [0, 1, 2, 3, 5, 6, 7, 8]
     samples, sequences, rows = replay_plan(pool, sel)
@@ -240,7 +240,7 @@ def test_replay_plan_skips_unchosen_samples_and_tails():
     pool = pool_of([0, 0, 0, 1, 1, 2, 2], [0, 1, 2, 0, 1, 0, 1],
                    [0, 1, 3, 0, 3, 1, 3],
                    [0.9, 0.1, 0.2, 0.3, 0.9, 0.5, 0.9])
-    sel = select(pool, PacingSchedule(0.01, 0.0), t=0)
+    sel = select(pool, 0.01)
     assert sorted(sel.chosen.tolist()) == [1, 2, 3]   # one per class
     samples, sequences, rows = replay_plan(pool, sel)
     # sample 2's rows were not chosen, so it is not replayed; sample 1's
@@ -254,7 +254,7 @@ def test_unchosen_prefix_rows_get_zero_gradient():
     # only sample 0's t = 1 row is chosen: its replay decodes the whole
     # sequence, and the t = 0 and t = 2 rows carry no entropy loss
     pool = pool_of([0, 0, 0], [0, 1, 2], [0, 0, 0], [0.9, 0.1, 0.8])
-    sel = select(pool, PacingSchedule(0.2, 0.0), t=0)
+    sel = select(pool, 0.2)
     _, sequences, rows = replay_plan(pool, sel)
     assert sequences == [(0, 0, 0)] and rows.tolist() == [1]
     leaf = T.parameter(rows_with_nll([0.9, 0.1, 0.8]))
@@ -270,7 +270,7 @@ def test_unchosen_prefix_rows_get_zero_gradient():
 def test_selected_entropy_loss_is_mean_of_chosen():
     values = [0.2, 0.4, 0.9]
     pool = pool_from_entropies(values)
-    sel = select(pool, PacingSchedule(0.5, 0.0), t=0)
+    sel = select(pool, 0.5)
     loss = selected_entropy_loss(T.constant(rows_with_nll(values)),
                                  sel.chosen, "pseudo_nll")
     assert abs(loss.item() - 0.3) < 1e-12
@@ -278,7 +278,7 @@ def test_selected_entropy_loss_is_mean_of_chosen():
 
 def test_selected_entropy_loss_single_entry():
     pool = pool_from_entropies([0.4])
-    sel = select(pool, PacingSchedule(1.0, 0.0), t=0)
+    sel = select(pool, 1.0)
     loss = selected_entropy_loss(T.constant(rows_with_nll([0.4])),
                                  sel.chosen, "pseudo_nll")
     assert abs(loss.item() - 0.4) < 1e-12
@@ -286,7 +286,7 @@ def test_selected_entropy_loss_single_entry():
 
 def test_selected_entropy_loss_empty_selection_signals_skip():
     pool = pool_from_entropies([0.4, 0.1])
-    sel = select(pool, PacingSchedule(0.0, 1e-4), t=0)
+    sel = select(pool, 0.0)
     assert selected_entropy_loss(T.constant(rows_with_nll([0.4, 0.1])),
                                  sel.chosen) is None
 
@@ -294,7 +294,7 @@ def test_selected_entropy_loss_empty_selection_signals_skip():
 def test_unchosen_entries_get_zero_gradient():
     values = [0.9, 0.1, 0.5, 0.7]
     pool = pool_from_entropies(values)
-    sel = select(pool, PacingSchedule(0.5, 0.0), t=0)
+    sel = select(pool, 0.5)
     leaf = T.parameter(rows_with_nll(values))
     with Tape() as tape:
         loss = selected_entropy_loss(leaf, sel.chosen, "pseudo_nll")

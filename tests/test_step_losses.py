@@ -11,7 +11,7 @@ from smile import checks
 from smile.errors import ContractError
 from smile.losses import decoder_loss, row_entropy, smile_loss
 from smile.recognizer import Decoded
-from smile.self_paced import PacingSchedule, build_pool, replay_plan, select
+from smile.self_paced import build_pool, portion_at, replay_plan, select
 from smile.tensor import Tape
 from smile.trainer import TrainConfig, step_losses, train_with_corpora
 
@@ -73,7 +73,7 @@ def reference(rec, cfg, src_px, src_labels, tgt_px):
         decoded = taped_greedy(rec, tgt_px)
         column = row_entropy(decoded.probs, cfg.entropy_variant)
         pool = build_pool(decoded, cfg.entropy_variant)
-        sel = select(pool, PacingSchedule(cfg.p_init, cfg.p_add), STEP + 1)
+        sel = select(pool, portion_at(cfg.p_init, cfg.p_add, STEP + 1))
         mask = np.zeros((1, len(pool)))
         mask[0, sel.chosen] = 1.0
         l_ent = T.mul(T.matmul(T.constant(mask), column),
@@ -136,7 +136,7 @@ def test_replay_rebuilds_each_chosen_sample_whole(base, small_source,
     src_px, src_labels, tgt_px = batches(small_source, small_target)
     greedy = rec.greedy(tgt_px)
     pool = build_pool(greedy)
-    sel = select(pool, PacingSchedule(0.0, 1e-3), STEP + 1)
+    sel = select(pool, portion_at(0.0, 1e-3, STEP + 1))
     samples, sequences, rows = replay_plan(pool, sel)
     # some replayed sample has an unchosen row after its last chosen one
     chosen = np.sort(sel.chosen)

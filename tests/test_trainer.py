@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from smile import cli, trainer
-from smile.data import (DomainConfig, VocabSpec, generate_corpus,
+from smile.data import (Corpus, DomainConfig, VocabSpec, generate_corpus,
                         make_templates, save_corpus)
 from smile.errors import ContractError, FormatError, NumericalAbort
 from smile.metrics import evaluate
@@ -41,6 +41,12 @@ def test_config_validation():
                 dict(lr=0.0), dict(clip=0.0), dict(eval_every=0),
                 dict(seed=2 ** 64)):
         with pytest.raises(ContractError):
+            TrainConfig(**bad)
+    # P_t = min(p_init + p_add * t, 1) must start in [0, 1] and not shrink
+    for bad, message in ((dict(p_init=-0.1), r"pacing: p_init -0.1 not in"),
+                         (dict(p_init=1.1), r"pacing: p_init 1.1 not in"),
+                         (dict(p_add=-1e-6), r"pacing: p_add -1e-06 not in")):
+        with pytest.raises(ContractError, match=message):
             TrainConfig(**bad)
     TrainConfig()  # defaults are valid
     TrainConfig(seed=2 ** 64 - 1)
@@ -469,7 +475,8 @@ def test_finetune_requires_labeled_target(small_source, small_target, vocab,
                                           templates):
     # finetuning is a base run from a checkpoint on a labeled target corpus
     base, _ = train_with_corpora(quick_cfg(seed=15), source=small_source)
-    with pytest.raises(ContractError, match="fully labeled"):
+    with pytest.raises(ContractError, match="source corpus: 160 of 160 "
+                                            "images are unlabeled"):
         train_with_corpora(quick_cfg(), source=small_target, start=base)
     labeled = generate_corpus(vocab, templates, 40, (1, 3), seed=45,
                               domain_cfg=DomainConfig(seed=90, **SMALL_SHIFT))
@@ -486,8 +493,72 @@ def test_vocab_mismatch_rejected(small_source):
     arch = ArchSpec(K=other.K, l_max=3)
     params = {n: t.data.copy() for n, t in init_params(arch, 0).items()}
     alien = Checkpoint(other, arch, params, {}, 0)
-    with pytest.raises(ContractError, match="vocab"):
+    with pytest.raises(ContractError, match="^source corpus: vocab 'ABCD' "
+                                            "differs from the model's 'XY'$"):
         train_with_corpora(quick_cfg(), source=small_source, start=alien)
+    # a target or test corpus is held to the model's vocab the same way
+    stranger = generate_corpus(other, make_templates(other, seed=5), 20,
+                               (1, 3), seed=47)
+    base, _ = train_with_corpora(quick_cfg(steps=1), source=small_source)
+    with pytest.raises(ContractError, match="^test corpus: vocab 'XY' "
+                                            "differs from the model's 'ABCD'$"):
+        train_with_corpora(quick_cfg(), source=small_source, test=stranger)
+    with pytest.raises(ContractError, match="^target corpus: vocab 'XY' "
+                                            "differs from the model's 'ABCD'$"):
+        train_with_corpora(quick_cfg(mode="smile"), source=small_source,
+                           target=stranger, start=base)
+
+
+def test_every_corpus_is_checked_before_any_step(monkeypatch, small_source,
+                                                 small_target):
+    # an unlabeled test corpus cannot be scored: it is refused up front, not
+    # at the first evaluation
+    base, _ = train_with_corpora(quick_cfg(seed=19), source=small_source)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step ran before the corpora were checked")
+
+    monkeypatch.setattr(trainer, "step_losses", never)
+    message = "^test corpus: 160 of 160 images are unlabeled$"
+    with pytest.raises(ContractError, match=message):
+        train_with_corpora(quick_cfg(steps=300, eval_every=200),
+                           source=small_source, test=small_target)
+    with pytest.raises(ContractError, match=message):
+        train_with_corpora(quick_cfg(mode="smile"), source=small_source,
+                           target=small_target, test=small_target, start=base)
+
+
+def test_sweep_checks_the_test_corpus_before_any_cell(monkeypatch,
+                                                      small_source,
+                                                      small_target):
+    base, _ = train_with_corpora(quick_cfg(seed=20), source=small_source)
+    cells = [{"p_init": 0.0, "p_add": 1e-4}]
+    with pytest.raises(ContractError,
+                       match="smile requires a starting checkpoint"):
+        sweep(cells, quick_cfg(mode="smile"), small_source, small_target,
+              small_target, None)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a cell trained before the test corpus was "
+                             "checked")
+
+    monkeypatch.setattr(trainer, "train_with_corpora", never)
+    with pytest.raises(ContractError, match="^test corpus: 160 of 160 images "
+                                            "are unlabeled"):
+        sweep(cells, quick_cfg(mode="smile"), small_source, small_target,
+              small_target, base)
+
+
+def test_source_narrower_than_a_glyph_names_its_size(vocab):
+    # a fresh model reads l_max off the source width, so an 8x4 source must
+    # be refused for its shape before that width becomes an l_max of 0
+    narrow = Corpus(vocab, np.zeros((4, 8, 4), dtype=np.uint8), [(0,)] * 4,
+                    np.zeros(4, dtype=np.uint8))
+    with pytest.raises(ContractError, match=r"^source corpus: images are 8x4 "
+                                            r"px; the model reads lines 8 px "
+                                            r"high and a multiple of 8 px "
+                                            r"wide$"):
+        train_with_corpora(TrainConfig(steps=1), source=narrow)
 
 
 def test_corpus_wider_than_l_max_rejected(small_source, small_target,
