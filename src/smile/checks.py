@@ -179,11 +179,14 @@ def _op_cases(rng: np.random.Generator):
                                      (2, 2), (2, 1), (3, 6), (1, 6), (2, 6))]
     leaves = dict(zip(("keys", "feats", "E", "h", "W_q", "v", "W", "b", "U"),
                       args))
+    lengths = None
     if rng.integers(2):
         args[3] = T.constant(leaves.pop("h").data)
+        lengths = (1, 2)  # sample 0 stops after one step: a reorder
     w42 = rng.standard_normal((4, 2))
-    yield "attn_gru", (lambda args=args, ids=ids, w42=w42: _weighted_sum(
-        T.attn_gru(*args[:3], ids, *args[3:]), w42)), \
+    yield "attn_gru", (lambda args=args, ids=ids, w42=w42, lengths=lengths:
+                       _weighted_sum(T.attn_gru(*args[:3], ids, *args[3:],
+                                                lengths=lengths), w42)), \
         leaves, {n: 1 + (t.data.size > 8) for n, t in leaves.items()}
 
     # a deep chain so composition of backward rules is covered

@@ -16,6 +16,7 @@ or a slice into float64 images only when they are drawn.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -336,20 +337,41 @@ def save_corpus(corpus: Corpus, path: str):
         raise ContractError(f"save_corpus: {corpus.vocab.n_chars} characters "
                             "do not fit the u8 label field (at most 256)")
     n, h, w = corpus.codes.shape
-    parts = [MAGIC, struct.pack("<IIII", VERSION, h, w, n),
-             vocab_block(corpus.vocab)]
-    for i, (tag, label, codes) in enumerate(
-            zip(corpus.domain, corpus.labels, corpus.codes)):
-        label = label or ()
-        if len(label) > MAX_LABEL:
-            raise ContractError("save_corpus: label too long for format")
-        if label and (min(label) < 0 or max(label) >= corpus.vocab.n_chars):
-            raise ContractError(
-                f"save_corpus: record {i} label {label} out of vocab")
-        parts.append(struct.pack("<BB", tag, len(label)))
-        parts.append(bytes(label))
-        parts.append(codes.tobytes())
-    write_atomic(path, b"".join(parts))
+    labels = [label or () for label in corpus.labels]
+    lengths = np.fromiter(map(len, labels), dtype=np.intp, count=n)
+    chars = np.fromiter(itertools.chain.from_iterable(labels),
+                        dtype=np.float64, count=int(lengths.sum()))
+    # refuse the first record a record-by-record check would: a label too
+    # long, else one with a character that is no index into the vocab
+    starts = np.cumsum(lengths) - lengths
+    bad = ((chars < 0) | (chars >= corpus.vocab.n_chars)
+           | (np.round(chars) != chars)).nonzero()[0]
+    first = min([*np.flatnonzero(lengths > MAX_LABEL)[:1],
+                 *np.searchsorted(starts, bad[:1], side="right") - 1],
+                default=n)
+    if first < n and lengths[first] > MAX_LABEL:
+        raise ContractError("save_corpus: label too long for format")
+    if first < n:
+        raise ContractError(
+            f"save_corpus: record {first} label {labels[first]} out of vocab")
+    # one row per record, its tag, length and label right-aligned before
+    # the pixels, so dropping each row's leading pad leaves the records
+    longest = int(lengths.max())
+    pad = longest - lengths
+    head = 2 + longest
+    rows = np.empty((n, head + h * w), dtype=np.uint8)
+    rows[:, head:] = corpus.codes.reshape(n, -1)
+    at = np.arange(n)
+    rows[at, pad] = corpus.domain
+    rows[at, pad + 1] = lengths
+    rows[np.repeat(at, lengths),
+         np.arange(len(chars)) + np.repeat(pad + 2 - starts, lengths)] = chars
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, :longest] = np.arange(longest) >= pad[:, None]
+    records = rows[keep]
+    del rows, keep  # freed before the join copies the records once more
+    write_atomic(path, b"".join([MAGIC, struct.pack("<IIII", VERSION, h, w, n),
+                                 vocab_block(corpus.vocab), records]))
 
 
 def load_corpus(path: str) -> Corpus:

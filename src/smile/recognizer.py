@@ -13,15 +13,16 @@ fuse_gates and split_gates convert at that boundary.  The decoder runs as
 tensor.attn_gru nodes over the [B, T, a] keys and [B, T, h] features.  A
 decode is a token sequence per sample: row t is fed token t-1 (GO at t = 0)
 and labelled with token t.  Teacher forcing is given its tokens, runs
-every step in one attn_gru node and projects every hidden state with one
-taped output head (matmul, bias add, softmax).  Greedy is forward-only: it
-runs one node per step, feeds back the restricted argmax of that step's
-logits and drops a sample once it emits EOS, indexing the live rows of the
-state and the encoding; the softmax of the same logits is its block.  Each
-decode returns a sample-major Decoded block, indexed by its emitted rows
-and labelled by the tokens: teacher forcing's keeps the padded steps of
-its shorter sequences, greedy's holds only emitted rows.  Iterating a
-Decoded gives per-sample DecoderOutputs.
+every step in one attn_gru node, each sample only for its own steps, and
+projects every hidden state with one taped output head (matmul, bias add,
+softmax).  Greedy is forward-only: it runs one node per step, feeds back
+the restricted argmax of that step's logits and drops a sample once it
+emits EOS, indexing the live rows of the state and the encoding; the
+softmax of the same logits is its block.  Each decode returns a
+sample-major Decoded block, indexed by its emitted rows and labelled by
+the tokens: teacher forcing's keeps a row for each step past a shorter
+sequence's end, read from a zero state, greedy's holds only emitted rows.
+Iterating a Decoded gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -141,8 +142,9 @@ def check_corpus(corpus: Corpus, vocab: VocabSpec, l_max: int, what: str,
                  labeled: bool = True):
     """Refuse a corpus of another vocab, unlabeled records where labels are
     needed, lines encode cannot take (not GLYPH_H px high or a multiple of
-    STRIP_W px wide), or lines of more than l_max characters, since greedy
-    stops after l_max+1 steps, so longer words never match."""
+    STRIP_W px wide), lines of more than MAX_LABEL characters, which no
+    model decodes, or of more than l_max, since greedy stops after l_max+1
+    steps, so longer words never match."""
     if corpus.vocab != vocab:
         raise ContractError(f"{what}: vocab {corpus.vocab.characters!r} "
                             f"differs from the model's {vocab.characters!r}")
@@ -154,6 +156,10 @@ def check_corpus(corpus: Corpus, vocab: VocabSpec, l_max: int, what: str,
         raise ContractError(
             f"{what}: images are {height}x{width} px; the model reads lines "
             f"{GLYPH_H} px high and a multiple of {STRIP_W} px wide")
+    if width // STRIP_W > MAX_LABEL:
+        raise ContractError(
+            f"{what}: images are {width} px wide ({width // STRIP_W} "
+            f"characters), more than the {MAX_LABEL} a label can hold")
     if width // STRIP_W > l_max:
         raise ContractError(
             f"{what}: images are {width} px wide ({width // STRIP_W} "
@@ -177,8 +183,9 @@ class DecoderOutput:
 class Decoded:
     """A batch's decode: the output head's rows, sample by sample, where
     each sample's emitted rows sit in them, and the tokens that label them.
-    Teacher forcing keeps every step of every sample, padded ones included;
-    greedy keeps only emitted rows, so its rows are arange(S)."""
+    Teacher forcing keeps every step of every sample, those past a shorter
+    sample's end included; greedy keeps only emitted rows, so its rows are
+    arange(S)."""
 
     probs: Tensor                       # [S, K] softmax rows, each sums to 1
     rows: np.ndarray                    # [N] emitted rows of probs, sample-major
@@ -256,8 +263,9 @@ class Recognizer:
                        labels: list[tuple[int, ...]], replay=()) -> Decoded:
         """Token-fed decode of label + (EOS,) per sample: step 0 is fed GO
         and step t > 0 token t-1, so sample b emits len(label_b)+1 rows, row
-        t labelled with token t.  Samples shorter than the batch maximum are
-        padded with PAD inputs and their extra rows dropped.
+        t labelled with token t.  A sample shorter than the batch maximum runs
+        only its own steps; its rows past them hold the softmax of out/b (a
+        zero state) and are left out of the Decoded's rows.
 
         replay's (pixels, sequences) parts join the batch unchecked: each
         sequence is a greedy decode's whole output, fed back to rebuild its
@@ -301,13 +309,14 @@ class Recognizer:
         lengths = np.array([len(seq) for seq in tokens])
         emitted = np.arange(lengths.max()) < lengths[:, None]
         # fed[b, t] is the token sample b reads at step t: GO, then its own
-        # tokens, PAD past its end
+        # tokens, PAD past its end, where attn_gru runs it no further
         fed = np.full(emitted.shape, self.vocab.PAD)
         fed[emitted] = np.fromiter(itertools.chain.from_iterable(
             (self.vocab.GO, *seq[:-1]) for seq in tokens), dtype=int)
         h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], fed,
                        T.zeros((batch, self.arch.dec_hidden)), p["attn/W_dec"],
-                       p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"])
+                       p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"],
+                       lengths=lengths)
         logits = T.add(T.matmul(h, p["out/W"]), p["out/b"])
         return Decoded(T.softmax(logits), np.flatnonzero(emitted),
                        list(tokens))

@@ -9,9 +9,12 @@ stretched axis; matmul takes a [B, n] or [B, T, n] left operand, and
 gather_rows picks rows or entries of a rank-2 table.  gru_cell and attn_gru
 are fused recurrent primitives with analytic backward rules, sharing one
 GRU step: gru_cell runs a GRU over a whole [B, T, 3H] sequence, first to
-last, and attn_gru runs T attention-fed decoder steps from token ids, each
-as one node whose backward is BPTT, in place of the 12-20 elementary nodes
-a step takes.
+last, and attn_gru runs T attention-fed decoder steps from token ids (with
+lengths, each sample only for its own steps), each as one node whose
+backward is BPTT, in place of the 12-20 elementary nodes a step takes.  A
+run keeps its steps in time-major [T, B, .] buffers, so backward computes
+the factors that do not depend on the incoming gradient once per run and
+sums the weight gradients after its step loop.
 """
 
 from __future__ import annotations
@@ -231,9 +234,10 @@ def tanh(a: Tensor) -> Tensor:
     return _track(out, (a,), back)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-x)) in one buffer; capping -x at EXP_CEIL keeps exp finite
-    y = np.maximum(x, -EXP_CEIL)
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # 1 / (1 + exp(-x)) in one buffer (out, if given); capping -x at
+    # EXP_CEIL keeps exp finite
+    y = np.maximum(x, -EXP_CEIL, out=out)
     np.negative(y, out=y)
     np.exp(y, out=y)
     y += 1.0
@@ -444,34 +448,76 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused recurrent ops: one tape node for a whole GRU or attention decoder run
 
-def _gru_step(xw: np.ndarray, h: np.ndarray, u: np.ndarray, out: np.ndarray):
-    """One GRU step of xw [B, 3H] from h [B, H] into out; returns the
-    record _gru_step_back reads."""
-    hid = h.shape[1]
-    zr = _sigmoid(xw[:, :2 * hid] + h @ u[:, :2 * hid])
-    z, r = zr[:, :hid], zr[:, hid:]
-    rh = r * h
-    n = np.tanh(xw[:, 2 * hid:] + rh @ u[:, 2 * hid:])
-    np.add(n, z * (h - n), out=out)
-    return h, z, r, rh, n
-
-
-def _gru_step_back(g: np.ndarray, saved, U: Tensor, carry: bool):
-    """Backward of a _gru_step from the gradient g at its output: adds U's
-    share and returns the gradients at the pre-activations [B, 3H] and,
-    with carry, at the state it read."""
-    h, z, r, rh, n = saved
-    hid, ud = h.shape[1], U.data
+def _gru_step_back(g: np.ndarray, f, ut: np.ndarray, d: np.ndarray,
+                   carry: bool):
+    """Backward of one GRU step from the gradient g [m, H] at its output,
+    given that step's rows f of _GruRun.factors and U's transpose ut
+    [3H, H], contiguous so each product reads whole rows: writes the
+    gradients at its pre-activations into d [m, 3H] and returns, with
+    carry, the gradient at the state it read."""
+    z, r, dn, dz, dr = f
+    hid = g.shape[1]
     two = 2 * hid
-    d = np.empty((h.shape[0], 3 * hid))
-    d[:, two:] = g * (1.0 - z) * (1.0 - n * n)
-    drh = d[:, two:] @ ud[:, two:].T
-    d[:, :hid] = g * (h - n) * z * (1.0 - z)
-    d[:, hid:two] = drh * h * r * (1.0 - r)
-    if U.requires_grad:
-        U.grad[:, :two] += h.T @ d[:, :two]
-        U.grad[:, two:] += rh.T @ d[:, two:]
-    return d, (g * z + drh * r + d[:, :two] @ ud[:, :two].T) if carry else None
+    np.multiply(g, dn, out=d[:, two:])
+    drh = d[:, two:] @ ut[two:]
+    np.multiply(g, dz, out=d[:, :hid])
+    np.multiply(drh, dr, out=d[:, hid:two])
+    return (g * z + drh * r + d[:, :two] @ ut[:two]) if carry else None
+
+
+class _GruRun:
+    """A GRU run's time-major buffers: step t's gates z | r [T, B, 2H], r * h
+    and candidate n [T, B, H], and the states [T + 1, B, H], the initial one
+    first, so step t reads states[t] and writes states[t + 1].  A step runs
+    the first m samples; the rest of its rows keep what alloc left there."""
+
+    __slots__ = ("zr", "rh", "n", "states")
+
+    def __init__(self, steps: int, h: np.ndarray, alloc):
+        batch, hid = h.shape
+        self.zr = alloc((steps, batch, 2 * hid))
+        self.rh = alloc((steps, batch, hid))
+        self.n = alloc((steps, batch, hid))
+        self.states = alloc((steps + 1, batch, hid))
+        self.states[0] = h
+
+    def step(self, t: int, m: int, xw: np.ndarray, u: np.ndarray):
+        """Step t of the first m samples from their input projections xw
+        [m, 3H]: z, r = sigmoid(xw_zr + h @ U_zr), n = tanh(xw_n + (r * h)
+        @ U_n) and h' = (1 - z) * n + z * h."""
+        hid = self.n.shape[2]
+        h, zr, rh, n = (self.states[t, :m], self.zr[t, :m], self.rh[t, :m],
+                        self.n[t, :m])
+        pre = h @ u[:, :2 * hid]
+        pre += xw[:, :2 * hid]
+        _sigmoid(pre, out=zr)
+        np.multiply(zr[:, hid:], h, out=rh)
+        pre = rh @ u[:, 2 * hid:]
+        pre += xw[:, 2 * hid:]
+        np.tanh(pre, out=n)
+        out = self.states[t + 1, :m]
+        np.subtract(h, n, out=out)
+        out *= zr[:, :hid]
+        out += n
+
+    def factors(self) -> tuple[np.ndarray, ...]:
+        """The backward factors of every step, computed once for the run:
+        z, r, (1 - z)(1 - n^2), (h - n) z (1 - z) and h r (1 - r)."""
+        hid = self.n.shape[2]
+        z, r = self.zr[..., :hid], self.zr[..., hid:]
+        h, n = self.states[:-1], self.n
+        return (z, r, (1.0 - z) * (1.0 - n * n), (h - n) * (z * (1.0 - z)),
+                h * (r * (1.0 - r)))
+
+    def u_grad(self, U: Tensor, d: np.ndarray):
+        """Add U's share of the run's pre-activation gradients d [T, B, 3H]."""
+        if U.requires_grad:
+            hid = self.n.shape[2]
+            two = 2 * hid
+            U.grad[:, :two] += (self.states[:-1].reshape(-1, hid).T
+                                @ d[..., :two].reshape(-1, two))
+            U.grad[:, two:] += (self.rh.reshape(-1, hid).T
+                                @ d[..., two:].reshape(-1, hid))
 
 
 def gru_cell(xw: Tensor, h: Tensor, U: Tensor) -> Tensor:
@@ -490,29 +536,31 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor) -> Tensor:
         raise DimensionError(
             f"gru_cell: need xw [B, T, 3H] with T >= 1, h [B, H] and "
             f"U [H, 3H]; got {xw.shape}, {h.shape}, {U.shape}")
-    states = np.empty((*xw.shape[:2], h.shape[1]))
-    saved, hd = [], h.data  # each step's _gru_step record
-    for t in range(xw.shape[1]):
-        saved.append(_gru_step(xw.data[:, t], hd, U.data, states[:, t]))
-        hd = states[:, t]
-    out = Tensor(states)
+    batch, steps, three = xw.shape
+    run = _GruRun(steps, h.data, np.empty)
+    for t in range(steps):
+        run.step(t, batch, xw.data[:, t], U.data)
+    out = Tensor(run.states[1:].transpose(1, 0, 2))
 
     def back():
+        f, ut = run.factors(), U.data.T.copy()
+        d = np.empty((steps, batch, three))  # at the pre-activations
         dh = 0.0  # gradient reaching the state the later step read
-        for t in reversed(range(len(saved))):
-            d, dh = _gru_step_back(out.grad[:, t] + dh, saved[t], U,
-                                   t > 0 or h.requires_grad)
-            if xw.requires_grad:
-                xw.grad[:, t] += d
+        for t in reversed(range(steps)):
+            dh = _gru_step_back(out.grad[:, t] + dh, [x[t] for x in f], ut,
+                                d[t], t > 0 or h.requires_grad)
+        if xw.requires_grad:
+            xw.grad += d.transpose(1, 0, 2)
         if h.requires_grad:
             h.grad += dh
+        run.u_grad(U, d)
 
     return _track(out, (xw, h, U), back)
 
 
 def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
-             W_q: Tensor, v: Tensor, W: Tensor, b: Tensor,
-             U: Tensor) -> Tensor:
+             W_q: Tensor, v: Tensor, W: Tensor, b: Tensor, U: Tensor,
+             lengths=None) -> Tensor:
     """T steps of a GRU decoder fed additive attention (Bahdanau et al.
     2015) as one node, whose backward is BPTT through the attention reads.
 
@@ -521,6 +569,11 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
     h @ W_q) @ v, and runs a gru_cell step (U [H, 3H]) on [c ++ E[ids_t]]
     @ W + b from the last state h ([B, H] at first).  ids [B, T] are the
     fed tokens ([B] for one step); the states come sample-major, [B*T, H].
+
+    lengths [B], each in [1, T], runs sample b only for its first
+    lengths[b] steps: its later states are zero and take no gradient.  The
+    node orders the samples longest first, so each step runs a leading
+    slice of them, and returns states and gradients in the caller's order.
     """
     ids = np.asarray(ids, dtype=np.intp)
     shapes = [x.shape for x in (keys, feats, E, h, W_q, v, W, b, U)]
@@ -542,56 +595,91 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
         raise IndexRangeError(
             f"attn_gru: token {bad[0]} out of range [0, {k})")
     grid = ids.reshape(batch, -1)
-    steps, wc, we, wq = grid.shape[1], W.data[:f], W.data[f:], W_q.data
-    fed = (E.data @ we + b.data)[grid]  # each token's E @ W[f:] + b
-    states = np.empty((batch, steps, hid))
-    saved, hd = [], h.data  # each step's energy, alpha, context, GRU record
-    for t in range(steps):
-        energy = np.tanh(keys.data + (hd @ wq)[:, None, :])
-        scores = (energy.reshape(-1, attn) @ v.data).reshape(batch, src)
-        alpha = np.exp(scores - scores.max(axis=1, keepdims=True))
-        alpha /= alpha.sum(axis=1, keepdims=True)
-        ctx = (alpha[:, None] @ feats.data)[:, 0]
-        saved.append((energy, alpha, ctx, _gru_step(
-            ctx @ wc + fed[:, t], hd, U.data, states[:, t])))
-        hd = states[:, t]
-    out = Tensor(states.reshape(-1, hid))
+    steps = grid.shape[1]
+    kd, fd, h0, order = keys.data, feats.data, h.data, None
+    live = [batch] * steps  # samples each step runs, a leading slice
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (batch,):
+            raise DimensionError(
+                f"attn_gru: need lengths [B] = ({batch},), got "
+                f"{lengths.shape}")
+        if (lengths.dtype.kind not in "iu" or lengths.min() < 1
+                or lengths.max() > steps):
+            raise ContractError(f"attn_gru: lengths {lengths.tolist()} are "
+                                f"not all integers in [1, {steps}]")
+        order = np.argsort(-lengths, kind="stable")
+        caller = np.argsort(order)  # caller[b]: where sample b sits in order
+        kd, fd, h0, grid = kd[order], fd[order], h0[order], grid[order]
+        live = (lengths[:, None] > np.arange(steps)).sum(axis=0).tolist()
+
+    def unsort(x: np.ndarray) -> np.ndarray:
+        return x if order is None else x[caller]
+
+    # dead rows are zero, so the whole-run factors and sums stay finite
+    alloc = np.empty if live[-1] == batch else np.zeros
+    wc, we, wq, vd = W.data[:f], W.data[f:], W_q.data, v.data
+    fed = (E.data @ we + b.data)[grid.T]  # [T, B, 3H]: E[ids] @ W[f:] + b
+    run = _GruRun(steps, h0, alloc)
+    energy = alloc((steps, batch, src, attn))
+    alpha = alloc((steps, batch, src))
+    ctx = alloc((steps, batch, f))
+    for t, m in enumerate(live):
+        hd, en, al, cx = (run.states[t, :m], energy[t, :m], alpha[t, :m],
+                          ctx[t, :m])
+        np.add(kd[:m], (hd @ wq)[:, None, :], out=en)
+        np.tanh(en, out=en)
+        scores = (en.reshape(-1, attn) @ vd).reshape(m, src)
+        np.exp(scores - scores.max(axis=1, keepdims=True), out=al)
+        al /= al.sum(axis=1, keepdims=True)
+        np.matmul(al[:, None], fd[:m], out=cx[:, None])
+        xw = cx @ wc
+        xw += fed[t, :m]
+        run.step(t, m, xw, U.data)
+    out = Tensor(unsort(run.states[1:].transpose(1, 0, 2)).reshape(-1, hid))
 
     def back():
-        gs = out.grad.reshape(states.shape)
-        d = np.empty((batch, steps, 3 * hid))  # at the GRU pre-activations
-        dq = np.empty((batch, steps, attn))    # at the attention queries
-        d_ctx = np.empty((batch, steps, f))
-        dh = 0.0  # gradient reaching the state the later step read
+        gs = out.grad.reshape(batch, steps, hid)
+        gs = (gs if order is None else gs[order]).transpose(1, 0, 2)
+        f_gru, ut = run.factors(), U.data.T.copy()
+        wct, wqt = wc.T.copy(), wq.T.copy()  # contiguous, as ut
+        v_e = vd[:, 0] * (1.0 - energy * energy)  # d score / d (keys + q)
+        d = alloc((steps, batch, 3 * hid))       # at the GRU pre-activations
+        d_ctx = alloc((steps, batch, f))
+        d_scores = alloc((steps, batch, src))
+        dq = alloc((steps, batch, attn))         # at the attention queries
+        dh = np.zeros((batch, hid))  # gradient at the state step t+1 read
         for t in reversed(range(steps)):
-            energy, alpha, _, step = saved[t]
+            m = live[t]
             carry = t > 0 or h.requires_grad
-            d[:, t], dh = _gru_step_back(gs[:, t] + dh, step, U, carry)
-            d_ctx[:, t] = d[:, t] @ wc.T
-            d_alpha = (feats.data @ d_ctx[:, t, :, None])[:, :, 0]
-            d_scores = alpha * (d_alpha
-                                - (d_alpha * alpha).sum(axis=1, keepdims=True))
-            if v.requires_grad:
-                v.grad += energy.reshape(-1, attn).T @ d_scores.reshape(-1, 1)
-            d_energy = (d_scores[:, :, None] * v.data[:, 0]
-                        * (1.0 - energy * energy))
-            if keys.requires_grad:
-                keys.grad += d_energy
-            dq[:, t] = d_energy.sum(axis=1)
+            dg = _gru_step_back(gs[t, :m] + dh[:m], [x[t, :m] for x in f_gru],
+                                ut, d[t, :m], carry)
+            dc, al, ds = d_ctx[t, :m], alpha[t, :m], d_scores[t, :m]
+            np.matmul(d[t, :m], wct, out=dc)
+            d_alpha = (fd[:m] @ dc[:, :, None])[:, :, 0]
+            np.multiply(al, d_alpha - (d_alpha * al).sum(1, keepdims=True),
+                        out=ds)
+            dq[t, :m] = (ds[:, None] @ v_e[t, :m])[:, 0]
             if carry:
-                dh += dq[:, t] @ wq.T
+                dg += dq[t, :m] @ wqt
+                dh[:m] = dg
         if h.requires_grad:
-            h.grad += dh
+            h.grad += unsort(dh)
+        if keys.requires_grad:
+            keys.grad += unsort((d_scores[..., None] * v_e).sum(axis=0))
+        if v.requires_grad:
+            v.grad += energy.reshape(-1, attn).T @ d_scores.reshape(-1, 1)
         if feats.requires_grad:  # alpha [B, S, T] @ d_ctx [B, T, f]
-            feats.grad += np.stack([step[1] for step in saved], axis=2) @ d_ctx
+            feats.grad += unsort(alpha.transpose(1, 2, 0)
+                                 @ d_ctx.transpose(1, 0, 2))
         if W_q.requires_grad:
-            prev = np.concatenate([h.data[:, None], states[:, :-1]], axis=1)
-            W_q.grad += prev.reshape(-1, hid).T @ dq.reshape(-1, attn)
+            W_q.grad += (run.states[:-1].reshape(-1, hid).T
+                         @ dq.reshape(-1, attn))
+        run.u_grad(U, d)
         d = d.reshape(-1, 3 * hid)
-        d_fed = np.eye(k)[grid.reshape(-1)].T @ d  # scattered by a one-hot
+        d_fed = np.eye(k)[grid.T.reshape(-1)].T @ d  # scattered by a one-hot
         if W.requires_grad:
-            ctx = np.stack([step[2] for step in saved], axis=1).reshape(-1, f)
-            W.grad[:f] += ctx.T @ d
+            W.grad[:f] += ctx.reshape(-1, f).T @ d
             W.grad[f:] += E.data.T @ d_fed
         if b.requires_grad:
             b.grad += d_fed.sum(axis=0, keepdims=True)

@@ -590,6 +590,25 @@ def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
         assert not path.exists()
 
 
+def test_save_refuses_the_first_bad_record(tmp_path):
+    # the whole-corpus check names the record a record-by-record walk meets
+    # first: a label too long before its characters, unlabeled ones skipped;
+    # a fractional character is no index, not one rounded down
+    two = VocabSpec("AB")
+    path = tmp_path / "bad_label.smcp"
+    long, bad = (0,) * 256, (1, -1)
+    for labels, want in (
+            ([None, (0,), bad, long], r"record 2 label \(1, -1\) "),
+            ([(1,), long, bad, None], "label too long"),
+            ([None, long + (5,), bad, (0,)], "label too long"),
+            ([(0, 1), None, (1, 2), (7,)], r"record 2 label \(1, 2\) "),
+            ([(1,), (0, 0.5), long, None], r"record 1 label \(0, 0.5\) ")):
+        with pytest.raises(ContractError, match=f"^save_corpus: {want}"):
+            save_corpus(Corpus(two, np.zeros((4, 8, 8), dtype=np.uint8),
+                               labels, np.zeros(4, dtype=np.uint8)), str(path))
+        assert not path.exists()
+
+
 def test_zero_size_images_are_refused(tmp_path, vocab):
     path = tmp_path / "empty_images.smcp"
     with pytest.raises(ContractError, match="height and width"):

@@ -307,6 +307,39 @@ def test_two_width_decode_equals_separate_decodes(rec):
     assert decoder_loss(joined).item() == pytest.approx(want, rel=1e-14)
 
 
+def test_teacher_forced_runs_only_live_rows(rec, monkeypatch):
+    # a mixed-length batch runs each sample for its own steps; its loss and
+    # parameter gradients are those of decoding every sample to the longest
+    px = some_pixels(4, 3, seed=12)
+    labels = [(1,), (0, 2, 3), (2, 1), (3,)]
+    fused = T.attn_gru
+
+    def losses_and_grads():
+        for p in rec.params.values():
+            p.zero_grad()
+        with Tape() as tape:
+            decoded = rec.teacher_forced(px, labels)
+            loss = decoder_loss(decoded)
+            tape.backward(loss)
+        return decoded, loss.item(), {n: p.grad.copy()
+                                      for n, p in rec.params.items()}
+
+    decoded, live, live_grads = losses_and_grads()
+    # a step past a sample's end leaves a zero state, read as softmax(out/b)
+    past = np.setdiff1d(np.arange(16), decoded.rows)
+    assert past.tolist() == [2, 3, 11, 14, 15]
+    bias = np.exp(rec.params["out/b"].data)
+    assert np.allclose(decoded.probs.data[past], bias / bias.sum(),
+                       rtol=0, atol=1e-15)
+    monkeypatch.setattr(T, "attn_gru",
+                        lambda *args, lengths=None: fused(*args))
+    _, padded, padded_grads = losses_and_grads()
+    assert live == pytest.approx(padded, rel=0, abs=1e-12)
+    for name, grad in padded_grads.items():
+        assert np.any(grad != 0), name
+        assert np.allclose(live_grads[name], grad, rtol=0, atol=1e-12), name
+
+
 def test_teacher_forced_records_one_decoder_node(rec):
     # every decoder step runs in one attn_gru node and the output head runs
     # once per decode, so the tape does not grow with the label length

@@ -441,6 +441,69 @@ def test_attn_gru_one_step_equals_a_length_one_sequence(rng):
         assert np.array_equal(one, sequence)
 
 
+def sample_of(t, b):
+    """Sample b of a rank-3 tensor, as a gather of its flattened rows."""
+    batch, *rest = t.shape
+    flat = T.reshape(t, (batch, int(np.prod(rest))))
+    return T.reshape(T.gather_rows(flat, [b]), (1, *rest))
+
+
+def test_attn_gru_lengths_run_each_sample_for_its_own_steps(rng):
+    # unsorted lengths force a reorder; each sample must read as the
+    # composite run on its own prefix alone, zero rows after it
+    ids = np.array([[1, 0, 3], [2, 1, 1], [3, 3, 0]])
+    lengths = (2, 3, 1)
+    shapes = [((3, *s[1:]) if i in (0, 1, 3) else s)
+              for i, s in enumerate(ATTN_GRU_SHAPES)]
+    leaves = [T.parameter(rng.normal(size=s)) for s in shapes]
+
+    def op(*args):
+        return T.attn_gru(*args[:3], ids, *args[3:], lengths=lengths)
+
+    def ref(keys, feats, E, h, *rest):
+        parts = []
+        for b, n in enumerate(lengths):
+            own = [sample_of(keys, b), sample_of(feats, b), E,
+                   T.gather_rows(h, [b]), *rest]
+            parts.append(attn_gru_reference(ids[b:b + 1, :n])(*own))
+            if n < ids.shape[1]:
+                parts.append(T.constant(np.zeros((ids.shape[1] - n, 2))))
+        return T.concat(parts, axis=0)
+
+    out = op(*leaves).data.reshape(3, 3, 2)
+    for b, n in enumerate(lengths):
+        assert np.all(out[b, n:] == 0.0) and np.all(out[b, :n] != 0.0)
+    check_against_reference(rng, op, ref, leaves)
+
+
+def test_attn_gru_full_lengths_equal_no_lengths_bitwise(rng):
+    ids = np.array([[1, 0, 3], [2, 1, 1]])
+    leaves = [T.parameter(rng.normal(size=s)) for s in ATTN_GRU_SHAPES]
+    w = rng.normal(size=(6, 2))
+    runs = []
+    for lengths in (None, np.array([3, 3])):
+        for leaf in leaves:
+            leaf.zero_grad()
+        with Tape() as tape:
+            out = T.attn_gru(*leaves[:3], ids, *leaves[3:], lengths=lengths)
+            tape.backward(T.reduce_sum(T.mul(out, T.constant(w))))
+        runs.append([out.data] + [leaf.grad.copy() for leaf in leaves])
+    for plain, full in zip(*runs):
+        assert np.array_equal(plain, full)
+
+
+def test_attn_gru_rejects_bad_lengths():
+    args = [T.constant(np.zeros(s)) for s in ATTN_GRU_SHAPES]
+    ids = np.array([[1, 0], [2, 1]])
+    for lengths, err, text in (((2,), DimensionError, r"lengths \[B\]"),
+                               (((1, 2),), DimensionError, r"lengths \[B\]"),
+                               ((2, 0), ContractError, r"in \[1, 2\]"),
+                               ((3, 1), ContractError, r"in \[1, 2\]"),
+                               ((1.0, 2.0), ContractError, "integers")):
+        with pytest.raises(err, match=f"attn_gru: .*{text}"):
+            T.attn_gru(*args[:3], ids, *args[3:], lengths=lengths)
+
+
 def test_gru_cell_large_preactivations_finite(rng):
     # |pre-activation| ~ 1e3 on both signs must neither overflow nor warn,
     # over T = 3 steps so saturated gates carry gradient between steps

@@ -561,6 +561,18 @@ def test_source_narrower_than_a_glyph_names_its_size(vocab):
         train_with_corpora(TrainConfig(steps=1), source=narrow)
 
 
+def test_source_wider_than_a_label_names_the_corpus(vocab):
+    # 2 048 px is 256 characters, one more than a label holds, so a fresh
+    # model must not be sized from it
+    wide = Corpus(vocab, np.zeros((2, 8, 2048), dtype=np.uint8), [(0,)] * 2,
+                  np.zeros(2, dtype=np.uint8))
+    with pytest.raises(ContractError, match=r"^source corpus: images are "
+                                            r"2048 px wide \(256 characters"
+                                            r"\), more than the 255 a label "
+                                            r"can hold$"):
+        train_with_corpora(TrainConfig(steps=1), source=wide)
+
+
 def test_corpus_wider_than_l_max_rejected(small_source, small_target,
                                           small_test, vocab, templates):
     # the small corpora are 24 px wide: three characters
