@@ -184,9 +184,10 @@ def _op_cases(rng: np.random.Generator):
         args[3] = T.constant(leaves.pop("h").data)
         lengths = (1, 2)  # sample 0 stops after one step: a reorder
     w42 = rng.standard_normal((4, 2))
-    yield "attn_gru", (lambda args=args, ids=ids, w42=w42, lengths=lengths:
+    w = w42 if lengths is None else w42[[0, 2, 3]]  # (0, 0), (1, 0), (1, 1)
+    yield "attn_gru", (lambda args=args, ids=ids, w=w, lengths=lengths:
                        _weighted_sum(T.attn_gru(*args[:3], ids, *args[3:],
-                                                lengths=lengths), w42)), \
+                                                lengths=lengths), w)), \
         leaves, {n: 1 + (t.data.size > 8) for n, t in leaves.items()}
 
     # a deep chain so composition of backward rules is covered

@@ -34,7 +34,7 @@ def decoder_loss(decoded: Decoded) -> Tensor:
     if not decoded.labels:
         raise ContractError("decoder_loss: empty batch")
     targets = np.array([c for tokens in decoded.labels for c in tokens])
-    picked = T.gather_rows(decoded.probs, decoded.rows, targets)
+    picked = T.gather_rows(decoded.probs, np.arange(len(targets)), targets)
     return T.mul(T.reduce_sum(T.log(picked)), -1.0 / len(decoded.labels))
 
 

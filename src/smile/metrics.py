@@ -96,8 +96,8 @@ def evaluate(rec: Recognizer, corpus: Corpus,
              threads: int | None = 1) -> EvalResult:
     """Greedy-decode a labeled corpus and aggregate all metrics.
 
-    Each batch of EVAL_BATCH images takes one greedy decode, whose block
-    holds exactly its emitted rows, so the entropy reads the block whole.
+    Each batch of EVAL_BATCH images takes one greedy decode; the entropy
+    reads its whole block, one row per emitted token.
     Batches may fan out to `threads` workers (None or 1: serial); results
     fold back in batch order, so the outcome is independent of thread
     count.
@@ -113,7 +113,7 @@ def evaluate(rec: Recognizer, corpus: Corpus,
         preds = [labels[:-1] if labels[-1] == eos else labels
                  for labels in decoded.labels]
         entropies = row_entropy(decoded.probs)
-        return preds, float(entropies.data.sum()), len(decoded.rows)
+        return preds, float(entropies.data.sum()), entropies.shape[0]
 
     if (threads or 1) > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -18,10 +18,8 @@ projects every hidden state with one taped output head (matmul, bias add,
 softmax).  Greedy is forward-only: it runs one node per step, feeds back
 the restricted argmax of that step's logits and drops a sample once it
 emits EOS, indexing the live rows of the state and the encoding; the
-softmax of the same logits is its block.  Each decode returns a
-sample-major Decoded block, indexed by its emitted rows and labelled by
-the tokens: teacher forcing's keeps a row for each step past a shorter
-sequence's end, read from a zero state, greedy's holds only emitted rows.
+softmax of the same logits is its block.  Each decode returns a Decoded
+block of one row per emitted token, sample-major, labelled by the tokens.
 Iterating a Decoded gives per-sample DecoderOutputs.
 """
 
@@ -143,8 +141,8 @@ def check_corpus(corpus: Corpus, vocab: VocabSpec, l_max: int, what: str,
     """Refuse a corpus of another vocab, unlabeled records where labels are
     needed, lines encode cannot take (not GLYPH_H px high or a multiple of
     STRIP_W px wide), lines of more than MAX_LABEL characters, which no
-    model decodes, or of more than l_max, since greedy stops after l_max+1
-    steps, so longer words never match."""
+    model decodes, or lines or labels of more than l_max, since greedy stops
+    after l_max+1 steps, so longer words never match."""
     if corpus.vocab != vocab:
         raise ContractError(f"{what}: vocab {corpus.vocab.characters!r} "
                             f"differs from the model's {vocab.characters!r}")
@@ -165,6 +163,11 @@ def check_corpus(corpus: Corpus, vocab: VocabSpec, l_max: int, what: str,
             f"{what}: images are {width} px wide ({width // STRIP_W} "
             f"characters), the model decodes at most l_max={l_max} "
             f"({l_max * STRIP_W} px)")
+    if labeled and max(map(len, corpus.labels)) > l_max:
+        i = next(i for i, lab in enumerate(corpus.labels) if len(lab) > l_max)
+        raise ContractError(
+            f"{what}: record {i}'s label has {len(corpus.labels[i])} "
+            f"characters, the model decodes at most l_max={l_max}")
 
 
 @dataclass
@@ -181,25 +184,21 @@ class DecoderOutput:
 
 @dataclass
 class Decoded:
-    """A batch's decode: the output head's rows, sample by sample, where
-    each sample's emitted rows sit in them, and the tokens that label them.
-    Teacher forcing keeps every step of every sample, those past a shorter
-    sample's end included; greedy keeps only emitted rows, so its rows are
-    arange(S)."""
+    """A batch's decode: the output head's rows, one per emitted token,
+    sample by sample, and the tokens that label them.  A head's labels
+    cover only the block's leading rows."""
 
-    probs: Tensor                       # [S, K] softmax rows, each sums to 1
-    rows: np.ndarray                    # [N] emitted rows of probs, sample-major
+    probs: Tensor                       # [N, K] softmax rows, each sums to 1
     labels: list[tuple[int, ...]]       # each sample's tokens, one per row
 
     def head(self, n: int) -> "Decoded":
         """The first n samples' decode, reading the same block."""
-        emitted = sum(len(labels) for labels in self.labels[:n])
-        return Decoded(self.probs, self.rows[:emitted], self.labels[:n])
+        return Decoded(self.probs, self.labels[:n])
 
     def __iter__(self):
-        ends = np.cumsum([len(labels) for labels in self.labels])[:-1]
-        for labels, rows in zip(self.labels, np.split(self.rows, ends)):
-            yield DecoderOutput(self.probs.data[rows], labels)
+        ends = np.cumsum([len(labels) for labels in self.labels]).tolist()
+        for labels, lo, hi in zip(self.labels, [0, *ends], ends):
+            yield DecoderOutput(self.probs.data[lo:hi], labels)
 
 
 @dataclass
@@ -264,8 +263,7 @@ class Recognizer:
         """Token-fed decode of label + (EOS,) per sample: step 0 is fed GO
         and step t > 0 token t-1, so sample b emits len(label_b)+1 rows, row
         t labelled with token t.  A sample shorter than the batch maximum runs
-        only its own steps; its rows past them hold the softmax of out/b (a
-        zero state) and are left out of the Decoded's rows.
+        only its own steps, so the block holds only emitted rows.
 
         replay's (pixels, sequences) parts join the batch unchecked: each
         sequence is a greedy decode's whole output, fed back to rebuild its
@@ -295,10 +293,7 @@ class Recognizer:
                 px, [seq for _, part_seqs in run for seq in part_seqs]))
         if len(blocks) == 1:
             return blocks[0]
-        offsets = np.cumsum([0] + [block.probs.shape[0] for block in blocks])
         return Decoded(T.concat([block.probs for block in blocks]),
-                       np.concatenate([block.rows + offset for block, offset
-                                       in zip(blocks, offsets)]),
                        [lab for block in blocks for lab in block.labels])
 
     def _decode_forced(self, pixels: np.ndarray,
@@ -318,8 +313,7 @@ class Recognizer:
                        p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"],
                        lengths=lengths)
         logits = T.add(T.matmul(h, p["out/W"]), p["out/b"])
-        return Decoded(T.softmax(logits), np.flatnonzero(emitted),
-                       list(tokens))
+        return Decoded(T.softmax(logits), list(tokens))
 
     def greedy(self, pixels: np.ndarray) -> Decoded:
         """Self-fed, forward-only decode, at most l_max+1 steps, truncated at
@@ -364,5 +358,4 @@ class Recognizer:
         ends = np.cumsum(np.bincount(sample)).tolist()
         labels = [tuple(tokens[lo:hi]) for lo, hi in zip([0, *ends], ends)]
         block = np.concatenate(step_logits)[order]
-        return Decoded(T.softmax(T.constant(block)), np.arange(len(order)),
-                       labels)
+        return Decoded(T.softmax(T.constant(block)), labels)

@@ -48,8 +48,7 @@ class PredictionPool:
 
 def build_pool(decoded: Decoded, variant: str = "shannon") -> PredictionPool:
     """One row per emitted row of a greedy decode, in (sample, timestep)
-    order; its block holds exactly those rows, in that order, so every row
-    of it is read."""
+    order, as its block holds them."""
     lengths = np.array([len(labels) for labels in decoded.labels], dtype=int)
     sample = np.repeat(np.arange(len(lengths)), lengths)
     timestep = np.arange(len(sample)) - (np.cumsum(lengths) - lengths)[sample]

@@ -10,7 +10,7 @@ gather_rows picks rows or entries of a rank-2 table.  gru_cell and attn_gru
 are fused recurrent primitives with analytic backward rules, sharing one
 GRU step: gru_cell runs a GRU over a whole [B, T, 3H] sequence, first to
 last, and attn_gru runs T attention-fed decoder steps from token ids (with
-lengths, each sample only for its own steps), each as one node whose
+lengths, only each sample's own steps and states), each as one node whose
 backward is BPTT, in place of the 12-20 elementary nodes a step takes.  A
 run keeps its steps in time-major [T, B, .] buffers, so backward computes
 the factors that do not depend on the incoming gradient once per run and
@@ -571,7 +571,7 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
     fed tokens ([B] for one step); the states come sample-major, [B*T, H].
 
     lengths [B], each in [1, T], runs sample b only for its first
-    lengths[b] steps: its later states are zero and take no gradient.  The
+    lengths[b] steps and returns just those states, [sum(lengths), H].  The
     node orders the samples longest first, so each step runs a leading
     slice of them, and returns states and gradients in the caller's order.
     """
@@ -596,7 +596,7 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
             f"attn_gru: token {bad[0]} out of range [0, {k})")
     grid = ids.reshape(batch, -1)
     steps = grid.shape[1]
-    kd, fd, h0, order = keys.data, feats.data, h.data, None
+    kd, fd, h0, order, emitted = keys.data, feats.data, h.data, None, None
     live = [batch] * steps  # samples each step runs, a leading slice
     if lengths is not None:
         lengths = np.asarray(lengths)
@@ -611,7 +611,8 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
         order = np.argsort(-lengths, kind="stable")
         caller = np.argsort(order)  # caller[b]: where sample b sits in order
         kd, fd, h0, grid = kd[order], fd[order], h0[order], grid[order]
-        live = (lengths[:, None] > np.arange(steps)).sum(axis=0).tolist()
+        emitted = lengths[:, None] > np.arange(steps)  # [B, T]
+        live = emitted.sum(axis=0).tolist()
 
     def unsort(x: np.ndarray) -> np.ndarray:
         return x if order is None else x[caller]
@@ -636,10 +637,15 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
         xw = cx @ wc
         xw += fed[t, :m]
         run.step(t, m, xw, U.data)
-    out = Tensor(unsort(run.states[1:].transpose(1, 0, 2)).reshape(-1, hid))
+    hs = unsort(run.states[1:].transpose(1, 0, 2))  # [B, T, H]
+    out = Tensor(hs.reshape(-1, hid) if emitted is None else hs[emitted])
 
     def back():
-        gs = out.grad.reshape(batch, steps, hid)
+        if emitted is None:
+            gs = out.grad.reshape(batch, steps, hid)
+        else:  # the emitted rows back on the [B, T] grid
+            gs = np.zeros((batch, steps, hid))
+            gs[emitted] = out.grad
         gs = (gs if order is None else gs[order]).transpose(1, 0, 2)
         f_gru, ut = run.factors(), U.data.T.copy()
         wct, wqt = wc.T.copy(), wq.T.copy()  # contiguous, as ut

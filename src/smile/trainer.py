@@ -420,9 +420,9 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
     decoded = rec.teacher_forced(batch_px, batch_labels, replay)
     source = decoded.head(len(batch_labels))
     l_dec = decoder_loss(source)
-    # the replayed samples' emitted rows follow the labeled batch's
+    # the replayed samples' rows follow the labeled batch's tokens
     l_ent = selected_entropy_loss(
-        decoded.probs, decoded.rows[len(source.rows) + rows],
+        decoded.probs, sum(map(len, source.labels)) + rows,
         cfg.entropy_variant)
     return l_dec, l_ent, pool, sel
 

@@ -1,5 +1,11 @@
 """Shared fixtures: a small vocabulary and corpora sized for fast tests."""
 
+import os
+
+# one BLAS thread, set before numpy loads, as perfbench/run.py runs
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                  MKL_NUM_THREADS="1")
+
 import numpy as np
 import pytest
 
@@ -53,4 +59,4 @@ def decoded_from(*samples, labels=None) -> Decoded:
     if labels is None:
         labels = [tuple(int(i) for i in np.argmax(rows, axis=1))
                   for rows in samples]
-    return Decoded(T.constant(probs), np.arange(len(probs)), labels)
+    return Decoded(T.constant(probs), labels)

@@ -69,16 +69,16 @@ def test_decoder_loss_validation():
 
 def test_decoder_loss_gradient_direction(rng):
     # pushing probability onto the target must lower the loss; the sample's
-    # two rows sit at 0 and 2 of the block, row 1 is a padded step
+    # two rows lead the block, and row 2, past its tokens, is not read
     logits = T.parameter(rng.normal(size=(3, 5)))
     with Tape() as tape:
         probs = T.softmax(logits)
-        loss = decoder_loss(Decoded(probs, np.array([0, 2]), [(1, 3)]))
+        loss = decoder_loss(Decoded(probs, [(1, 3)]))
         tape.backward(loss)
     # gradient w.r.t. the target logits is negative (increase helps)
     assert logits.grad[0, 1] < 0
-    assert logits.grad[2, 3] < 0  # EOS target of the second row
-    assert not logits.grad[1].any()
+    assert logits.grad[1, 3] < 0  # EOS target of the second row
+    assert not logits.grad[2].any()
 
 
 # -- row_entropy of one decoder step's [1, K] row ------------------------------

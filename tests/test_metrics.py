@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-import smile.tensor as T
 from smile.data import Corpus, VocabSpec, generate_corpus
 from smile.errors import ContractError
 from smile.losses import row_entropy
@@ -197,8 +196,7 @@ def test_evaluate_batches_match_a_chunked_reference(vocab, corpus_300):
         decoded = rec.greedy(corpus_300.images(slice(i, i + 64)))
         preds += [tuple(k for k in labels if k < vocab.n_chars)
                   for labels in decoded.labels]
-        entropies = row_entropy(
-            T.constant(decoded.probs.data[decoded.rows])).data
+        entropies = row_entropy(decoded.probs).data
         ent_sum += float(entropies.sum())
         ent_rows += entropies.shape[0]
     words = corpus_300.labels
@@ -242,6 +240,18 @@ def test_evaluate_rejects_corpus_wider_than_l_max(vocab, templates):
     rec = Recognizer.fresh(vocab, l_max=2, seed=0)
     with pytest.raises(ContractError, match=r"32 px.*l_max=2 \(16 px\)"):
         evaluate(rec, wide)
+
+
+def test_evaluate_rejects_a_label_longer_than_l_max(vocab):
+    # a 16 px line fits l_max 2, but a 3-character label never matches
+    codes = np.zeros((3, 8, 16), dtype=np.uint8)
+    long = Corpus(vocab, codes, [(0,), (1, 2, 3), (2, 1, 0)],
+                  np.zeros(3, dtype=np.uint8))
+    rec = Recognizer.fresh(vocab, l_max=2, seed=0)
+    with pytest.raises(ContractError, match=r"^evaluate: record 1's label "
+                                            r"has 3 characters, the model "
+                                            r"decodes at most l_max=2$"):
+        evaluate(rec, long)
 
 
 def test_evaluate_does_not_mutate_the_model(small_source):

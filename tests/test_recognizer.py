@@ -241,10 +241,8 @@ def test_teacher_forced_shapes(rec):
     px = some_pixels(3, 3)
     labels = [(0,), (1, 2), (3, 0, 1)]
     decoded = rec.teacher_forced(px, labels)
-    # 3 samples of 4 steps, sample-major, padded rows included; 9 of them
-    # emitted
-    assert decoded.probs.shape == (12, 7)
-    assert decoded.rows.tolist() == [0, 1, 4, 5, 6, 8, 9, 10, 11]
+    # 3 samples of 2, 3 and 4 steps, sample-major: only the 9 emitted rows
+    assert decoded.probs.shape == (9, 7)
     assert [o.probs.shape for o in decoded] == [(2, 7), (3, 7), (4, 7)]
     for o in decoded:
         assert np.allclose(o.probs.sum(axis=1), 1.0)
@@ -294,6 +292,7 @@ def test_two_width_decode_equals_separate_decodes(rec):
     wide = rec.teacher_forced(px, labels)
     apart = [*wide, *rec.teacher_forced(narrow, prefixes)]
     assert joined.labels == [o.pseudo_labels for o in apart]
+    assert joined.probs.shape[0] == sum(map(len, joined.labels)) == 12
     for got, want in zip(joined, apart):
         assert np.array_equal(got.probs, want.probs)
     head = joined.head(len(labels))
@@ -308,8 +307,9 @@ def test_two_width_decode_equals_separate_decodes(rec):
 
 
 def test_teacher_forced_runs_only_live_rows(rec, monkeypatch):
-    # a mixed-length batch runs each sample for its own steps; its loss and
-    # parameter gradients are those of decoding every sample to the longest
+    # a mixed-length batch runs each sample for its own steps and holds only
+    # their rows; its loss and parameter gradients are those of decoding
+    # every sample to the longest and gathering the emitted rows
     px = some_pixels(4, 3, seed=12)
     labels = [(1,), (0, 2, 3), (2, 1), (3,)]
     fused = T.attn_gru
@@ -324,15 +324,14 @@ def test_teacher_forced_runs_only_live_rows(rec, monkeypatch):
         return decoded, loss.item(), {n: p.grad.copy()
                                       for n, p in rec.params.items()}
 
+    def padded_node(*args, lengths):
+        # every sample runs all 4 steps; the emitted ones are gathered
+        emitted = np.arange(args[3].shape[1]) < lengths[:, None]
+        return T.gather_rows(fused(*args), np.flatnonzero(emitted))
+
     decoded, live, live_grads = losses_and_grads()
-    # a step past a sample's end leaves a zero state, read as softmax(out/b)
-    past = np.setdiff1d(np.arange(16), decoded.rows)
-    assert past.tolist() == [2, 3, 11, 14, 15]
-    bias = np.exp(rec.params["out/b"].data)
-    assert np.allclose(decoded.probs.data[past], bias / bias.sum(),
-                       rtol=0, atol=1e-15)
-    monkeypatch.setattr(T, "attn_gru",
-                        lambda *args, lengths=None: fused(*args))
+    assert decoded.probs.shape[0] == 11   # of 16 padded rows
+    monkeypatch.setattr(T, "attn_gru", padded_node)
     _, padded, padded_grads = losses_and_grads()
     assert live == pytest.approx(padded, rel=0, abs=1e-12)
     for name, grad in padded_grads.items():
@@ -391,7 +390,7 @@ def test_greedy_labels_are_restricted_argmax_of_probs(glyph):
     # probs from one output head after the loop; both must agree
     g_rec, px = glyph
     decoded = g_rec.greedy(px)
-    masked = decoded.probs.data[decoded.rows]
+    masked = decoded.probs.data.copy()
     masked[:, [g_rec.vocab.GO, g_rec.vocab.PAD]] = -1.0
     flat = [i for labels in decoded.labels for i in labels]
     assert np.argmax(masked, axis=1).tolist() == flat
@@ -404,8 +403,7 @@ def test_greedy_block_holds_only_emitted_rows(glyph):
     decoded = g_rec.greedy(px)
     lengths = [len(labels) for labels in decoded.labels]
     assert len(set(lengths)) >= 3   # the batch shrinks more than once
-    assert decoded.probs.shape[0] == len(decoded.rows) == sum(lengths)
-    assert sorted(decoded.rows.tolist()) == list(range(sum(lengths)))
+    assert decoded.probs.shape[0] == sum(lengths)
     for b, out in enumerate(decoded):
         [single] = g_rec.greedy(px[b:b + 1])
         assert single.pseudo_labels == out.pseudo_labels
@@ -455,8 +453,7 @@ def test_greedy_records_nothing_inside_a_tape(glyph):
         decoded = g_rec.greedy(px)
         assert len(tape) == 0
     assert not decoded.probs.requires_grad
-    emitted = sum(len(labels) for labels in decoded.labels)
-    assert np.array_equal(decoded.rows, np.arange(emitted))
+    assert decoded.probs.shape[0] == sum(map(len, decoded.labels))
 
 
 # -- tape interaction ---------------------------------------------------------
@@ -470,8 +467,8 @@ def test_forward_inside_tape_is_differentiable(rec):
     px = some_pixels(2, 3, seed=7)
     with Tape() as tape:
         decoded = rec.teacher_forced(px, [(0, 1), (2,)])
-        # the first sample's three rows, read through the row index
-        loss = T.reduce_sum(T.gather_rows(decoded.probs, decoded.rows[:3]))
+        # the first sample's three rows, which lead the block
+        loss = T.reduce_sum(T.gather_rows(decoded.probs, np.arange(3)))
         tape.backward(loss)
     assert np.any(rec.params["proj/W"].grad != 0)
     for p in rec.params.values():

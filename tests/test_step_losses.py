@@ -62,7 +62,7 @@ def taped_greedy(rec, tgt_px):
     rows = [t * batch + b for b, seq in enumerate(labels)
             for t in range(len(seq))]
     block = T.gather_rows(T.concat(heads), rows)
-    return Decoded(block, np.arange(len(rows)), labels)
+    return Decoded(block, labels)
 
 
 def reference(rec, cfg, src_px, src_labels, tgt_px):
@@ -149,13 +149,12 @@ def test_replay_rebuilds_each_chosen_sample_whole(base, small_source,
                                                 for b in samples.tolist()]
     # the replayed rows, sample-major, against the same samples' pool rows
     replay = decoded.probs.data[
-        decoded.rows[len(decoded.head(len(src_labels)).rows):]]
-    want = greedy.probs.data[greedy.rows[np.isin(pool.sample, samples)]]
+        sum(map(len, decoded.head(len(src_labels)).labels)):]
+    want = greedy.probs.data[np.isin(pool.sample, samples)]
     assert replay.shape == want.shape
     assert np.abs(replay - want).max() < 1e-12
     # and each chosen row is read from its own pool row's place
-    assert np.abs(replay[rows] - greedy.probs.data[
-        greedy.rows[chosen]]).max() < 1e-12
+    assert np.abs(replay[rows] - greedy.probs.data[chosen]).max() < 1e-12
 
 
 def test_empty_prefixes_replay_an_eos_first_decode(base, small_source,

@@ -573,6 +573,21 @@ def test_source_wider_than_a_label_names_the_corpus(vocab):
         train_with_corpora(TrainConfig(steps=1), source=wide)
 
 
+def test_label_longer_than_l_max_names_the_corpus(vocab, templates):
+    # 16 px lines size a fresh model to l_max 2, so a 3-character label is
+    # refused before the first step, in the source or the test corpus
+    fits = generate_corpus(vocab, templates, 40, (1, 2), seed=46)
+    labels = fits.labels[:5] + [(3, 0, 1)] + fits.labels[6:]
+    long = Corpus(vocab, fits.codes, labels, fits.domain)
+    for corpora, name in (({"source": long}, "source"),
+                          ({"source": fits, "test": long}, "test")):
+        with pytest.raises(ContractError, match=f"^{name} corpus: record 5's "
+                                                r"label has 3 characters, the "
+                                                r"model decodes at most "
+                                                r"l_max=2$"):
+            train_with_corpora(TrainConfig(steps=1), **corpora)
+
+
 def test_corpus_wider_than_l_max_rejected(small_source, small_target,
                                           small_test, vocab, templates):
     # the small corpora are 24 px wide: three characters
