@@ -43,7 +43,6 @@ _OPTIONS = {
     "--seed": ("seed", int),
     "--optimizer": ("optimizer", str),
     "--lr": ("lr", float),
-    "--clip": ("clip", float),
     "--source": ("source", str),
     "--target": ("target", str),
     "--test": ("test", str),

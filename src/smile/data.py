@@ -138,7 +138,8 @@ class Corpus:
     images() returns it as float64 for an index or a slice.  labels[i] is
     record i's character indices, stored as a tuple whatever sequence was
     given (so it compares equal to a greedy decode's tuple), or None when it
-    is unlabeled (a file may mix both), never empty; domain[i] is its u8
+    is unlabeled (a file may mix both), never empty or longer than
+    MAX_LABEL, each an integer index into vocab; domain[i] is its u8
     SOURCE or TARGET tag.
     """
 
@@ -175,6 +176,28 @@ class Corpus:
             raise ContractError(
                 f"corpus: record {self.labels.index(())} has an empty label; "
                 "None marks an unlabeled record")
+        # one numpy pass refuses the first record a record-by-record walk
+        # would: a label too long, else one with a character that is no
+        # integer index into the vocab
+        try:
+            lengths, chars, starts = _flat_labels(self.labels)
+        except (TypeError, ValueError):
+            raise ContractError("corpus: a label holds a character that is "
+                                "not a number") from None
+        bad = ((chars < 0) | (chars >= self.vocab.n_chars)
+               | (np.round(chars) != chars)).nonzero()[0]
+        first = min([*np.flatnonzero(lengths > MAX_LABEL)[:1],
+                     *np.searchsorted(starts, bad[:1], side="right") - 1],
+                    default=n)
+        if first < n and lengths[first] > MAX_LABEL:
+            raise ContractError(
+                f"corpus: record {first}'s label has {lengths[first]} "
+                f"characters, more than the {MAX_LABEL} a label can hold")
+        if first < n:
+            raise ContractError(
+                f"corpus: record {first} label {self.labels[first]} holds a "
+                f"character that is no index into vocab "
+                f"{self.vocab.characters!r}")
 
     def __len__(self):
         return len(self.labels)
@@ -198,6 +221,16 @@ class Corpus:
                 and self.labels == other.labels
                 and np.array_equal(self.domain, other.domain)
                 and np.array_equal(self.codes, other.codes))
+
+
+def _flat_labels(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each record's label length (0 when unlabeled), every label's
+    characters in record order as float64, and where each record's start."""
+    lengths = np.fromiter((len(label or ()) for label in labels),
+                          dtype=np.intp, count=len(labels))
+    chars = np.fromiter(itertools.chain.from_iterable(filter(None, labels)),
+                        dtype=np.float64, count=int(lengths.sum()))
+    return lengths, chars, np.cumsum(lengths) - lengths
 
 
 def _codes(pixels: np.ndarray) -> np.ndarray:
@@ -336,24 +369,10 @@ def save_corpus(corpus: Corpus, path: str):
     if corpus.vocab.n_chars > 256:
         raise ContractError(f"save_corpus: {corpus.vocab.n_chars} characters "
                             "do not fit the u8 label field (at most 256)")
+    # the Corpus refused every label its vocab cannot spell or its u8 length
+    # field cannot hold
     n, h, w = corpus.codes.shape
-    labels = [label or () for label in corpus.labels]
-    lengths = np.fromiter(map(len, labels), dtype=np.intp, count=n)
-    chars = np.fromiter(itertools.chain.from_iterable(labels),
-                        dtype=np.float64, count=int(lengths.sum()))
-    # refuse the first record a record-by-record check would: a label too
-    # long, else one with a character that is no index into the vocab
-    starts = np.cumsum(lengths) - lengths
-    bad = ((chars < 0) | (chars >= corpus.vocab.n_chars)
-           | (np.round(chars) != chars)).nonzero()[0]
-    first = min([*np.flatnonzero(lengths > MAX_LABEL)[:1],
-                 *np.searchsorted(starts, bad[:1], side="right") - 1],
-                default=n)
-    if first < n and lengths[first] > MAX_LABEL:
-        raise ContractError("save_corpus: label too long for format")
-    if first < n:
-        raise ContractError(
-            f"save_corpus: record {first} label {labels[first]} out of vocab")
+    lengths, chars, starts = _flat_labels(corpus.labels)
     # one row per record, its tag, length and label right-aligned before
     # the pixels, so dropping each row's leading pad leaves the records
     longest = int(lengths.max())

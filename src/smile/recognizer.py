@@ -9,14 +9,15 @@ state; each step sees [attention context ++ input embedding].
 A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU holds its gates fused side by side, z | r | n: W [in, 3h],
 U [h, 3h] and b [1, 3h].  Checkpoints store them per gate (W_z, U_r, ...);
-fuse_gates and split_gates convert at that boundary.  The decoder runs as
-tensor.attn_gru nodes over the [B, T, a] keys and [B, T, h] features.  A
-decode is a token sequence per sample: row t is fed token t-1 (GO at t = 0)
-and labelled with token t.  Teacher forcing is given its tokens, runs
-every step in one attn_gru node, each sample only for its own steps, and
-projects every hidden state with one taped output head (matmul, bias add,
-softmax).  Greedy is forward-only: it runs one node per step, feeds back
-the restricted argmax of that step's logits and drops a sample once it
+fuse_gates and split_gates convert at that boundary.  encode returns the
+[B, T, h] features and their [B, T, a] attention keys, which the decoder's
+tensor.attn_gru nodes read.  A decode is a token sequence per sample: row t
+is fed token t-1 (GO at t = 0) and labelled with token t.  Teacher forcing
+is given its tokens, and at most one replay after them; it runs every step
+in one attn_gru node per image width, each sample only for its own steps,
+and projects every hidden state with one taped output head (matmul, bias
+add, softmax).  Greedy is forward-only: it runs one node per step, feeds
+back the restricted argmax of that step's logits and drops a sample once it
 emits EOS, indexing the live rows of the state and the encoding; the
 softmax of the same logits is its block.  Each decode returns a Decoded
 block of one row per emitted token, sample-major, labelled by the tokens.
@@ -201,14 +202,6 @@ class Decoded:
             yield DecoderOutput(self.probs.data[lo:hi], labels)
 
 
-@dataclass
-class EncodedBatch:
-    """Context-mixed strip features and their attention keys, sample-major."""
-
-    feats: Tensor      # [B, T_enc, h]
-    keys: Tensor       # [B, T_enc, a]: feats @ attn/W_enc, step-independent
-
-
 class Recognizer:
     """Parameter record plus the forward passes that share it."""
 
@@ -229,10 +222,13 @@ class Recognizer:
 
     # -- shared pieces ------------------------------------------------------
 
-    def encode(self, pixels: np.ndarray) -> EncodedBatch:
-        """pixels: float images [B, 8, W] with W a positive multiple of 8;
-        integer arrays, such as a corpus's raw 8-bit codes, are refused
-        (Corpus.images gives the float images)."""
+    def encode(self, pixels: np.ndarray) -> tuple[Tensor, Tensor]:
+        """(feats, keys) of float images [B, 8, W], W a positive multiple of
+        8: feats [B, T_enc, h] are the encoder GRU's states, one per strip,
+        and keys [B, T_enc, a] = feats @ attn/W_enc are their attention
+        keys, the same at every decode step.  Integer arrays, such as a
+        corpus's raw 8-bit codes, are refused (Corpus.images gives the float
+        images)."""
         if pixels.dtype.kind != "f":
             raise ContractError(f"encode: pixels are {pixels.dtype}, not "
                                 "float images in [0, 1]")
@@ -254,21 +250,22 @@ class Recognizer:
         xw = T.add(T.matmul(x, p["enc/W"]), p["enc/b"])
         feats = T.gru_cell(xw, T.zeros((batch, self.arch.enc_hidden)),
                            p["enc/U"])
-        return EncodedBatch(feats, T.matmul(feats, p["attn/W_enc"]))
+        return feats, T.matmul(feats, p["attn/W_enc"])
 
     # -- the two decoding modes ---------------------------------------------
 
     def teacher_forced(self, pixels: np.ndarray,
-                       labels: list[tuple[int, ...]], replay=()) -> Decoded:
+                       labels: list[tuple[int, ...]], replay=None) -> Decoded:
         """Token-fed decode of label + (EOS,) per sample: step 0 is fed GO
         and step t > 0 token t-1, so sample b emits len(label_b)+1 rows, row
         t labelled with token t.  A sample shorter than the batch maximum runs
         only its own steps, so the block holds only emitted rows.
 
-        replay's (pixels, sequences) parts join the batch unchecked: each
-        sequence is a greedy decode's whole output, fed back to rebuild its
-        rows.  Each run of parts of one image width decodes as one batch;
-        rows follow part order.
+        replay, one (pixels, sequences) pair, joins the batch unchecked:
+        each sequence is a greedy decode's whole output, fed back to rebuild
+        its rows, which follow the labeled batch's.  A replay of the batch's
+        image width decodes in one batch with it, one of another width on
+        its own.
         """
         if len(labels) != len(pixels):
             raise ContractError(
@@ -283,23 +280,21 @@ class Recognizer:
                     raise ContractError(
                         f"teacher_forced: {i} is not a character index")
         tokens = [(*lab, self.vocab.EOS) for lab in labels]
-        blocks = []
-        for _, run in itertools.groupby([(pixels, tokens), *replay],
-                                        key=lambda part: part[0].shape[-1]):
-            run = list(run)
-            px = (run[0][0] if len(run) == 1
-                  else np.concatenate([part_px for part_px, _ in run]))
-            blocks.append(self._decode_forced(
-                px, [seq for _, part_seqs in run for seq in part_seqs]))
-        if len(blocks) == 1:
-            return blocks[0]
-        return Decoded(T.concat([block.probs for block in blocks]),
-                       [lab for block in blocks for lab in block.labels])
+        if replay is not None and replay[0].shape[-1] == pixels.shape[-1]:
+            pixels = np.concatenate([pixels, replay[0]])
+            tokens += replay[1]
+            replay = None
+        decoded = self._decode_forced(pixels, tokens)
+        if replay is None:
+            return decoded
+        rest = self._decode_forced(*replay)
+        return Decoded(T.concat([decoded.probs, rest.probs]),
+                       decoded.labels + rest.labels)
 
     def _decode_forced(self, pixels: np.ndarray,
                        tokens: list[tuple[int, ...]]) -> Decoded:
         p = self.params
-        enc = self.encode(pixels)
+        feats, keys = self.encode(pixels)
         batch = len(pixels)
         lengths = np.array([len(seq) for seq in tokens])
         emitted = np.arange(lengths.max()) < lengths[:, None]
@@ -308,7 +303,7 @@ class Recognizer:
         fed = np.full(emitted.shape, self.vocab.PAD)
         fed[emitted] = np.fromiter(itertools.chain.from_iterable(
             (self.vocab.GO, *seq[:-1]) for seq in tokens), dtype=int)
-        h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], fed,
+        h = T.attn_gru(keys, feats, p["embed/E"], fed,
                        T.zeros((batch, self.arch.dec_hidden)), p["attn/W_dec"],
                        p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"],
                        lengths=lengths)
@@ -330,7 +325,7 @@ class Recognizer:
         live = np.arange(batch)
         step_logits, step_ids, step_live = [], [], []
         with T.untaped():
-            enc = self.encode(pixels)
+            feats, keys = self.encode(pixels)
             h = T.zeros((batch, self.arch.dec_hidden))
             for t in range(self.arch.l_max + 1):
                 if t > 0:
@@ -339,10 +334,9 @@ class Recognizer:
                         break
                     if len(keep) < len(live):
                         live, ids = live[keep], ids[keep]
-                        h = T.constant(h.data[keep])
-                        enc = EncodedBatch(T.constant(enc.feats.data[keep]),
-                                           T.constant(enc.keys.data[keep]))
-                h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], ids, h,
+                        h, feats, keys = (T.constant(x.data[keep])
+                                          for x in (h, feats, keys))
+                h = T.attn_gru(keys, feats, p["embed/E"], ids, h,
                                p["attn/W_dec"], p["attn/v"], p["dec/W"],
                                p["dec/b"], p["dec/U"])
                 logits = h.data @ W + b

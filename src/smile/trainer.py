@@ -11,7 +11,8 @@ then one taped teacher-forced decode runs the labeled batch and, after it,
 each target sample with a chosen row fed its whole pseudo-label sequence
 (self_paced.replay_plan); the entropy term reads only the chosen rows.
 With lam = 0 nothing is replayed, so the update equals base mode's and the
-selection is only logged.
+selection is only logged.  Every step scales its gradients to a joint
+2-norm of at most CLIP_NORM before the optimizer runs.
 
 Batch composition is stateless: the indices for step s come from fresh
 generators keyed [seed, stream, s], so a resumed run draws exactly the
@@ -42,6 +43,8 @@ from .tensor import Tape, Tensor
 MODES = ("base", "smile")
 OPTIMIZERS = ("adam", "adadelta")
 
+CLIP_NORM = 5.0   # every step's gradients are scaled to at most this 2-norm
+
 CK_MAGIC = b"SMCK"
 CK_VERSION = 1
 
@@ -64,7 +67,6 @@ class TrainConfig:
     seed: int = 0
     optimizer: str = "adam"
     lr: float | None = None
-    clip: float = 5.0
     eval_every: int = 200
     source: str | None = None
     target: str | None = None
@@ -93,8 +95,6 @@ class TrainConfig:
             raise ContractError(f"optimizer {self.optimizer!r} not in {OPTIMIZERS}")
         if self.lr is not None and not 0 < self.lr < math.inf:
             raise ContractError(f"lr {self.lr} not in (0, inf)")
-        if not 0 < self.clip < math.inf:
-            raise ContractError(f"clip {self.clip} not in (0, inf)")
         if self.eval_every < 1:
             raise ContractError(f"eval_every {self.eval_every} < 1")
 
@@ -409,14 +409,14 @@ def step_losses(rec: Recognizer, cfg: TrainConfig, step: int,
     are teacher-forced whole, with their greedy sequences, after the labeled
     batch in one decode.  l_ent is None when lam is 0 or nothing was chosen;
     it, pool and sel are None with no target batch."""
-    pool = sel = None
-    replay, rows = [], np.zeros(0, dtype=int)
+    pool = sel = replay = None
+    rows = np.zeros(0, dtype=int)
     if target_px is not None:
         pool = build_pool(rec.greedy(target_px), cfg.entropy_variant)
         sel = select(pool, portion_at(cfg.p_init, cfg.p_add, step + 1))
         if cfg.lam > 0 and len(sel.chosen):
             samples, sequences, rows = replay_plan(pool, sel)
-            replay = [(target_px[samples], sequences)]
+            replay = (target_px[samples], sequences)
     decoded = rec.teacher_forced(batch_px, batch_labels, replay)
     source = decoded.head(len(batch_labels))
     l_dec = decoder_loss(source)
@@ -505,7 +505,7 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
                     f"(decoder {dec_val}, entropy {ent_val})")
             tape.backward(l_dec if l_ent is None
                           else smile_loss(l_dec, l_ent, cfg.lam))
-        clip_gradients(rec.params, cfg.clip)
+        clip_gradients(rec.params, CLIP_NORM)
         opt.step(rec.params)
         if sel is not None:
             log.log_selection(step + 1, sel)

@@ -6,12 +6,16 @@ training, the directional adaptation gain, prediction sharpening, the
 selection-versus-no-selection ablation, bit-level reproducibility, and file
 format round trips.  The glyph12 runs train real models, so this module
 takes a few minutes; everything is seeded and deterministic.  A5-A8 run on
-those models and carry the `slow` marker.
+those models and carry the `slow` marker.  A6's three seeds and A8's two
+cells train side by side, on one worker process per core (at most two).
 """
 
 import math
+import multiprocessing
+import os
 import statistics
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -77,16 +81,42 @@ def base_runs(glyph12):
 
 
 @pytest.fixture(scope="module")
-def smile_runs(glyph12, base_runs):
-    runs = {}
-    for seed in (2, 3, 4):
-        cfg = TrainConfig(seed=seed, **SMILE_RECIPE)
-        t0 = time.perf_counter()
-        ck, _ = train_with_corpora(cfg, source=glyph12["source_train"],
-                                   target=glyph12["target_train"],
-                                   start=base_runs["ck3000"])
-        runs[seed] = (ck, time.perf_counter() - t0)
-    return runs
+def workers():
+    """Worker processes for the independent training runs, one per core and
+    at most two; None on one core, where the runs stay in this process.
+    Each run is deterministic, so a worker returns what a serial run would.
+    Spawned workers inherit the one-thread BLAS setting from the
+    environment."""
+    n = min(2, len(os.sched_getaffinity(0)))
+    if n < 2:
+        yield None
+        return
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context(
+            "spawn")) as pool:
+        yield pool
+
+
+def run_all(workers, fn, calls):
+    """[fn(*args) for args in calls], on the workers when there are any."""
+    if workers is None:
+        return [fn(*args) for args in calls]
+    return [f.result() for f in [workers.submit(fn, *args) for args in calls]]
+
+
+def timed_smile_run(cfg, source, target, start):
+    """A smile run's checkpoint and its wall time in the process running it."""
+    t0 = time.perf_counter()
+    ck, _ = train_with_corpora(cfg, source=source, target=target, start=start)
+    return ck, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def smile_runs(glyph12, base_runs, workers):
+    seeds = (2, 3, 4)
+    runs = run_all(workers, timed_smile_run, [
+        (TrainConfig(seed=seed, **SMILE_RECIPE), glyph12["source_train"],
+         glyph12["target_train"], base_runs["ck3000"]) for seed in seeds])
+    return dict(zip(seeds, runs))
 
 
 @pytest.fixture(scope="module")
@@ -281,15 +311,18 @@ def test_a07_sharpening(capfd, uda_evals):
 # -- A8 ------------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_a08_selection_ablation(capfd, glyph12, base_runs):
+def test_a08_selection_ablation(capfd, glyph12, base_runs, workers):
     # Both cells share the 500-step source checkpoint, the seed, and every
     # other knob; only (p_init, p_add) differs.  From this half-converged
     # start, unselective entropy minimization locks in early mistakes while
-    # the paced run lets source training mature first.
+    # the paced run lets source training mature first.  Each cell is its
+    # own one-cell sweep, so the two can train side by side.
     cfg = TrainConfig(seed=2, **SMILE_RECIPE)
     cells = [{"p_init": 0.0, "p_add": 5e-5}, {"p_init": 1.0, "p_add": 0.0}]
-    rows = sweep(cells, cfg, glyph12["source_train"], glyph12["target_train"],
-                 glyph12["target_test"], base_runs["ck500"])
+    rows = [row for rows in run_all(workers, sweep, [
+        ([cell], cfg, glyph12["source_train"], glyph12["target_train"],
+         glyph12["target_test"], base_runs["ck500"]) for cell in cells])
+        for row in rows]
     paced = rows[0][1].word_acc
     full = rows[1][1].word_acc
     ok = paced >= full

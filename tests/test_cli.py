@@ -77,7 +77,6 @@ def test_train_defaults_are_printed_sorted(capsys):
     assert lines == ["[config] train.batch_source = 32",
                      "[config] train.batch_target = 32",
                      "[config] train.checkpoint = None",
-                     "[config] train.clip = 5.0",
                      "[config] train.entropy_variant = shannon",
                      "[config] train.eval_every = 200",
                      "[config] train.lam = 1.0",
@@ -135,6 +134,23 @@ def test_every_train_setting_is_a_flag():
     assert {f.name for f in dataclasses.fields(TrainConfig)} <= dests
 
 
+def test_clip_is_not_a_setting(capsys, tmp_path):
+    # gradients are clipped at the constant trainer.CLIP_NORM, so neither a
+    # flag, a config line nor a sweep cell may set it
+    missing = str(tmp_path / "nowhere.smcp")
+    assert cli.main(["train", "--source", missing, "--clip", "5"]) == 1
+    assert ("smile train: ContractError: unrecognized arguments: --clip 5"
+            in capsys.readouterr().err)
+    cfg = tmp_path / "clip.cfg"
+    cfg.write_text("clip = 5\n")
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert (f"smile train: ContractError: {cfg}:1: unknown config key 'clip'"
+            in capsys.readouterr().err)
+    assert cli.main(["sweep", "clip=5"]) == 1
+    assert ("smile sweep: ContractError: sweep: cell 'clip=5': unknown config "
+            "key 'clip'" in capsys.readouterr().err)
+
+
 def test_train_rejects_invalid_mode(capsys):
     assert cli.main(["train", "--mode", "warmup"]) == 1
     assert "ContractError" in capsys.readouterr().err
@@ -159,8 +175,7 @@ def test_smile_train_requires_target_and_checkpoint_before_loading(
 
 @pytest.mark.parametrize("flag, value, name", [
     ("--lambda", "nan", "lambda"), ("--lambda", "inf", "lambda"),
-    ("--lr", "nan", "lr"), ("--clip", "nan", "clip"),
-    ("--clip", "inf", "clip"), ("--p-init", "nan", "p_init"),
+    ("--lr", "nan", "lr"), ("--p-init", "nan", "p_init"),
     ("--p-add", "nan", "p_add"), ("--p-add", "inf", "p_add"),
     ("--seed", "-1", "seed"), ("--seed", str(2 ** 64), "seed")])
 def test_train_refuses_bad_settings_before_loading(capsys, tmp_path, flag,

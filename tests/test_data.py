@@ -575,38 +575,52 @@ def test_load_rejects_unknown_version(tmp_path, vocab, templates):
         load_corpus(str(path))
 
 
-def test_save_rejects_empty_and_out_of_range(tmp_path, vocab):
+def test_save_rejects_empty_and_out_of_range(vocab):
     px, labels, domain = corpus_parts(n=0)
     with pytest.raises(ContractError, match="no images"):
         Corpus(vocab, px, labels, domain)  # so none reaches save or train
-    # a label outside the vocab, or outside the u8 field, writes nothing
+    # a label outside the vocab, or outside the u8 field, is refused when
+    # the corpus is built, so no save can write it
     two = VocabSpec("AB")
-    path = tmp_path / "bad_label.smcp"
     for bad in [(5,), (300,)]:
         with pytest.raises(ContractError, match="record 1 label"):
-            save_corpus(Corpus(two, np.zeros((2, 8, 8), dtype=np.uint8),
-                               [(0,), bad],
-                               np.zeros(2, dtype=np.uint8)), str(path))
-        assert not path.exists()
+            Corpus(two, np.zeros((2, 8, 8), dtype=np.uint8), [(0,), bad],
+                   np.zeros(2, dtype=np.uint8))
 
 
-def test_save_refuses_the_first_bad_record(tmp_path):
-    # the whole-corpus check names the record a record-by-record walk meets
-    # first: a label too long before its characters, unlabeled ones skipped;
-    # a fractional character is no index, not one rounded down
+def test_save_refuses_the_first_bad_record():
+    # the constructor's whole-corpus check names the record a
+    # record-by-record walk meets first: a label too long before its
+    # characters, unlabeled ones skipped; a fractional character is no
+    # index, not one rounded down
     two = VocabSpec("AB")
-    path = tmp_path / "bad_label.smcp"
     long, bad = (0,) * 256, (1, -1)
     for labels, want in (
             ([None, (0,), bad, long], r"record 2 label \(1, -1\) "),
-            ([(1,), long, bad, None], "label too long"),
-            ([None, long + (5,), bad, (0,)], "label too long"),
+            ([(1,), long, bad, None], "record 1's label has 256 characters"),
+            ([None, long + (5,), bad, (0,)],
+             "record 1's label has 257 characters"),
             ([(0, 1), None, (1, 2), (7,)], r"record 2 label \(1, 2\) "),
             ([(1,), (0, 0.5), long, None], r"record 1 label \(0, 0.5\) ")):
-        with pytest.raises(ContractError, match=f"^save_corpus: {want}"):
-            save_corpus(Corpus(two, np.zeros((4, 8, 8), dtype=np.uint8),
-                               labels, np.zeros(4, dtype=np.uint8)), str(path))
-        assert not path.exists()
+        with pytest.raises(ContractError, match=f"^corpus: {want}"):
+            Corpus(two, np.zeros((4, 8, 8), dtype=np.uint8), labels,
+                   np.zeros(4, dtype=np.uint8))
+
+
+def test_a_label_the_vocab_cannot_spell_never_reaches_a_step():
+    # refused when the corpus is built, before a training step or evaluate
+    # reads it; 3 is EOS's index under VocabSpec("AB"), no character
+    two = VocabSpec("AB")
+    for bad in (5, 3):
+        labels = [(i % 2,) for i in range(400)]
+        labels[300] = (bad,)
+        with pytest.raises(ContractError,
+                           match=rf"^corpus: record 300 label \({bad},\) "):
+            Corpus(two, np.zeros((400, 8, 8), dtype=np.uint8), labels,
+                   np.zeros(400, dtype=np.uint8))
+    with pytest.raises(ContractError, match="not a number"):
+        Corpus(two, np.zeros((1, 8, 8), dtype=np.uint8), ["AB"],
+               np.zeros(1, dtype=np.uint8))
 
 
 def test_zero_size_images_are_refused(tmp_path, vocab):

@@ -137,11 +137,11 @@ def test_recognizer_rejects_vocab_arch_mismatch():
 # -- encode -------------------------------------------------------------------
 
 def test_encode_shapes(rec):
-    enc = rec.encode(some_pixels(3, 3))
-    assert enc.feats.shape == (3, 3, 32)
-    assert enc.keys.shape == (3, 3, 32)
-    one = rec.encode(some_pixels(2, 1))
-    assert one.feats.shape == (2, 1, 32) and one.keys.shape == (2, 1, 32)
+    feats, keys = rec.encode(some_pixels(3, 3))
+    assert feats.shape == (3, 3, 32)
+    assert keys.shape == (3, 3, 32)
+    feats, keys = rec.encode(some_pixels(2, 1))
+    assert feats.shape == (2, 1, 32) and keys.shape == (2, 1, 32)
 
 
 def test_encode_refuses_integer_pixels(rec):
@@ -213,7 +213,7 @@ def test_encoder_teacher_forced_through_gru_cell():
                     + p["proj/b"])
         h = numpy_gru(p, x, h)
         want.append(h)
-    assert np.allclose(enc_rec.encode(px).feats.data, np.stack(want, axis=1),
+    assert np.allclose(enc_rec.encode(px)[0].data, np.stack(want, axis=1),
                        rtol=0, atol=1e-12)
 
     labels = [(0, 1), (2,)]
@@ -282,13 +282,13 @@ def test_teacher_forced_batch_matches_single(rec):
 
 
 def test_two_width_decode_equals_separate_decodes(rec):
-    # replayed parts of another image width decode as a second block; the
+    # a replay of another image width decodes as a second block; the
     # joined Decoded must read exactly like the two decodes apart
-    # a replayed part is given whole token sequences, EOS included
+    # a replay is given whole token sequences, EOS included
     px, labels = some_pixels(2, 3, seed=10), [(0, 1), (2,)]
     narrow, prefixes = some_pixels(3, 2, seed=11), [(1,), (3, 0), (2,)]
     joined = rec.teacher_forced(
-        px, labels, [(narrow, [p + (rec.vocab.EOS,) for p in prefixes])])
+        px, labels, (narrow, [p + (rec.vocab.EOS,) for p in prefixes]))
     wide = rec.teacher_forced(px, labels)
     apart = [*wide, *rec.teacher_forced(narrow, prefixes)]
     assert joined.labels == [o.pseudo_labels for o in apart]

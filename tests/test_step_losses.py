@@ -50,11 +50,11 @@ def taped_greedy(rec, tgt_px):
     fed = np.full((batch, max(map(len, labels))), vocab.PAD)
     for b, seq in enumerate(labels):
         fed[b, :len(seq)] = (vocab.GO, *seq[:-1])
-    enc = rec.encode(tgt_px)
+    feats, keys = rec.encode(tgt_px)
     h = T.zeros((batch, rec.arch.dec_hidden))
     heads = []
     for t in range(fed.shape[1]):
-        h = T.attn_gru(enc.keys, enc.feats, p["embed/E"], fed[:, t], h,
+        h = T.attn_gru(keys, feats, p["embed/E"], fed[:, t], h,
                        p["attn/W_dec"], p["attn/v"], p["dec/W"], p["dec/b"],
                        p["dec/U"])
         heads.append(T.softmax(T.add(T.matmul(h, p["out/W"]), p["out/b"])))
@@ -144,7 +144,7 @@ def test_replay_rebuilds_each_chosen_sample_whole(base, small_source,
                     pool.timestep[chosen].tolist()))
     assert any(t + 1 < len(greedy.labels[s]) for s, t in last.items())
     decoded = rec.teacher_forced(src_px, src_labels,
-                                 [(tgt_px[samples], sequences)])
+                                 (tgt_px[samples], sequences))
     assert decoded.labels[len(src_labels):] == [greedy.labels[b]
                                                 for b in samples.tolist()]
     # the replayed rows, sample-major, against the same samples' pool rows

@@ -38,7 +38,7 @@ def test_config_validation():
                 dict(entropy_variant="gini"), dict(p_init=2.0),
                 dict(p_add=-1e-9), dict(steps=0), dict(batch_source=0),
                 dict(batch_target=0), dict(seed=-1), dict(optimizer="sgd"),
-                dict(lr=0.0), dict(clip=0.0), dict(eval_every=0),
+                dict(lr=0.0), dict(eval_every=0),
                 dict(seed=2 ** 64)):
         with pytest.raises(ContractError):
             TrainConfig(**bad)
@@ -53,7 +53,6 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, name", [("lam", "lambda"), ("lr", "lr"),
-                                         ("clip", "clip"),
                                          ("p_init", "p_init"),
                                          ("p_add", "p_add")])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
