@@ -163,10 +163,10 @@ def _op_cases(rng: np.random.Generator):
 
     # B=1, T=2, H=2: every gate block, both recurrent products and the
     # gradient carried between steps are reached
-    xw, hid, u = _leaf(rng, 1, 2, 6), _leaf(rng, 1, 2), _leaf(rng, 2, 6)
+    xw, u = _leaf(rng, 1, 2, 6), _leaf(rng, 2, 6)
     w122 = w14.reshape(1, 2, 2)
-    yield "gru_cell", (lambda xw=xw, hid=hid, u=u: _weighted_sum(
-        T.gru_cell(xw, hid, u), w122)), {"xw": xw, "h": hid, "U": u}
+    yield "gru_cell", (lambda xw=xw, u=u: _weighted_sum(
+        T.gru_cell(xw, u), w122)), {"xw": xw, "U": u}
 
     # B=2, T=2 steps over S=2 positions, a=f=H=2, K=3 tokens of width 1,
     # one fed twice; about half the instances leave h untracked, as the

@@ -13,15 +13,15 @@ fuse_gates and split_gates convert at that boundary.  encode returns the
 [B, T, h] features and their [B, T, a] attention keys, which the decoder's
 tensor.attn_gru nodes read.  A decode is a token sequence per sample: row t
 is fed token t-1 (GO at t = 0) and labelled with token t.  Teacher forcing
-is given its tokens, and at most one replay after them; it runs every step
-in one attn_gru node per image width, each sample only for its own steps,
-and projects every hidden state with one taped output head (matmul, bias
-add, softmax).  Greedy is forward-only: it runs one node per step, feeds
-back the restricted argmax of that step's logits and drops a sample once it
-emits EOS, indexing the live rows of the state and the encoding; the
-softmax of the same logits is its block.  Each decode returns a Decoded
-block of one row per emitted token, sample-major, labelled by the tokens.
-Iterating a Decoded gives per-sample DecoderOutputs.
+is given its tokens, and at most one replay of images the batch's size
+after them; it runs every step in one attn_gru node, each sample only for
+its own steps, and projects every hidden state with one taped output head
+(matmul, bias add, softmax).  Greedy is forward-only: it runs one node per
+step, feeds back the restricted argmax of that step's logits and drops a
+sample once it emits EOS, indexing the live rows of the state and the
+encoding; the softmax of the same logits is its block.  Each decode returns
+a Decoded block of one row per emitted token, sample-major, labelled by the
+tokens.  Iterating a Decoded gives per-sample DecoderOutputs.
 """
 
 from __future__ import annotations
@@ -223,18 +223,20 @@ class Recognizer:
     # -- shared pieces ------------------------------------------------------
 
     def encode(self, pixels: np.ndarray) -> tuple[Tensor, Tensor]:
-        """(feats, keys) of float images [B, 8, W], W a positive multiple of
-        8: feats [B, T_enc, h] are the encoder GRU's states, one per strip,
-        and keys [B, T_enc, a] = feats @ attn/W_enc are their attention
-        keys, the same at every decode step.  Integer arrays, such as a
-        corpus's raw 8-bit codes, are refused (Corpus.images gives the float
-        images)."""
+        """(feats, keys) of float images [B, 8, W], B >= 1 and W a positive
+        multiple of 8: feats [B, T_enc, h] are the encoder GRU's states, one
+        per strip, and keys [B, T_enc, a] = feats @ attn/W_enc are their
+        attention keys, the same at every decode step.  Integer arrays, such
+        as a corpus's raw 8-bit codes, are refused (Corpus.images gives the
+        float images)."""
         if pixels.dtype.kind != "f":
             raise ContractError(f"encode: pixels are {pixels.dtype}, not "
                                 "float images in [0, 1]")
         if pixels.ndim != 3:
             raise DimensionError(f"encode: pixels {pixels.shape} not [B, H, W]")
         batch, h, w = pixels.shape
+        if batch == 0:
+            raise DimensionError("encode: no images")
         if h != GLYPH_H:
             raise DimensionError(f"encode: image height {h}, expected {GLYPH_H}")
         if w == 0 or w % STRIP_W != 0:
@@ -248,8 +250,7 @@ class Recognizer:
         x = T.tanh(T.add(T.matmul(T.constant(strips), p["proj/W"]),
                          p["proj/b"]))
         xw = T.add(T.matmul(x, p["enc/W"]), p["enc/b"])
-        feats = T.gru_cell(xw, T.zeros((batch, self.arch.enc_hidden)),
-                           p["enc/U"])
+        feats = T.gru_cell(xw, p["enc/U"])
         return feats, T.matmul(feats, p["attn/W_enc"])
 
     # -- the two decoding modes ---------------------------------------------
@@ -261,38 +262,32 @@ class Recognizer:
         t labelled with token t.  A sample shorter than the batch maximum runs
         only its own steps, so the block holds only emitted rows.
 
-        replay, one (pixels, sequences) pair, joins the batch unchecked:
-        each sequence is a greedy decode's whole output, fed back to rebuild
-        its rows, which follow the labeled batch's.  A replay of the batch's
-        image width decodes in one batch with it, one of another width on
-        its own.
+        replay, one (pixels, sequences) pair, joins the batch in its one
+        decode.  Its images must be the batch's size; its sequences go
+        unchecked: each is a greedy decode's whole output, fed back to
+        rebuild its rows, which follow the labeled batch's.
         """
         if len(labels) != len(pixels):
             raise ContractError(
                 f"teacher_forced: {len(pixels)} images vs {len(labels)} labels")
+        chars = range(self.vocab.n_chars)
         for lab in labels:
             if len(lab) == 0 or len(lab) > self.arch.l_max:
                 raise ContractError(
                     f"teacher_forced: label length {len(lab)} outside "
                     f"[1, {self.arch.l_max}]")
             for i in lab:
-                if not 0 <= i < self.vocab.n_chars:
+                if i not in chars:   # out of range or not a whole number
                     raise ContractError(
                         f"teacher_forced: {i} is not a character index")
         tokens = [(*lab, self.vocab.EOS) for lab in labels]
-        if replay is not None and replay[0].shape[-1] == pixels.shape[-1]:
+        if replay is not None:
+            if replay[0].shape[1:] != pixels.shape[1:]:
+                raise DimensionError(
+                    f"teacher_forced: replay images {replay[0].shape[1:]} "
+                    f"differ from the batch's {pixels.shape[1:]}")
             pixels = np.concatenate([pixels, replay[0]])
             tokens += replay[1]
-            replay = None
-        decoded = self._decode_forced(pixels, tokens)
-        if replay is None:
-            return decoded
-        rest = self._decode_forced(*replay)
-        return Decoded(T.concat([decoded.probs, rest.probs]),
-                       decoded.labels + rest.labels)
-
-    def _decode_forced(self, pixels: np.ndarray,
-                       tokens: list[tuple[int, ...]]) -> Decoded:
         p = self.params
         feats, keys = self.encode(pixels)
         batch = len(pixels)
@@ -308,7 +303,7 @@ class Recognizer:
                        p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"],
                        lengths=lengths)
         logits = T.add(T.matmul(h, p["out/W"]), p["out/b"])
-        return Decoded(T.softmax(logits), list(tokens))
+        return Decoded(T.softmax(logits), tokens)
 
     def greedy(self, pixels: np.ndarray) -> Decoded:
         """Self-fed, forward-only decode, at most l_max+1 steps, truncated at
@@ -336,7 +331,7 @@ class Recognizer:
                         live, ids = live[keep], ids[keep]
                         h, feats, keys = (T.constant(x.data[keep])
                                           for x in (h, feats, keys))
-                h = T.attn_gru(keys, feats, p["embed/E"], ids, h,
+                h = T.attn_gru(keys, feats, p["embed/E"], ids[:, None], h,
                                p["attn/W_dec"], p["attn/v"], p["dec/W"],
                                p["dec/b"], p["dec/U"])
                 logits = h.data @ W + b

@@ -8,13 +8,14 @@ does, at any rank; their backward rules sum the gradient over every
 stretched axis; matmul takes a [B, n] or [B, T, n] left operand, and
 gather_rows picks rows or entries of a rank-2 table.  gru_cell and attn_gru
 are fused recurrent primitives with analytic backward rules, sharing one
-GRU step: gru_cell runs a GRU over a whole [B, T, 3H] sequence, first to
-last, and attn_gru runs T attention-fed decoder steps from token ids (with
-lengths, only each sample's own steps and states), each as one node whose
-backward is BPTT, in place of the 12-20 elementary nodes a step takes.  A
-run keeps its steps in time-major [T, B, .] buffers, so backward computes
-the factors that do not depend on the incoming gradient once per run and
-sums the weight gradients after its step loop.
+GRU step: gru_cell runs a GRU from the zero state over a whole [B, T, 3H]
+sequence, first to last, and attn_gru runs T attention-fed decoder steps
+from [B, T] token ids (with lengths, only each sample's own steps and
+states), each as one node whose backward is BPTT, in place of the 12-20
+elementary nodes a step takes.  A run keeps its steps in time-major
+[T, B, .] buffers, so backward computes the factors that do not depend on
+the incoming gradient once per run and sums the weight gradients after its
+step loop.
 """
 
 from __future__ import annotations
@@ -520,24 +521,22 @@ class _GruRun:
                                 @ d[..., two:].reshape(-1, hid))
 
 
-def gru_cell(xw: Tensor, h: Tensor, U: Tensor) -> Tensor:
-    """A GRU (Cho et al. 2014) over T steps, gates in blocks z | r | n.
+def gru_cell(xw: Tensor, U: Tensor) -> Tensor:
+    """A GRU (Cho et al. 2014) from the zero state, gates in blocks z | r | n.
 
-    xw [B, T, 3H] holds the steps' input projections x_t @ W + b, h is the
-    initial state [B, H] and U the recurrent weights [H, 3H].  A step
-    computes z, r = sigmoid(xw_zr + h @ U_zr), n = tanh(xw_n + (r * h) @
-    U_n) and h' = (1 - z) * n + z * h.  Steps run first to last; the
-    [B, T, H] result holds every step's state, and backward is BPTT in this
-    one node.
+    xw [B, T, 3H] holds the steps' input projections x_t @ W + b and U the
+    recurrent weights [H, 3H].  A step computes z, r = sigmoid(xw_zr + h @
+    U_zr), n = tanh(xw_n + (r * h) @ U_n) and h' = (1 - z) * n + z * h.
+    Steps run first to last; the [B, T, H] result holds every step's state,
+    and backward is BPTT in this one node.
     """
-    if (h.data.ndim != 2 or xw.data.ndim != 3 or 0 in xw.shape
-            or xw.shape[0] != h.shape[0] or xw.shape[2] != 3 * h.shape[1]
-            or U.shape != (h.shape[1], 3 * h.shape[1])):
+    if (xw.data.ndim != 3 or 0 in xw.shape or U.data.ndim != 2
+            or U.shape[1] != 3 * U.shape[0] or xw.shape[2] != U.shape[1]):
         raise DimensionError(
-            f"gru_cell: need xw [B, T, 3H] with T >= 1, h [B, H] and "
-            f"U [H, 3H]; got {xw.shape}, {h.shape}, {U.shape}")
+            f"gru_cell: need xw [B, T, 3H] with T >= 1 and U [H, 3H]; got "
+            f"{xw.shape}, {U.shape}")
     batch, steps, three = xw.shape
-    run = _GruRun(steps, h.data, np.empty)
+    run = _GruRun(steps, np.zeros((batch, U.shape[0])), np.empty)
     for t in range(steps):
         run.step(t, batch, xw.data[:, t], U.data)
     out = Tensor(run.states[1:].transpose(1, 0, 2))
@@ -548,14 +547,12 @@ def gru_cell(xw: Tensor, h: Tensor, U: Tensor) -> Tensor:
         dh = 0.0  # gradient reaching the state the later step read
         for t in reversed(range(steps)):
             dh = _gru_step_back(out.grad[:, t] + dh, [x[t] for x in f], ut,
-                                d[t], t > 0 or h.requires_grad)
+                                d[t], t > 0)
         if xw.requires_grad:
             xw.grad += d.transpose(1, 0, 2)
-        if h.requires_grad:
-            h.grad += dh
         run.u_grad(U, d)
 
-    return _track(out, (xw, h, U), back)
+    return _track(out, (xw, U), back)
 
 
 def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
@@ -568,7 +565,7 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
     [B, S, a] and feats [B, S, f], alpha = softmax over s of tanh(keys +
     h @ W_q) @ v, and runs a gru_cell step (U [H, 3H]) on [c ++ E[ids_t]]
     @ W + b from the last state h ([B, H] at first).  ids [B, T] are the
-    fed tokens ([B] for one step); the states come sample-major, [B*T, H].
+    fed tokens; the states come sample-major, [B*T, H].
 
     lengths [B], each in [1, T], runs sample b only for its first
     lengths[b] steps and returns just those states, [sum(lengths), H].  The
@@ -577,7 +574,7 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
     """
     ids = np.asarray(ids, dtype=np.intp)
     shapes = [x.shape for x in (keys, feats, E, h, W_q, v, W, b, U)]
-    ok = [len(s) for s in shapes[:4]] == [3, 3, 2, 2] and ids.ndim in (1, 2)
+    ok = [len(s) for s in shapes[:4]] == [3, 3, 2, 2] and ids.ndim == 2
     if ok:
         (batch, src, attn), (_, _, f), (k, e), (_, hid) = shapes[:4]
         want = [(batch, src, f), (batch, hid), (hid, attn), (attn, 1),
@@ -588,14 +585,12 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
         raise DimensionError(
             "attn_gru: need keys [B, S, a], feats [B, S, f], E [K, e], h "
             "[B, H], W_q [H, a], v [a, 1], W [f + e, 3H], b [1, 3H], U "
-            f"[H, 3H] and ids [B, T] or [B], none empty; got {shapes}, "
-            f"{ids.shape}")
+            f"[H, 3H] and ids [B, T], none empty; got {shapes}, {ids.shape}")
     bad = ids[(ids < 0) | (ids >= k)]
     if bad.size:
         raise IndexRangeError(
             f"attn_gru: token {bad[0]} out of range [0, {k})")
-    grid = ids.reshape(batch, -1)
-    steps = grid.shape[1]
+    steps = ids.shape[1]
     kd, fd, h0, order, emitted = keys.data, feats.data, h.data, None, None
     live = [batch] * steps  # samples each step runs, a leading slice
     if lengths is not None:
@@ -610,7 +605,7 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
                                 f"not all integers in [1, {steps}]")
         order = np.argsort(-lengths, kind="stable")
         caller = np.argsort(order)  # caller[b]: where sample b sits in order
-        kd, fd, h0, grid = kd[order], fd[order], h0[order], grid[order]
+        kd, fd, h0, ids = kd[order], fd[order], h0[order], ids[order]
         emitted = lengths[:, None] > np.arange(steps)  # [B, T]
         live = emitted.sum(axis=0).tolist()
 
@@ -620,7 +615,7 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
     # dead rows are zero, so the whole-run factors and sums stay finite
     alloc = np.empty if live[-1] == batch else np.zeros
     wc, we, wq, vd = W.data[:f], W.data[f:], W_q.data, v.data
-    fed = (E.data @ we + b.data)[grid.T]  # [T, B, 3H]: E[ids] @ W[f:] + b
+    fed = (E.data @ we + b.data)[ids.T]  # [T, B, 3H]: E[ids] @ W[f:] + b
     run = _GruRun(steps, h0, alloc)
     energy = alloc((steps, batch, src, attn))
     alpha = alloc((steps, batch, src))
@@ -683,7 +678,7 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
                          @ dq.reshape(-1, attn))
         run.u_grad(U, d)
         d = d.reshape(-1, 3 * hid)
-        d_fed = np.eye(k)[grid.T.reshape(-1)].T @ d  # scattered by a one-hot
+        d_fed = np.eye(k)[ids.T.reshape(-1)].T @ d  # scattered by a one-hot
         if W.requires_grad:
             W.grad[:f] += ctx.reshape(-1, f).T @ d
             W.grad[f:] += E.data.T @ d_fed

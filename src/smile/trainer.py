@@ -9,10 +9,11 @@ step_losses builds every step's losses, and gate A1 checks it.  In smile
 mode it greedy-decodes the target batch off the tape, pools and selects;
 then one taped teacher-forced decode runs the labeled batch and, after it,
 each target sample with a chosen row fed its whole pseudo-label sequence
-(self_paced.replay_plan); the entropy term reads only the chosen rows.
-With lam = 0 nothing is replayed, so the update equals base mode's and the
-selection is only logged.  Every step scales its gradients to a joint
-2-norm of at most CLIP_NORM before the optimizer runs.
+(self_paced.replay_plan); the entropy term reads only the chosen rows, so a
+smile run's source and target images share one width.  With lam = 0 nothing
+is replayed, so the update equals base mode's and the selection is only
+logged.  Every step scales its gradients to a joint 2-norm of at most
+CLIP_NORM before the optimizer runs.
 
 Batch composition is stateless: the indices for step s come from fresh
 generators keyed [seed, stream, s], so a resumed run draws exactly the
@@ -459,6 +460,10 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
                                   ("test", test, True)):
         if corpus is not None:
             check_corpus(corpus, vocab, l_max, f"{name} corpus", labeled)
+    if target is not None and target.codes.shape[2] != source.codes.shape[2]:
+        raise ContractError(
+            f"target corpus: images are {target.codes.shape[2]} px wide, the "
+            f"source's {source.codes.shape[2]} px; a smile run reads one width")
     rec = (start.restore() if start is not None
            else Recognizer.fresh(vocab, l_max, cfg.seed))
 

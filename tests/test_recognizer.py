@@ -267,6 +267,22 @@ def test_teacher_forced_validation(rec):
         rec.teacher_forced(px, [(0, 1, 2, 3), (1,)])
     with pytest.raises(ContractError):
         rec.teacher_forced(px, [(7,), (1,)])
+    # a non-integer entry is no index, not a truncated one
+    with pytest.raises(ContractError, match="1.5 is not a character index"):
+        rec.teacher_forced(px, [(1.5,), (2,)])
+    # a replay joins the batch's one decode, so it has the batch's size
+    narrow = (some_pixels(1, 2), [(1, rec.vocab.EOS)])
+    with pytest.raises(DimensionError,
+                       match=r"replay images \(8, 16\) .* \(8, 24\)"):
+        rec.teacher_forced(px, [(0,), (1,)], narrow)
+
+
+def test_empty_batch_is_refused_by_name(rec):
+    px = some_pixels(2, 3)[:0]
+    with pytest.raises(DimensionError, match="^encode: no images$"):
+        rec.greedy(px)
+    with pytest.raises(DimensionError, match="^encode: no images$"):
+        rec.teacher_forced(px, [])
 
 
 def test_teacher_forced_batch_matches_single(rec):
@@ -279,31 +295,6 @@ def test_teacher_forced_batch_matches_single(rec):
         [single] = rec.teacher_forced(px[b:b + 1], [lab])
         assert np.allclose(single.probs, batch[b].probs, atol=1e-12)
         assert single.pseudo_labels == batch[b].pseudo_labels
-
-
-def test_two_width_decode_equals_separate_decodes(rec):
-    # a replay of another image width decodes as a second block; the
-    # joined Decoded must read exactly like the two decodes apart
-    # a replay is given whole token sequences, EOS included
-    px, labels = some_pixels(2, 3, seed=10), [(0, 1), (2,)]
-    narrow, prefixes = some_pixels(3, 2, seed=11), [(1,), (3, 0), (2,)]
-    joined = rec.teacher_forced(
-        px, labels, (narrow, [p + (rec.vocab.EOS,) for p in prefixes]))
-    wide = rec.teacher_forced(px, labels)
-    apart = [*wide, *rec.teacher_forced(narrow, prefixes)]
-    assert joined.labels == [o.pseudo_labels for o in apart]
-    assert joined.probs.shape[0] == sum(map(len, joined.labels)) == 12
-    for got, want in zip(joined, apart):
-        assert np.array_equal(got.probs, want.probs)
-    head = joined.head(len(labels))
-    assert head.probs is joined.probs
-    assert head.labels == wide.labels
-    assert all(np.array_equal(got.probs, want.probs)
-               for got, want in zip(head, wide))
-    assert decoder_loss(head).item() == decoder_loss(wide).item()
-    want = (2 * decoder_loss(wide).item() + 3 * decoder_loss(
-        rec.teacher_forced(narrow, prefixes)).item()) / 5
-    assert decoder_loss(joined).item() == pytest.approx(want, rel=1e-14)
 
 
 def test_teacher_forced_runs_only_live_rows(rec, monkeypatch):

@@ -527,6 +527,28 @@ def test_every_corpus_is_checked_before_any_step(monkeypatch, small_source,
                            target=small_target, test=small_target, start=base)
 
 
+def test_smile_target_of_another_width_is_refused_before_any_step(
+        monkeypatch, small_source, vocab, templates):
+    # the chosen target samples decode inside the source batch, so the two
+    # corpora share one width; a test corpus, decoded on its own, may be
+    # narrower
+    base, _ = train_with_corpora(quick_cfg(seed=21), source=small_source)
+    narrow = generate_corpus(vocab, templates, 40, (1, 2), seed=46)
+    _, log = train_with_corpora(quick_cfg(mode="smile", steps=1),
+                                source=small_source, target=small_source,
+                                test=narrow, start=base)
+    assert len(log.eval_rows) == 1
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step ran before the widths were checked")
+
+    monkeypatch.setattr(trainer, "step_losses", never)
+    with pytest.raises(ContractError, match="^target corpus: images are 16 "
+                                            "px wide, the source's 24 px"):
+        train_with_corpora(quick_cfg(mode="smile"), source=small_source,
+                           target=narrow, start=base)
+
+
 def test_sweep_checks_the_test_corpus_before_any_cell(monkeypatch,
                                                       small_source,
                                                       small_target):
