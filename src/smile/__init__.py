@@ -9,7 +9,7 @@ from .errors import (ContractError, DimensionError, FormatError,
                      IndexRangeError, NumericalAbort)
 from .losses import decoder_loss, smile_loss
 from .metrics import EvalResult, compare_report, evaluate, word_accuracy
-from .recognizer import ArchSpec, Decoded, DecoderOutput, Recognizer
+from .recognizer import Decoded, DecoderOutput, Recognizer
 from .self_paced import (PredictionPool, SelectionResult, build_pool,
                          portion_at, select, selected_entropy_loss)
 from .tensor import Tape, Tensor
@@ -19,7 +19,7 @@ from .trainer import (Checkpoint, MetricsLog, TrainConfig, load_checkpoint,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArchSpec", "Checkpoint", "ContractError", "Corpus", "Decoded",
+    "Checkpoint", "ContractError", "Corpus", "Decoded",
     "DecoderOutput", "DimensionError", "DomainConfig", "EvalResult",
     "FormatError", "IndexRangeError", "MetricsLog", "NumericalAbort",
     "PredictionPool", "Recognizer", "SelectionResult", "Tape", "Tensor",

@@ -353,15 +353,23 @@ def vocab_block(vocab: VocabSpec) -> bytes:
 
 def read_vocab_block(r: Reader) -> VocabSpec:
     n_chars = r.u32("vocab size")
-    chars = []
+    if n_chars == 0:
+        raise FormatError(f"{r.path}: vocab size 0 at offset {r.off - 4}; "
+                          "need at least one character")
+    chars: dict[str, int] = {}   # each character's symbol index
     for i in range(n_chars):
         code = r.u32(f"vocab symbol {i}")
         try:
-            chars.append(chr(code))
+            char = chr(code)
         except (ValueError, OverflowError):
             raise FormatError(
                 f"{r.path}: invalid code point {code} at offset {r.off - 4}"
             ) from None
+        if char in chars:
+            raise FormatError(
+                f"{r.path}: vocab symbol {i} {char!r} at offset {r.off - 4} "
+                f"repeats symbol {chars[char]}")
+        chars[char] = i
     return VocabSpec("".join(chars))
 
 
@@ -398,6 +406,11 @@ def load_corpus(path: str) -> Corpus:
     r.header(MAGIC, VERSION)
     h = r.u32("height")
     w = r.u32("width")
+    # the two sizes follow the 8-byte magic and version
+    for what, size, at in (("height", h, 8), ("width", w, 12)):
+        if size == 0:
+            raise FormatError(f"{path}: image {what} 0 at offset {at}; "
+                              "height and width must be positive")
     count = r.u32("record count")
     if count == 0:
         raise ContractError(f"{path}: corpus has no records")

@@ -102,7 +102,7 @@ def evaluate(rec: Recognizer, corpus: Corpus,
     fold back in batch order, so the outcome is independent of thread
     count.
     """
-    check_corpus(corpus, rec.vocab, rec.arch.l_max, "evaluate")
+    check_corpus(corpus, rec.vocab, rec.l_max, "evaluate")
     chunks = range(0, len(corpus), EVAL_BATCH)
     eos = rec.vocab.EOS
 

@@ -22,6 +22,9 @@ sample once it emits EOS, indexing the live rows of the state and the
 encoding; the softmax of the same logits is its block.  Each decode returns
 a Decoded block of one row per emitted token, sample-major, labelled by the
 tokens.  Iterating a Decoded gives per-sample DecoderOutputs.
+
+The layer sizes are constants: a model is its vocab, its l_max (the most
+characters it reads) and its weights.  A strip is one GLYPH_H x GLYPH_W slot.
 """
 
 from __future__ import annotations
@@ -32,51 +35,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import MAX_LABEL, Corpus, VocabSpec, check_seed
+from .data import GLYPH_H, GLYPH_W, MAX_LABEL, Corpus, VocabSpec, check_seed
 from .errors import ContractError, DimensionError
 from .tensor import Tensor
 
-GLYPH_H = 8
-STRIP_W = 8
+# the one architecture; load_checkpoint refuses a header with other sizes
+D_FEAT = 32
+ENC_HIDDEN = 32
+EMBED_DIM = 16
+DEC_HIDDEN = 2 * ENC_HIDDEN
+ATTN_DIM = D_FEAT
 
 GATES = ("z", "r", "n")
 GRU_BLOCKS = ("enc", "dec")
 
 
-@dataclass(frozen=True)
-class ArchSpec:
-    """Layer sizes; dec_hidden and attn_dim follow fixed conventions."""
-
-    K: int
-    l_max: int
-    d_feat: int = 32
-    enc_hidden: int = 32
-    embed_dim: int = 16
-
-    def __post_init__(self):
-        # greedy runs l_max + 1 steps, so a corrupt size must not get through
-        if not 1 <= self.l_max <= MAX_LABEL:
-            raise ContractError(f"arch: l_max {self.l_max} outside "
-                                f"[1, {MAX_LABEL}], the corpus label range")
-        for name in ("d_feat", "enc_hidden", "embed_dim"):
-            if getattr(self, name) < 1:
-                raise ContractError(
-                    f"arch: {name} {getattr(self, name)} is below 1")
-
-    @property
-    def dec_hidden(self) -> int:
-        return 2 * self.enc_hidden
-
-    @property
-    def attn_dim(self) -> int:
-        return self.d_feat
-
-
-def param_shapes(arch: ArchSpec) -> dict[str, tuple[int, int]]:
-    """Every checkpoint tensor's shape (GRU gates apart), in the order
-    init_params draws them; allocates nothing, so safe on untrusted sizes."""
-    shapes = {"proj/W": (GLYPH_H * STRIP_W, arch.d_feat),
-              "proj/b": (1, arch.d_feat)}
+def param_shapes(K: int) -> dict[str, tuple[int, int]]:
+    """Every checkpoint tensor's shape (GRU gates apart) for K classes, in
+    the order init_params draws them."""
+    shapes = {"proj/W": (GLYPH_H * GLYPH_W, D_FEAT), "proj/b": (1, D_FEAT)}
 
     def gru_block(prefix: str, in_dim: int, hid: int):
         for gate in GATES:
@@ -84,14 +61,14 @@ def param_shapes(arch: ArchSpec) -> dict[str, tuple[int, int]]:
             shapes[f"{prefix}/U_{gate}"] = (hid, hid)
             shapes[f"{prefix}/b_{gate}"] = (1, hid)
 
-    gru_block("enc", arch.d_feat, arch.enc_hidden)
-    shapes["attn/W_enc"] = (arch.enc_hidden, arch.attn_dim)
-    shapes["attn/W_dec"] = (arch.dec_hidden, arch.attn_dim)
-    shapes["attn/v"] = (arch.attn_dim, 1)
-    shapes["embed/E"] = (arch.K, arch.embed_dim)
-    gru_block("dec", arch.enc_hidden + arch.embed_dim, arch.dec_hidden)
-    shapes["out/W"] = (arch.dec_hidden, arch.K)
-    shapes["out/b"] = (1, arch.K)
+    gru_block("enc", D_FEAT, ENC_HIDDEN)
+    shapes["attn/W_enc"] = (ENC_HIDDEN, ATTN_DIM)
+    shapes["attn/W_dec"] = (DEC_HIDDEN, ATTN_DIM)
+    shapes["attn/v"] = (ATTN_DIM, 1)
+    shapes["embed/E"] = (K, EMBED_DIM)
+    gru_block("dec", ENC_HIDDEN + EMBED_DIM, DEC_HIDDEN)
+    shapes["out/W"] = (DEC_HIDDEN, K)
+    shapes["out/b"] = (1, K)
     return shapes
 
 
@@ -122,13 +99,13 @@ def split_gates(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return split
 
 
-def init_params(arch: ArchSpec, seed: int) -> dict[str, Tensor]:
+def init_params(K: int, seed: int) -> dict[str, Tensor]:
     """All weights uniform(-1/sqrt(fan_in), +), biases zero, one seeded
     stream consumed per gate in fixed declaration order; GRU gates fused."""
     check_seed(seed, "init_params: seed", stored=False)
     rng = np.random.default_rng(seed)
     arrays = {}
-    for name, (rows, cols) in param_shapes(arch).items():
+    for name, (rows, cols) in param_shapes(K).items():
         if name.rsplit("/", 1)[1].startswith("b"):
             arrays[name] = np.zeros((rows, cols))
         else:
@@ -141,7 +118,7 @@ def check_corpus(corpus: Corpus, vocab: VocabSpec, l_max: int, what: str,
                  labeled: bool = True):
     """Refuse a corpus of another vocab, unlabeled records where labels are
     needed, lines encode cannot take (not GLYPH_H px high or a multiple of
-    STRIP_W px wide), lines of more than MAX_LABEL characters, which no
+    GLYPH_W px wide), lines of more than MAX_LABEL characters, which no
     model decodes, or lines or labels of more than l_max, since greedy stops
     after l_max+1 steps, so longer words never match."""
     if corpus.vocab != vocab:
@@ -151,19 +128,19 @@ def check_corpus(corpus: Corpus, vocab: VocabSpec, l_max: int, what: str,
         raise ContractError(f"{what}: {corpus.labels.count(None)} of "
                             f"{len(corpus)} images are unlabeled")
     _, height, width = corpus.codes.shape
-    if height != GLYPH_H or width % STRIP_W:
+    if height != GLYPH_H or width % GLYPH_W:
         raise ContractError(
             f"{what}: images are {height}x{width} px; the model reads lines "
-            f"{GLYPH_H} px high and a multiple of {STRIP_W} px wide")
-    if width // STRIP_W > MAX_LABEL:
+            f"{GLYPH_H} px high and a multiple of {GLYPH_W} px wide")
+    if width // GLYPH_W > MAX_LABEL:
         raise ContractError(
-            f"{what}: images are {width} px wide ({width // STRIP_W} "
+            f"{what}: images are {width} px wide ({width // GLYPH_W} "
             f"characters), more than the {MAX_LABEL} a label can hold")
-    if width // STRIP_W > l_max:
+    if width // GLYPH_W > l_max:
         raise ContractError(
-            f"{what}: images are {width} px wide ({width // STRIP_W} "
+            f"{what}: images are {width} px wide ({width // GLYPH_W} "
             f"characters), the model decodes at most l_max={l_max} "
-            f"({l_max * STRIP_W} px)")
+            f"({l_max * GLYPH_W} px)")
     if labeled and max(map(len, corpus.labels)) > l_max:
         i = next(i for i, lab in enumerate(corpus.labels) if len(lab) > l_max)
         raise ContractError(
@@ -205,20 +182,20 @@ class Decoded:
 class Recognizer:
     """Parameter record plus the forward passes that share it."""
 
-    def __init__(self, vocab: VocabSpec, arch: ArchSpec,
+    def __init__(self, vocab: VocabSpec, l_max: int,
                  params: dict[str, Tensor]):
-        if arch.K != vocab.K:
-            raise ContractError(
-                f"recognizer: arch K={arch.K} disagrees with vocab K={vocab.K}")
+        # greedy runs l_max + 1 steps, so a corrupt length must not get through
+        if not 1 <= l_max <= MAX_LABEL:
+            raise ContractError(f"recognizer: l_max {l_max} outside "
+                                f"[1, {MAX_LABEL}], the corpus label range")
         self.vocab = vocab
-        self.arch = arch
+        self.l_max = l_max
         self.params = params
 
     @classmethod
     def fresh(cls, vocab: VocabSpec, l_max: int, seed: int) -> "Recognizer":
-        """A freshly initialized model of ArchSpec's default sizes."""
-        spec = ArchSpec(K=vocab.K, l_max=l_max)
-        return cls(vocab, spec, init_params(spec, seed))
+        """A freshly initialized model for vocab's K classes."""
+        return cls(vocab, l_max, init_params(vocab.K, seed))
 
     # -- shared pieces ------------------------------------------------------
 
@@ -239,13 +216,13 @@ class Recognizer:
             raise DimensionError("encode: no images")
         if h != GLYPH_H:
             raise DimensionError(f"encode: image height {h}, expected {GLYPH_H}")
-        if w == 0 or w % STRIP_W != 0:
+        if w == 0 or w % GLYPH_W != 0:
             raise DimensionError(
-                f"encode: width {w} not a positive multiple of {STRIP_W}")
-        t_enc = w // STRIP_W
+                f"encode: width {w} not a positive multiple of {GLYPH_W}")
+        t_enc = w // GLYPH_W
         # strips[b, t] is strip t of sample b, flattened row by row
-        strips = pixels.reshape(batch, GLYPH_H, t_enc, STRIP_W).transpose(
-            0, 2, 1, 3).reshape(batch, t_enc, GLYPH_H * STRIP_W)
+        strips = pixels.reshape(batch, GLYPH_H, t_enc, GLYPH_W).transpose(
+            0, 2, 1, 3).reshape(batch, t_enc, GLYPH_H * GLYPH_W)
         p = self.params
         x = T.tanh(T.add(T.matmul(T.constant(strips), p["proj/W"]),
                          p["proj/b"]))
@@ -272,10 +249,10 @@ class Recognizer:
                 f"teacher_forced: {len(pixels)} images vs {len(labels)} labels")
         chars = range(self.vocab.n_chars)
         for lab in labels:
-            if len(lab) == 0 or len(lab) > self.arch.l_max:
+            if len(lab) == 0 or len(lab) > self.l_max:
                 raise ContractError(
                     f"teacher_forced: label length {len(lab)} outside "
-                    f"[1, {self.arch.l_max}]")
+                    f"[1, {self.l_max}]")
             for i in lab:
                 if i not in chars:   # out of range or not a whole number
                     raise ContractError(
@@ -299,7 +276,7 @@ class Recognizer:
         fed[emitted] = np.fromiter(itertools.chain.from_iterable(
             (self.vocab.GO, *seq[:-1]) for seq in tokens), dtype=int)
         h = T.attn_gru(keys, feats, p["embed/E"], fed,
-                       T.zeros((batch, self.arch.dec_hidden)), p["attn/W_dec"],
+                       T.zeros((batch, DEC_HIDDEN)), p["attn/W_dec"],
                        p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"],
                        lengths=lengths)
         logits = T.add(T.matmul(h, p["out/W"]), p["out/b"])
@@ -321,8 +298,8 @@ class Recognizer:
         step_logits, step_ids, step_live = [], [], []
         with T.untaped():
             feats, keys = self.encode(pixels)
-            h = T.zeros((batch, self.arch.dec_hidden))
-            for t in range(self.arch.l_max + 1):
+            h = T.zeros((batch, DEC_HIDDEN))
+            for t in range(self.l_max + 1):
                 if t > 0:
                     keep = np.flatnonzero(ids != self.vocab.EOS)
                     if len(keep) == 0:

@@ -19,6 +19,9 @@ Batch composition is stateless: the indices for step s come from fresh
 generators keyed [seed, stream, s], so a resumed run draws exactly the
 batches the uninterrupted run would have drawn.  A corpus holds 8-bit codes;
 each drawn batch is the only float64 copy of its images (Corpus.images).
+
+A checkpoint is a model (vocab, l_max, weights), optimizer state and a step;
+its header's layer sizes and K must be the model's, or loading refuses it.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .binio import Reader, read_file, write_atomic
-from .data import Corpus, VocabSpec, check_seed, read_vocab_block, vocab_block
+from .data import (GLYPH_W, MAX_LABEL, Corpus, VocabSpec, check_seed,
+                   read_vocab_block, vocab_block)
 from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
-from .recognizer import (STRIP_W, ArchSpec, Recognizer, check_corpus,
-                         fuse_gates, param_shapes, split_gates)
+from .recognizer import (D_FEAT, EMBED_DIM, ENC_HIDDEN, Recognizer,
+                         check_corpus, fuse_gates, param_shapes, split_gates)
 from .self_paced import (PredictionPool, SelectionResult, build_pool,
                          portion_at, replay_plan, select,
                          selected_entropy_loss)
@@ -190,21 +194,25 @@ def make_optimizer(cfg: TrainConfig):
     return Adam(cfg.lr) if cfg.optimizer == "adam" else Adadelta(cfg.lr)
 
 
-def _check_opt_state(opt, opt_state: dict[str, np.ndarray], arch: ArchSpec):
+def _check_opt_state(opt, ck: Checkpoint):
     """Resume needs each of opt's state tensors as stored (per gate), shaped
-    like its parameter, and no state for a parameter the model lacks."""
+    like its parameter, no state for a parameter the model lacks, and each
+    scalar (a count of updates) a whole number in [0, ck.step]."""
     prefix = f"opt/{opt.name}/"
     expected = {f"{prefix}{k}": () for k in opt.scalars}
     expected.update({f"{prefix}{slot}/{n}": shape for slot in opt.slots
-                     for n, shape in param_shapes(arch).items()})
+                     for n, shape in param_shapes(ck.vocab.K).items()})
     for name, shape in expected.items():
-        if name not in opt_state:
+        if name not in ck.opt_state:
             raise ContractError(f"resume: checkpoint lacks {name}")
-        if opt_state[name].shape != shape:
+        value = ck.opt_state[name]
+        if value.shape != shape:
             raise ContractError(
-                f"resume: {name} has shape {opt_state[name].shape}, "
-                f"expected {shape}")
-    for name in opt_state:
+                f"resume: {name} has shape {value.shape}, expected {shape}")
+        if shape == () and not (0 <= value <= ck.step and value % 1 == 0):
+            raise ContractError(f"resume: {name} {float(value)} is not a "
+                                f"whole number in [0, {ck.step}]")
+    for name in ck.opt_state:
         if name.startswith(prefix) and name not in expected:
             raise ContractError(f"resume: {name} matches no parameter")
 
@@ -233,7 +241,7 @@ class Checkpoint:
     """params hold GRU gates fused; opt_state stays per gate, as stored."""
 
     vocab: VocabSpec
-    arch: ArchSpec
+    l_max: int
     params: dict[str, np.ndarray]
     opt_state: dict[str, np.ndarray]
     step: int
@@ -241,7 +249,7 @@ class Checkpoint:
     def restore(self) -> Recognizer:
         tensors = {n: Tensor(a.copy(), requires_grad=True)
                    for n, a in self.params.items()}
-        return Recognizer(self.vocab, self.arch, tensors)
+        return Recognizer(self.vocab, self.l_max, tensors)
 
 
 def _seed_tensor(seed: int) -> np.ndarray:
@@ -265,15 +273,15 @@ def _seed_value(opt_state: dict[str, np.ndarray]) -> int:
 def snapshot(rec: Recognizer, opt, step: int, seed: int) -> Checkpoint:
     opt_state = opt.state_tensors() if opt is not None else {}
     opt_state["opt/seed"] = _seed_tensor(seed)
-    return Checkpoint(rec.vocab, rec.arch,
+    return Checkpoint(rec.vocab, rec.l_max,
                       {n: t.data.copy() for n, t in rec.params.items()},
                       opt_state, step)
 
 
 def save_checkpoint(ck: Checkpoint, path: str):
     parts = [CK_MAGIC, struct.pack("<I", CK_VERSION), vocab_block(ck.vocab),
-             struct.pack("<IIIII", ck.arch.d_feat, ck.arch.enc_hidden,
-                         ck.arch.embed_dim, ck.arch.K, ck.arch.l_max),
+             struct.pack("<IIIII", D_FEAT, ENC_HIDDEN, EMBED_DIM, ck.vocab.K,
+                         ck.l_max),
              struct.pack("<Q", ck.step)]
     tensors = (sorted(split_gates(ck.params).items())
                + sorted(ck.opt_state.items()))
@@ -293,13 +301,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     r = Reader(read_file(path, "checkpoint"), path)
     r.header(CK_MAGIC, CK_VERSION)
     vocab = read_vocab_block(r)
-    d_feat = r.u32("d_feat")
-    enc_hidden = r.u32("hidden size")
-    embed_dim = r.u32("embed size")
-    k = r.u32("class count")
-    l_max = r.u32("max length")
-    if k != vocab.K:
-        raise FormatError(f"{path}: arch K={k} disagrees with vocab K={vocab.K}")
+    for what, expected in (("d_feat", D_FEAT), ("enc_hidden", ENC_HIDDEN),
+                           ("embed_dim", EMBED_DIM), ("class count", vocab.K)):
+        got = r.u32(what)
+        if got != expected:
+            raise FormatError(f"{path}: {what} {got} at offset {r.off - 4}, "
+                              f"expected {expected}")
+    l_max = r.u32("l_max")
+    if not 1 <= l_max <= MAX_LABEL:
+        raise FormatError(f"{path}: l_max {l_max} at offset {r.off - 4} "
+                          f"outside [1, {MAX_LABEL}], the corpus label range")
     step = r.u64("step counter")
     count = r.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
@@ -326,9 +337,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     r.expect_end()
     params = {n: a for n, a in tensors.items() if not n.startswith("opt/")}
     opt_state = {n: a for n, a in tensors.items() if n.startswith("opt/")}
-    arch = ArchSpec(K=k, l_max=l_max, d_feat=d_feat, enc_hidden=enc_hidden,
-                    embed_dim=embed_dim)
-    expected = param_shapes(arch)
+    expected = param_shapes(vocab.K)
     if set(params) != set(expected):
         missing = sorted(set(expected) - set(params))
         extra = sorted(set(params) - set(expected))
@@ -338,7 +347,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         if params[n].shape != shape:
             raise FormatError(f"{path}: tensor {n} has shape "
                               f"{params[n].shape}, expected {shape}")
-    return Checkpoint(vocab, arch, fuse_gates(params), opt_state, step)
+    return Checkpoint(vocab, l_max, fuse_gates(params), opt_state, step)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +462,8 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
 
     # every corpus is checked against the model's vocab and l_max (the
     # start's, or the source's for a fresh model) before the model is built
-    vocab, l_max = ((start.vocab, start.arch.l_max) if start is not None
-                    else (source.vocab, source.codes.shape[2] // STRIP_W))
+    vocab, l_max = ((start.vocab, start.l_max) if start is not None
+                    else (source.vocab, source.codes.shape[2] // GLYPH_W))
     for name, corpus, labeled in (("source", source, True),
                                   ("target", target, False),
                                   ("test", test, True)):
@@ -475,7 +484,7 @@ def train_with_corpora(cfg: TrainConfig, source: Corpus | None = None,
             raise ContractError("resume requires a checkpoint")
         if "opt/seed" not in start.opt_state:
             raise ContractError("checkpoint carries no optimizer state to resume")
-        _check_opt_state(opt, start.opt_state, rec.arch)
+        _check_opt_state(opt, start)
         seed = _seed_value(start.opt_state)
         opt.load_state(start.opt_state)
         start_step = start.step
@@ -559,7 +568,7 @@ def sweep(cells, cfg: TrainConfig, source: Corpus, target: Corpus,
     the test corpus, which is checked before the first cell trains."""
     configs = sweep_configs(cells, cfg)
     if start is not None:   # without one, the first cell's run refuses
-        check_corpus(test, start.vocab, start.arch.l_max, "test corpus")
+        check_corpus(test, start.vocab, start.l_max, "test corpus")
     rows = []
     for cell, cell_cfg in zip(cells, configs):
         ck, _ = train_with_corpora(cell_cfg, source, target, start=start)

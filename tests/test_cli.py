@@ -298,7 +298,8 @@ def test_eval_rejects_zero_width_corpus(capsys, workdir, vocab):
     assert cli.main(["compare", "--test", str(flat),
                      f"one={workdir['base_ck']}"]) == 1
     err = capsys.readouterr().err
-    assert "smile compare: ContractError: corpus: images are 8x0 pixels" in err
+    assert (f"smile compare: FormatError: {flat}: image width 0 at offset 12"
+            in err)
 
 
 def test_eval_missing_checkpoint_path(capsys, workdir):

@@ -630,11 +630,31 @@ def test_zero_size_images_are_refused(tmp_path, vocab):
                            [(0,), (1,)],
                            np.zeros(2, dtype=np.uint8)), str(path))
     assert not path.exists()
-    # a hand-written file: two labeled records with no pixel bytes
-    path.write_bytes(MAGIC + struct.pack("<IIII", VERSION, 8, 0, 2)
-                     + vocab_block(vocab) + bytes([SOURCE, 1, 0, SOURCE, 1, 1]))
-    with pytest.raises(ContractError, match="8x0 pixels"):
-        load_corpus(str(path))
+    # hand-written files: two labeled records with no pixel bytes; the
+    # header's zero size is refused by its offset before any record is read
+    for h, w, field in ((8, 0, "width 0 at offset 12"),
+                        (0, 8, "height 0 at offset 8")):
+        path.write_bytes(MAGIC + struct.pack("<IIII", VERSION, h, w, 2)
+                         + vocab_block(vocab)
+                         + bytes([SOURCE, 1, 0, SOURCE, 1, 1]))
+        with pytest.raises(FormatError, match=f"^{path}: image {field}; "
+                                              "height and width must be"):
+            load_corpus(str(path))
+
+
+def test_load_refuses_an_empty_or_repeated_vocab_by_offset(tmp_path):
+    # the vocab block starts at offset 20; a corpus file names it only there
+    path = tmp_path / "bad_vocab.smcp"
+    record = bytes([SOURCE, 1, 0]) + bytes(64)
+    for block, message in (
+            (struct.pack("<I", 0), "vocab size 0 at offset 20; need at "
+                                   "least one character"),
+            (struct.pack("<IIII", 3, 65, 66, 65),
+             "vocab symbol 2 'A' at offset 32 repeats symbol 0")):
+        path.write_bytes(MAGIC + struct.pack("<IIII", VERSION, 8, 8, 1)
+                         + block + record)
+        with pytest.raises(FormatError, match=f"^{path}: {message}$"):
+            load_corpus(str(path))
 
 
 def test_save_rejects_vocab_wider_than_label_field(tmp_path):

@@ -4,10 +4,10 @@ a traceback), and a write that fails midway leaves the previous file as it
 was."""
 
 import os
+import re
 import struct
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ import smile
 from smile import cli
 from smile.data import VocabSpec, generate_corpus, load_corpus, save_corpus
 from smile.errors import ContractError, FormatError
-from smile.recognizer import ArchSpec, init_params, param_shapes
+from smile.recognizer import init_params
 from smile.trainer import (Adam, Checkpoint, TrainConfig, load_checkpoint,
                            save_checkpoint, snapshot, train_with_corpora)
 
@@ -27,10 +27,8 @@ HEAD = 96   # header, vocab block and first tensor records
 
 
 def tiny_checkpoint(vocab: VocabSpec, l_max: int) -> Checkpoint:
-    arch = ArchSpec(K=vocab.K, l_max=l_max, d_feat=2, enc_hidden=2,
-                    embed_dim=2)
-    params = {n: t.data.copy() for n, t in init_params(arch, 0).items()}
-    return Checkpoint(vocab, arch, params, {"opt/seed": np.zeros(2)}, 3)
+    params = {n: t.data.copy() for n, t in init_params(vocab.K, 0).items()}
+    return Checkpoint(vocab, l_max, params, {"opt/seed": np.zeros(2)}, 3)
 
 
 @pytest.fixture(scope="module")
@@ -122,51 +120,57 @@ def corrupt(path, offset: int, packed: bytes):
     path.write_bytes(bytes(raw))
 
 
-def test_checkpoint_huge_arch_sizes_rejected_without_allocating(tmp_path):
-    # d_feat sits after magic, version and a 2-symbol vocab block
+# the header's four size fields in file order, each with the only value
+# the loader takes under VocabSpec("AB") (K = 5); the first sits at offset
+# 20, after magic, version and the 2-symbol vocab block, and l_max follows
+# them at offset 36
+HEADER_SIZES = (("d_feat", 32), ("enc_hidden", 32), ("embed_dim", 16),
+                ("class count", 5))
+
+
+def refused_header(capsys, path, corpus, message: str):
+    """path fails to load with a FormatError ending in message, and smile
+    compare exits 1 printing it."""
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_checkpoint(str(path))
+    code = cli.main(["compare", "--test", str(corpus), f"one={path}"])
+    assert code == 1
+    assert f"FormatError: {path}: {message}" in capsys.readouterr().err
+
+
+def test_checkpoint_huge_arch_sizes_rejected_without_allocating(
+        capsys, tmp_path, files):
     path = tmp_path / "ck.smck"
     save_checkpoint(tiny_checkpoint(VocabSpec("AB"), 2), str(path))
-    for field in range(3):   # d_feat, hidden size, embed size
+    for field, (name, value) in enumerate(HEADER_SIZES):
         bad = tmp_path / f"bad{field}.smck"
         bad.write_bytes(path.read_bytes())
         corrupt(bad, 20 + 4 * field, struct.pack("<I", 2 ** 31 - 1))
-        with pytest.raises(FormatError, match="shape|mismatch"):
-            load_checkpoint(str(bad))
+        refused_header(capsys, bad, files["corpus"],
+                       f"{name} 2147483647 at offset {20 + 4 * field}, "
+                       f"expected {value}")
 
 
 def test_checkpoint_huge_l_max_fails_fast(capsys, tmp_path, files):
-    # l_max follows d_feat, hidden, embed and K; greedy would run 2^31 steps
+    # greedy would run 2^31 steps
     path = tmp_path / "ck.smck"
     save_checkpoint(tiny_checkpoint(VocabSpec("AB"), 2), str(path))
     corrupt(path, 36, struct.pack("<I", 2 ** 31 - 1))
-    with pytest.raises(ContractError, match="l_max 2147483647 outside"):
-        load_checkpoint(str(path))
-    code = cli.main(["compare", "--test", str(files["corpus"]),
-                     f"one={path}"])
-    assert code == 1
-    assert "ContractError: arch: l_max" in capsys.readouterr().err
+    refused_header(capsys, path, files["corpus"],
+                   "l_max 2147483647 at offset 36 outside [1, 255], the "
+                   "corpus label range")
 
 
 @pytest.mark.parametrize("name", ["d_feat", "enc_hidden", "embed_dim"])
 def test_checkpoint_zero_arch_size_refused(capsys, tmp_path, files, name):
-    # ArchSpec refuses a zero size, so write the file from a stand-in arch
-    # whose zero-size tensors match their declared shapes
-    sizes = {"d_feat": 2, "enc_hidden": 2, "embed_dim": 2, name: 0}
-    vocab = VocabSpec("ABCD")
-    arch = SimpleNamespace(K=vocab.K, l_max=2,
-                           dec_hidden=2 * sizes["enc_hidden"],
-                           attn_dim=sizes["d_feat"], **sizes)
-    params = {n: np.full(shape, 0.1)
-              for n, shape in param_shapes(arch).items()}
     path = tmp_path / "zero.smck"
-    save_checkpoint(Checkpoint(vocab, arch, params, {"opt/seed": np.zeros(2)},
-                               3), str(path))
-    with pytest.raises(ContractError, match=f"{name} 0 is below 1"):
-        load_checkpoint(str(path))
-    code = cli.main(["compare", "--test", str(files["corpus"]),
-                     f"one={path}"])
-    assert code == 1
-    assert f"ContractError: arch: {name} 0" in capsys.readouterr().err
+    save_checkpoint(tiny_checkpoint(VocabSpec("AB"), 2), str(path))
+    field = [n for n, _ in HEADER_SIZES].index(name)
+    corrupt(path, 20 + 4 * field, struct.pack("<I", 0))
+    refused_header(capsys, path, files["corpus"],
+                   f"{name} 0 at offset {20 + 4 * field}, "
+                   f"expected {HEADER_SIZES[field][1]}")
 
 
 def test_checkpoint_bad_name_and_rank_rejected(tmp_path):
@@ -245,13 +249,12 @@ import resource, sys
 import numpy as np
 from smile.binio import write_atomic
 from smile.data import VocabSpec, generate_corpus, make_templates, save_corpus
-from smile.recognizer import ArchSpec, init_params
+from smile.recognizer import init_params
 from smile.trainer import Checkpoint, save_checkpoint
 
 vocab = VocabSpec("ABC")
-arch = ArchSpec(K=vocab.K, l_max=3)
-params = {n: t.data for n, t in init_params(arch, 1).items()}
-ck = Checkpoint(vocab, arch, params, {}, 0)
+params = {n: t.data for n, t in init_params(vocab.K, 1).items()}
+ck = Checkpoint(vocab, 3, params, {}, 0)
 corpus = generate_corpus(vocab, make_templates(vocab, 1), 40, (1, 3), seed=1)
 # every file this process writes stops growing at 4 KiB: EFBIG midway
 resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))

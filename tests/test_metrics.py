@@ -11,7 +11,7 @@ from smile.errors import ContractError
 from smile.losses import row_entropy
 from smile.metrics import (EVAL_BATCH, EvalResult, _distances, char_accuracy,
                            compare_report, evaluate, word_accuracy)
-from smile.recognizer import ArchSpec, Recognizer
+from smile.recognizer import Recognizer
 
 from conftest import decoded_from
 
@@ -139,7 +139,7 @@ class StubModel:
 
     def __init__(self, vocab, rows):
         self.vocab = vocab
-        self.arch = ArchSpec(K=vocab.K, l_max=3)
+        self.l_max = 3
         self.rows = np.asarray(rows, dtype=np.float64)
 
     def greedy(self, pixels):

@@ -9,7 +9,8 @@ from smile.data import VocabSpec, build_glyph12
 from smile.errors import ContractError, DimensionError
 from smile.losses import decoder_loss
 from smile import tensor as T
-from smile.recognizer import (ArchSpec, Recognizer, fuse_gates, init_params,
+from smile.recognizer import (ATTN_DIM, D_FEAT, DEC_HIDDEN, EMBED_DIM,
+                              ENC_HIDDEN, Recognizer, fuse_gates, init_params,
                               param_shapes, split_gates)
 from smile.tensor import Tape
 
@@ -29,26 +30,23 @@ def some_pixels(n, l_max, seed=0):
 # -- parameters ---------------------------------------------------------------
 
 def test_arch_conventions():
-    arch = ArchSpec(K=7, l_max=4)
-    assert arch.d_feat == 32
-    assert arch.enc_hidden == 32
-    assert arch.dec_hidden == 64
-    assert arch.attn_dim == 32
-    assert arch.embed_dim == 16
+    assert (D_FEAT, ENC_HIDDEN, EMBED_DIM) == (32, 32, 16)
+    assert DEC_HIDDEN == 2 * ENC_HIDDEN
+    assert ATTN_DIM == D_FEAT
 
 
-def per_gate_draws(arch, seed):
+def per_gate_draws(K, seed):
     """The parameters drawn per gate from one stream in param_shapes order,
     as init_params draws them before fusing."""
     rng = np.random.default_rng(seed)
     return {name: np.zeros(shape) if name.rsplit("/", 1)[1].startswith("b")
             else rng.uniform(-1 / np.sqrt(shape[0]), 1 / np.sqrt(shape[0]),
                              shape)
-            for name, shape in param_shapes(arch).items()}
+            for name, shape in param_shapes(K).items()}
 
 
-def check_fused_columns(p, arch, seed):
-    draws = per_gate_draws(arch, seed)
+def check_fused_columns(p, K, seed):
+    draws = per_gate_draws(K, seed)
     gru = [n for n in p if n.split("/")[0] in ("enc", "dec")]
     for name in gru:
         assert np.array_equal(p[name].data, np.hstack(
@@ -59,8 +57,7 @@ def check_fused_columns(p, arch, seed):
 
 
 def test_init_params_layout():
-    arch = ArchSpec(K=7, l_max=4)
-    p = init_params(arch, seed=0)
+    p = init_params(7, seed=0)
     assert p["proj/W"].shape == (64, 32)
     assert p["enc/W"].shape == (32, 3 * 32)
     assert p["enc/U"].shape == (32, 3 * 32)
@@ -79,20 +76,19 @@ def test_init_params_layout():
         else:
             bound = 1.0 / np.sqrt(t.shape[0])
             assert np.abs(t.data).max() <= bound, name
-    check_fused_columns(p, arch, seed=0)
+    check_fused_columns(p, 7, seed=0)
 
 
 def test_fuse_and_split_gates_round_trip():
-    arch = ArchSpec(K=5, l_max=2, d_feat=3, enc_hidden=2, embed_dim=2)
     rng = np.random.default_rng(1)
     stored = {n: rng.normal(size=shape)
-              for n, shape in param_shapes(arch).items()}
+              for n, shape in param_shapes(5).items()}
     # an optimizer slot's prefixed names convert the same way
     stored.update({f"opt/adam/m/{n}": a + 1.0 for n, a in stored.items()})
     stored["opt/seed"] = np.zeros(2)
     fused = fuse_gates(stored)
-    assert fused["dec/W"].shape == (2 + 2, 3 * 4)
-    assert np.array_equal(fused["opt/adam/m/enc/U"][:, 2:4],
+    assert fused["dec/W"].shape == (32 + 16, 3 * 64)
+    assert np.array_equal(fused["opt/adam/m/enc/U"][:, 32:64],
                           stored["opt/adam/m/enc/U_r"])
     assert not any(n.endswith(("_z", "_r", "_n")) for n in fused)
     # 2 blocks x (W, U, b) x (params, slot): each triple becomes one tensor
@@ -108,30 +104,19 @@ def test_init_params_refuses_negative_seed():
 
 
 def test_init_params_deterministic():
-    arch = ArchSpec(K=6, l_max=2)
-    a = init_params(arch, seed=4)
-    b = init_params(arch, seed=4)
+    a = init_params(6, seed=4)
+    b = init_params(6, seed=4)
     assert all(np.array_equal(a[n].data, b[n].data) for n in a)
-    c = init_params(arch, seed=5)
+    c = init_params(6, seed=5)
     assert any(not np.array_equal(a[n].data, c[n].data) for n in a)
 
 
 def test_arch_bounds_l_max_to_the_label_field():
-    assert ArchSpec(K=7, l_max=255).l_max == 255
+    vocab = VocabSpec("ABCD")
+    assert Recognizer(vocab, 255, {}).l_max == 255
     for bad in (0, 256, 2 ** 31 - 1):
-        with pytest.raises(ContractError, match="l_max"):
-            ArchSpec(K=7, l_max=bad)
-
-
-def test_arch_refuses_sizes_below_one():
-    for name in ("d_feat", "enc_hidden", "embed_dim"):
-        with pytest.raises(ContractError, match=f"{name} 0 is below 1"):
-            ArchSpec(K=7, l_max=4, **{name: 0})
-
-
-def test_recognizer_rejects_vocab_arch_mismatch():
-    with pytest.raises(ContractError):
-        Recognizer(VocabSpec("AB"), ArchSpec(K=9, l_max=2), {})
+        with pytest.raises(ContractError, match=f"l_max {bad} outside"):
+            Recognizer(vocab, bad, {})
 
 
 # -- encode -------------------------------------------------------------------
@@ -350,7 +335,7 @@ def test_teacher_forced_records_one_decoder_node(rec):
 def test_greedy_respects_output_alphabet(rec):
     outs = rec.greedy(some_pixels(6, 3, seed=2))
     for o in outs:
-        assert 1 <= o.emitted_length <= rec.arch.l_max + 1
+        assert 1 <= o.emitted_length <= rec.l_max + 1
         assert np.allclose(o.probs.sum(axis=1), 1.0)
         for i in o.pseudo_labels:
             assert i not in (rec.vocab.GO, rec.vocab.PAD)

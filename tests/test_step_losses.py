@@ -10,7 +10,7 @@ import smile.tensor as T
 from smile import checks
 from smile.errors import ContractError
 from smile.losses import decoder_loss, row_entropy, smile_loss
-from smile.recognizer import Decoded
+from smile.recognizer import DEC_HIDDEN, Decoded
 from smile.self_paced import build_pool, portion_at, replay_plan, select
 from smile.tensor import Tape
 from smile.trainer import TrainConfig, step_losses, train_with_corpora
@@ -51,7 +51,7 @@ def taped_greedy(rec, tgt_px):
     for b, seq in enumerate(labels):
         fed[b, :len(seq)] = (vocab.GO, *seq[:-1])
     feats, keys = rec.encode(tgt_px)
-    h = T.zeros((batch, rec.arch.dec_hidden))
+    h = T.zeros((batch, DEC_HIDDEN))
     heads = []
     for t in range(fed.shape[1]):
         h = T.attn_gru(keys, feats, p["embed/E"], fed[:, t:t + 1], h,

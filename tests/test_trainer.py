@@ -3,6 +3,7 @@ clipping, checkpoint format, reproducibility, and the mode contracts."""
 
 import hashlib
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -14,7 +15,7 @@ from smile.data import (Corpus, DomainConfig, VocabSpec, generate_corpus,
                         make_templates, save_corpus)
 from smile.errors import ContractError, FormatError, NumericalAbort
 from smile.metrics import evaluate
-from smile.recognizer import ArchSpec, init_params, split_gates
+from smile.recognizer import init_params, split_gates
 from smile.tensor import Tensor
 from smile.trainer import (SWEEP_GRID, Adadelta, Adam, Checkpoint,
                            MetricsLog, TrainConfig, clip_gradients,
@@ -171,10 +172,9 @@ def test_clip_aborts_on_non_finite():
 
 def small_checkpoint(seed=0, step=17):
     vocab = VocabSpec("ABC")
-    arch = ArchSpec(K=vocab.K, l_max=2)
-    params = {n: t.data.copy() for n, t in init_params(arch, seed).items()}
+    params = {n: t.data.copy() for n, t in init_params(vocab.K, seed).items()}
     opt_state = {"opt/seed": np.array([float(seed), 0.0])}
-    return Checkpoint(vocab, arch, params, opt_state, step)
+    return Checkpoint(vocab, 2, params, opt_state, step)
 
 
 def test_checkpoint_round_trip_bytes(tmp_path):
@@ -183,7 +183,7 @@ def test_checkpoint_round_trip_bytes(tmp_path):
     save_checkpoint(ck, str(p1))
     loaded = load_checkpoint(str(p1))
     assert loaded.vocab == ck.vocab
-    assert loaded.arch == ck.arch
+    assert loaded.l_max == ck.l_max
     assert loaded.step == 17
     assert set(loaded.params) == set(ck.params)
     assert all(np.array_equal(loaded.params[n], ck.params[n])
@@ -242,7 +242,7 @@ def test_checkpoint_names_a_missing_gate_tensor(tmp_path):
     stored = split_gates(ck.params)
     del stored["dec/U_r"]
     path = tmp_path / "ck.smck"
-    save_checkpoint(Checkpoint(ck.vocab, ck.arch, stored, ck.opt_state,
+    save_checkpoint(Checkpoint(ck.vocab, ck.l_max, stored, ck.opt_state,
                                ck.step), str(path))
     with pytest.raises(FormatError, match=r"missing \['dec/U_r'\]"):
         load_checkpoint(str(path))
@@ -250,7 +250,7 @@ def test_checkpoint_names_a_missing_gate_tensor(tmp_path):
 
 def test_checkpoint_rejects_wrong_shape(tmp_path):
     ck = small_checkpoint()
-    ck.params["out/b"] = np.zeros((2, ck.arch.K))
+    ck.params["out/b"] = np.zeros((2, ck.vocab.K))
     path = tmp_path / "ck.smck"
     save_checkpoint(ck, str(path))
     with pytest.raises(FormatError, match="shape"):
@@ -265,7 +265,7 @@ def test_checkpoint_refuses_backward_encoder_tensors(tmp_path):
     stored.update({n.replace("enc/", "enc_bwd/"): a
                    for n, a in stored.items() if n.startswith("enc/")})
     path = tmp_path / "bi.smck"
-    save_checkpoint(Checkpoint(ck.vocab, ck.arch, stored, ck.opt_state,
+    save_checkpoint(Checkpoint(ck.vocab, ck.l_max, stored, ck.opt_state,
                                ck.step), str(path))
     with pytest.raises(FormatError, match=r"parameter set mismatch \(missing "
                        r"\[\], unexpected \['enc_bwd/U_n', 'enc_bwd/U_r'"):
@@ -385,7 +385,7 @@ def test_resume_validation(small_source):
     with pytest.raises(ContractError):
         train_with_corpora(quick_cfg(steps=20, optimizer="adadelta"),
                            source=small_source, start=ck, resume=True)
-    bare = Checkpoint(ck.vocab, ck.arch, ck.params, {}, 5)
+    bare = Checkpoint(ck.vocab, ck.l_max, ck.params, {}, 5)
     with pytest.raises(ContractError):
         train_with_corpora(quick_cfg(steps=20), source=small_source,
                            start=bare, resume=True)
@@ -397,16 +397,33 @@ def test_resume_validation(small_source):
     for state, name in ((wrong_shape, "opt/adam/m/out/b"),
                         (missing, "opt/adam/v/out/W"),
                         (stray, "opt/adam/m/out/X")):
-        broken = Checkpoint(ck.vocab, ck.arch, ck.params, state, ck.step)
+        broken = Checkpoint(ck.vocab, ck.l_max, ck.params, state, ck.step)
         with pytest.raises(ContractError, match=name):
             train_with_corpora(quick_cfg(steps=20, seed=8),
                                source=small_source, start=broken, resume=True)
     # the run seed must be two u32 halves
     for seed in (np.zeros(3), np.array(5.0), np.array([-1.0, 0.0]),
                  np.array([np.nan, 0.0])):
-        broken = Checkpoint(ck.vocab, ck.arch, ck.params,
+        broken = Checkpoint(ck.vocab, ck.l_max, ck.params,
                             dict(ck.opt_state, **{"opt/seed": seed}), ck.step)
         with pytest.raises(ContractError, match="opt/seed"):
+            train_with_corpora(quick_cfg(steps=20, seed=8),
+                               source=small_source, start=broken, resume=True)
+
+
+def test_resume_refuses_a_bad_adam_step_count(small_source):
+    # the trainer writes t == step; a fractional t would be truncated and
+    # restart the bias correction, and a negative one makes the first
+    # update take the square root of a negative number
+    ck, _ = train_with_corpora(quick_cfg(steps=12, seed=8),
+                               source=small_source)
+    assert ck.opt_state["opt/adam/t"] == ck.step == 12
+    for t in (1.5, 1e300, -3.0, 13.0):
+        broken = Checkpoint(ck.vocab, ck.l_max, ck.params,
+                            dict(ck.opt_state, **{"opt/adam/t": np.array(t)}),
+                            ck.step)
+        message = f"resume: opt/adam/t {t} is not a whole number in [0, 12]"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             train_with_corpora(quick_cfg(steps=20, seed=8),
                                source=small_source, start=broken, resume=True)
 
@@ -489,9 +506,8 @@ def test_finetune_requires_labeled_target(small_source, small_target, vocab,
 
 def test_vocab_mismatch_rejected(small_source):
     other = VocabSpec("XY")
-    arch = ArchSpec(K=other.K, l_max=3)
-    params = {n: t.data.copy() for n, t in init_params(arch, 0).items()}
-    alien = Checkpoint(other, arch, params, {}, 0)
+    params = {n: t.data.copy() for n, t in init_params(other.K, 0).items()}
+    alien = Checkpoint(other, 3, params, {}, 0)
     with pytest.raises(ContractError, match="^source corpus: vocab 'ABCD' "
                                             "differs from the model's 'XY'$"):
         train_with_corpora(quick_cfg(), source=small_source, start=alien)
@@ -612,9 +628,8 @@ def test_label_longer_than_l_max_names_the_corpus(vocab, templates):
 def test_corpus_wider_than_l_max_rejected(small_source, small_target,
                                           small_test, vocab, templates):
     # the small corpora are 24 px wide: three characters
-    arch = ArchSpec(K=vocab.K, l_max=2)
-    params = {n: t.data.copy() for n, t in init_params(arch, 0).items()}
-    narrow = Checkpoint(vocab, arch, params, {}, 0)
+    params = {n: t.data.copy() for n, t in init_params(vocab.K, 0).items()}
+    narrow = Checkpoint(vocab, 2, params, {}, 0)
     fits = generate_corpus(vocab, templates, 40, (1, 2), seed=46)
     with pytest.raises(ContractError, match="source corpus: images are 24 px"):
         train_with_corpora(quick_cfg(), source=small_source, start=narrow)
