@@ -412,8 +412,9 @@ def load_corpus(path: str) -> Corpus:
             raise FormatError(f"{path}: image {what} 0 at offset {at}; "
                               "height and width must be positive")
     count = r.u32("record count")
-    if count == 0:
-        raise ContractError(f"{path}: corpus has no records")
+    if count == 0:   # it follows the two sizes
+        raise FormatError(f"{path}: record count 0 at offset 16; a corpus "
+                          "holds at least one record")
     vocab = read_vocab_block(r)
     blob, off, size = r.blob, r.off, h * w
     labels, domain, starts = [], [], []

@@ -10,18 +10,18 @@ A whole batch runs through one tape: [1, d] biases broadcast over the batch
 rows.  Each GRU holds its gates fused side by side, z | r | n: W [in, 3h],
 U [h, 3h] and b [1, 3h].  Checkpoints store them per gate (W_z, U_r, ...);
 fuse_gates and split_gates convert at that boundary.  encode returns the
-[B, T, h] features and their [B, T, a] attention keys, which the decoder's
-tensor.attn_gru nodes read.  A decode is a token sequence per sample: row t
-is fed token t-1 (GO at t = 0) and labelled with token t.  Teacher forcing
-is given its tokens, and at most one replay of images the batch's size
-after them; it runs every step in one attn_gru node, each sample only for
-its own steps, and projects every hidden state with one taped output head
-(matmul, bias add, softmax).  Greedy is forward-only: it runs one node per
-step, feeds back the restricted argmax of that step's logits and drops a
-sample once it emits EOS, indexing the live rows of the state and the
-encoding; the softmax of the same logits is its block.  Each decode returns
-a Decoded block of one row per emitted token, sample-major, labelled by the
-tokens.  Iterating a Decoded gives per-sample DecoderOutputs.
+[B, T, h] features and their [B, T, a] attention keys, which the decoder
+reads.  A decode is a token sequence per sample: row t is fed token t-1 (GO
+at t = 0) and labelled with token t.  Teacher forcing is given its tokens,
+and at most one replay of images the batch's size after them; it runs every
+step in one tensor.attn_gru node, each sample only for its own steps, and
+projects every hidden state with one taped output head (matmul, bias add,
+softmax).  Greedy is forward-only: one tensor.DecoderRun per decode runs
+the same steps one at a time, feeds back the restricted argmax of each
+step's logits and drops a sample once it emits EOS; the softmax of the same
+logits is its block.  Each decode returns a Decoded block of one row per
+emitted token, sample-major, labelled by the tokens.  Iterating a Decoded
+gives per-sample DecoderOutputs.
 
 The layer sizes are constants: a model is its vocab, its l_max (the most
 characters it reads) and its weights.  A strip is one GLYPH_H x GLYPH_W slot.
@@ -287,7 +287,8 @@ class Recognizer:
         each sample's first EOS (the EOS row is kept); each step is fed the
         last one's restricted argmax (GO and PAD never win) over its logits.
         A sample leaves the batch once it emits EOS: later steps run only
-        the live rows.  Records nothing, even inside a tape."""
+        the live rows, all in one tensor.DecoderRun, set up once.  Records
+        nothing, even inside a tape."""
         p = self.params
         W, b = p["out/W"].data, p["out/b"].data
         allowed = np.ones(self.vocab.K, dtype=bool)
@@ -298,24 +299,19 @@ class Recognizer:
         step_logits, step_ids, step_live = [], [], []
         with T.untaped():
             feats, keys = self.encode(pixels)
-            h = T.zeros((batch, DEC_HIDDEN))
-            for t in range(self.l_max + 1):
-                if t > 0:
-                    keep = np.flatnonzero(ids != self.vocab.EOS)
-                    if len(keep) == 0:
-                        break
-                    if len(keep) < len(live):
-                        live, ids = live[keep], ids[keep]
-                        h, feats, keys = (T.constant(x.data[keep])
-                                          for x in (h, feats, keys))
-                h = T.attn_gru(keys, feats, p["embed/E"], ids[:, None], h,
-                               p["attn/W_dec"], p["attn/v"], p["dec/W"],
-                               p["dec/b"], p["dec/U"])
-                logits = h.data @ W + b
-                ids = np.argmax(np.where(allowed, logits, -np.inf), axis=1)
-                step_logits.append(logits)
-                step_ids.append(ids)
-                step_live.append(live)
+        run = T.DecoderRun(keys, feats, p["embed/E"],
+                           T.zeros((batch, DEC_HIDDEN)), p["attn/W_dec"],
+                           p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"])
+        for _ in range(self.l_max + 1):
+            keep = np.flatnonzero(ids != self.vocab.EOS)
+            if len(keep) == 0:
+                break
+            live, ids = live[keep], ids[keep]
+            logits = run.feed(ids, keep) @ W + b
+            ids = np.argmax(np.where(allowed, logits, -np.inf), axis=1)
+            step_logits.append(logits)
+            step_ids.append(ids)
+            step_live.append(live)
         # the steps stack step-major: a stable sort by sample keeps each
         # sample's rows in time order
         sample = np.concatenate(step_live)

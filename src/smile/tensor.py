@@ -15,7 +15,8 @@ states), each as one node whose backward is BPTT, in place of the 12-20
 elementary nodes a step takes.  A run keeps its steps in time-major
 [T, B, .] buffers, so backward computes the factors that do not depend on
 the incoming gradient once per run and sums the weight gradients after its
-step loop.
+step loop.  DecoderRun runs attn_gru's step code forward-only, one step
+per call and set up once, for decodes that pick each step's tokens.
 """
 
 from __future__ import annotations
@@ -555,6 +556,53 @@ def gru_cell(xw: Tensor, U: Tensor) -> Tensor:
     return _track(out, (xw, U), back)
 
 
+class _AttnRun:
+    """attn_gru's forward buffers: a _GruRun and step t's energies tanh(keys
+    + h @ W_q) [T, B, S, a], weights alpha [T, B, S] and context [T, B, f],
+    with the token table E @ W[f:] + b [K, 3H] folded once per run."""
+
+    def __init__(self, steps, alloc, keys, feats, E, h, W_q, v, W, b, U):
+        f = feats.shape[2]
+        self.keys, self.feats, self.wq, self.v, self.u = keys, feats, W_q, v, U
+        self.wc, self.table = W[:f], E @ W[f:] + b
+        self.gru = _GruRun(steps, h, alloc)
+        self.energy = alloc((steps, *keys.shape))
+        self.alpha = alloc((steps, *keys.shape[:2]))
+        self.ctx = alloc((steps, len(h), f))
+
+    def step(self, t: int, m: int, ids: np.ndarray):
+        """Step t of the first m samples, fed the tokens ids [m]."""
+        en, al, cx = self.energy[t, :m], self.alpha[t, :m], self.ctx[t, :m]
+        np.add(self.keys[:m], (self.gru.states[t, :m] @ self.wq)[:, None],
+               out=en)
+        np.tanh(en, out=en)
+        scores = (en.reshape(-1, en.shape[2]) @ self.v).reshape(m, -1)
+        np.exp(scores - scores.max(axis=1, keepdims=True), out=al)
+        al /= al.sum(axis=1, keepdims=True)
+        np.matmul(al[:, None], self.feats[:m], out=cx[:, None])
+        xw = cx @ self.wc
+        xw += self.table[ids]
+        self.gru.step(t, m, xw, self.u)
+
+
+def _attn_dims(op: str, operands) -> tuple[int, ...]:
+    """(B, S, a, f, K, H) of attn_gru's operands keys .. U; a DimensionError
+    if their shapes disagree or one is empty."""
+    shapes = [x.shape for x in operands]
+    ok = [len(s) for s in shapes[:4]] == [3, 3, 2, 2]
+    if ok:
+        (batch, src, attn), (_, _, f), (k, e), (_, hid) = shapes[:4]
+        want = [(batch, src, f), (batch, hid), (hid, attn), (attn, 1),
+                (f + e, 3 * hid), (1, 3 * hid), (hid, 3 * hid)]
+        ok = 0 not in (batch, src) and [shapes[1], *shapes[3:]] == want
+    if not ok:
+        raise DimensionError(
+            f"{op}: need keys [B, S, a], feats [B, S, f], E [K, e], h [B, "
+            "H], W_q [H, a], v [a, 1], W [f + e, 3H], b [1, 3H] and U [H, "
+            f"3H], none empty; got {shapes}")
+    return batch, src, attn, f, k, hid
+
+
 def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
              W_q: Tensor, v: Tensor, W: Tensor, b: Tensor, U: Tensor,
              lengths=None) -> Tensor:
@@ -573,19 +621,11 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
     slice of them, and returns states and gradients in the caller's order.
     """
     ids = np.asarray(ids, dtype=np.intp)
-    shapes = [x.shape for x in (keys, feats, E, h, W_q, v, W, b, U)]
-    ok = [len(s) for s in shapes[:4]] == [3, 3, 2, 2] and ids.ndim == 2
-    if ok:
-        (batch, src, attn), (_, _, f), (k, e), (_, hid) = shapes[:4]
-        want = [(batch, src, f), (batch, hid), (hid, attn), (attn, 1),
-                (f + e, 3 * hid), (1, 3 * hid), (hid, 3 * hid)]
-        ok = (0 not in (*ids.shape, src) and ids.shape[0] == batch
-              and [shapes[1], *shapes[3:]] == want)
-    if not ok:
+    batch, src, attn, f, k, hid = _attn_dims(
+        "attn_gru", (keys, feats, E, h, W_q, v, W, b, U))
+    if ids.ndim != 2 or len(ids) != batch or ids.shape[1] == 0:
         raise DimensionError(
-            "attn_gru: need keys [B, S, a], feats [B, S, f], E [K, e], h "
-            "[B, H], W_q [H, a], v [a, 1], W [f + e, 3H], b [1, 3H], U "
-            f"[H, 3H] and ids [B, T], none empty; got {shapes}, {ids.shape}")
+            f"attn_gru: need ids [B, T] = ({batch}, T >= 1), got {ids.shape}")
     bad = ids[(ids < 0) | (ids >= k)]
     if bad.size:
         raise IndexRangeError(
@@ -614,24 +654,11 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
 
     # dead rows are zero, so the whole-run factors and sums stay finite
     alloc = np.empty if live[-1] == batch else np.zeros
-    wc, we, wq, vd = W.data[:f], W.data[f:], W_q.data, v.data
-    fed = (E.data @ we + b.data)[ids.T]  # [T, B, 3H]: E[ids] @ W[f:] + b
-    run = _GruRun(steps, h0, alloc)
-    energy = alloc((steps, batch, src, attn))
-    alpha = alloc((steps, batch, src))
-    ctx = alloc((steps, batch, f))
+    dec = _AttnRun(steps, alloc, kd, fd, E.data, h0,
+                   *(x.data for x in (W_q, v, W, b, U)))
     for t, m in enumerate(live):
-        hd, en, al, cx = (run.states[t, :m], energy[t, :m], alpha[t, :m],
-                          ctx[t, :m])
-        np.add(kd[:m], (hd @ wq)[:, None, :], out=en)
-        np.tanh(en, out=en)
-        scores = (en.reshape(-1, attn) @ vd).reshape(m, src)
-        np.exp(scores - scores.max(axis=1, keepdims=True), out=al)
-        al /= al.sum(axis=1, keepdims=True)
-        np.matmul(al[:, None], fd[:m], out=cx[:, None])
-        xw = cx @ wc
-        xw += fed[t, :m]
-        run.step(t, m, xw, U.data)
+        dec.step(t, m, ids[:m, t])
+    run, energy, alpha, ctx = dec.gru, dec.energy, dec.alpha, dec.ctx
     hs = unsort(run.states[1:].transpose(1, 0, 2))  # [B, T, H]
     out = Tensor(hs.reshape(-1, hid) if emitted is None else hs[emitted])
 
@@ -643,8 +670,8 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
             gs[emitted] = out.grad
         gs = (gs if order is None else gs[order]).transpose(1, 0, 2)
         f_gru, ut = run.factors(), U.data.T.copy()
-        wct, wqt = wc.T.copy(), wq.T.copy()  # contiguous, as ut
-        v_e = vd[:, 0] * (1.0 - energy * energy)  # d score / d (keys + q)
+        wct, wqt = dec.wc.T.copy(), W_q.data.T.copy()  # contiguous, as ut
+        v_e = v.data[:, 0] * (1.0 - energy * energy)  # d score / d (keys + q)
         d = alloc((steps, batch, 3 * hid))       # at the GRU pre-activations
         d_ctx = alloc((steps, batch, f))
         d_scores = alloc((steps, batch, src))
@@ -685,9 +712,31 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
         if b.requires_grad:
             b.grad += d_fed.sum(axis=0, keepdims=True)
         if E.requires_grad:
-            E.grad += d_fed @ we.T
+            E.grad += d_fed @ W.data[f:].T
 
     return _track(out, (keys, feats, E, h, W_q, v, W, b, U), back)
+
+
+class DecoderRun(_AttnRun):
+    """attn_gru's steps one call at a time, from its operands keys, feats,
+    E, h, W_q, v, W, b and U (no ids): forward-only, it checks them once,
+    records nothing, even inside a tape, and holds one step's buffers."""
+
+    def __init__(self, *operands: Tensor):
+        _attn_dims("DecoderRun", operands)
+        super().__init__(1, np.empty, *(x.data for x in operands))
+        self.gru.states[1] = operands[3].data  # feed moves it to slot 0
+
+    def feed(self, ids: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        """One step of the samples keep, ascending rows of the last step,
+        fed the tokens ids [m] (unchecked): their states [m, H], a view that
+        the next feed overwrites."""
+        m = len(keep)
+        rows = keep if m < len(self.keys) else slice(m)
+        self.keys, self.feats = self.keys[rows], self.feats[rows]
+        self.gru.states[0, :m] = self.gru.states[1, rows]
+        self.step(0, m, ids)
+        return self.gru.states[1, :m]
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,11 @@ def snapshot(rec: Recognizer, opt, step: int, seed: int) -> Checkpoint:
 
 
 def save_checkpoint(ck: Checkpoint, path: str):
+    if not (isinstance(ck.l_max, (int, np.integer))
+            and 1 <= ck.l_max <= MAX_LABEL):
+        raise ContractError(
+            f"save_checkpoint: l_max {ck.l_max!r} is not an integer in "
+            f"[1, {MAX_LABEL}], the corpus label range")
     parts = [CK_MAGIC, struct.pack("<I", CK_VERSION), vocab_block(ck.vocab),
              struct.pack("<IIIII", D_FEAT, ENC_HIDDEN, EMBED_DIM, ck.vocab.K,
                          ck.l_max),

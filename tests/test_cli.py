@@ -287,8 +287,8 @@ def test_train_rejects_zero_record_corpus(capsys, workdir, vocab):
                       + vocab_block(vocab))
     assert cli.main(["train", "--source", str(empty)]) == 1
     err = capsys.readouterr().err
-    assert "smile train: ContractError:" in err
-    assert "corpus has no records" in err
+    assert (f"smile train: FormatError: {empty}: record count 0 at offset 16"
+            in err)
 
 
 def test_eval_rejects_zero_width_corpus(capsys, workdir, vocab):

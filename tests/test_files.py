@@ -173,6 +173,21 @@ def test_checkpoint_zero_arch_size_refused(capsys, tmp_path, files, name):
                    f"expected {HEADER_SIZES[field][1]}")
 
 
+def test_checkpoint_save_refuses_an_l_max_the_loader_refuses(tmp_path):
+    # 0 and 300 would be written and then refused on load; -1 and 2.5
+    # cannot be packed at all; neither kind may leave a file behind
+    path = tmp_path / "ck.smck"
+    for l_max in (0, 256, 300, -1, 2.5):
+        with pytest.raises(ContractError,
+                           match=rf"^save_checkpoint: l_max {l_max} is not "
+                                 r"an integer in \[1, 255\], the corpus"):
+            save_checkpoint(tiny_checkpoint(VocabSpec("AB"), l_max), str(path))
+        assert not path.exists()
+    for l_max in (1, 255):
+        save_checkpoint(tiny_checkpoint(VocabSpec("AB"), l_max), str(path))
+        assert load_checkpoint(str(path)).l_max == l_max
+
+
 def test_checkpoint_bad_name_and_rank_rejected(tmp_path):
     path = tmp_path / "ck.smck"
     save_checkpoint(tiny_checkpoint(VocabSpec("AB"), 2), str(path))

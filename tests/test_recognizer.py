@@ -386,6 +386,71 @@ def test_greedy_block_holds_only_emitted_rows(glyph):
         assert np.allclose(single.probs, out.probs, rtol=0, atol=1e-12)
 
 
+def per_step_node_greedy(rec, pixels):
+    """Greedy as one untaped attn_gru node per step, the state and the
+    encoding compacted as Tensors when a sample emits EOS: (labels, the
+    output head's softmax rows), sample-major."""
+    p = rec.params
+    allowed = np.ones(rec.vocab.K, dtype=bool)
+    allowed[[rec.vocab.GO, rec.vocab.PAD]] = False
+    ids = np.full(len(pixels), rec.vocab.GO)
+    live = np.arange(len(pixels))
+    rows = [[] for _ in pixels]
+    with T.untaped():
+        feats, keys = rec.encode(pixels)
+        h = T.zeros((len(pixels), DEC_HIDDEN))
+        for t in range(rec.l_max + 1):
+            if t > 0:
+                keep = np.flatnonzero(ids != rec.vocab.EOS)
+                if len(keep) == 0:
+                    break
+                if len(keep) < len(live):
+                    live, ids = live[keep], ids[keep]
+                    h, feats, keys = (T.constant(x.data[keep])
+                                      for x in (h, feats, keys))
+            h = T.attn_gru(keys, feats, p["embed/E"], ids[:, None], h,
+                           p["attn/W_dec"], p["attn/v"], p["dec/W"],
+                           p["dec/b"], p["dec/U"])
+            logits = h.data @ p["out/W"].data + p["out/b"].data
+            ids = np.argmax(np.where(allowed, logits, -np.inf), axis=1)
+            for b, row, i in zip(live, logits, ids):
+                rows[b].append((row, int(i)))
+    labels = [tuple(i for _, i in r) for r in rows]
+    block = np.array([row for r in rows for row, _ in r])
+    return labels, T.softmax(T.constant(block)).data
+
+
+def test_greedy_equals_per_step_node_reference_bitwise(glyph):
+    # the glyph batch shrinks at least three times; B = 1 never shrinks
+    g_rec, px = glyph
+    for pixels in (px, px[5:6]):
+        labels, probs = per_step_node_greedy(g_rec, pixels)
+        decoded = g_rec.greedy(pixels)
+        assert decoded.labels == labels
+        assert np.array_equal(decoded.probs.data, probs)
+
+
+def test_greedy_builds_one_decoder_run_and_no_attn_gru_node(glyph,
+                                                            monkeypatch):
+    g_rec, px = glyph
+    runs = []
+
+    class CountedRun(T.DecoderRun):
+        def __init__(self, *args):
+            runs.append(args)
+            super().__init__(*args)
+
+    def no_node(*args, **kwargs):
+        raise AssertionError("greedy called attn_gru")
+
+    monkeypatch.setattr(T, "DecoderRun", CountedRun)
+    monkeypatch.setattr(T, "attn_gru", no_node)
+    for pixels in (px, px[:1]):
+        runs.clear()
+        g_rec.greedy(pixels)
+        assert len(runs) == 1
+
+
 def test_greedy_deterministic(rec):
     px = some_pixels(4, 3, seed=4)
     a = rec.greedy(px)

@@ -544,6 +544,40 @@ def test_fused_ops_reject_mismatched_shapes():
             attn_gru_of(np.array([[0, token], [1, 2]]))(*args)
 
 
+def test_decoder_run_steps_equal_attn_gru_bitwise(rng):
+    # every sample runs every step, or the middle sample leaves after step
+    # 0, as lengths (3, 1, 3) end it in the taped node
+    ids = np.array([[1, 0, 3], [2, 1, 1], [3, 3, 0]])
+    shapes = [((3, *s[1:]) if i in (0, 1, 3) else s)
+              for i, s in enumerate(ATTN_GRU_SHAPES)]
+    args = [T.parameter(rng.normal(size=s)) for s in shapes]
+    for lengths, keeps in ((None, ([0, 1, 2],) * 3),
+                           ((3, 1, 3), ([0, 1, 2], [0, 2], [0, 1]))):
+        with Tape() as tape:
+            node = T.attn_gru(*args[:3], ids, *args[3:], lengths=lengths)
+            run = T.DecoderRun(*args)
+            live = np.arange(3)
+            states = [[] for _ in live]
+            for t, keep in enumerate(keeps):
+                live = live[keep]
+                for b, row in zip(live, run.feed(ids[live, t], keep)):
+                    states[b].append(row.copy())
+            assert len(tape) == 1   # the node; the run records nothing
+        assert np.array_equal(node.data, np.concatenate(states))
+
+
+def test_decoder_run_rejects_mismatched_shapes():
+    # attn_gru's operand checks, without the ids
+    for i, shape in enumerate(ATTN_GRU_SHAPES):
+        for bad in ((*shape[:-1], shape[-1] + 1), shape[:-1]):
+            args = [T.constant(np.zeros(s)) for s in ATTN_GRU_SHAPES]
+            args[i] = T.constant(np.zeros(bad))
+            with pytest.raises(DimensionError,
+                               match=r"^DecoderRun: need keys \[B, S, a\], "
+                                     r".* U \[H, 3H\], none empty; got"):
+                T.DecoderRun(*args)
+
+
 # -- tape lifecycle -----------------------------------------------------------
 
 def test_ops_outside_tape_are_constants():
