@@ -284,13 +284,22 @@ def save_checkpoint(ck: Checkpoint, path: str):
         raise ContractError(
             f"save_checkpoint: l_max {ck.l_max!r} is not an integer in "
             f"[1, {MAX_LABEL}], the corpus label range")
+    if not (isinstance(ck.step, (int, np.integer)) and 0 <= ck.step < 2**64):
+        raise ContractError(f"save_checkpoint: step {ck.step!r} is not an "
+                            f"integer in [0, 2**64 - 1], the u64 step counter")
+    tensors = (sorted(split_gates(ck.params).items())
+               + sorted(ck.opt_state.items()))
+    for name, arr in tensors:   # what load_checkpoint would refuse
+        if arr.ndim > 2:
+            raise ContractError(f"save_checkpoint: tensor {name} has rank "
+                                f"{arr.ndim}; the format holds ranks 0-2")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"save_checkpoint: tensor {name} holds a "
+                                f"non-finite value")
     parts = [CK_MAGIC, struct.pack("<I", CK_VERSION), vocab_block(ck.vocab),
              struct.pack("<IIIII", D_FEAT, ENC_HIDDEN, EMBED_DIM, ck.vocab.K,
                          ck.l_max),
-             struct.pack("<Q", ck.step)]
-    tensors = (sorted(split_gates(ck.params).items())
-               + sorted(ck.opt_state.items()))
-    parts.append(struct.pack("<I", len(tensors)))
+             struct.pack("<Q", ck.step), struct.pack("<I", len(tensors))]
     for name, arr in tensors:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<H", len(raw)))

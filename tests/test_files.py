@@ -188,6 +188,45 @@ def test_checkpoint_save_refuses_an_l_max_the_loader_refuses(tmp_path):
         assert load_checkpoint(str(path)).l_max == l_max
 
 
+def test_checkpoint_save_refuses_a_step_the_format_cannot_hold(tmp_path):
+    # -1, 2**64 and 1.5 cannot be packed as the u64 step counter
+    path = tmp_path / "ck.smck"
+    ck = tiny_checkpoint(VocabSpec("AB"), 2)
+    for step in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ContractError,
+                           match=rf"^save_checkpoint: step {step} is not an "
+                                 r"integer in \[0, 2\*\*64 - 1\]"):
+            save_checkpoint(Checkpoint(ck.vocab, 2, ck.params, {}, step),
+                            str(path))
+        assert not path.exists()
+    for step in (0, 2 ** 64 - 1, np.int64(7)):
+        save_checkpoint(Checkpoint(ck.vocab, 2, ck.params, {}, step),
+                        str(path))
+        assert load_checkpoint(str(path)).step == step
+
+
+def test_checkpoint_save_refuses_a_tensor_the_loader_refuses(tmp_path):
+    # a non-finite value or a rank above 2 would be written and then
+    # refused on load; neither may leave a file behind
+    path = tmp_path / "ck.smck"
+    ck = tiny_checkpoint(VocabSpec("AB"), 2)
+    nan_b = ck.params["out/b"].copy()
+    nan_b[0, 1] = np.nan
+    cases = (({"out/b": nan_b}, {}, r"out/b holds a non-finite value"),
+             ({"out/b": ck.params["out/b"][None]}, {},
+              r"out/b has rank 3; the format holds ranks 0-2"),
+             ({}, {"opt/m": np.full(2, np.inf)},
+              r"opt/m holds a non-finite value"),
+             ({}, {"opt/m": np.zeros((1, 1, 2))},
+              r"opt/m has rank 3; the format holds ranks 0-2"))
+    for params, opt_state, message in cases:
+        bad = Checkpoint(ck.vocab, 2, {**ck.params, **params}, opt_state, 3)
+        with pytest.raises(ContractError,
+                           match=rf"^save_checkpoint: tensor {message}$"):
+            save_checkpoint(bad, str(path))
+        assert not path.exists()
+
+
 def test_checkpoint_bad_name_and_rank_rejected(tmp_path):
     path = tmp_path / "ck.smck"
     save_checkpoint(tiny_checkpoint(VocabSpec("AB"), 2), str(path))
@@ -204,13 +243,19 @@ def test_checkpoint_bad_name_and_rank_rejected(tmp_path):
 
 def test_checkpoint_non_finite_tensor_rejected(tmp_path):
     # a NaN parameter would evaluate to nan entropy and decode garbage;
-    # a fused GRU tensor is named by its stored gate
+    # a fused GRU tensor is named by its stored gate.  save_checkpoint
+    # refuses a non-finite value, so a marked finite one is overwritten
+    # in the file
     path = tmp_path / "ck.smck"
+    mark = struct.pack("<d", 12345.678)
     for name, value, stored in (("out/b", np.nan, "out/b"),
                                 ("dec/U", -np.inf, "dec/U_n")):
         ck = tiny_checkpoint(VocabSpec("AB"), 2)
-        ck.params[name][0, -1] = value
+        ck.params[name][0, -1] = 12345.678
         save_checkpoint(ck, str(path))
+        blob = path.read_bytes()
+        assert blob.count(mark) == 1
+        path.write_bytes(blob.replace(mark, struct.pack("<d", value)))
         with pytest.raises(FormatError,
                            match=f"tensor {stored} holds a non-finite"):
             load_checkpoint(str(path))
