@@ -195,15 +195,14 @@ def _op_cases(rng: np.random.Generator):
                                      (2, 2), (2, 1), (3, 6), (1, 6), (2, 6))]
     leaves = dict(zip(("keys", "feats", "E", "h", "W_q", "v", "W", "b", "U"),
                       args))
-    lengths = None
+    lengths, rows = (2, 2), [0, 1, 2, 3]
     if rng.integers(2):
         args[3] = T.constant(leaves.pop("h").data)
-        lengths = (1, 2)  # sample 0 stops after one step: a reorder
-    w42 = rng.standard_normal((4, 2))
-    w = w42 if lengths is None else w42[[0, 2, 3]]  # (0, 0), (1, 0), (1, 1)
-    yield "attn_gru", (lambda args=args, ids=ids, lengths=lengths:
-                       T.attn_gru(*args[:3], ids, *args[3:],
-                                  lengths=lengths)), w, \
+        # sample 0 stops after one step, a reorder: rows (0, 0), (1, 0), (1, 1)
+        lengths, rows = (1, 2), [0, 2, 3]
+    w, fed = rng.standard_normal((4, 2))[rows], ids.reshape(-1)[rows]
+    yield "attn_gru", (lambda args=args, fed=fed, lengths=lengths:
+                       T.attn_gru(*args[:3], fed, *args[3:], lengths)), w, \
         leaves, {n: 1 + (t.data.size > 8) for n, t in leaves.items()}
 
     # a deep chain so composition of backward rules is covered

@@ -14,14 +14,15 @@ fuse_gates and split_gates convert at that boundary.  encode returns the
 reads.  A decode is a token sequence per sample: row t is fed token t-1 (GO
 at t = 0) and labelled with token t.  Teacher forcing is given its tokens,
 and at most one replay of images the batch's size after them; it runs every
-step in one tensor.attn_gru node, each sample only for its own steps, and
-projects every hidden state with one taped output head (matmul, bias add,
-softmax).  Greedy is forward-only: one tensor.DecoderRun per decode runs
-the same steps one at a time, feeds back the restricted argmax of each
-step's logits and drops a sample once it emits EOS; the softmax of the same
-logits is its block.  Each decode returns a Decoded block of one row per
-emitted token, sample-major, labelled by the tokens.  Iterating a Decoded
-gives per-sample DecoderOutputs.
+step in one tensor.attn_gru node, fed one token per row, so each sample
+runs only its own steps and is never fed PAD, and projects every hidden
+state with one taped output head (matmul, bias add, softmax).  Greedy is
+forward-only: one tensor.DecoderRun per decode runs the same steps one at a
+time, feeds back the restricted argmax of each step's logits and drops a
+sample once it emits EOS; the softmax of the same logits is its block.
+Each decode returns a Decoded block of one row per emitted token,
+sample-major, labelled by the tokens.  Iterating a Decoded gives
+per-sample DecoderOutputs.
 
 The layer sizes are constants: a model is its vocab, its l_max (the most
 characters it reads) and its weights.  A strip is one GLYPH_H x GLYPH_W slot.
@@ -237,7 +238,8 @@ class Recognizer:
         """Token-fed decode of label + (EOS,) per sample: step 0 is fed GO
         and step t > 0 token t-1, so sample b emits len(label_b)+1 rows, row
         t labelled with token t.  A sample shorter than the batch maximum runs
-        only its own steps, so the block holds only emitted rows.
+        only its own steps, never fed PAD, so the block holds only emitted
+        rows.
 
         replay, one (pixels, sequences) pair, joins the batch in its one
         decode.  Its images must be the batch's size; its sequences go
@@ -268,17 +270,12 @@ class Recognizer:
         p = self.params
         feats, keys = self.encode(pixels)
         batch = len(pixels)
-        lengths = np.array([len(seq) for seq in tokens])
-        emitted = np.arange(lengths.max()) < lengths[:, None]
-        # fed[b, t] is the token sample b reads at step t: GO, then its own
-        # tokens, PAD past its end, where attn_gru runs it no further
-        fed = np.full(emitted.shape, self.vocab.PAD)
-        fed[emitted] = np.fromiter(itertools.chain.from_iterable(
+        fed = np.fromiter(itertools.chain.from_iterable(
             (self.vocab.GO, *seq[:-1]) for seq in tokens), dtype=int)
         h = T.attn_gru(keys, feats, p["embed/E"], fed,
                        T.zeros((batch, DEC_HIDDEN)), p["attn/W_dec"],
                        p["attn/v"], p["dec/W"], p["dec/b"], p["dec/U"],
-                       lengths=lengths)
+                       [len(seq) for seq in tokens])
         logits = T.add(T.matmul(h, p["out/W"]), p["out/b"])
         return Decoded(T.softmax(logits), tokens)
 

@@ -9,10 +9,10 @@ stretched axis; matmul takes a [B, n] or [B, T, n] left operand, and
 gather_rows picks rows or entries of a rank-2 table.  gru_cell and attn_gru
 are fused recurrent primitives with analytic backward rules, sharing one
 GRU step: gru_cell runs a GRU from the zero state over a whole [B, T, 3H]
-sequence, first to last, and attn_gru runs T attention-fed decoder steps
-from [B, T] token ids (with lengths, only each sample's own steps and
-states), each as one node whose backward is BPTT, in place of the 12-20
-elementary nodes a step takes.  A run keeps its steps in time-major
+sequence, first to last, and attn_gru runs each sample's own number of
+attention-fed decoder steps, reading one token per state it returns, both
+sample-major, each as one node whose backward is BPTT, in place of the
+12-20 elementary nodes a step takes.  A run keeps its steps in time-major
 [T, B, .] buffers, so backward computes the factors that do not depend on
 the incoming gradient once per run and sums the weight gradients after its
 step loop.  DecoderRun runs attn_gru's step code forward-only, one step
@@ -605,70 +605,59 @@ def _attn_dims(op: str, operands) -> tuple[int, ...]:
 
 def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
              W_q: Tensor, v: Tensor, W: Tensor, b: Tensor, U: Tensor,
-             lengths=None) -> Tensor:
-    """T steps of a GRU decoder fed additive attention (Bahdanau et al.
-    2015) as one node, whose backward is BPTT through the attention reads.
+             lengths) -> Tensor:
+    """A GRU decoder fed additive attention (Bahdanau et al. 2015) as one
+    node, whose backward is BPTT through the attention reads.
 
     Step t reads c = sum over s of alpha_s * feats_s from S positions' keys
     [B, S, a] and feats [B, S, f], alpha = softmax over s of tanh(keys +
-    h @ W_q) @ v, and runs a gru_cell step (U [H, 3H]) on [c ++ E[ids_t]]
-    @ W + b from the last state h ([B, H] at first).  ids [B, T] are the
-    fed tokens; the states come sample-major, [B*T, H].
-
-    lengths [B], each in [1, T], runs sample b only for its first
-    lengths[b] steps and returns just those states, [sum(lengths), H].  The
-    node orders the samples longest first, so each step runs a leading
-    slice of them, and returns states and gradients in the caller's order.
+    h @ W_q) @ v, and runs a gru_cell step (U [H, 3H]) on [c ++ E[id]] @ W
+    + b from the last state h ([B, H] at first).  Sample b runs lengths[b]
+    >= 1 steps.  ids [N], N = sum(lengths), are the fed tokens and the
+    [N, H] result the states, row for row: sample-major, each sample's
+    steps in time order.  The node orders the samples longest first, so
+    each step runs a leading slice of them, and returns states and
+    gradients in the caller's order.
     """
     ids = np.asarray(ids, dtype=np.intp)
+    lengths = np.asarray(lengths)
     batch, src, attn, f, k, hid = _attn_dims(
         "attn_gru", (keys, feats, E, h, W_q, v, W, b, U))
-    if ids.ndim != 2 or len(ids) != batch or ids.shape[1] == 0:
+    if lengths.shape != (batch,):
         raise DimensionError(
-            f"attn_gru: need ids [B, T] = ({batch}, T >= 1), got {ids.shape}")
+            f"attn_gru: need lengths [B] = ({batch},), got {lengths.shape}")
+    if lengths.dtype.kind not in "iu" or lengths.min() < 1:
+        raise ContractError(f"attn_gru: lengths {lengths.tolist()} are not "
+                            "all integers >= 1")
+    if ids.shape != (lengths.sum(),):
+        raise DimensionError(f"attn_gru: need ids [sum(lengths)] = "
+                             f"({lengths.sum()},), got {ids.shape}")
     bad = ids[(ids < 0) | (ids >= k)]
     if bad.size:
         raise IndexRangeError(
             f"attn_gru: token {bad[0]} out of range [0, {k})")
-    steps = ids.shape[1]
-    kd, fd, h0, order, emitted = keys.data, feats.data, h.data, None, None
-    live = [batch] * steps  # samples each step runs, a leading slice
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (batch,):
-            raise DimensionError(
-                f"attn_gru: need lengths [B] = ({batch},), got "
-                f"{lengths.shape}")
-        if (lengths.dtype.kind not in "iu" or lengths.min() < 1
-                or lengths.max() > steps):
-            raise ContractError(f"attn_gru: lengths {lengths.tolist()} are "
-                                f"not all integers in [1, {steps}]")
-        order = np.argsort(-lengths, kind="stable")
-        caller = np.argsort(order)  # caller[b]: where sample b sits in order
-        kd, fd, h0, ids = kd[order], fd[order], h0[order], ids[order]
-        emitted = lengths[:, None] > np.arange(steps)  # [B, T]
-        live = emitted.sum(axis=0).tolist()
-
-    def unsort(x: np.ndarray) -> np.ndarray:
-        return x if order is None else x[caller]
-
+    order = np.argsort(-lengths, kind="stable")
+    caller = np.argsort(order)  # caller[b]: where sample b sits in order
+    emitted = lengths[:, None] > np.arange(lengths.max())  # [B, T]
+    steps = emitted.shape[1]
+    grid = np.zeros(emitted.shape, dtype=np.intp)  # dead slots: no step reads
+    grid[emitted] = ids
+    grid, kd, fd = grid[order], keys.data[order], feats.data[order]
+    live = emitted.sum(axis=0).tolist()  # samples each step runs
     # dead rows are zero, so the whole-run factors and sums stay finite
     alloc = np.empty if live[-1] == batch else np.zeros
-    dec = _AttnRun(steps, alloc, kd, fd, E.data, h0,
+    dec = _AttnRun(steps, alloc, kd, fd, E.data, h.data[order],
                    *(x.data for x in (W_q, v, W, b, U)))
     for t, m in enumerate(live):
-        dec.step(t, m, ids[:m, t])
+        dec.step(t, m, grid[:m, t])
     run, energy, alpha, ctx = dec.gru, dec.energy, dec.alpha, dec.ctx
-    hs = unsort(run.states[1:].transpose(1, 0, 2))  # [B, T, H]
-    out = Tensor(hs.reshape(-1, hid) if emitted is None else hs[emitted])
+    hs = run.states[1:].transpose(1, 0, 2)[caller]  # [B, T, H]
+    out = Tensor(hs[emitted])
 
     def back():
-        if emitted is None:
-            gs = out.grad.reshape(batch, steps, hid)
-        else:  # the emitted rows back on the [B, T] grid
-            gs = np.zeros((batch, steps, hid))
-            gs[emitted] = out.grad
-        gs = (gs if order is None else gs[order]).transpose(1, 0, 2)
+        gs = np.zeros((batch, steps, hid))  # the rows back on the [B, T] grid
+        gs[emitted] = out.grad
+        gs = gs[order].transpose(1, 0, 2)
         f_gru, ut = run.factors(), U.data.T.copy()
         wct, wqt = dec.wc.T.copy(), W_q.data.T.copy()  # contiguous, as ut
         v_e = v.data[:, 0] * (1.0 - energy * energy)  # d score / d (keys + q)
@@ -692,20 +681,20 @@ def attn_gru(keys: Tensor, feats: Tensor, E: Tensor, ids, h: Tensor,
                 dg += dq[t, :m] @ wqt
                 dh[:m] = dg
         if h.requires_grad:
-            h.grad += unsort(dh)
+            h.grad += dh[caller]
         if keys.requires_grad:
-            keys.grad += unsort((d_scores[..., None] * v_e).sum(axis=0))
+            keys.grad += (d_scores[..., None] * v_e).sum(axis=0)[caller]
         if v.requires_grad:
             v.grad += energy.reshape(-1, attn).T @ d_scores.reshape(-1, 1)
         if feats.requires_grad:  # alpha [B, S, T] @ d_ctx [B, T, f]
-            feats.grad += unsort(alpha.transpose(1, 2, 0)
-                                 @ d_ctx.transpose(1, 0, 2))
+            feats.grad += (alpha.transpose(1, 2, 0)
+                           @ d_ctx.transpose(1, 0, 2))[caller]
         if W_q.requires_grad:
             W_q.grad += (run.states[:-1].reshape(-1, hid).T
                          @ dq.reshape(-1, attn))
         run.u_grad(U, d)
         d = d.reshape(-1, 3 * hid)
-        d_fed = np.eye(k)[ids.T.reshape(-1)].T @ d  # scattered by a one-hot
+        d_fed = np.eye(k)[grid.T.reshape(-1)].T @ d  # scattered by a one-hot
         if W.requires_grad:
             W.grad[:f] += ctx.reshape(-1, f).T @ d
             W.grad[f:] += E.data.T @ d_fed

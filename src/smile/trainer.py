@@ -278,7 +278,25 @@ def snapshot(rec: Recognizer, opt, step: int, seed: int) -> Checkpoint:
                       opt_state, step)
 
 
+def _parameter_fault(tensors: dict[str, np.ndarray], K: int) -> str | None:
+    """Why the stored tensors outside opt/ are not the per-gate parameter
+    set param_shapes(K) with its shapes, or None if they are."""
+    params = {n: a for n, a in tensors.items() if not n.startswith("opt/")}
+    expected = param_shapes(K)
+    if set(params) != set(expected):
+        missing = sorted(set(expected) - set(params))
+        extra = sorted(set(params) - set(expected))
+        return (f"parameter set mismatch (missing {missing}, unexpected "
+                f"{extra})")
+    for n, shape in expected.items():
+        if params[n].shape != shape:
+            return f"tensor {n} has shape {params[n].shape}, expected {shape}"
+    return None
+
+
 def save_checkpoint(ck: Checkpoint, path: str):
+    """Write ck to path atomically; a ContractError, and no file, for a
+    checkpoint that load_checkpoint would refuse."""
     if not (isinstance(ck.l_max, (int, np.integer))
             and 1 <= ck.l_max <= MAX_LABEL):
         raise ContractError(
@@ -287,8 +305,8 @@ def save_checkpoint(ck: Checkpoint, path: str):
     if not (isinstance(ck.step, (int, np.integer)) and 0 <= ck.step < 2**64):
         raise ContractError(f"save_checkpoint: step {ck.step!r} is not an "
                             f"integer in [0, 2**64 - 1], the u64 step counter")
-    tensors = (sorted(split_gates(ck.params).items())
-               + sorted(ck.opt_state.items()))
+    stored = split_gates(ck.params)
+    tensors = sorted(stored.items()) + sorted(ck.opt_state.items())
     for name, arr in tensors:   # what load_checkpoint would refuse
         if arr.ndim > 2:
             raise ContractError(f"save_checkpoint: tensor {name} has rank "
@@ -296,6 +314,11 @@ def save_checkpoint(ck: Checkpoint, path: str):
         if not np.isfinite(arr).all():
             raise ContractError(f"save_checkpoint: tensor {name} holds a "
                                 f"non-finite value")
+        if name in stored and name in ck.opt_state:
+            raise ContractError(f"save_checkpoint: duplicate tensor {name}")
+    fault = _parameter_fault(dict(tensors), ck.vocab.K)
+    if fault:
+        raise ContractError(f"save_checkpoint: {fault}")
     parts = [CK_MAGIC, struct.pack("<I", CK_VERSION), vocab_block(ck.vocab),
              struct.pack("<IIIII", D_FEAT, ENC_HIDDEN, EMBED_DIM, ck.vocab.K,
                          ck.l_max),
@@ -349,18 +372,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                               f"value (values end at offset {r.off})")
         tensors[name] = arr
     r.expect_end()
+    fault = _parameter_fault(tensors, vocab.K)
+    if fault:
+        raise FormatError(f"{path}: {fault}")
     params = {n: a for n, a in tensors.items() if not n.startswith("opt/")}
     opt_state = {n: a for n, a in tensors.items() if n.startswith("opt/")}
-    expected = param_shapes(vocab.K)
-    if set(params) != set(expected):
-        missing = sorted(set(expected) - set(params))
-        extra = sorted(set(params) - set(expected))
-        raise FormatError(f"{path}: parameter set mismatch "
-                          f"(missing {missing}, unexpected {extra})")
-    for n, shape in expected.items():
-        if params[n].shape != shape:
-            raise FormatError(f"{path}: tensor {n} has shape "
-                              f"{params[n].shape}, expected {shape}")
     return Checkpoint(vocab, l_max, fuse_gates(params), opt_state, step)
 
 

@@ -206,23 +206,33 @@ def test_checkpoint_save_refuses_a_step_the_format_cannot_hold(tmp_path):
 
 
 def test_checkpoint_save_refuses_a_tensor_the_loader_refuses(tmp_path):
-    # a non-finite value or a rank above 2 would be written and then
-    # refused on load; neither may leave a file behind
+    # a non-finite value, a rank above 2, a duplicate name, a parameter of
+    # the wrong shape, a missing one or an unexpected one (an optimizer
+    # slot outside opt/ is a parameter) would be written and then refused
+    # on load; none may leave a file behind
     path = tmp_path / "ck.smck"
-    ck = tiny_checkpoint(VocabSpec("AB"), 2)
-    nan_b = ck.params["out/b"].copy()
+    p = tiny_checkpoint(VocabSpec("AB"), 2).params
+    nan_b = p["out/b"].copy()
     nan_b[0, 1] = np.nan
-    cases = (({"out/b": nan_b}, {}, r"out/b holds a non-finite value"),
-             ({"out/b": ck.params["out/b"][None]}, {},
-              r"out/b has rank 3; the format holds ranks 0-2"),
-             ({}, {"opt/m": np.full(2, np.inf)},
-              r"opt/m holds a non-finite value"),
-             ({}, {"opt/m": np.zeros((1, 1, 2))},
-              r"opt/m has rank 3; the format holds ranks 0-2"))
+    mismatch = r"parameter set mismatch \(missing \[{}\], unexpected \[{}\]\)"
+    cases = (({**p, "out/b": nan_b}, {},
+              r"tensor out/b holds a non-finite value"),
+             ({**p, "out/b": p["out/b"][None]}, {},
+              r"tensor out/b has rank 3; the format holds ranks 0-2"),
+             (p, {"opt/m": np.full(2, np.inf)},
+              r"tensor opt/m holds a non-finite value"),
+             (p, {"opt/m": np.zeros((1, 1, 2))},
+              r"tensor opt/m has rank 3; the format holds ranks 0-2"),
+             (p, {"out/b": p["out/b"]}, r"duplicate tensor out/b"),
+             ({**p, "out/b": np.zeros((1, 3))}, {},
+              r"tensor out/b has shape \(1, 3\), expected \(1, 5\)"),
+             ({n: a for n, a in p.items() if n != "out/W"}, {},
+              mismatch.format("'out/W'", "")),
+             (p, {"adam/m": np.zeros(2)}, mismatch.format("", "'adam/m'")))
     for params, opt_state, message in cases:
-        bad = Checkpoint(ck.vocab, 2, {**ck.params, **params}, opt_state, 3)
+        bad = Checkpoint(VocabSpec("AB"), 2, params, opt_state, 3)
         with pytest.raises(ContractError,
-                           match=rf"^save_checkpoint: tensor {message}$"):
+                           match=rf"^save_checkpoint: {message}$"):
             save_checkpoint(bad, str(path))
         assert not path.exists()
 

@@ -300,10 +300,17 @@ def test_teacher_forced_runs_only_live_rows(rec, monkeypatch):
         return decoded, loss.item(), {n: p.grad.copy()
                                       for n, p in rec.params.items()}
 
-    def padded_node(*args, lengths):
-        # every sample runs all 4 steps; the emitted ones are gathered
-        emitted = np.arange(args[3].shape[1]) < lengths[:, None]
-        return T.gather_rows(fused(*args), np.flatnonzero(emitted))
+    def padded_node(*args):
+        # every sample runs all 4 steps, fed PAD past its end; the emitted
+        # ones are gathered
+        *args, lengths = args
+        lengths = np.asarray(lengths)
+        emitted = np.arange(lengths.max()) < lengths[:, None]
+        fed = np.full(emitted.shape, rec.vocab.PAD)
+        fed[emitted] = args[3]
+        args[3] = fed.reshape(-1)
+        return T.gather_rows(fused(*args, np.full(len(fed), fed.shape[1])),
+                             np.flatnonzero(emitted))
 
     decoded, live, live_grads = losses_and_grads()
     assert decoded.probs.shape[0] == 11   # of 16 padded rows
@@ -408,9 +415,10 @@ def per_step_node_greedy(rec, pixels):
                     live, ids = live[keep], ids[keep]
                     h, feats, keys = (T.constant(x.data[keep])
                                       for x in (h, feats, keys))
-            h = T.attn_gru(keys, feats, p["embed/E"], ids[:, None], h,
+            h = T.attn_gru(keys, feats, p["embed/E"], ids, h,
                            p["attn/W_dec"], p["attn/v"], p["dec/W"],
-                           p["dec/b"], p["dec/U"])
+                           p["dec/b"], p["dec/U"],
+                           lengths=np.ones(len(ids), int))
             logits = h.data @ p["out/W"].data + p["out/b"].data
             ids = np.argmax(np.where(allowed, logits, -np.inf), axis=1)
             for b, row, i in zip(live, logits, ids):

@@ -54,9 +54,9 @@ def taped_greedy(rec, tgt_px):
     h = T.zeros((batch, DEC_HIDDEN))
     heads = []
     for t in range(fed.shape[1]):
-        h = T.attn_gru(keys, feats, p["embed/E"], fed[:, t:t + 1], h,
+        h = T.attn_gru(keys, feats, p["embed/E"], fed[:, t], h,
                        p["attn/W_dec"], p["attn/v"], p["dec/W"], p["dec/b"],
-                       p["dec/U"])
+                       p["dec/U"], lengths=np.ones(batch, int))
         heads.append(T.softmax(T.add(T.matmul(h, p["out/W"]), p["out/b"])))
     # step t of sample b is row t * batch + b of the stacked heads
     rows = [t * batch + b for b, seq in enumerate(labels)

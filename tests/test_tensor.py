@@ -427,9 +427,19 @@ def test_gru_cell_matches_composite(rng):
                                 leaves)
 
 
+def emitted_ids(ids, lengths):
+    """The first lengths[b] tokens of each row b of ids [B, T], sample-major:
+    attn_gru's ids."""
+    return np.concatenate([ids[b, :n] for b, n in enumerate(lengths)])
+
+
 def attn_gru_of(ids):
+    """attn_gru running every sample for all T steps of ids [B, T]."""
+    lengths = np.full(len(ids), ids.shape[1])
+
     def op(keys, feats, E, h, W_q, v, W, b, U):
-        return T.attn_gru(keys, feats, E, ids, h, W_q, v, W, b, U)
+        return T.attn_gru(keys, feats, E, ids.reshape(-1), h, W_q, v, W, b,
+                          U, lengths)
     return op
 
 
@@ -458,7 +468,8 @@ def test_attn_gru_lengths_run_each_sample_for_its_own_steps(rng):
     leaves = [T.parameter(rng.normal(size=s)) for s in shapes]
 
     def op(*args):
-        return T.attn_gru(*args[:3], ids, *args[3:], lengths=lengths)
+        return T.attn_gru(*args[:3], emitted_ids(ids, lengths), *args[3:],
+                          lengths)
 
     def ref(keys, feats, E, h, *rest):
         return T.concat([attn_gru_reference(ids[b:b + 1, :n])(
@@ -469,32 +480,26 @@ def test_attn_gru_lengths_run_each_sample_for_its_own_steps(rng):
     check_against_reference(rng, op, ref, leaves)
 
 
-def test_attn_gru_full_lengths_equal_no_lengths_bitwise(rng):
-    ids = np.array([[1, 0, 3], [2, 1, 1]])
-    leaves = [T.parameter(rng.normal(size=s)) for s in ATTN_GRU_SHAPES]
-    w = rng.normal(size=(6, 2))
-    runs = []
-    for lengths in (None, np.array([3, 3])):
-        for leaf in leaves:
-            leaf.zero_grad()
-        with Tape() as tape:
-            out = T.attn_gru(*leaves[:3], ids, *leaves[3:], lengths=lengths)
-            tape.backward(T.reduce_sum(T.mul(out, T.constant(w))))
-        runs.append([out.data] + [leaf.grad.copy() for leaf in leaves])
-    for plain, full in zip(*runs):
-        assert np.array_equal(plain, full)
-
-
 def test_attn_gru_rejects_bad_lengths():
+    # B = 2 and 4 ids; T comes from the lengths, so (3, 1) is accepted
     args = [T.constant(np.zeros(s)) for s in ATTN_GRU_SHAPES]
-    ids = np.array([[1, 0], [2, 1]])
-    for lengths, err, text in (((2,), DimensionError, r"lengths \[B\]"),
-                               (((1, 2),), DimensionError, r"lengths \[B\]"),
-                               ((2, 0), ContractError, r"in \[1, 2\]"),
-                               ((3, 1), ContractError, r"in \[1, 2\]"),
-                               ((1.0, 2.0), ContractError, "integers")):
-        with pytest.raises(err, match=f"attn_gru: .*{text}"):
-            T.attn_gru(*args[:3], ids, *args[3:], lengths=lengths)
+    ids = np.array([1, 0, 2, 1])
+    assert T.attn_gru(*args[:3], ids, *args[3:], (3, 1)).shape == (4, 2)
+    shape, value = r"need lengths \[B\] = \(2,\)", "not all integers >= 1"
+    count = r"need ids \[sum\(lengths\)\] = "
+    for lengths, err, text in (((4,), DimensionError, shape),
+                               (((2, 2),), DimensionError, shape),
+                               (2, DimensionError, shape),
+                               ((4, 0), ContractError, value),
+                               ((5, -1), ContractError, value),
+                               ((2.0, 2.0), ContractError, value),
+                               ((True, True), ContractError, value),
+                               ((2, 1), DimensionError,
+                                count + r"\(3,\), got \(4,\)"),
+                               ((2, 3), DimensionError,
+                                count + r"\(5,\), got \(4,\)")):
+        with pytest.raises(err, match=f"^attn_gru: .*{text}"):
+            T.attn_gru(*args[:3], ids, *args[3:], lengths)
 
 
 def test_gru_cell_large_preactivations_finite(rng):
@@ -534,11 +539,11 @@ def test_fused_ops_reject_mismatched_shapes():
             with pytest.raises(DimensionError):
                 attn_gru_of(ids)(*args)
     args = [z(*s) for s in ATTN_GRU_SHAPES]
-    # one step's ids are [B, 1], never [B]
-    for bad_ids in (np.zeros((3, 2)), np.zeros((2, 0)), np.zeros((2, 1, 1)),
-                    np.zeros(2)):
-        with pytest.raises(DimensionError, match=r"ids \[B, T\]"):
-            attn_gru_of(bad_ids)(*args)
+    # ids come flat, one per emitted row, never as a [B, T] grid
+    for bad_ids in (np.zeros((2, 2)), np.zeros((4, 1)), np.zeros(0),
+                    np.zeros(3), np.zeros(5)):
+        with pytest.raises(DimensionError, match=r"ids \[sum\(lengths\)\]"):
+            T.attn_gru(*args[:3], bad_ids, *args[3:], (2, 2))
     for token in (-1, 4):
         with pytest.raises(IndexRangeError, match=f"token {token} "):
             attn_gru_of(np.array([[0, token], [1, 2]]))(*args)
@@ -551,10 +556,11 @@ def test_decoder_run_steps_equal_attn_gru_bitwise(rng):
     shapes = [((3, *s[1:]) if i in (0, 1, 3) else s)
               for i, s in enumerate(ATTN_GRU_SHAPES)]
     args = [T.parameter(rng.normal(size=s)) for s in shapes]
-    for lengths, keeps in ((None, ([0, 1, 2],) * 3),
+    for lengths, keeps in (((3, 3, 3), ([0, 1, 2],) * 3),
                            ((3, 1, 3), ([0, 1, 2], [0, 2], [0, 1]))):
         with Tape() as tape:
-            node = T.attn_gru(*args[:3], ids, *args[3:], lengths=lengths)
+            node = T.attn_gru(*args[:3], emitted_ids(ids, lengths),
+                              *args[3:], lengths)
             run = T.DecoderRun(*args)
             live = np.arange(3)
             states = [[] for _ in live]

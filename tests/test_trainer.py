@@ -12,10 +12,11 @@ import pytest
 
 from smile import cli, trainer
 from smile.data import (Corpus, DomainConfig, VocabSpec, generate_corpus,
-                        make_templates, save_corpus)
+                        make_templates, save_corpus, vocab_block)
 from smile.errors import ContractError, FormatError, NumericalAbort
 from smile.metrics import evaluate
-from smile.recognizer import init_params, split_gates
+from smile.recognizer import (D_FEAT, EMBED_DIM, ENC_HIDDEN, init_params,
+                              split_gates)
 from smile.tensor import Tensor
 from smile.trainer import (SWEEP_GRID, Adadelta, Adam, Checkpoint,
                            MetricsLog, TrainConfig, clip_gradients,
@@ -201,6 +202,30 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
         "9401c910d2b02939ea3b2ee74cce8d72ecdee265a1857c407d0b92c17e3c3b99")
 
 
+def write_unchecked(ck: Checkpoint, path):
+    """ck in save_checkpoint's layout, written with no checks, so the
+    loader can be shown files that save_checkpoint refuses to write."""
+    tensors = (sorted(split_gates(ck.params).items())
+               + sorted(ck.opt_state.items()))
+    parts = [trainer.CK_MAGIC, struct.pack("<I", trainer.CK_VERSION),
+             vocab_block(ck.vocab),
+             struct.pack("<IIIIIQI", D_FEAT, ENC_HIDDEN, EMBED_DIM,
+                         ck.vocab.K, ck.l_max, ck.step, len(tensors))]
+    for name, arr in tensors:
+        raw = name.encode("utf-8")
+        parts.append(struct.pack(f"<H{len(raw)}sB{arr.ndim}I", len(raw), raw,
+                                 arr.ndim, *arr.shape))
+        parts.append(arr.astype("<f8").tobytes())
+    path.write_bytes(b"".join(parts))
+
+
+def test_unchecked_writer_writes_save_checkpoints_bytes(tmp_path):
+    saved, unchecked = tmp_path / "saved.smck", tmp_path / "unchecked.smck"
+    save_checkpoint(small_checkpoint(), str(saved))
+    write_unchecked(small_checkpoint(), unchecked)
+    assert unchecked.read_bytes() == saved.read_bytes()
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "ck.smck"
     save_checkpoint(small_checkpoint(), str(path))
@@ -232,7 +257,7 @@ def test_checkpoint_rejects_missing_parameter(tmp_path):
     ck = small_checkpoint()
     del ck.params["out/b"]
     path = tmp_path / "ck.smck"
-    save_checkpoint(ck, str(path))
+    write_unchecked(ck, path)
     with pytest.raises(FormatError, match="parameter set mismatch"):
         load_checkpoint(str(path))
 
@@ -242,8 +267,8 @@ def test_checkpoint_names_a_missing_gate_tensor(tmp_path):
     stored = split_gates(ck.params)
     del stored["dec/U_r"]
     path = tmp_path / "ck.smck"
-    save_checkpoint(Checkpoint(ck.vocab, ck.l_max, stored, ck.opt_state,
-                               ck.step), str(path))
+    write_unchecked(Checkpoint(ck.vocab, ck.l_max, stored, ck.opt_state,
+                               ck.step), path)
     with pytest.raises(FormatError, match=r"missing \['dec/U_r'\]"):
         load_checkpoint(str(path))
 
@@ -252,7 +277,7 @@ def test_checkpoint_rejects_wrong_shape(tmp_path):
     ck = small_checkpoint()
     ck.params["out/b"] = np.zeros((2, ck.vocab.K))
     path = tmp_path / "ck.smck"
-    save_checkpoint(ck, str(path))
+    write_unchecked(ck, path)
     with pytest.raises(FormatError, match="shape"):
         load_checkpoint(str(path))
 
@@ -265,8 +290,8 @@ def test_checkpoint_refuses_backward_encoder_tensors(tmp_path):
     stored.update({n.replace("enc/", "enc_bwd/"): a
                    for n, a in stored.items() if n.startswith("enc/")})
     path = tmp_path / "bi.smck"
-    save_checkpoint(Checkpoint(ck.vocab, ck.l_max, stored, ck.opt_state,
-                               ck.step), str(path))
+    write_unchecked(Checkpoint(ck.vocab, ck.l_max, stored, ck.opt_state,
+                               ck.step), path)
     with pytest.raises(FormatError, match=r"parameter set mismatch \(missing "
                        r"\[\], unexpected \['enc_bwd/U_n', 'enc_bwd/U_r'"):
         load_checkpoint(str(path))
