@@ -6,7 +6,7 @@ from .data import (Corpus, DomainConfig, VocabSpec, build_glyph12,
                    generate_corpus, load_corpus, make_templates,
                    render_string, save_corpus)
 from .errors import (ContractError, DimensionError, FormatError,
-                     IndexRangeError, NumericalAbort)
+                     IndexRangeError, NumericalAbort, WorkerLost)
 from .losses import decoder_loss, smile_loss
 from .metrics import EvalResult, compare_report, evaluate, word_accuracy
 from .recognizer import Decoded, DecoderOutput, Recognizer
@@ -23,7 +23,7 @@ __all__ = [
     "DecoderOutput", "DimensionError", "DomainConfig", "EvalResult",
     "FormatError", "IndexRangeError", "MetricsLog", "NumericalAbort",
     "PredictionPool", "Recognizer", "SelectionResult", "Tape", "Tensor",
-    "TrainConfig", "VocabSpec",
+    "TrainConfig", "VocabSpec", "WorkerLost",
     "build_glyph12", "build_pool", "compare_report", "decoder_loss",
     "evaluate", "generate_corpus", "load_checkpoint", "load_corpus",
     "make_templates", "portion_at", "render_string", "save_checkpoint",

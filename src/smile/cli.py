@@ -21,7 +21,7 @@ import sys
 from . import checks
 from .binio import write_atomic
 from .data import build_glyph12, load_corpus, save_corpus
-from .errors import ContractError, FormatError, NumericalAbort
+from .errors import ContractError, FormatError, NumericalAbort, WorkerLost
 from .metrics import compare_report, evaluate
 from .trainer import (SWEEP_GRID, TrainConfig, cell_name, load_checkpoint,
                       save_checkpoint, sweep, sweep_configs,
@@ -319,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         return _RUNNERS[args.command](args)
     except OSError as e:   # readers raise FormatError, so this is an output
         error = ContractError(f"cannot write output: {e}")
-    except (ContractError, FormatError, NumericalAbort) as e:
+    except (ContractError, FormatError, NumericalAbort, WorkerLost) as e:
         error = e
     name = type(error).__name__
     print(f"{PROG} {command}: {name}: {error}".strip(), file=sys.stderr)

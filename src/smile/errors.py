@@ -25,3 +25,9 @@ class NumericalAbort(RuntimeError):
     """Training produced a non-finite quantity and cannot continue."""
 
     exit_code = 2
+
+
+class WorkerLost(RuntimeError):
+    """A worker process exited before it sent its results."""
+
+    exit_code = 2

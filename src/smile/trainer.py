@@ -38,7 +38,7 @@ from .data import (GLYPH_W, MAX_LABEL, Corpus, VocabSpec, check_seed,
 from .errors import ContractError, FormatError, NumericalAbort
 from .losses import VARIANTS, decoder_loss, smile_loss
 from .metrics import EvalResult, evaluate
-from .recognizer import (D_FEAT, EMBED_DIM, ENC_HIDDEN, Recognizer,
+from .recognizer import (D_FEAT, EMBED_DIM, ENC_HIDDEN, GATES, Recognizer,
                          check_corpus, fuse_gates, param_shapes, split_gates)
 from .self_paced import (PredictionPool, SelectionResult, build_pool,
                          portion_at, replay_plan, select,
@@ -305,6 +305,14 @@ def save_checkpoint(ck: Checkpoint, path: str):
     if not (isinstance(ck.step, (int, np.integer)) and 0 <= ck.step < 2**64):
         raise ContractError(f"save_checkpoint: step {ck.step!r} is not an "
                             f"integer in [0, 2**64 - 1], the u64 step counter")
+    fused = {n[:-2]: (rows, len(GATES) * cols)
+             for n, (rows, cols) in param_shapes(ck.vocab.K).items()
+             if n.endswith(f"_{GATES[0]}")}
+    for name, shape in fused.items():   # split_gates cuts these by columns
+        if name in ck.params and np.shape(ck.params[name]) != shape:
+            raise ContractError(
+                f"save_checkpoint: fused GRU tensor {name} has shape "
+                f"{np.shape(ck.params[name])}, expected {shape}")
     stored = split_gates(ck.params)
     tensors = sorted(stored.items()) + sorted(ck.opt_state.items())
     for name, arr in tensors:   # what load_checkpoint would refuse

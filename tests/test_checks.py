@@ -1,13 +1,25 @@
 """Gate A1's harness: the finite-difference passes score an op case in
 numpy with the bits of the taped weighted sum, so check_ops returns exactly
-what a harness that builds the taped loss in every pass returns."""
+what a harness that builds the taped loss in every pass returns; the units
+shared with a forked worker return the serial results, and no worker
+outlives a call."""
+
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
 
 import smile.tensor as T
 from smile import checks
+from smile.errors import ContractError, DimensionError, WorkerLost
 from smile.tensor import Tape
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not hasattr(os, "sched_getaffinity"), reason="the runner forks only "
+    "where fork and an affinity set exist")
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -88,3 +100,105 @@ def test_a_nan_in_the_comparison_fails_the_check():
     err = checks.grad_check(lambda: x, {"x": x}, weight=np.array([1.0, np.nan]))
     assert np.isnan(err)
     assert not checks.CheckResult("nan", err, checks.TOLERANCE).ok
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [0, 11])
+def test_forked_run_equals_the_one_cpu_run_bitwise(monkeypatch, seed):
+    monkeypatch.setattr(checks, "INSTANCES", 6)
+    cpus(monkeypatch, 1)
+    assert checks._worker_count(1 + checks.INSTANCES) == 0
+    serial = checks.run_all(seed)
+    cpus(monkeypatch, 2)
+    assert checks._worker_count(1 + checks.INSTANCES) == 1
+    forked = checks.run_all(seed)
+    assert multiprocessing.active_children() == []
+    assert [r.name for r in forked] == [r.name for r in serial]
+    assert len(forked) == 27 and forked[-1].name == "model/combined_loss"
+    for f, s in zip(forked, serial):
+        assert type(f.max_rel_err) is float
+        assert f.max_rel_err == s.max_rel_err, f.name
+
+
+@needs_fork
+def test_a_failed_fork_leaves_the_units_to_the_parent(monkeypatch):
+    def no_process(*args):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(checks, "INSTANCES", 3)
+    want = checks.check_ops(5)
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_process)
+    assert checks.check_ops(5) == want
+    assert multiprocessing.active_children() == []
+
+
+def hold_parent_until_a_worker_runs(monkeypatch, tmp_path, in_worker):
+    """Run check_ops on two CPUs and three instances, with _op_cases
+    replaced: in a worker it marks a file and calls in_worker(); the
+    parent's first unit waits for the mark, so a worker always runs one."""
+    parent, mark, real = os.getpid(), tmp_path / "worker-ran", checks._op_cases
+
+    def cases(rng):
+        if os.getpid() != parent:
+            mark.touch()
+            in_worker()
+        deadline = time.monotonic() + 30
+        while not mark.exists():
+            assert time.monotonic() < deadline, "no worker took a unit"
+            time.sleep(0.005)
+        return real(rng)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(checks, "INSTANCES", 3)
+    monkeypatch.setattr(checks, "_op_cases", cases)
+
+
+@needs_fork
+def test_a_units_error_in_a_worker_is_raised_by_the_parent(monkeypatch,
+                                                           tmp_path):
+    def fail():
+        raise DimensionError("op case failed in a worker")
+
+    hold_parent_until_a_worker_runs(monkeypatch, tmp_path, fail)
+    with pytest.raises(DimensionError,
+                       match="^op case failed in a worker$"):
+        checks.check_ops(5)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_worker_that_dies_is_a_worker_lost_with_its_exit_code(monkeypatch,
+                                                                tmp_path):
+    hold_parent_until_a_worker_runs(monkeypatch, tmp_path,
+                                    lambda: os._exit(3))
+    with pytest.raises(WorkerLost, match=r"exited with code 3 before "
+                                         r"sending its results$"):
+        checks.check_ops(5)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_failing_parent_terminates_its_workers(monkeypatch, tmp_path):
+    # the worker would sleep a minute; the parent's error ends it at once
+    parent = os.getpid()
+    hold_parent_until_a_worker_runs(monkeypatch, tmp_path,
+                                    lambda: time.sleep(60))
+    real_unit = checks._op_unit
+
+    def unit(seed, i):
+        errors = real_unit(seed, i)
+        if os.getpid() == parent:
+            raise ContractError("op case failed in the parent")
+        return errors
+
+    monkeypatch.setattr(checks, "_op_unit", unit)
+    t0 = time.monotonic()
+    with pytest.raises(ContractError, match="^op case failed in the parent$"):
+        checks.check_ops(5)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []

@@ -3,13 +3,18 @@ subcommands end to end on tiny corpora, exit codes, and the README's flag
 list."""
 
 import dataclasses
+import multiprocessing
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smile
 from smile import cli, trainer
 from smile.data import (MAGIC, SOURCE, VERSION, Corpus, load_corpus,
                         save_corpus, vocab_block)
@@ -192,9 +197,16 @@ def test_train_refuses_bad_settings_before_loading(capsys, tmp_path, flag,
 
 @pytest.mark.parametrize("command", ["gen-data", "gradcheck"])
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
-def test_seed_outside_u64_exits_one(capsys, tmp_path, command, seed):
+def test_seed_outside_u64_exits_one(capsys, monkeypatch, tmp_path, command,
+                                    seed):
+    # the seed is refused before gradcheck forks a worker
+    def forbidden():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", forbidden)
     out = ["--out", str(tmp_path / "corpora")] if command == "gen-data" else []
     assert cli.main([command, "--seed", seed, *out]) == 1
+    assert multiprocessing.active_children() == []
     err = capsys.readouterr().err
     assert f"smile {command}: ContractError: " in err
     assert f"seed {seed} not in [0, 2^64)" in err
@@ -550,6 +562,24 @@ def test_gradcheck_passes(capsys):
     assert "[config] gradcheck.seed = 0" in stdout
     assert "all" in stdout and "checks passed" in stdout
     assert "FAIL" not in stdout
+
+
+def test_gradcheck_to_a_file_writes_each_line_once(tmp_path):
+    # stdout to a file is block-buffered: a forked worker that inherited
+    # unflushed output would write it a second time
+    src = os.path.dirname(os.path.dirname(smile.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "gradcheck.txt"
+    with open(out, "w") as f:
+        run = subprocess.run([sys.executable, "-m", "smile.cli", "gradcheck"],
+                             env=env, stdout=f, stderr=subprocess.PIPE,
+                             text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = out.read_text().splitlines()
+    assert lines[0] == "[config] gradcheck.seed = 0"
+    assert lines[-2].startswith("model/combined_loss: ")
+    assert lines[-1] == "all 27 checks passed"
+    assert len(lines) == 29 and len(set(lines)) == 29
 
 
 def test_numerical_abort_exits_two(capsys, workdir):

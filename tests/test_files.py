@@ -209,7 +209,8 @@ def test_checkpoint_save_refuses_a_tensor_the_loader_refuses(tmp_path):
     # a non-finite value, a rank above 2, a duplicate name, a parameter of
     # the wrong shape, a missing one or an unexpected one (an optimizer
     # slot outside opt/ is a parameter) would be written and then refused
-    # on load; none may leave a file behind
+    # on load; a fused GRU tensor without its fused shape cannot even be
+    # split per gate; none may leave a file behind
     path = tmp_path / "ck.smck"
     p = tiny_checkpoint(VocabSpec("AB"), 2).params
     nan_b = p["out/b"].copy()
@@ -228,7 +229,13 @@ def test_checkpoint_save_refuses_a_tensor_the_loader_refuses(tmp_path):
               r"tensor out/b has shape \(1, 3\), expected \(1, 5\)"),
              ({n: a for n, a in p.items() if n != "out/W"}, {},
               mismatch.format("'out/W'", "")),
-             (p, {"adam/m": np.zeros(2)}, mismatch.format("", "'adam/m'")))
+             (p, {"adam/m": np.zeros(2)}, mismatch.format("", "'adam/m'")),
+             ({**p, "enc/W": np.zeros((32, 10))}, {},
+              r"fused GRU tensor enc/W has shape \(32, 10\), expected "
+              r"\(32, 96\)"),
+             ({**p, "dec/b": np.zeros(192)}, {},
+              r"fused GRU tensor dec/b has shape \(192,\), expected "
+              r"\(1, 192\)"))
     for params, opt_state, message in cases:
         bad = Checkpoint(VocabSpec("AB"), 2, params, opt_state, 3)
         with pytest.raises(ContractError,
