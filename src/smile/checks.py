@@ -14,25 +14,15 @@ passes skip three Tensors each.
 
 The checks split into independent units: the model check, which builds its
 own model, and the INSTANCES op instances, where instance i draws only from
-default_rng([seed, i]) and builds its own leaves.  The units run on every
-CPU the process may use: one worker is forked per further CPU in its
-affinity set, and the parent and the workers each take the next unit index
-from one shared counter until none is left, the model check, the longest
-unit, first.  Each worker sends back {unit: result}, and the parent folds
-the op errors in instance order and appends the model result last, so the
-results are the serial ones bit for bit.  With one CPU, with no fork, or
-with another thread running (which makes fork unsafe), the parent runs
-every unit itself through the same loop.  Workers are forked, not spawned:
-a unit is a closure over live arrays, and a spawned worker would import
-numpy and smile again on every call.
+default_rng([seed, i]) and builds its own leaves.  They run through
+smile.parallel's runner, on every CPU the process may use, the model check,
+the longest unit, first; the parent folds the op errors in instance order
+and appends the model result last, so the results are the serial ones bit
+for bit.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import sys
-import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,8 +30,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import VocabSpec, check_seed, make_templates, render_string
-from .errors import WorkerLost
 from .losses import smile_loss
+from .parallel import _run_units
 from .recognizer import Recognizer, split_gates
 from .tensor import Tape, Tensor
 from .trainer import TrainConfig, step_losses
@@ -291,7 +281,7 @@ def _checks(seed: int, model: bool) -> list[CheckResult]:
     check_seed(seed, "gradcheck: seed")   # before any worker is forked
     first = [check_model] if model else []   # the longest unit
     done = _run_units(first + [partial(_op_unit, seed, i)
-                               for i in range(INSTANCES)])
+                               for i in range(INSTANCES)], "gradcheck")
     worst: dict[str, float] = {}
     for errors in done[len(first):]:
         for name, err in errors:
@@ -299,89 +289,3 @@ def _checks(seed: int, model: bool) -> list[CheckResult]:
     return [CheckResult(f"op/{n}", e, TOLERANCE) for n, e in worst.items()] \
         + done[:len(first)]
 
-
-def _worker_count(units: int) -> int:
-    """Workers to fork beside this process: one per further CPU it may use,
-    none without fork or while another thread runs."""
-    import multiprocessing   # here, since no other smile path needs it
-
-    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 0
-    return min(len(os.sched_getaffinity(0)), units) - 1
-
-
-def _take_shared(counter) -> int:
-    with counter.get_lock():
-        counter.value += 1
-        return counter.value - 1
-
-
-def _take_all(units: list, take) -> dict:
-    """{i: units[i]()} for every index take() hands out below len(units)."""
-    done = {}
-    while (i := take()) < len(units):
-        done[i] = units[i]()
-    return done
-
-
-def _worker(units: list, take, conn):
-    try:
-        done = _take_all(units, take)
-    except Exception as e:   # the parent raises it as its own
-        done = e
-    conn.send(done)
-    conn.close()
-
-
-def _run_units(units: list) -> list:
-    """[unit() for unit in units], shared with one forked worker per
-    further CPU, or fewer if a fork fails.  A unit's exception in a worker
-    is raised here; a worker that exits without sending its results is a
-    WorkerLost.  No worker outlives the call: they are joined, and
-    terminated first if the call fails."""
-    workers = _worker_count(len(units))
-    if workers:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        take = partial(_take_shared, ctx.Value("q", 0))
-        sys.stdout.flush()   # else a worker writes buffered output again
-        sys.stderr.flush()
-    else:
-        take = itertools.count().__next__
-    procs = []
-    try:
-        for _ in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker, args=(units, take, send),
-                               daemon=True)
-            try:
-                proc.start()
-            except OSError:   # no process to spare: the rest do the units
-                recv.close()
-                break
-            finally:
-                send.close()   # so recv() sees the end if the worker dies
-            procs.append((proc, recv))
-        done = _take_all(units, take)
-        for proc, recv in procs:
-            try:
-                got = recv.recv()
-            except EOFError:
-                proc.join()
-                raise WorkerLost(f"gradcheck: worker {proc.pid} exited with "
-                                 f"code {proc.exitcode} before sending its "
-                                 f"results") from None
-            if isinstance(got, Exception):
-                raise got
-            done.update(got)
-    except BaseException:
-        for proc, _ in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc, recv in procs:
-            proc.join()
-            recv.close()
-    return [done[i] for i in range(len(units))]

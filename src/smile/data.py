@@ -11,20 +11,26 @@ pure function of (seed, i), whatever block it falls in.  Every pixel lies
 on the 8-bit grid k/255 that the file format stores, and a Corpus keeps
 the codes k: it is columnar, one uint8 [N, 8, W] code block, a label list
 and a [N] domain-tag array, and Corpus.images turns the codes of an index
-or a slice into float64 images only when they are drawn.
+or a slice into float64 images only when they are drawn.  build_glyph12's
+four corpora are independent units, shared over the CPUs in the process's
+affinity set by smile.parallel's runner, and each is the serial one bit for
+bit.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .binio import Reader, read_file, write_atomic
 from .errors import ContractError, FormatError
+from .parallel import _run_units
 
 GLYPH_H = 8
 GLYPH_W = 8
@@ -213,7 +219,9 @@ class Corpus:
 
     def without_labels(self) -> "Corpus":
         """The same images, every label dropped; the arrays are shared."""
-        return Corpus(self.vocab, self.codes, [None] * len(self), self.domain)
+        bare = copy.copy(self)   # unlabeled records need no label check
+        bare.labels = [None] * len(self)
+        return bare
 
     def __eq__(self, other):
         return (isinstance(other, Corpus)
@@ -474,21 +482,24 @@ def build_glyph12(seed: int) -> dict[str, Corpus]:
     Returns five corpora: clean labeled source_train (5000) and source_val
     (1000); shifted target_train (5000, labels stripped); target_labeled,
     the same 5000 images with labels kept, for supervised-target runs;
-    and the sealed shifted labeled target_test (1000).
+    and the sealed shifted labeled target_test (1000).  The four generated
+    corpora are independent units, shared over the CPUs in the process's
+    affinity set through smile.parallel's runner, largest first; each is
+    the serial one bit for bit, and one CPU builds all four with no fork.
     """
-    check_seed(seed, "glyph12: seed")
+    check_seed(seed, "glyph12: seed")   # before any worker is forked
     vocab = VocabSpec(GLYPH12_CHARS)
     templates = make_templates(vocab, seed)
     shift = DomainConfig(seed=seed + 40, **GLYPH12_SHIFT)
-    source_train = generate_corpus(vocab, templates, 5000, GLYPH12_LENGTHS,
-                                   seed=seed + 1)
-    source_val = generate_corpus(vocab, templates, 1000, GLYPH12_LENGTHS,
-                                 seed=seed + 2)
-    target_labeled = generate_corpus(vocab, templates, 5000, GLYPH12_LENGTHS,
-                                     seed=seed + 3, domain_cfg=shift)
+    corpus = partial(generate_corpus, vocab, templates,
+                     length_range=GLYPH12_LENGTHS)
+    # largest first: the shifted 5000 are about half of the work
+    target_labeled, source_train, target_test, source_val = _run_units([
+        partial(corpus, 5000, seed=seed + 3, domain_cfg=shift),
+        partial(corpus, 5000, seed=seed + 1),
+        partial(corpus, 1000, seed=seed + 4, domain_cfg=shift),
+        partial(corpus, 1000, seed=seed + 2)], "glyph12")
     target_train = target_labeled.without_labels()
-    target_test = generate_corpus(vocab, templates, 1000, GLYPH12_LENGTHS,
-                                  seed=seed + 4, domain_cfg=shift)
     return {
         "source_train": source_train,
         "source_val": source_val,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import smile.tensor as T
-from smile import checks
+from smile import checks, parallel
 from smile.errors import ContractError, DimensionError, WorkerLost
 from smile.tensor import Tape
 
@@ -111,10 +111,10 @@ def cpus(monkeypatch, n):
 def test_forked_run_equals_the_one_cpu_run_bitwise(monkeypatch, seed):
     monkeypatch.setattr(checks, "INSTANCES", 6)
     cpus(monkeypatch, 1)
-    assert checks._worker_count(1 + checks.INSTANCES) == 0
+    assert parallel._worker_count(1 + checks.INSTANCES) == 0
     serial = checks.run_all(seed)
     cpus(monkeypatch, 2)
-    assert checks._worker_count(1 + checks.INSTANCES) == 1
+    assert parallel._worker_count(1 + checks.INSTANCES) == 1
     forked = checks.run_all(seed)
     assert multiprocessing.active_children() == []
     assert [r.name for r in forked] == [r.name for r in serial]

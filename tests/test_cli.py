@@ -233,6 +233,43 @@ def test_gen_data_writes_five_corpora(capsys, tmp_path):
     assert "source_val.smcp (1000 images, labeled)" in stdout
 
 
+ONE_CPU_CLI = ("import os, sys; from smile.cli import main; "
+               "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+               "sys.exit(main())")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs an affinity set to pin a run to one CPU")
+def test_gen_data_to_a_file_writes_each_line_once_and_the_one_cpu_bytes(
+        tmp_path):
+    # stdout to a file is block-buffered: a forked worker that inherited
+    # unflushed output would write it a second time
+    src = os.path.dirname(os.path.dirname(smile.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    sizes = {"source_train": "5000 images, labeled",
+             "source_val": "1000 images, labeled",
+             "target_train": "5000 images, unlabeled",
+             "target_labeled": "5000 images, labeled",
+             "target_test": "1000 images, labeled"}
+    for run_as, cmd in (("shared", ["-m", "smile.cli"]),
+                        ("one-cpu", ["-c", ONE_CPU_CLI])):
+        out = tmp_path / run_as
+        with open(tmp_path / f"{run_as}.txt", "w") as f:
+            run = subprocess.run([sys.executable, *cmd, "gen-data", "--seed",
+                                  "7", "--out", str(out)], env=env, stdout=f,
+                                 stderr=subprocess.PIPE, text=True,
+                                 timeout=120)
+        assert run.returncode == 0, run.stderr
+    shared = tmp_path / "shared"
+    assert (tmp_path / "shared.txt").read_text().splitlines() == [
+        f"[config] gen-data.out = {shared}", "[config] gen-data.seed = 7",
+        *(f"wrote {shared / name}.smcp ({size})"
+          for name, size in sizes.items())]
+    for name in sizes:
+        assert (shared / f"{name}.smcp").read_bytes() == (
+            tmp_path / "one-cpu" / f"{name}.smcp").read_bytes(), name
+
+
 def test_gen_data_out_under_a_file_exits_one(capsys, tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n")

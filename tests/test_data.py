@@ -2,17 +2,26 @@
 format, checked against hand-computed oracles."""
 
 import hashlib
+import multiprocessing
+import os
 import struct
+import time
 
 import numpy as np
 import pytest
 
+from smile import data, parallel
 from smile.data import (BLOCK, GLYPH12_CHARS, GLYPH12_LENGTHS, GLYPH12_SHIFT,
                         MAGIC, SOURCE, TARGET, VERSION, Corpus, DomainConfig,
                         VocabSpec, _shift_codes, build_glyph12,
                         generate_corpus, load_corpus, make_templates,
                         render_string, save_corpus, vocab_block)
-from smile.errors import ContractError, FormatError
+from smile.errors import ContractError, FormatError, WorkerLost
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not hasattr(os, "sched_getaffinity"), reason="the runner forks only "
+    "where fork and an affinity set exist")
 
 
 # -- vocabulary ---------------------------------------------------------------
@@ -294,7 +303,8 @@ def test_without_labels(vocab, templates):
     assert not bare.labeled
     assert bare.labels == [None] * 12
     assert bare.codes is c.codes  # shared, not copied
-    assert np.array_equal(bare.domain, c.domain)
+    assert bare.domain is c.domain
+    assert bare == Corpus(vocab, c.codes, [None] * 12, c.domain)
     assert c.labeled and c.labels == labels  # original untouched
 
 
@@ -432,6 +442,80 @@ def test_glyph12_preset(tmp_path):
         save_corpus(corpus, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             GLYPH12_SEED7_SHA256[name]), name
+
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", [7, 11])
+def test_glyph12_on_two_cpus_equals_the_one_cpu_build_bitwise(
+        monkeypatch, tmp_path, seed):
+    def forbidden():
+        raise AssertionError("a worker was forked")
+
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0})
+        one_cpu.setattr(os, "fork", forbidden)
+        serial = build_glyph12(seed)
+    cpus(monkeypatch, 2)
+    assert parallel._worker_count(4) == 1
+    shared = build_glyph12(seed)
+    assert multiprocessing.active_children() == []
+    assert list(shared) == list(serial)
+    for name, corpus in shared.items():
+        assert corpus == serial[name], name
+        save_corpus(corpus, str(tmp_path / "shared.smcp"))
+        save_corpus(serial[name], str(tmp_path / "serial.smcp"))
+        assert (tmp_path / "shared.smcp").read_bytes() == (
+            tmp_path / "serial.smcp").read_bytes(), name
+    assert shared["target_train"].codes is shared["target_labeled"].codes
+
+
+def hold_parent_until_a_worker_runs(monkeypatch, tmp_path, in_worker):
+    """Build glyph12 on two CPUs with generate_corpus replaced: in a worker
+    it marks a file and calls in_worker(); the parent's first unit waits
+    for the mark, so a worker always runs one."""
+    parent, mark = os.getpid(), tmp_path / "worker-ran"
+    real = data.generate_corpus
+
+    def corpus(*args, **kwargs):
+        if os.getpid() != parent:
+            mark.touch()
+            in_worker()
+        deadline = time.monotonic() + 30
+        while not mark.exists():
+            assert time.monotonic() < deadline, "no worker took a unit"
+            time.sleep(0.005)
+        return real(*args, **kwargs)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(data, "generate_corpus", corpus)
+
+
+@needs_fork
+def test_a_units_error_in_a_glyph12_worker_is_raised_by_the_parent(
+        monkeypatch, tmp_path):
+    def fail():
+        raise ContractError("generate_corpus failed in a worker")
+
+    hold_parent_until_a_worker_runs(monkeypatch, tmp_path, fail)
+    with pytest.raises(ContractError,
+                       match="^generate_corpus failed in a worker$"):
+        build_glyph12(7)
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_glyph12_worker_that_dies_is_a_worker_lost(monkeypatch, tmp_path):
+    hold_parent_until_a_worker_runs(monkeypatch, tmp_path,
+                                    lambda: os._exit(3))
+    with pytest.raises(WorkerLost, match=r"^glyph12: worker \d+ exited with "
+                                         r"code 3 before sending its "
+                                         r"results$"):
+        build_glyph12(7)
+    assert multiprocessing.active_children() == []
 
 
 # -- file format --------------------------------------------------------------
