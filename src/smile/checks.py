@@ -16,7 +16,7 @@ The checks split into independent units: the model check, which builds its
 own model, and the INSTANCES op instances, where instance i draws only from
 default_rng([seed, i]) and builds its own leaves.  They run through
 smile.parallel's runner, on every CPU the process may use, the model check,
-the longest unit, first; the parent folds the op errors in instance order
+the longest unit, first; the caller folds the op errors in instance order
 and appends the model result last, so the results are the serial ones bit
 for bit.
 """

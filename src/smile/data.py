@@ -34,6 +34,7 @@ from .parallel import _run_units
 
 GLYPH_H = 8
 GLYPH_W = 8
+GLYPH_CODES = 36 + 126 + 84   # distinct 3x3 codes with 2, 4 or 6 lit cells
 
 SOURCE = 0
 TARGET = 1
@@ -93,9 +94,13 @@ def make_templates(vocab: VocabSpec, seed: int) -> np.ndarray:
     even number of lit cells (2, 4, or 6), so any two distinct codes differ
     in at least two blocks.  Each bitmap keeps between 8 and 40 lit pixels
     (here 20, 28, or 36) and no two bitmaps coincide; rejected draws retry
-    on the same per-character stream.
+    on the same per-character stream.  A vocab of more than GLYPH_CODES
+    (246) characters is refused, as no draw could give it distinct codes.
     """
     check_seed(seed, "templates: seed", stored=False)
+    if vocab.n_chars > GLYPH_CODES:
+        raise ContractError(f"templates: {vocab.n_chars} characters, but only "
+                            f"{GLYPH_CODES} distinct glyph codes exist")
     templates = np.zeros((vocab.n_chars, GLYPH_H, GLYPH_W))
     seen: set[bytes] = set()
     for c in range(vocab.n_chars):

@@ -1,7 +1,7 @@
 """Gate A1's harness: the finite-difference passes score an op case in
 numpy with the bits of the taped weighted sum, so check_ops returns exactly
 what a harness that builds the taped loss in every pass returns; the units
-shared with a forked worker return the serial results, and no worker
+run on a pool of forked workers return the serial results, and no worker
 outlives a call."""
 
 import multiprocessing
@@ -137,20 +137,34 @@ def test_a_failed_fork_leaves_the_units_to_the_parent(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@needs_fork
+def test_a_fork_that_fails_after_one_worker_leaves_no_child(monkeypatch):
+    real_fork, forked = os.fork, []
+
+    def fork_once():
+        if forked:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forked.append(real_fork())
+        return forked[-1]
+
+    monkeypatch.setattr(checks, "INSTANCES", 3)
+    want = checks.check_ops(5)
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork_once)
+    assert checks.check_ops(5) == want
+    assert len(forked) == 1
+    assert multiprocessing.active_children() == []
+
+
 def hold_parent_until_a_worker_runs(monkeypatch, tmp_path, in_worker):
     """Run check_ops on two CPUs and three instances, with _op_cases
-    replaced: in a worker it marks a file and calls in_worker(); the
-    parent's first unit waits for the mark, so a worker always runs one."""
-    parent, mark, real = os.getpid(), tmp_path / "worker-ran", checks._op_cases
+    replaced: each unit calls in_worker() in the worker that runs it.  No
+    unit runs in the caller, which only waits for the pool."""
+    parent, real = os.getpid(), checks._op_cases
 
     def cases(rng):
-        if os.getpid() != parent:
-            mark.touch()
-            in_worker()
-        deadline = time.monotonic() + 30
-        while not mark.exists():
-            assert time.monotonic() < deadline, "no worker took a unit"
-            time.sleep(0.005)
+        assert os.getpid() != parent, "a unit ran in the caller"
+        in_worker()
         return real(rng)
 
     cpus(monkeypatch, 2)
@@ -176,29 +190,33 @@ def test_a_worker_that_dies_is_a_worker_lost_with_its_exit_code(monkeypatch,
                                                                 tmp_path):
     hold_parent_until_a_worker_runs(monkeypatch, tmp_path,
                                     lambda: os._exit(3))
-    with pytest.raises(WorkerLost, match=r"exited with code 3 before "
-                                         r"sending its results$"):
+    with pytest.raises(WorkerLost, match=r"exited before "
+                                         r"sending its results$") as lost:
         checks.check_ops(5)
+    assert lost.value.exit_code == 2
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
-def test_a_failing_parent_terminates_its_workers(monkeypatch, tmp_path):
-    # the worker would sleep a minute; the parent's error ends it at once
+def test_a_units_error_in_a_worker_cancels_the_rest(monkeypatch, tmp_path):
+    # 24 units of 0.5 s would take 6 s on two workers; the first fails,
+    # and only the few already handed to a worker still run
     parent = os.getpid()
-    hold_parent_until_a_worker_runs(monkeypatch, tmp_path,
-                                    lambda: time.sleep(60))
-    real_unit = checks._op_unit
 
     def unit(seed, i):
-        errors = real_unit(seed, i)
-        if os.getpid() == parent:
-            raise ContractError("op case failed in the parent")
-        return errors
+        assert os.getpid() != parent, "a unit ran in the caller"
+        if i == 0:
+            raise ContractError("op case failed in a worker")
+        time.sleep(0.5)
+        (tmp_path / f"ran-{i}").touch()
+        return []
 
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(checks, "INSTANCES", 24)
     monkeypatch.setattr(checks, "_op_unit", unit)
     t0 = time.monotonic()
-    with pytest.raises(ContractError, match="^op case failed in the parent$"):
+    with pytest.raises(ContractError, match="^op case failed in a worker$"):
         checks.check_ops(5)
     assert time.monotonic() - t0 < 30
     assert multiprocessing.active_children() == []
+    assert len(list(tmp_path.iterdir())) < 10

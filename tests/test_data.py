@@ -5,7 +5,6 @@ import hashlib
 import multiprocessing
 import os
 import struct
-import time
 
 import numpy as np
 import pytest
@@ -74,6 +73,15 @@ def test_templates_share_base_band():
 def test_make_templates_refuses_negative_seed(vocab):
     with pytest.raises(ContractError, match="templates: seed -1"):
         make_templates(vocab, -1)
+
+
+def test_make_templates_refuses_more_characters_than_codes():
+    chars = "".join(map(chr, range(256, 256 + 247)))
+    with pytest.raises(ContractError,
+                       match="^templates: 247 characters, but only 246 "):
+        make_templates(VocabSpec(chars), 0)
+    t = make_templates(VocabSpec(chars[:246]), 0)
+    assert len({t[i].tobytes() for i in range(246)}) == 246
 
 
 # -- rendering ----------------------------------------------------------------
@@ -474,20 +482,14 @@ def test_glyph12_on_two_cpus_equals_the_one_cpu_build_bitwise(
 
 
 def hold_parent_until_a_worker_runs(monkeypatch, tmp_path, in_worker):
-    """Build glyph12 on two CPUs with generate_corpus replaced: in a worker
-    it marks a file and calls in_worker(); the parent's first unit waits
-    for the mark, so a worker always runs one."""
-    parent, mark = os.getpid(), tmp_path / "worker-ran"
-    real = data.generate_corpus
+    """Build glyph12 on two CPUs with generate_corpus replaced: each unit
+    calls in_worker() in the worker that runs it.  No unit runs in the
+    caller, which only waits for the pool."""
+    parent, real = os.getpid(), data.generate_corpus
 
     def corpus(*args, **kwargs):
-        if os.getpid() != parent:
-            mark.touch()
-            in_worker()
-        deadline = time.monotonic() + 30
-        while not mark.exists():
-            assert time.monotonic() < deadline, "no worker took a unit"
-            time.sleep(0.005)
+        assert os.getpid() != parent, "a unit ran in the caller"
+        in_worker()
         return real(*args, **kwargs)
 
     cpus(monkeypatch, 2)
@@ -511,10 +513,10 @@ def test_a_units_error_in_a_glyph12_worker_is_raised_by_the_parent(
 def test_a_glyph12_worker_that_dies_is_a_worker_lost(monkeypatch, tmp_path):
     hold_parent_until_a_worker_runs(monkeypatch, tmp_path,
                                     lambda: os._exit(3))
-    with pytest.raises(WorkerLost, match=r"^glyph12: worker \d+ exited with "
-                                         r"code 3 before sending its "
-                                         r"results$"):
+    with pytest.raises(WorkerLost, match=r"^glyph12: a worker exited before "
+                                         r"sending its results$") as lost:
         build_glyph12(7)
+    assert lost.value.exit_code == 2
     assert multiprocessing.active_children() == []
 
 
